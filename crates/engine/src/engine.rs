@@ -39,6 +39,22 @@
 //! per frame. This keeps every SWAR word of the routing kernel fully
 //! occupied regardless of network size, where per-frame submission leaves
 //! `64 - 2^m` of 64 lanes idle for small networks.
+//!
+//! # One worker path, with or without faults
+//!
+//! [`Engine::run`], [`Engine::run_faulted`] and [`Engine::run_scrubbed`]
+//! share one scope and one worker loop. Without a fault plan
+//! ([`Engine::run`]) a job never touches fault state. Under a plan, the
+//! owning worker picks a fabric shard with [`LiveFaultPlan`]'s health
+//! steering and copies that shard's fault map, and the copy alone decides
+//! how the job routes:
+//!
+//! - a fault-free copy takes the healthy path above — slice splitting for
+//!   a single frame, one batched-kernel call for a batch;
+//! - a faulted copy routes the job sequentially — still one
+//!   `route_batch` call for a batch — and only the frames whose output
+//!   balance check trips (Theorem 3 makes every corrupted frame trip) are
+//!   retried, one by one, on another shard.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,11 +119,11 @@ impl EngineConfig {
     }
 }
 
-/// Retry budget for batches hitting hardware faults in
-/// [`Engine::run_faulted`].
+/// Retry budget for frames hitting hardware faults in
+/// [`Engine::run_faulted`] and [`Engine::run_scrubbed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total route attempts per batch (the initial try plus retries,
+    /// Total route attempts per frame (the initial try plus retries,
     /// minimum 1).
     pub max_attempts: usize,
     /// Base backoff slept before retry `k` is `backoff * 2^(k-1)`
@@ -124,10 +140,14 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Per-fabric-shard fault assignment for [`Engine::run_faulted`]: shard
-/// `i` routes through `FaultMap` `i`, and a batch that detects a hardware
-/// fault is retried on the next shard (round-robin) under the
+/// A fixed per-fabric-shard fault assignment for [`Engine::run_faulted`]:
+/// shard `i` routes through `FaultMap` `i` for the whole run, and a frame
+/// that detects a hardware fault is retried on another shard under the
 /// [`RetryPolicy`].
+///
+/// The engine runs it as a [`LiveFaultPlan`] whose maps never change and
+/// whose scrubber is off, so shard choice follows the live plan's health
+/// steering (see [`Engine::run_faulted`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     shards: Vec<FaultMap>,
@@ -267,90 +287,52 @@ impl<O: Observer> Engine<O> {
     /// Spawns the worker pool, runs `f` with a submit/drain handle, then
     /// drains remaining work and joins every worker.
     pub fn run<R>(&self, f: impl FnOnce(&EngineHandle<'_, O>) -> R) -> R {
-        let workers = self.config.workers.max(1);
-        let depth = self.effective_depth();
-        let hub = Hub::new(self.config.queue_capacity);
-        let counters: Vec<WorkerCounters> =
-            (0..workers).map(|_| WorkerCounters::default()).collect();
-        let started = Instant::now();
-        let network = self.network;
-        let observer = &self.observer;
-        thread::scope(|s| {
-            let hub_ref = &hub;
-            for slot in &counters {
-                s.spawn(move || worker_loop(hub_ref, network, depth, slot, observer));
-            }
-            let handle = EngineHandle {
-                hub: &hub,
-                counters: &counters,
-                workers,
-                depth,
-                started,
-                observer,
-            };
-            // Closes the hub even if `f` panics, so the scope can join.
-            let _guard = CloseGuard(&hub);
-            f(&handle)
-        })
+        self.run_with(None, false, f)
     }
 
-    /// [`Engine::run`] over damaged hardware: each worker owns a fabric
-    /// shard whose [`FaultMap`] comes from `plan`, and a batch that
-    /// detects a hardware fault is retried on the next shard
-    /// (round-robin) with exponential backoff, up to the plan's
-    /// [`RetryPolicy`] budget. Exhausted batches drain as
-    /// [`EngineError::Quarantined`] with the fault site in the
-    /// [`source`](std::error::Error::source) chain; batches that land on
-    /// a healthy (or harmlessly faulted) shard route byte-identically to
+    /// [`Engine::run`] over damaged hardware: fabric shard `i` routes
+    /// through `plan`'s fault map `i`, and a frame that detects a
+    /// hardware fault is retried on another shard with exponential
+    /// backoff, up to the plan's [`RetryPolicy`] budget. Exhausted frames
+    /// drain as [`EngineError::Quarantined`] with the fault site in the
+    /// [`source`](std::error::Error::source) chain; frames that land on a
+    /// healthy (or harmlessly faulted) shard route byte-identically to
     /// the sequential route.
     ///
-    /// Faulted mode routes each attempt sequentially on the owning
-    /// worker (no intra-batch slice splitting), so which faults a batch
-    /// meets depends only on its owner and attempt number — deterministic
-    /// per shard assignment, not per scheduling accident. A fully healthy
-    /// plan delegates to [`Engine::run`] unchanged.
+    /// The plan runs as a [`LiveFaultPlan`] that never changes and has
+    /// no scrubber, so shard choice is health steering:
+    ///
+    /// - A job lands on the first healthy shard counting from its
+    ///   worker's index, and a retry on the first healthy shard after
+    ///   that. A shard that trips is marked
+    ///   [`Suspect`](crate::ShardHealth::Suspect) and, with no scrubber
+    ///   to clear it, skipped for the rest of the run. With no healthy
+    ///   shard left, attempts fall back to plain round-robin.
+    /// - A job whose shard is fault-free routes exactly as under
+    ///   [`Engine::run`], slice splitting included. On a faulted shard a
+    ///   single frame routes sequentially, and a [`FrameBatch`] job stays
+    ///   one batched call: only its tripping frames are retried, each
+    ///   under its own sequence number and completion token.
     pub fn run_faulted<R>(&self, plan: &FaultPlan, f: impl FnOnce(&EngineHandle<'_, O>) -> R) -> R {
-        if plan.is_healthy() {
-            return self.run(f);
+        let live = LiveFaultPlan::healthy(plan.shards()).with_retry(plan.retry);
+        for (i, faults) in plan.shards.iter().enumerate() {
+            live.set_faults(i, faults.clone());
         }
-        let workers = self.config.workers.max(1);
-        let hub = Hub::new(self.config.queue_capacity);
-        let counters: Vec<WorkerCounters> =
-            (0..workers).map(|_| WorkerCounters::default()).collect();
-        let started = Instant::now();
-        let network = self.network;
-        let observer = &self.observer;
-        thread::scope(|s| {
-            let hub_ref = &hub;
-            for (worker, slot) in counters.iter().enumerate() {
-                s.spawn(move || {
-                    worker_loop_faulted(hub_ref, network, slot, observer, plan, worker)
-                });
-            }
-            let handle = EngineHandle {
-                hub: &hub,
-                counters: &counters,
-                workers,
-                depth: 0,
-                started,
-                observer,
-            };
-            let _guard = CloseGuard(&hub);
-            f(&handle)
-        })
+        self.run_with(Some(&live), false, f)
     }
 
     /// [`Engine::run_faulted`] with *live* repair: the fault maps in
     /// `plan` may change while the engine routes (a chaos driver
-    /// injecting and clearing faults concurrently), workers steer
-    /// batches onto healthy fabric shards, and a background scrubber
-    /// thread probes suspect shards between drains — quarantining
-    /// confirmed faults and restoring capacity when transients clear —
-    /// without ever pausing submit/drain.
+    /// injecting and clearing faults concurrently), workers steer jobs
+    /// onto healthy fabric shards exactly as under
+    /// [`Engine::run_faulted`], and a background scrubber thread probes
+    /// suspect shards between drains — quarantining confirmed faults and
+    /// restoring capacity when transients clear — without ever pausing
+    /// submit/drain.
     ///
     /// The repair loop:
     ///
-    /// - A batch attempt that trips the output balance check demotes its
+    /// - A frame attempt that trips the output balance check demotes its
     ///   shard to [`ShardHealth::Suspect`] and retries on the next
     ///   healthy shard under the plan's [`RetryPolicy`]; with no healthy
     ///   shard left, attempts fall back to plain round-robin so traffic
@@ -362,38 +344,60 @@ impl<O: Observer> Engine<O> {
     ///   ([`bnb_obs::RepairEvent`] with `restored: true`). Every probe
     ///   emits a [`bnb_obs::ScrubEvent`].
     ///
-    /// Batches that exhaust the retry budget drain as
+    /// Frames that exhaust the retry budget drain as
     /// [`EngineError::Quarantined`], exactly like [`Engine::run_faulted`];
     /// delivered frames are always correct — the balance check makes
     /// misdelivery detectable, so a fault either surfaces as an error or
     /// the frame routed cleanly (Theorem 3).
+    ///
+    /// [`ShardHealth::Suspect`]: crate::ShardHealth::Suspect
     pub fn run_scrubbed<R>(
         &self,
         plan: &LiveFaultPlan,
         f: impl FnOnce(&EngineHandle<'_, O>) -> R,
     ) -> R {
+        self.run_with(Some(plan), true, f)
+    }
+
+    /// The one scope behind every run mode: spawns the worker pool
+    /// (steering by `plan` when there is one) and, if `scrub` is set, the
+    /// scrubber over `plan`; runs `f`; joins everything.
+    fn run_with<R>(
+        &self,
+        plan: Option<&LiveFaultPlan>,
+        scrub: bool,
+        f: impl FnOnce(&EngineHandle<'_, O>) -> R,
+    ) -> R {
         let workers = self.config.workers.max(1);
+        let depth = self.effective_depth();
         let hub = Hub::new(self.config.queue_capacity);
         let counters: Vec<WorkerCounters> =
             (0..workers).map(|_| WorkerCounters::default()).collect();
         let started = Instant::now();
-        let network = self.network;
-        let observer = &self.observer;
         let stop = AtomicBool::new(false);
+        let observer = &self.observer;
         thread::scope(|s| {
-            let hub_ref = &hub;
-            let stop_ref = &stop;
-            for (worker, slot) in counters.iter().enumerate() {
-                s.spawn(move || {
-                    worker_loop_scrubbed(hub_ref, network, slot, observer, plan, worker)
-                });
+            for (index, slot) in counters.iter().enumerate() {
+                let worker = Worker {
+                    hub: &hub,
+                    net: self.network,
+                    depth,
+                    counters: slot,
+                    observer,
+                    plan,
+                    index,
+                };
+                s.spawn(move || worker.run());
             }
-            s.spawn(move || scrubber_loop(stop_ref, network, plan, observer));
+            if let Some(plan) = plan.filter(|_| scrub) {
+                let (stop, net) = (&stop, self.network);
+                s.spawn(move || scrubber_loop(stop, net, plan, observer));
+            }
             let handle = EngineHandle {
                 hub: &hub,
                 counters: &counters,
                 workers,
-                depth: 0,
+                depth,
                 started,
                 observer,
             };
@@ -618,6 +622,9 @@ struct WorkerCtx {
     latch: Arc<JobLatch>,
     /// Per-frame results of owned batch jobs, reused across batches.
     outcome: BatchOutcome,
+    /// Working copy of a frame for sequential fault attempts; it grows
+    /// on the first one, so healthy runs never allocate it.
+    attempt: Vec<Record>,
 }
 
 /// `ceil(log2(workers))`, clamped so slices never shrink below one line.
@@ -629,405 +636,331 @@ fn auto_depth(workers: usize, m: usize) -> usize {
     (log as usize).min(m)
 }
 
-fn worker_loop<O: Observer>(
-    hub: &Hub,
+/// One pool thread's view of the run: the shared hub and observer, its
+/// own activity counters, and the fault plan it steers by (`None` under
+/// [`Engine::run`]).
+struct Worker<'a, O: Observer> {
+    hub: &'a Hub,
     net: BnbNetwork,
     depth: usize,
-    counters: &WorkerCounters,
-    observer: &O,
-) {
-    let observing = observer.enabled();
-    let mut ctx = WorkerCtx {
-        scratch: StageScratch::with_capacity(net.inputs()),
-        seen: Vec::new(),
-        latch: Arc::new(JobLatch::new(0)),
-        outcome: BatchOutcome::new(),
-    };
-    while let Some(work) = hub.next_work() {
-        let t0 = Instant::now();
-        match work {
-            Work::Task(task) => {
-                counters.tasks_stolen.fetch_add(1, Ordering::Relaxed);
-                if observing {
-                    observer.shard_stolen(shard_event(&task));
-                }
-                run_task(hub, task, &mut ctx, observer);
-            }
-            Work::Job(job) => {
-                counters.jobs_owned.fetch_add(1, Ordering::Relaxed);
-                match job.payload {
-                    JobPayload::Frame(lines) => process_job(
-                        hub,
-                        job.seq,
-                        job.submitted_at,
-                        lines,
-                        net,
-                        depth,
-                        &mut ctx,
-                        counters,
-                        observer,
-                    ),
-                    JobPayload::Batch(batch) => process_job_batch(
-                        hub,
-                        job.seq,
-                        job.submitted_at,
-                        batch,
-                        net,
-                        &mut ctx,
-                        observer,
-                    ),
-                }
-            }
-        }
-        counters
-            .busy_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
+    counters: &'a WorkerCounters,
+    observer: &'a O,
+    plan: Option<&'a LiveFaultPlan>,
+    index: usize,
 }
 
-fn worker_loop_faulted<O: Observer>(
-    hub: &Hub,
-    net: BnbNetwork,
-    counters: &WorkerCounters,
-    observer: &O,
-    plan: &FaultPlan,
-    worker: usize,
-) {
-    let mut ctx = WorkerCtx {
-        scratch: StageScratch::with_capacity(net.inputs()),
-        seen: Vec::new(),
-        latch: Arc::new(JobLatch::new(0)),
-        outcome: BatchOutcome::new(),
-    };
-    // Per-attempt working copy of the batch: a failed attempt leaves
-    // partially routed lines behind, so every attempt restarts from the
-    // submitted order. Reused across batches.
-    let mut attempt_buf: Vec<Record> = Vec::with_capacity(net.inputs());
-    while let Some(work) = hub.next_work() {
-        let t0 = Instant::now();
-        match work {
-            // Faulted mode never splits batches, so no slice tasks are
-            // produced; drain any defensively the same way `worker_loop`
-            // would.
-            Work::Task(task) => {
-                counters.tasks_stolen.fetch_add(1, Ordering::Relaxed);
-                run_task(hub, task, &mut ctx, observer);
-            }
-            Work::Job(job) => {
-                counters.jobs_owned.fetch_add(1, Ordering::Relaxed);
-                match job.payload {
-                    JobPayload::Frame(lines) => process_frame_faulted(
-                        hub,
-                        job.seq,
-                        job.submitted_at,
-                        lines,
-                        net,
-                        &mut ctx,
-                        &mut attempt_buf,
-                        observer,
-                        plan,
-                        worker,
-                    ),
-                    // Fault campaigns need per-frame retry/quarantine
-                    // bookkeeping, so a batch is unbundled into frames and
-                    // each runs the exact per-frame path under its own
-                    // reserved sequence number.
-                    JobPayload::Batch(batch) => {
-                        for f in 0..batch.frames() {
-                            let mut lines = Vec::with_capacity(batch.width());
-                            batch.read_frame_into(f, &mut lines);
-                            process_frame_faulted(
-                                hub,
-                                job.seq + f as u64,
-                                job.submitted_at,
-                                lines,
-                                net,
-                                &mut ctx,
-                                &mut attempt_buf,
-                                observer,
-                                plan,
-                                worker,
-                            );
+impl<O: Observer> Worker<'_, O> {
+    /// The worker loop: slice tasks first, then owned jobs, until the hub
+    /// closes.
+    fn run(self) {
+        let mut ctx = WorkerCtx {
+            scratch: StageScratch::with_capacity(self.net.inputs()),
+            seen: Vec::new(),
+            latch: Arc::new(JobLatch::new(0)),
+            outcome: BatchOutcome::new(),
+            attempt: Vec::new(),
+        };
+        while let Some(work) = self.hub.next_work() {
+            let t0 = Instant::now();
+            match work {
+                Work::Task(task) => self.steal(task, &mut ctx),
+                Work::Job(job) => {
+                    self.counters.jobs_owned.fetch_add(1, Ordering::Relaxed);
+                    // The shard the job lands on and a point-in-time copy
+                    // of its fault map; that copy alone decides the path.
+                    let landing = self.plan.map(|plan| {
+                        let shard = plan.pick_shard(self.index, 0);
+                        (shard, plan.faults_snapshot(shard))
+                    });
+                    match job.payload {
+                        JobPayload::Frame(lines) => {
+                            self.route_frame(&mut ctx, job.seq, job.submitted_at, lines, landing)
+                        }
+                        JobPayload::Batch(batch) => {
+                            self.route_batch(&mut ctx, job.seq, job.submitted_at, batch, landing)
                         }
                     }
                 }
             }
+            self.counters
+                .busy_ns
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
-        counters
-            .busy_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
-}
 
-fn worker_loop_scrubbed<O: Observer>(
-    hub: &Hub,
-    net: BnbNetwork,
-    counters: &WorkerCounters,
-    observer: &O,
-    plan: &LiveFaultPlan,
-    worker: usize,
-) {
-    let mut ctx = WorkerCtx {
-        scratch: StageScratch::with_capacity(net.inputs()),
-        seen: Vec::new(),
-        latch: Arc::new(JobLatch::new(0)),
-        outcome: BatchOutcome::new(),
-    };
-    let mut attempt_buf: Vec<Record> = Vec::with_capacity(net.inputs());
-    while let Some(work) = hub.next_work() {
-        let t0 = Instant::now();
-        match work {
-            Work::Task(task) => {
-                counters.tasks_stolen.fetch_add(1, Ordering::Relaxed);
-                run_task(hub, task, &mut ctx, observer);
-            }
-            Work::Job(job) => {
-                counters.jobs_owned.fetch_add(1, Ordering::Relaxed);
-                match job.payload {
-                    JobPayload::Frame(lines) => process_frame_scrubbed(
-                        hub,
-                        job.seq,
-                        job.submitted_at,
-                        lines,
-                        net,
-                        &mut ctx,
-                        &mut attempt_buf,
-                        observer,
-                        plan,
-                        worker,
-                    ),
-                    JobPayload::Batch(batch) => {
-                        for f in 0..batch.frames() {
-                            let mut lines = Vec::with_capacity(batch.width());
-                            batch.read_frame_into(f, &mut lines);
-                            process_frame_scrubbed(
-                                hub,
-                                job.seq + f as u64,
-                                job.submitted_at,
-                                lines,
-                                net,
-                                &mut ctx,
-                                &mut attempt_buf,
-                                observer,
-                                plan,
-                                worker,
-                            );
-                        }
-                    }
-                }
+    /// Routes a slice task queued by another job's owner.
+    fn steal(&self, task: SliceTask, ctx: &mut WorkerCtx) {
+        self.counters.tasks_stolen.fetch_add(1, Ordering::Relaxed);
+        if self.observer.enabled() {
+            self.observer.shard_stolen(shard_event(&task));
+        }
+        self.run_task(task, ctx);
+    }
+
+    /// Routes one owned single-frame job: validate, then split it across
+    /// the pool on a fault-free landing, or route it sequentially and
+    /// retry a tripped fault on a faulted one.
+    fn route_frame(
+        &self,
+        ctx: &mut WorkerCtx,
+        seq: u64,
+        submitted_at: Instant,
+        mut lines: Vec<Record>,
+        landing: Option<(usize, FaultMap)>,
+    ) {
+        let result = if let Err(e) = validate_lines(&self.net, &lines, &mut ctx.seen) {
+            Err(EngineError::batch(seq, e))
+        } else if let Some((shard, faults)) = landing.filter(|(_, f)| !f.is_empty()) {
+            let first = self.attempt(ctx, &faults, &mut lines);
+            self.settle(ctx, seq, &mut lines, shard, first)
+                .map(|()| lines)
+        } else {
+            self.route_sliced(ctx, lines)
+                .map_err(|e| EngineError::batch(seq, e))
+        };
+        self.finish(seq, submitted_at, result);
+    }
+
+    /// Routes a validated frame as its owner: split into `2^depth` slice
+    /// tasks, help until every slice lands.
+    fn route_sliced(
+        &self,
+        ctx: &mut WorkerCtx,
+        mut lines: Vec<Record>,
+    ) -> Result<Vec<Record>, RouteError> {
+        #[cfg(debug_assertions)]
+        let reference = self.net.route(&lines);
+
+        // The latch travels behind an `Arc` so the last helper's completion
+        // can never outlive it; this worker's latch is rearmed per owned job.
+        ctx.latch.reset(1);
+        let root = SliceTask {
+            net: self.net,
+            lines: lines.as_mut_ptr(),
+            len: lines.len(),
+            first_line: 0,
+            start_stage: 0,
+            split_until: self.depth.min(self.net.m()),
+            latch: Arc::clone(&ctx.latch),
+        };
+        self.run_task(root, ctx);
+        // Help with queued slice work (ours or anyone's) until our batch is
+        // fully routed.
+        while !ctx.latch.is_done() {
+            match self.hub.try_pop_task() {
+                Some(task) => self.steal(task, ctx),
+                None => ctx.latch.wait_brief(),
             }
         }
-        counters
-            .busy_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-}
+        let result = match ctx.latch.take_error() {
+            Some(e) => Err(e),
+            None => Ok(lines),
+        };
 
-/// The live-repair variant of [`process_frame_faulted`]: each attempt
-/// asks the plan for a *healthy* shard (round-robin fallback when none
-/// is), routes through a point-in-time snapshot of that shard's live
-/// fault map, and demotes the shard to suspect on a detected hardware
-/// fault so the scrubber picks it up. Delivery semantics are unchanged:
-/// success, terminal traffic error, or quarantine after the retry
-/// budget.
-#[allow(clippy::too_many_arguments)]
-fn process_frame_scrubbed<O: Observer>(
-    hub: &Hub,
-    seq: u64,
-    submitted_at: Instant,
-    mut lines: Vec<Record>,
-    net: BnbNetwork,
-    ctx: &mut WorkerCtx,
-    attempt_buf: &mut Vec<Record>,
-    observer: &O,
-    plan: &LiveFaultPlan,
-    worker: usize,
-) {
-    let observing = observer.enabled();
-    let records = lines.len();
-    if let Err(e) = validate_lines(&net, &lines, &mut ctx.seen) {
-        finish_observed(
-            hub,
-            seq,
-            submitted_at,
-            Err(EngineError::batch(seq, e)),
-            0,
-            observing,
-            observer,
+        // Error results are comparable too: `JobLatch::fail` keeps the
+        // earliest-scan-site error, which is the one the sequential route
+        // stops at.
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            result, reference,
+            "parallel routing diverged from the sequential reference"
         );
-        return;
+        result
     }
-    let attempts = plan.retry().max_attempts.max(1);
-    let mut last_fault = None;
-    for attempt in 0..attempts {
-        let shard = plan.pick_shard(worker, attempt);
-        if attempt > 0 {
-            let backoff = plan
-                .retry()
-                .backoff
-                .saturating_mul(1u32 << (attempt - 1).min(16) as u32);
-            if !backoff.is_zero() {
-                thread::sleep(backoff);
-            }
-            if observing {
-                observer.batch_retried(RetryEvent {
-                    seq,
-                    attempt,
-                    shard,
-                });
-            }
-        }
-        attempt_buf.clear();
-        attempt_buf.extend_from_slice(&lines);
-        let faults = plan.faults_snapshot(shard);
-        match RouteSpan::new().observer(observer).faults(&faults).run(
-            &net,
-            attempt_buf,
-            0,
-            0..net.m(),
+
+    /// Routes one owned [`JobPayload::Batch`]: all frames through one
+    /// [`route_batch`] call on the landing shard's fault map, then one
+    /// published result per reserved sequence number, settling any
+    /// tripped frame on the way. Batch jobs are never sliced across
+    /// workers — parallelism comes from workers owning *different*
+    /// batches, and the batched kernel's full word occupancy replaces the
+    /// intra-frame split.
+    fn route_batch(
+        &self,
+        ctx: &mut WorkerCtx,
+        seq: u64,
+        submitted_at: Instant,
+        mut batch: FrameBatch,
+        landing: Option<(usize, FaultMap)>,
+    ) {
+        let (shard, faults) = landing.unwrap_or_default();
+        #[cfg(debug_assertions)]
+        let inputs = faults.is_empty().then(|| batch.to_frames());
+        // An enabled observer or a faulted map makes route_batch fall
+        // back to frame-at-a-time routing, so per-column and fault events
+        // fire exactly as per-frame submission would.
+        let opts = RouteSpan::new().observer(self.observer).faults(&faults);
+        route_batch(
+            &self.net,
+            &mut batch,
+            &opts,
             &mut ctx.scratch,
-        ) {
-            Ok(()) => {
-                lines.copy_from_slice(attempt_buf);
-                finish_observed(
-                    hub,
-                    seq,
-                    submitted_at,
-                    Ok(lines),
-                    records,
-                    observing,
-                    observer,
+            &mut ctx.outcome,
+        );
+        for f in 0..batch.frames() {
+            let fseq = seq + f as u64;
+            let mut lines = Vec::with_capacity(batch.width());
+            // A frame whose route failed still holds its submitted order.
+            batch.read_frame_into(f, &mut lines);
+            let first = ctx.outcome.results()[f].clone();
+            let result = self
+                .settle(ctx, fseq, &mut lines, shard, first)
+                .map(|()| lines);
+            // The batched kernel must be indistinguishable from routing
+            // each frame alone through the sequential reference.
+            #[cfg(debug_assertions)]
+            if let Some(inputs) = &inputs {
+                debug_assert_eq!(
+                    result.as_ref().map_err(EngineError::route_error),
+                    self.net.route(&inputs[f]).as_ref(),
+                    "batched routing diverged from the sequential reference"
                 );
-                return;
             }
-            Err(e @ RouteError::HardwareFault { .. }) => {
-                plan.mark_suspect(shard);
-                last_fault = Some(e);
-            }
-            Err(e) => {
-                finish_observed(
-                    hub,
-                    seq,
-                    submitted_at,
-                    Err(EngineError::batch(seq, e)),
-                    0,
-                    observing,
-                    observer,
-                );
-                return;
-            }
+            self.finish(fseq, submitted_at, result);
         }
     }
-    let source = last_fault.expect("the attempt loop ran and only exits early on success");
-    finish_observed(
-        hub,
-        seq,
-        submitted_at,
-        Err(EngineError::quarantined(seq, attempts, source)),
-        0,
-        observing,
-        observer,
-    );
-}
 
-/// Routes one batch through the faulted fabric: attempt `k` runs on shard
-/// `(worker + k) % plan.shards()`, hardware faults trigger a retry on the
-/// next shard after exponential backoff, and an exhausted budget
-/// publishes [`EngineError::Quarantined`]. Non-fault errors (validation,
-/// unbalanced traffic) are terminal immediately — retrying cannot fix the
-/// input.
-#[allow(clippy::too_many_arguments)]
-fn process_frame_faulted<O: Observer>(
-    hub: &Hub,
-    seq: u64,
-    submitted_at: Instant,
-    mut lines: Vec<Record>,
-    net: BnbNetwork,
-    ctx: &mut WorkerCtx,
-    attempt_buf: &mut Vec<Record>,
-    observer: &O,
-    plan: &FaultPlan,
-    worker: usize,
-) {
-    let observing = observer.enabled();
-    let records = lines.len();
-    if let Err(e) = validate_lines(&net, &lines, &mut ctx.seen) {
-        finish_observed(
-            hub,
-            seq,
-            submitted_at,
-            Err(EngineError::batch(seq, e)),
-            0,
-            observing,
-            observer,
-        );
-        return;
-    }
-    let attempts = plan.retry().max_attempts.max(1);
-    let mut last_fault = None;
-    for attempt in 0..attempts {
-        let shard = (worker + attempt) % plan.shards();
-        if attempt > 0 {
-            let backoff = plan
-                .retry()
+    /// The one fault-retry routine. `first` is frame `seq`'s attempt on
+    /// the landing `shard`; `lines` holds the frame as submitted, or as
+    /// routed once an attempt succeeds. A hardware fault marks the shard
+    /// suspect and retries on the next shard the plan steers to, after
+    /// exponential backoff, until the budget runs out
+    /// ([`EngineError::Quarantined`]). Any other error is terminal —
+    /// retrying cannot fix the input.
+    fn settle(
+        &self,
+        ctx: &mut WorkerCtx,
+        seq: u64,
+        lines: &mut [Record],
+        mut shard: usize,
+        first: Result<(), RouteError>,
+    ) -> Result<(), EngineError> {
+        let mut outcome = first;
+        let mut attempt = 0;
+        loop {
+            // Only a plan's fault maps raise hardware faults.
+            let (plan, fault) = match (outcome, self.plan) {
+                (Ok(()), _) => return Ok(()),
+                (Err(e @ RouteError::HardwareFault { .. }), Some(plan)) => (plan, e),
+                (Err(e), _) => return Err(EngineError::batch(seq, e)),
+            };
+            plan.mark_suspect(shard);
+            let retry = plan.retry();
+            attempt += 1;
+            if attempt >= retry.max_attempts {
+                return Err(EngineError::quarantined(seq, attempt, fault));
+            }
+            shard = plan.pick_shard(self.index, attempt);
+            let backoff = retry
                 .backoff
                 .saturating_mul(1u32 << (attempt - 1).min(16) as u32);
             if !backoff.is_zero() {
                 thread::sleep(backoff);
             }
-            if observing {
-                observer.batch_retried(RetryEvent {
+            if self.observer.enabled() {
+                self.observer.batch_retried(RetryEvent {
                     seq,
                     attempt,
                     shard,
                 });
             }
-        }
-        attempt_buf.clear();
-        attempt_buf.extend_from_slice(&lines);
-        match RouteSpan::new()
-            .observer(observer)
-            .faults(plan.shard(shard))
-            .run(&net, attempt_buf, 0, 0..net.m(), &mut ctx.scratch)
-        {
-            Ok(()) => {
-                lines.copy_from_slice(attempt_buf);
-                finish_observed(
-                    hub,
-                    seq,
-                    submitted_at,
-                    Ok(lines),
-                    records,
-                    observing,
-                    observer,
-                );
-                return;
-            }
-            Err(e @ RouteError::HardwareFault { .. }) => last_fault = Some(e),
-            Err(e) => {
-                finish_observed(
-                    hub,
-                    seq,
-                    submitted_at,
-                    Err(EngineError::batch(seq, e)),
-                    0,
-                    observing,
-                    observer,
-                );
-                return;
-            }
+            outcome = self.attempt(ctx, &plan.faults_snapshot(shard), lines);
         }
     }
-    let source = last_fault.expect("the attempt loop ran and only exits early on success");
-    finish_observed(
-        hub,
-        seq,
-        submitted_at,
-        Err(EngineError::quarantined(seq, attempts, source)),
-        0,
-        observing,
-        observer,
-    );
+
+    /// One sequential route of `lines` through `faults`, on a copy: a
+    /// failed attempt leaves partly routed cells behind, and the next
+    /// attempt must start from the submitted order.
+    fn attempt(
+        &self,
+        ctx: &mut WorkerCtx,
+        faults: &FaultMap,
+        lines: &mut [Record],
+    ) -> Result<(), RouteError> {
+        ctx.attempt.clear();
+        ctx.attempt.extend_from_slice(lines);
+        RouteSpan::new()
+            .observer(self.observer)
+            .faults(faults)
+            .run(
+                &self.net,
+                &mut ctx.attempt,
+                0,
+                0..self.net.m(),
+                &mut ctx.scratch,
+            )?;
+        lines.copy_from_slice(&ctx.attempt);
+        Ok(())
+    }
+
+    /// Publishes a frame's result and, when observing, emits the matching
+    /// [`DrainEvent`] (the event carries submit-to-publish latency,
+    /// measured here because `drain` itself never learns it).
+    fn finish(&self, seq: u64, submitted_at: Instant, result: Result<Vec<Record>, EngineError>) {
+        let ok = result.is_ok();
+        let records = result.as_ref().map_or(0, Vec::len);
+        self.hub.finish(seq, submitted_at, result);
+        if self.observer.enabled() {
+            let latency_ns = submitted_at.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            self.observer.batch_drained(DrainEvent {
+                seq,
+                records,
+                latency_ns,
+                ok,
+            });
+        }
+    }
+
+    /// Routes a slice task: one main stage at a time while splitting is
+    /// still wanted (pushing the sibling half to the hub), then the
+    /// remaining stages sequentially.
+    fn run_task(&self, task: SliceTask, ctx: &mut WorkerCtx) {
+        let net = task.net;
+        let m = net.m();
+        let latch = &task.latch;
+        let opts = RouteSpan::new().observer(self.observer);
+        // SAFETY: the owning worker keeps the batch vector alive until the
+        // latch (which we complete below, after the last use) reports done,
+        // and sibling tasks cover disjoint ranges.
+        let mut lines = unsafe { std::slice::from_raw_parts_mut(task.lines, task.len) };
+        // Splits always keep the aligned low half, so our first line never
+        // moves.
+        let first_line = task.first_line;
+        let mut stage = task.start_stage;
+        loop {
+            if stage >= task.split_until || stage >= m || lines.len() < 2 {
+                match opts.run(&net, lines, first_line, stage..m, &mut ctx.scratch) {
+                    Ok(()) => latch.complete_one(),
+                    Err(e) => latch.fail(e),
+                }
+                return;
+            }
+            // Route this main stage over the whole slice, then hand half of
+            // the now-independent subnetworks to any idle worker.
+            if let Err(e) = opts.run(&net, lines, first_line, stage..stage + 1, &mut ctx.scratch) {
+                latch.fail(e);
+                return;
+            }
+            stage += 1;
+            let half = lines.len() / 2;
+            let (keep, give) = lines.split_at_mut(half);
+            let sibling = SliceTask {
+                net,
+                lines: give.as_mut_ptr(),
+                len: give.len(),
+                first_line: first_line + half,
+                start_stage: stage,
+                split_until: task.split_until,
+                latch: Arc::clone(&task.latch),
+            };
+            latch.add_one();
+            if self.observer.enabled() {
+                self.observer.shard_enqueued(shard_event(&sibling));
+            }
+            self.hub.push_task(sibling);
+            lines = keep;
+        }
+    }
 }
 
 /// The [`ShardEvent`] describing a queued slice task.
@@ -1036,249 +969,6 @@ fn shard_event(task: &SliceTask) -> ShardEvent {
         first_line: task.first_line,
         len: task.len,
         start_stage: task.start_stage,
-    }
-}
-
-/// Routes one batch as its owner: validate, split into `2^depth` slice
-/// tasks, help until every slice lands, publish the result.
-#[allow(clippy::too_many_arguments)]
-fn process_job<O: Observer>(
-    hub: &Hub,
-    seq: u64,
-    submitted_at: Instant,
-    mut lines: Vec<Record>,
-    net: BnbNetwork,
-    depth: usize,
-    ctx: &mut WorkerCtx,
-    counters: &WorkerCounters,
-    observer: &O,
-) {
-    let observing = observer.enabled();
-    let records = lines.len();
-    if let Err(e) = validate_lines(&net, &lines, &mut ctx.seen) {
-        finish_observed(
-            hub,
-            seq,
-            submitted_at,
-            Err(EngineError::batch(seq, e)),
-            0,
-            observing,
-            observer,
-        );
-        return;
-    }
-    #[cfg(debug_assertions)]
-    let reference = net.route(&lines);
-
-    // The latch travels behind an `Arc` so the last helper's completion
-    // can never outlive it; this worker's latch is rearmed per owned job.
-    ctx.latch.reset(1);
-    let root = SliceTask {
-        net,
-        lines: lines.as_mut_ptr(),
-        len: lines.len(),
-        first_line: 0,
-        start_stage: 0,
-        split_until: depth.min(net.m()),
-        latch: Arc::clone(&ctx.latch),
-    };
-    run_task(hub, root, ctx, observer);
-    // Help with queued slice work (ours or anyone's) until our batch is
-    // fully routed.
-    while !ctx.latch.is_done() {
-        match hub.try_pop_task() {
-            Some(task) => {
-                counters.tasks_stolen.fetch_add(1, Ordering::Relaxed);
-                if observing {
-                    observer.shard_stolen(shard_event(&task));
-                }
-                run_task(hub, task, ctx, observer);
-            }
-            None => ctx.latch.wait_brief(),
-        }
-    }
-    let result = match ctx.latch.take_error() {
-        Some(e) => Err(e),
-        None => Ok(lines),
-    };
-
-    // Error results are comparable too: `JobLatch::fail` keeps the
-    // earliest-scan-site error, which is the one the sequential route
-    // stops at.
-    #[cfg(debug_assertions)]
-    debug_assert_eq!(
-        result, reference,
-        "parallel routing diverged from the sequential reference"
-    );
-    finish_observed(
-        hub,
-        seq,
-        submitted_at,
-        result.map_err(|e| EngineError::batch(seq, e)),
-        records,
-        observing,
-        observer,
-    );
-}
-
-/// Routes one owned [`JobPayload::Batch`]: all frames through one batched
-/// kernel invocation, then one published result per reserved sequence
-/// number. Batch jobs are never sliced across workers — parallelism comes
-/// from workers owning *different* batches, and the batched kernel's full
-/// word occupancy replaces the intra-frame split.
-fn process_job_batch<O: Observer>(
-    hub: &Hub,
-    seq: u64,
-    submitted_at: Instant,
-    mut batch: FrameBatch,
-    net: BnbNetwork,
-    ctx: &mut WorkerCtx,
-    observer: &O,
-) {
-    let observing = observer.enabled();
-    let frames = batch.frames();
-    let records = batch.width();
-    #[cfg(debug_assertions)]
-    let inputs = batch.to_frames();
-    // An enabled observer rides through RouteSpan: route_batch falls back
-    // to frame-at-a-time scalar routing so per-column events still fire,
-    // exactly as per-frame submission would.
-    let opts = if observing {
-        RouteSpan::new().observer(observer)
-    } else {
-        RouteSpan::new()
-    };
-    route_batch(&net, &mut batch, &opts, &mut ctx.scratch, &mut ctx.outcome);
-    // `inputs` exists only under debug_assertions, so the loop cannot be
-    // rewritten over it without forking on cfg.
-    #[allow(clippy::needless_range_loop)]
-    for f in 0..frames {
-        let fseq = seq + f as u64;
-        let result = match &ctx.outcome.results()[f] {
-            Ok(()) => {
-                let mut out = Vec::with_capacity(records);
-                batch.read_frame_into(f, &mut out);
-                Ok(out)
-            }
-            Err(e) => Err(EngineError::batch(fseq, e.clone())),
-        };
-        // The batched kernel must be indistinguishable from routing each
-        // frame alone through the sequential reference.
-        #[cfg(debug_assertions)]
-        {
-            let reference = net.route(&inputs[f]);
-            match (&result, &reference) {
-                (Ok(got), Ok(want)) => debug_assert_eq!(
-                    got, want,
-                    "batched routing diverged from the sequential reference"
-                ),
-                (Err(got), Err(want)) => debug_assert_eq!(
-                    got.route_error(),
-                    want,
-                    "batched error diverged from the sequential reference"
-                ),
-                _ => panic!("batched result status diverged from the sequential reference"),
-            }
-        }
-        finish_observed(
-            hub,
-            fseq,
-            submitted_at,
-            result,
-            records,
-            observing,
-            observer,
-        );
-    }
-}
-
-/// Publishes a batch result and, when observing, emits the matching
-/// [`DrainEvent`] (the event carries submit-to-publish latency, measured
-/// here because `drain` itself never learns it).
-#[allow(clippy::too_many_arguments)]
-fn finish_observed<O: Observer>(
-    hub: &Hub,
-    seq: u64,
-    submitted_at: Instant,
-    result: Result<Vec<Record>, EngineError>,
-    records: usize,
-    observing: bool,
-    observer: &O,
-) {
-    let ok = result.is_ok();
-    hub.finish(seq, submitted_at, result);
-    if observing {
-        let latency_ns = submitted_at.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        observer.batch_drained(DrainEvent {
-            seq,
-            records: if ok { records } else { 0 },
-            latency_ns,
-            ok,
-        });
-    }
-}
-
-/// Routes a slice task: one main stage at a time while splitting is still
-/// wanted (pushing the sibling half to the hub), then the remaining
-/// stages sequentially.
-fn run_task<O: Observer>(hub: &Hub, task: SliceTask, ctx: &mut WorkerCtx, observer: &O) {
-    let observing = observer.enabled();
-    let net = task.net;
-    let m = net.m();
-    let latch = &task.latch;
-    // SAFETY: the owning worker keeps the batch vector alive until the
-    // latch (which we complete below, after the last use) reports done,
-    // and sibling tasks cover disjoint ranges.
-    let mut lines = unsafe { std::slice::from_raw_parts_mut(task.lines, task.len) };
-    // Splits always keep the aligned low half, so our first line never
-    // moves.
-    let first_line = task.first_line;
-    let mut stage = task.start_stage;
-    loop {
-        if stage >= task.split_until || stage >= m || lines.len() < 2 {
-            let tail = RouteSpan::new().observer(observer).run(
-                &net,
-                lines,
-                first_line,
-                stage..m,
-                &mut ctx.scratch,
-            );
-            match tail {
-                Ok(()) => latch.complete_one(),
-                Err(e) => latch.fail(e),
-            }
-            return;
-        }
-        // Route this main stage over the whole slice, then hand half of
-        // the now-independent subnetworks to any idle worker.
-        if let Err(e) = RouteSpan::new().observer(observer).run(
-            &net,
-            lines,
-            first_line,
-            stage..stage + 1,
-            &mut ctx.scratch,
-        ) {
-            latch.fail(e);
-            return;
-        }
-        stage += 1;
-        let half = lines.len() / 2;
-        let (keep, give) = lines.split_at_mut(half);
-        let sibling = SliceTask {
-            net,
-            lines: give.as_mut_ptr(),
-            len: give.len(),
-            first_line: first_line + half,
-            start_stage: stage,
-            split_until: task.split_until,
-            latch: Arc::clone(&task.latch),
-        };
-        latch.add_one();
-        if observing {
-            observer.shard_enqueued(shard_event(&sibling));
-        }
-        hub.push_task(sibling);
-        lines = keep;
     }
 }
 

@@ -27,16 +27,23 @@
 //!   lock-free `bnb_obs::Counters`.
 //! - [`Engine::run_faulted`] routes through damaged hardware: a
 //!   [`FaultPlan`] assigns a `bnb_core::fault::FaultMap` to each fabric
-//!   shard, batches hitting a detected fault are retried on the next
+//!   shard, frames hitting a detected fault are retried on another
 //!   shard with exponential backoff ([`RetryPolicy`]), and exhausted
 //!   retries drain as [`EngineError::Quarantined`] with the fault site in
-//!   the `source()` chain.
+//!   the `source()` chain. Workers steer jobs onto healthy shards
+//!   ([`ShardHealth`]); a job on a fault-free shard routes exactly as
+//!   under [`Engine::run`], and a `FrameBatch` job on a faulted shard
+//!   stays one batched call with only its tripping frames retried.
 //! - [`Engine::run_scrubbed`] adds *live* repair on top: a
 //!   [`LiveFaultPlan`]'s fault maps may change while the engine routes,
-//!   workers steer traffic onto healthy fabric shards
-//!   ([`ShardHealth`]), and a background scrubber thread probes suspect
-//!   shards between drains — quarantining confirmed faults and restoring
-//!   capacity when transients clear — without pausing submit/drain.
+//!   and a background scrubber thread probes suspect shards between
+//!   drains — quarantining confirmed faults and restoring capacity when
+//!   transients clear — without pausing submit/drain.
+//!
+//! All three run modes share one scope and one worker loop:
+//! `run_faulted` runs its static plan as a [`LiveFaultPlan`] whose maps
+//! never change and whose scrubber is off, and fault handling is a
+//! per-frame retry, not a separate engine mode (`DESIGN.md` §11).
 //!
 //! See [`bnb_core::stages`] for the slice-independence argument and
 //! `DESIGN.md` for how this mirrors the paper's arbiter locality.

@@ -1,12 +1,14 @@
 //! Live fabric repair: mutable per-shard fault state and the background
 //! scrubber behind [`Engine::run_scrubbed`](crate::Engine::run_scrubbed).
 //!
-//! A [`LiveFaultPlan`] is the mutable sibling of
-//! [`FaultPlan`](crate::FaultPlan): each fabric shard owns a
-//! [`FaultMap`] behind a lock plus a [`ShardHealth`] word, and faults can
-//! be injected or cleared *while the engine is routing* — the chaos
-//! campaign's core primitive. Workers prefer healthy shards, demote a
-//! shard to [`ShardHealth::Suspect`] the moment traffic trips its output
+//! A [`LiveFaultPlan`] is the fault state every faulted run steers by:
+//! each fabric shard owns a [`FaultMap`] behind a lock plus a
+//! [`ShardHealth`] word, and faults can be injected or cleared *while the
+//! engine is routing* — the chaos campaign's core primitive.
+//! [`Engine::run_faulted`](crate::Engine::run_faulted) runs its static
+//! [`FaultPlan`](crate::FaultPlan) as a live plan whose maps never change
+//! and whose scrubber is off. Workers prefer healthy shards, demote a
+//! shard to [`ShardHealth::Suspect`] the moment a frame trips its output
 //! balance check (Theorem 3's built-in detector), and fall back to
 //! round-robin when no healthy shard remains so submit/drain never
 //! pauses.
@@ -96,13 +98,18 @@ impl ShardState {
 }
 
 /// Mutable per-shard fault assignment for
-/// [`Engine::run_scrubbed`](crate::Engine::run_scrubbed).
+/// [`Engine::run_scrubbed`](crate::Engine::run_scrubbed), and the form
+/// [`Engine::run_faulted`](crate::Engine::run_faulted) runs a fixed
+/// [`FaultPlan`](crate::FaultPlan) in.
 ///
-/// Unlike [`FaultPlan`](crate::FaultPlan), which is fixed for the run, a
-/// `LiveFaultPlan` is shared by reference between the routing workers,
+/// A `LiveFaultPlan` is shared by reference between the routing workers,
 /// the scrubber thread, and any chaos driver injecting or clearing
-/// faults concurrently. All mutation is internally synchronized; the
-/// plan itself is `Sync`.
+/// faults concurrently. For each job, the owning worker picks a shard
+/// (the first healthy one from its own index) and routes on a
+/// point-in-time copy of that shard's map: a fault-free copy takes the
+/// engine's healthy path, and a faulted copy routes the job sequentially
+/// and retries only the frames that trip. All mutation is internally
+/// synchronized; the plan itself is `Sync`.
 #[derive(Debug)]
 pub struct LiveFaultPlan {
     shards: Vec<ShardState>,
@@ -252,11 +259,11 @@ impl LiveFaultPlan {
         }
     }
 
-    /// The shard attempt `attempt` of `worker`'s batch routes on: the
-    /// first healthy shard in round-robin order from `worker + attempt`,
-    /// or plain round-robin when nothing is healthy (the engine keeps
-    /// trying rather than stalling — a later attempt or a repair may
-    /// still land).
+    /// The shard attempt `attempt` of a frame owned by `worker` routes
+    /// on: the first healthy shard in round-robin order from
+    /// `worker + attempt`, or plain round-robin when nothing is healthy
+    /// (the engine keeps trying rather than stalling — a later attempt or
+    /// a repair may still land).
     pub(crate) fn pick_shard(&self, worker: usize, attempt: usize) -> usize {
         let count = self.shards.len();
         for offset in 0..count {

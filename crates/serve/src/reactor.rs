@@ -224,8 +224,7 @@ pub(crate) fn run_reactor(
         // Flush and re-arm everything that made progress this turn.
         touched.sort_unstable();
         touched.dedup();
-        for idx in 0..touched.len() {
-            let token = touched[idx];
+        for &token in &touched {
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
@@ -332,14 +331,13 @@ fn service_conn(
     }
     let want_read = conn.wants_read();
     let want_write = conn.wants_write();
-    if want_read != conn.armed_read || want_write != conn.armed_write {
-        if poller
+    if (want_read != conn.armed_read || want_write != conn.armed_write)
+        && poller
             .modify(fd_of(conn.stream()), conn.token, want_read, want_write)
             .is_ok()
-        {
-            conn.armed_read = want_read;
-            conn.armed_write = want_write;
-        }
+    {
+        conn.armed_read = want_read;
+        conn.armed_write = want_write;
     }
 }
 

@@ -704,10 +704,14 @@ fn dispatch<O: Observer>(
                     }
                 }
             };
-            shared.lanes[route.lane].push_completion(completion);
-            to_wake[route.lane] = true;
+            // Free the admission slots before the reply is visible: a
+            // reactor takes completions on every pass, so a client could
+            // otherwise read it, refill its window, and be refused for a
+            // slot this frame still holds.
             p.tenant_slot.fetch_sub(1, Ordering::AcqRel);
             ctx.admission.inflight.fetch_sub(1, Ordering::AcqRel);
+            shared.lanes[route.lane].push_completion(completion);
+            to_wake[route.lane] = true;
         }
 
         // Gather everything the reactors have admitted, then submit the
@@ -857,6 +861,9 @@ fn refuse_job(
         reason: reason.as_u8(),
     });
     ctx.telemetry.record_retry(job.tenant);
+    // Slots first, then the reply (see `dispatch`).
+    job.tenant_slot.fetch_sub(1, Ordering::AcqRel);
+    ctx.admission.inflight.fetch_sub(1, Ordering::AcqRel);
     shared.lanes[job.route.lane].push_completion(Completion {
         token: job.route.token,
         msg: Message::Retry {
@@ -868,8 +875,6 @@ fn refuse_job(
         account: Account::None,
     });
     to_wake[job.route.lane] = true;
-    job.tenant_slot.fetch_sub(1, Ordering::AcqRel);
-    ctx.admission.inflight.fetch_sub(1, Ordering::AcqRel);
 }
 
 /// Renders an error with its full `source()` chain.

@@ -213,6 +213,81 @@ fn window_exhaustion_answers_retry_not_deadlock() {
     assert_eq!(report.retries_issued, window_retries);
 }
 
+/// A closed-loop client that keeps a full window in flight — one new
+/// SUBMIT per reply — against a server whose window, tenant quota and
+/// queue capacity all equal that window is never refused: the server
+/// frees a frame's admission slots before its reply can reach the client,
+/// so a refill never finds them still held.
+#[test]
+fn refilling_on_every_reply_never_meets_a_held_slot() {
+    let n = 16usize;
+    let window = 4usize;
+    let frames = 4000usize;
+    let mut config = base_config();
+    config.window = window;
+    config.tenant_quota = window;
+    config.queue_capacity = window;
+    let (report, retries) = serve_scope(config, None, |addr, _| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).ok();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let submit = |stream: &mut TcpStream, id: usize| {
+            write_message(
+                stream,
+                &Message::Submit {
+                    tenant: 1,
+                    request_id: id as u64,
+                    dests: rotated_dests(n, id % n),
+                },
+            )
+            .expect("submit");
+        };
+        for id in 0..window {
+            submit(&mut stream, id);
+        }
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut retries = 0u64;
+        for (answered, next) in (window..frames + window).enumerate() {
+            let reply = loop {
+                match read_message(&mut stream) {
+                    Ok(Some(msg)) => break msg,
+                    Ok(None) => panic!("server hung up after {answered} replies"),
+                    Err(RecvError::IdleTimeout) => {
+                        assert!(
+                            Instant::now() < deadline,
+                            "stalled after {answered} replies"
+                        )
+                    }
+                    Err(e) => panic!("wire error after {answered} replies: {e:?}"),
+                }
+            };
+            match reply {
+                Message::Routed {
+                    request_id,
+                    sources,
+                    ..
+                } => assert!(
+                    verify_rotation(n, request_id as usize % n, &sources),
+                    "misdelivered frame {request_id}"
+                ),
+                Message::Retry { .. } => retries += 1,
+                other => panic!("unexpected reply {other:?}"),
+            }
+            if next < frames {
+                submit(&mut stream, next);
+            }
+        }
+        retries
+    });
+    assert_eq!(retries, 0, "a refill met a slot its reply had not freed");
+    assert!(report.accounted(), "unbalanced ledger: {report:?}");
+    assert_eq!(report.frames_submitted, frames as u64);
+    assert_eq!(report.frames_served, frames as u64);
+    assert_eq!(report.retries_issued, 0);
+}
+
 #[test]
 fn midstream_shutdown_drains_every_inflight_id_before_fin() {
     let n = 16usize;

@@ -334,6 +334,82 @@ fn batched_kernel_is_allocation_free_after_warmup() {
 }
 
 #[test]
+fn faulted_batched_routing_is_allocation_free_after_warmup() {
+    // The path a degraded batch job takes: `route_batch` under a
+    // non-empty fault map routes frame at a time through the faulted
+    // kernel, and a frame that trips the output balance check keeps its
+    // submitted order and records the fault in the outcome. After warm-up
+    // neither may touch the heap, with some frames of every batch
+    // tripping.
+    use bnb::core::batch::{route_batch, BatchOutcome, FrameBatch};
+    use bnb::core::{FaultKind, FaultMap, FaultSite, FaultyFabric, RouteError};
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+    const TRIPPING: usize = 3;
+    const IMMUNE: usize = 4;
+    for m in [5usize, 8] {
+        let n = 1usize << m;
+        let net = BnbNetwork::new(m);
+        let faults = FaultMap::single(FaultSite::new(0, 0, 0), FaultKind::StuckExchange);
+        // Split seeded permutations with the sequential faulted fabric.
+        let mut probe = FaultyFabric::new(net, faults.clone());
+        let (mut tripping, mut immune) = (Vec::new(), Vec::new());
+        for _ in 0..1000 {
+            if tripping.len() >= TRIPPING && immune.len() >= IMMUNE {
+                break;
+            }
+            let frame = records_for_permutation(&Permutation::random(n, &mut rng));
+            match probe.route(&frame) {
+                Err(RouteError::HardwareFault { .. }) => tripping.push(frame),
+                _ => immune.push(frame),
+            }
+        }
+        tripping.truncate(TRIPPING);
+        immune.truncate(IMMUNE);
+        assert_eq!(
+            (tripping.len(), immune.len()),
+            (TRIPPING, IMMUNE),
+            "m = {m}: no split"
+        );
+        let frames: Vec<Vec<Record>> = immune.into_iter().chain(tripping).collect();
+        let mut scratch = StageScratch::with_capacity(n);
+        let opts = RouteSpan::new().faults(&faults);
+        let mut batch = FrameBatch::with_capacity(n, frames.len());
+        let mut outcome = BatchOutcome::new();
+        let mut out = Vec::new();
+        let pass = |batch: &mut FrameBatch,
+                    outcome: &mut BatchOutcome,
+                    scratch: &mut StageScratch,
+                    out: &mut Vec<Record>| {
+            batch.clear();
+            for frame in &frames {
+                batch.push_frame(frame);
+            }
+            route_batch(&net, batch, &opts, scratch, outcome);
+            let tripped = outcome
+                .results()
+                .iter()
+                .filter(|r| matches!(r, Err(RouteError::HardwareFault { .. })))
+                .count();
+            assert_eq!(tripped, TRIPPING, "m = {m}: the fault trips");
+            assert_eq!(outcome.results().len() - tripped, IMMUNE);
+            batch.read_frame_into(frames.len() - 1, out);
+        };
+        // Warm-up sizes every buffer involved.
+        pass(&mut batch, &mut outcome, &mut scratch, &mut out);
+        let allocs = allocations_during(|| {
+            for _ in 0..10 {
+                pass(&mut batch, &mut outcome, &mut scratch, &mut out);
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "m = {m}: faulted batched routing allocated in steady state"
+        );
+    }
+}
+
+#[test]
 fn stage_span_kernel_is_allocation_free_after_warmup() {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(10);
