@@ -220,9 +220,10 @@ pub(crate) fn cmd_loadgen(flags: &Flags) -> Result<String, CliError> {
         Some(list) => {
             let mut counts = Vec::new();
             for part in list.split(',') {
-                let n: usize = part.trim().parse().map_err(|_| {
-                    err(format!("--connections expects integers, got '{part}'"))
-                })?;
+                let n: usize = part
+                    .trim()
+                    .parse()
+                    .map_err(|_| err(format!("--connections expects integers, got '{part}'")))?;
                 if n == 0 || n > 65_535 {
                     return Err(err(format!("--connections expects 1..=65535, got {n}")));
                 }

@@ -158,7 +158,11 @@ impl std::fmt::Display for BatchSubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BatchSubmitError::Full(batch) => {
-                write!(f, "submission queue full ({} frames rejected)", batch.frames())
+                write!(
+                    f,
+                    "submission queue full ({} frames rejected)",
+                    batch.frames()
+                )
             }
             BatchSubmitError::Closed(batch) => write!(
                 f,

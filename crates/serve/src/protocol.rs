@@ -434,8 +434,8 @@ pub fn decode_body(body: &[u8]) -> Result<Message, WireError> {
                 });
             }
             let tag = u64::from_be_bytes([
-                payload[0], payload[1], payload[2], payload[3], payload[4], payload[5],
-                payload[6], payload[7],
+                payload[0], payload[1], payload[2], payload[3], payload[4], payload[5], payload[6],
+                payload[7],
             ]);
             let count =
                 u32::from_be_bytes([payload[8], payload[9], payload[10], payload[11]]) as u64;

@@ -18,10 +18,10 @@
 use std::io;
 use std::time::Duration;
 
-#[cfg(unix)]
-pub(crate) use unix::{Poller, WakePipe};
 #[cfg(not(unix))]
 pub(crate) use stub::{Poller, WakePipe};
+#[cfg(unix)]
+pub(crate) use unix::{Poller, WakePipe};
 
 /// One readiness report from [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
@@ -130,10 +130,10 @@ mod unix {
         }
     }
 
-    #[cfg(target_os = "linux")]
-    pub(crate) use linux::Poller;
     #[cfg(not(target_os = "linux"))]
     pub(crate) use fallback::Poller;
+    #[cfg(target_os = "linux")]
+    pub(crate) use linux::Poller;
 
     #[cfg(target_os = "linux")]
     mod linux {
@@ -152,8 +152,7 @@ mod unix {
         extern "C" {
             fn epoll_create1(flags: i32) -> i32;
             fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-            fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32)
-                -> i32;
+            fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
         }
 
         const EPOLL_CLOEXEC: i32 = 0o2000000;
@@ -198,8 +197,14 @@ mod unix {
                 })
             }
 
-            fn ctl(&self, op: i32, fd: RawFd, token: u64, read: bool, write: bool)
-                -> io::Result<()> {
+            fn ctl(
+                &self,
+                op: i32,
+                fd: RawFd,
+                token: u64,
+                read: bool,
+                write: bool,
+            ) -> io::Result<()> {
                 let mut ev = EpollEvent {
                     events: interest_bits(read, write),
                     data: token,
@@ -222,8 +227,7 @@ mod unix {
             }
 
             /// Re-arms `fd`'s interest set.
-            pub fn modify(&self, fd: RawFd, token: u64, read: bool, write: bool)
-                -> io::Result<()> {
+            pub fn modify(&self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
                 self.ctl(EPOLL_CTL_MOD, fd, token, read, write)
             }
 
@@ -234,8 +238,11 @@ mod unix {
 
             /// Blocks for readiness up to `timeout` (`None` = forever),
             /// appending to `out`. Returns the number of events.
-            pub fn wait(&mut self, out: &mut Vec<PollEvent>, timeout: Option<Duration>)
-                -> io::Result<usize> {
+            pub fn wait(
+                &mut self,
+                out: &mut Vec<PollEvent>,
+                timeout: Option<Duration>,
+            ) -> io::Result<usize> {
                 let timeout_ms: i32 = match timeout {
                     None => -1,
                     Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
@@ -264,9 +271,7 @@ mod unix {
                     // SAFETY: slot `i` was just written by the kernel;
                     // read_unaligned tolerates the packed x86-64 layout.
                     let ev = unsafe {
-                        std::ptr::read_unaligned(
-                            (self.buf.as_ptr() as *const EpollEvent).add(i),
-                        )
+                        std::ptr::read_unaligned((self.buf.as_ptr() as *const EpollEvent).add(i))
                     };
                     out.push(PollEvent {
                         token: ev.data,
@@ -327,14 +332,24 @@ mod unix {
                 })
             }
 
-            pub fn add(&mut self, fd: RawFd, token: u64, read: bool, write: bool)
-                -> io::Result<()> {
+            pub fn add(
+                &mut self,
+                fd: RawFd,
+                token: u64,
+                read: bool,
+                write: bool,
+            ) -> io::Result<()> {
                 self.registered.insert(fd, (token, read, write));
                 Ok(())
             }
 
-            pub fn modify(&mut self, fd: RawFd, token: u64, read: bool, write: bool)
-                -> io::Result<()> {
+            pub fn modify(
+                &mut self,
+                fd: RawFd,
+                token: u64,
+                read: bool,
+                write: bool,
+            ) -> io::Result<()> {
                 self.registered.insert(fd, (token, read, write));
                 Ok(())
             }
@@ -344,15 +359,17 @@ mod unix {
                 Ok(())
             }
 
-            pub fn wait(&mut self, out: &mut Vec<PollEvent>, timeout: Option<Duration>)
-                -> io::Result<usize> {
+            pub fn wait(
+                &mut self,
+                out: &mut Vec<PollEvent>,
+                timeout: Option<Duration>,
+            ) -> io::Result<usize> {
                 let mut fds: Vec<PollFd> = self
                     .registered
                     .iter()
                     .map(|(&fd, &(_, read, write))| PollFd {
                         fd,
-                        events: if read { POLLIN } else { 0 }
-                            | if write { POLLOUT } else { 0 },
+                        events: if read { POLLIN } else { 0 } | if write { POLLOUT } else { 0 },
                         revents: 0,
                     })
                     .collect();
@@ -388,7 +405,6 @@ mod unix {
             }
         }
     }
-
 }
 
 #[cfg(not(unix))]
@@ -495,9 +511,7 @@ mod tests {
         let mut s = &server;
         let n = s.read(&mut buf).unwrap();
         assert_eq!(&buf[..n], b"ping");
-        poller
-            .modify(server.as_raw_fd(), 7, true, true)
-            .unwrap();
+        poller.modify(server.as_raw_fd(), 7, true, true).unwrap();
         events.clear();
         poller
             .wait(&mut events, Some(Duration::from_millis(1000)))
