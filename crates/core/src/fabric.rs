@@ -72,16 +72,6 @@ pub trait PermutationNetwork {
         Ok(())
     }
 
-    /// Renamed to [`route`](PermutationNetwork::route).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`route`](PermutationNetwork::route).
-    #[deprecated(since = "0.2.0", note = "renamed to `route`")]
-    fn route_records(&self, records: &[Record]) -> Result<Vec<Record>, RouteError> {
-        self.route(records)
-    }
-
     /// Human-readable design name for reports.
     fn name(&self) -> &'static str;
 
@@ -143,18 +133,6 @@ mod tests {
         let p = Permutation::try_from(vec![2, 5, 0, 7, 4, 1, 6, 3]).unwrap();
         let out = net.route(&records_for_permutation(&p)).unwrap();
         assert!(all_delivered(&out));
-    }
-
-    #[test]
-    #[allow(deprecated)] // pins the renamed method's compatibility alias
-    fn route_records_aliases_route() {
-        let net = BnbNetwork::new(3);
-        let p = Permutation::try_from(vec![2, 5, 0, 7, 4, 1, 6, 3]).unwrap();
-        let records = records_for_permutation(&p);
-        assert_eq!(
-            PermutationNetwork::route_records(&net, &records).unwrap(),
-            PermutationNetwork::route(&net, &records).unwrap()
-        );
     }
 
     #[test]

@@ -50,8 +50,6 @@
 //!   in structure-of-arrays order and [`route_batch`] routes them through
 //!   one kernel invocation over concatenated frame-major bit-planes, so
 //!   SWAR word occupancy is independent of `m`.
-//! - [`bitslice`] — a 64-lane word-parallel BSN (the one-bit control logic
-//!   vectorized).
 //! - [`fabric`] — the [`fabric::PermutationNetwork`] trait unifying this
 //!   network with every baseline.
 //! - [`settings`] — raw switch-setting enumeration and trace replay.
@@ -72,7 +70,6 @@
 
 pub mod arbiter;
 pub mod batch;
-pub mod bitslice;
 pub mod bsn;
 pub mod cost;
 pub mod delay;

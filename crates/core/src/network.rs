@@ -238,20 +238,6 @@ impl BnbNetwork {
         Ok(Self::builder(m))
     }
 
-    /// A network with `n` inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `n` is not a power of two or is less than 2.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `BnbNetwork::builder_for(n)?.build()` (or `BnbNetwork::builder(m)` when \
-                the exponent is known) — the builder carries every configuration knob"
-    )]
-    pub fn with_inputs(n: usize) -> Result<Self, RouteError> {
-        Self::builder_for(n).map(BnbNetworkBuilder::build)
-    }
-
     /// `log2` of the network width.
     pub fn m(&self) -> usize {
         self.m
@@ -688,14 +674,6 @@ mod tests {
         assert_eq!(net.inputs(), 32);
         assert_eq!(net.policy(), RoutePolicy::Permissive);
         assert_eq!(net.wiring(), WiringMode::Shuffle);
-    }
-
-    #[test]
-    #[allow(deprecated)] // pins the deprecated constructor's contract
-    fn with_inputs_validates() {
-        assert!(BnbNetwork::with_inputs(16).is_ok());
-        assert!(BnbNetwork::with_inputs(10).is_err());
-        assert!(BnbNetwork::with_inputs(1).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Word-parallel (bit-packed) stage-span routing: the unobserved fast
-//! path behind [`crate::stages::route_span`].
+//! path behind [`crate::stages::RouteSpan`].
 //!
 //! The paper's arbiter (Definition 6) computes every switch setting from
 //! one-bit local information: XOR parities sweep *up* a binary tree and

@@ -146,10 +146,8 @@ pub enum Kernel {
 }
 
 /// Options struct for stage-span routing: observer, fault map, and kernel
-/// selection behind one builder, replacing the former
-/// `route_span` / `route_span_observed` / `route_span_faulted` /
-/// `route_span_scalar` / `route_span_scalar_faulted` free functions
-/// (retained as deprecated shims).
+/// selection behind one builder, the single entry point for routing a
+/// span of main stages over one aligned subnetwork slice.
 ///
 /// ```
 /// use bnb_core::network::BnbNetwork;
@@ -303,125 +301,6 @@ impl std::fmt::Debug for RouteSpan<'_> {
             .field("kernel", &self.kernel)
             .finish()
     }
-}
-
-/// Routes main stages `stages` of `net` over one aligned subnetwork slice.
-///
-/// # Errors / Panics
-///
-/// Identical contract to [`RouteSpan::run`] with default options.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `RouteSpan::new().run(net, lines, first_line, stages, scratch)`"
-)]
-pub fn route_span(
-    net: &BnbNetwork,
-    lines: &mut [Record],
-    first_line: usize,
-    stages: Range<usize>,
-    scratch: &mut StageScratch,
-) -> Result<(), RouteError> {
-    RouteSpan::new().run(net, lines, first_line, stages, scratch)
-}
-
-/// Observed stage-span routing.
-///
-/// # Errors / Panics
-///
-/// Identical contract to [`RouteSpan::run`] with an observer attached.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `RouteSpan::new().observer(observer).run(net, lines, first_line, stages, scratch)`"
-)]
-pub fn route_span_observed<O: Observer>(
-    net: &BnbNetwork,
-    lines: &mut [Record],
-    first_line: usize,
-    stages: Range<usize>,
-    scratch: &mut StageScratch,
-    observer: &O,
-) -> Result<(), RouteError> {
-    route_span_inner(net, lines, first_line, stages, scratch, observer, None)
-}
-
-/// Observed stage-span routing through damaged hardware.
-///
-/// # Errors / Panics
-///
-/// Identical contract to [`RouteSpan::run`] with observer and faults
-/// attached.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `RouteSpan::new().observer(observer).faults(faults).run(net, lines, first_line, stages, scratch)`"
-)]
-pub fn route_span_faulted<O: Observer>(
-    net: &BnbNetwork,
-    lines: &mut [Record],
-    first_line: usize,
-    stages: Range<usize>,
-    scratch: &mut StageScratch,
-    observer: &O,
-    faults: &FaultMap,
-) -> Result<(), RouteError> {
-    let faults = if faults.is_empty() {
-        None
-    } else {
-        Some(faults)
-    };
-    route_span_inner(net, lines, first_line, stages, scratch, observer, faults)
-}
-
-/// The scalar (cell-at-a-time) oracle kernel.
-///
-/// # Errors / Panics
-///
-/// Identical contract to [`RouteSpan::run`] with [`Kernel::Scalar`].
-#[deprecated(
-    since = "0.3.0",
-    note = "use `RouteSpan::new().kernel(Kernel::Scalar).run(net, lines, first_line, stages, scratch)`"
-)]
-pub fn route_span_scalar(
-    net: &BnbNetwork,
-    lines: &mut [Record],
-    first_line: usize,
-    stages: Range<usize>,
-    scratch: &mut StageScratch,
-) -> Result<(), RouteError> {
-    route_span_scalar_inner(net, lines, first_line, stages, scratch, &NoopObserver, None)
-}
-
-/// The scalar oracle kernel through damaged hardware.
-///
-/// # Errors / Panics
-///
-/// Identical contract to [`RouteSpan::run`] with [`Kernel::Scalar`] and
-/// faults attached.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `RouteSpan::new().kernel(Kernel::Scalar).faults(faults).run(net, lines, first_line, stages, scratch)`"
-)]
-pub fn route_span_scalar_faulted(
-    net: &BnbNetwork,
-    lines: &mut [Record],
-    first_line: usize,
-    stages: Range<usize>,
-    scratch: &mut StageScratch,
-    faults: &FaultMap,
-) -> Result<(), RouteError> {
-    let faults = if faults.is_empty() {
-        None
-    } else {
-        Some(faults)
-    };
-    route_span_scalar_inner(
-        net,
-        lines,
-        first_line,
-        stages,
-        scratch,
-        &NoopObserver,
-        faults,
-    )
 }
 
 pub(crate) fn route_span_inner<O: Observer + ?Sized>(

@@ -580,8 +580,6 @@ impl<O: Observer> EngineHandle<'_, O> {
                 }
             })
             .collect();
-        let worker_busy_ns: Vec<u64> = worker_metrics.iter().map(|w| w.busy_ns).collect();
-        let worker_utilization: Vec<f64> = worker_metrics.iter().map(|w| w.utilization).collect();
         self.hub.with_state(|st| EngineStats {
             workers: self.workers,
             shard_depth: self.depth,
@@ -597,9 +595,7 @@ impl<O: Observer> EngineHandle<'_, O> {
             queue_high_water: st.queue_high_water,
             wait_latency: LatencySummary::from_histogram(&st.wait_histogram),
             task_queue_high_water: st.task_queue_high_water,
-            worker_busy_ns: worker_busy_ns.clone(),
-            worker_utilization,
-            worker_metrics: worker_metrics.clone(),
+            worker_metrics,
         })
     }
 }
@@ -1165,16 +1161,10 @@ mod tests {
         assert!(stats.latency.min_ns <= stats.latency.p50_ns);
         assert!(stats.latency.p50_ns <= stats.latency.p99_ns);
         assert!(stats.latency.p99_ns <= stats.latency.max_ns);
-        assert_eq!(stats.worker_busy_ns.len(), 3);
-        assert_eq!(stats.worker_utilization.len(), 3);
         assert_eq!(stats.worker_metrics.len(), 3);
-        assert!(stats
-            .worker_utilization
-            .iter()
-            .all(|&u| (0.0..=1.0).contains(&u)));
         for (i, w) in stats.worker_metrics.iter().enumerate() {
             assert_eq!(w.worker, i);
-            assert_eq!(w.busy_ns, stats.worker_busy_ns[i]);
+            assert!((0.0..=1.0).contains(&w.utilization));
         }
         let owned: u64 = stats.worker_metrics.iter().map(|w| w.jobs_owned).sum();
         assert_eq!(owned, 10, "every batch has exactly one owner");

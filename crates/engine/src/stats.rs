@@ -63,12 +63,8 @@ pub struct EngineStats {
     /// submission wave (reset when a batch is submitted into a fully
     /// idle engine, so reused engines report per-wave depth).
     pub task_queue_high_water: usize,
-    /// Per-worker time spent routing (task + batch processing), in ns.
-    pub worker_busy_ns: Vec<u64>,
-    /// Per-worker busy fraction of the engine's wall-clock lifetime.
-    pub worker_utilization: Vec<f64>,
-    /// Per-worker activity breakdown (busy time, jobs owned, slice tasks
-    /// taken from the shared queue).
+    /// Per-worker activity breakdown (busy time and busy fraction, jobs
+    /// owned, slice tasks taken from the shared queue).
     pub worker_metrics: Vec<WorkerMetrics>,
 }
 

@@ -10,9 +10,8 @@
 //! monitoring.
 
 use crate::event::{
-    AcceptEvent, AuthEvent, ColumnEvent, ConflictEvent, DrainEvent, FaultEvent, RepairEvent,
-    RetryEvent, RoundEvent, ScrubEvent, ServeEvent, ShardEvent, SubmitEvent, SweepEvent,
-    ThrottleEvent, WakeEvent, WindowEvent,
+    ColumnEvent, ConflictEvent, DrainEvent, FaultEvent, RepairEvent, RetryEvent, RoundEvent,
+    ScrubEvent, ShardEvent, SubmitEvent, SweepEvent,
 };
 use crate::histogram::{AtomicHistogram, LatencyHistogram, LatencySummary};
 use crate::observer::Observer;
@@ -55,12 +54,6 @@ struct Shard {
     max_round_backlog: AtomicU64,
     hardware_faults: AtomicU64,
     fault_retries: AtomicU64,
-    connections_accepted: AtomicU64,
-    frames_served: AtomicU64,
-    retries_issued: AtomicU64,
-    auth_failures: AtomicU64,
-    reactor_wakeups: AtomicU64,
-    max_window_depth: AtomicU64,
     scrub_probes: AtomicU64,
     shards_quarantined: AtomicU64,
     shards_restored: AtomicU64,
@@ -89,12 +82,6 @@ impl Shard {
             max_round_backlog: AtomicU64::new(0),
             hardware_faults: AtomicU64::new(0),
             fault_retries: AtomicU64::new(0),
-            connections_accepted: AtomicU64::new(0),
-            frames_served: AtomicU64::new(0),
-            retries_issued: AtomicU64::new(0),
-            auth_failures: AtomicU64::new(0),
-            reactor_wakeups: AtomicU64::new(0),
-            max_window_depth: AtomicU64::new(0),
             scrub_probes: AtomicU64::new(0),
             shards_quarantined: AtomicU64::new(0),
             shards_restored: AtomicU64::new(0),
@@ -122,12 +109,6 @@ impl Shard {
             &self.max_round_backlog,
             &self.hardware_faults,
             &self.fault_retries,
-            &self.connections_accepted,
-            &self.frames_served,
-            &self.retries_issued,
-            &self.auth_failures,
-            &self.reactor_wakeups,
-            &self.max_window_depth,
             &self.scrub_probes,
             &self.shards_quarantined,
             &self.shards_restored,
@@ -256,12 +237,6 @@ impl Counters {
             max_round_backlog: self.max(|s| &s.max_round_backlog),
             hardware_faults: self.sum(|s| &s.hardware_faults),
             fault_retries: self.sum(|s| &s.fault_retries),
-            connections_accepted: self.sum(|s| &s.connections_accepted),
-            frames_served: self.sum(|s| &s.frames_served),
-            retries_issued: self.sum(|s| &s.retries_issued),
-            auth_failures: self.sum(|s| &s.auth_failures),
-            reactor_wakeups: self.sum(|s| &s.reactor_wakeups),
-            max_window_depth: self.max(|s| &s.max_window_depth),
             scrub_probes: self.sum(|s| &s.scrub_probes),
             shards_quarantined: self.sum(|s| &s.shards_quarantined),
             shards_restored: self.sum(|s| &s.shards_restored),
@@ -352,41 +327,6 @@ impl Observer for Counters {
     }
 
     #[inline]
-    fn connection_accepted(&self, _event: AcceptEvent) {
-        self.shard()
-            .connections_accepted
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn frame_served(&self, event: ServeEvent) {
-        self.shard().frames_served.fetch_add(1, Ordering::Relaxed);
-        self.histogram.record(event.latency_ns);
-    }
-
-    #[inline]
-    fn retry_issued(&self, _event: ThrottleEvent) {
-        self.shard().retries_issued.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn auth_failed(&self, _event: AuthEvent) {
-        self.shard().auth_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn window_observed(&self, event: WindowEvent) {
-        self.shard()
-            .max_window_depth
-            .fetch_max(event.depth as u64, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn reactor_woken(&self, _event: WakeEvent) {
-        self.shard().reactor_wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
     fn shard_scrubbed(&self, _event: ScrubEvent) {
         self.shard().scrub_probes.fetch_add(1, Ordering::Relaxed);
     }
@@ -450,18 +390,6 @@ pub struct MetricsSnapshot {
     pub hardware_faults: u64,
     /// Batch retries on alternate fabric shards after a fault.
     pub fault_retries: u64,
-    /// Client connections accepted by the serving front door.
-    pub connections_accepted: u64,
-    /// Frames routed and delivered back to clients.
-    pub frames_served: u64,
-    /// Frames pushed back with an explicit `RETRY` response.
-    pub retries_issued: u64,
-    /// Submits rejected because their authentication tag failed to verify.
-    pub auth_failures: u64,
-    /// Times a reactor lane was nudged awake through its wake pipe.
-    pub reactor_wakeups: u64,
-    /// Deepest per-connection pipeline window observed.
-    pub max_window_depth: u64,
     /// Background scrubber probes of suspect/quarantined fabric shards.
     pub scrub_probes: u64,
     /// Fabric shards confirmed faulty and quarantined by the scrubber.
@@ -594,47 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_events_are_counted() {
-        let c = Counters::new();
-        c.connection_accepted(AcceptEvent { conn: 0 });
-        c.connection_accepted(AcceptEvent { conn: 1 });
-        c.frame_served(ServeEvent {
-            tenant: 3,
-            request_id: 9,
-            records: 16,
-            latency_ns: 2_000,
-        });
-        c.retry_issued(ThrottleEvent {
-            tenant: 3,
-            reason: 1,
-        });
-        c.retry_issued(ThrottleEvent {
-            tenant: 4,
-            reason: 2,
-        });
-        c.retry_issued(ThrottleEvent {
-            tenant: 3,
-            reason: 3,
-        });
-        c.auth_failed(AuthEvent {
-            tenant: 4,
-            request_id: 11,
-        });
-        c.reactor_woken(WakeEvent { lane: 0 });
-        c.reactor_woken(WakeEvent { lane: 1 });
-        c.window_observed(WindowEvent { conn: 7, depth: 5 });
-        c.window_observed(WindowEvent { conn: 9, depth: 3 });
-        let snap = c.snapshot();
-        assert_eq!(snap.connections_accepted, 2);
-        assert_eq!(snap.frames_served, 1);
-        assert_eq!(snap.retries_issued, 3);
-        assert_eq!(snap.auth_failures, 1);
-        assert_eq!(snap.reactor_wakeups, 2);
-        assert_eq!(snap.max_window_depth, 5);
-        assert_eq!(snap.histogram.count(), 1, "served frames feed latency");
-    }
-
-    #[test]
     fn scrub_and_repair_events_are_counted() {
         let c = Counters::new();
         c.shard_scrubbed(ScrubEvent {
@@ -684,30 +571,12 @@ mod tests {
             matched: 2,
             backlog: 40,
         });
-        c.connection_accepted(AcceptEvent { conn: 0 });
-        c.frame_served(ServeEvent {
-            tenant: 0,
-            request_id: 0,
-            records: 8,
-            latency_ns: 777,
-        });
-        c.retry_issued(ThrottleEvent {
-            tenant: 0,
-            reason: 1,
-        });
-        c.auth_failed(AuthEvent {
-            tenant: 0,
-            request_id: 0,
-        });
-        c.reactor_woken(WakeEvent { lane: 0 });
-        c.window_observed(WindowEvent { conn: 1, depth: 9 });
         assert_ne!(c.snapshot(), Counters::new().snapshot());
         c.reset();
         let snap = c.snapshot();
         assert_eq!(snap, Counters::new().snapshot());
         assert_eq!(snap.max_sweep_depth, 0, "high-water marks reset too");
         assert_eq!(snap.max_round_backlog, 0);
-        assert_eq!(snap.max_window_depth, 0);
         assert_eq!(snap.histogram.count(), 0);
         assert!(snap.per_stage.is_empty());
     }

@@ -169,64 +169,6 @@ pub struct RoundEvent {
     pub backlog: usize,
 }
 
-/// A client connection accepted by the serving front door.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AcceptEvent {
-    /// Server-local connection ordinal (monotone per serving session).
-    pub conn: u64,
-}
-
-/// A permutation frame routed and delivered back to its client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServeEvent {
-    /// Tenant that submitted the frame.
-    pub tenant: u16,
-    /// Client-chosen request id echoed back on the response.
-    pub request_id: u64,
-    /// Records in the frame.
-    pub records: usize,
-    /// Admission-to-delivery latency in nanoseconds.
-    pub latency_ns: u64,
-}
-
-/// A frame refused with an explicit `RETRY` response instead of being
-/// queued — the server's bounded-buffering guarantee made visible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ThrottleEvent {
-    /// Tenant whose frame was pushed back.
-    pub tenant: u16,
-    /// Wire-level retry reason code (queue full, tenant quota, draining).
-    pub reason: u8,
-}
-
-/// A SUBMIT refused by tenant authentication: missing or invalid
-/// SipHash tag on a keyed server. Answered with a typed `ERROR(Auth)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AuthEvent {
-    /// Tenant id the frame asserted.
-    pub tenant: u16,
-    /// Client-chosen request id of the refused frame.
-    pub request_id: u64,
-}
-
-/// A connection's pipelining window deepened: one more SUBMIT admitted
-/// while earlier ones are still in flight on the same connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WindowEvent {
-    /// Server-local connection token.
-    pub conn: u64,
-    /// In-flight frames on the connection after this admission.
-    pub depth: usize,
-}
-
-/// A reactor lane woken through its wake pipe (registration or
-/// completion mail arrived while the lane was in `epoll_wait`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WakeEvent {
-    /// Reactor lane that was woken.
-    pub lane: u32,
-}
-
 /// One background scrubber probe of a fabric shard: a seeded test
 /// permutation routed through the shard's fault map to check whether a
 /// previously detected fault is still present.
@@ -269,12 +211,6 @@ mod tests {
         assert_copy::<RoundEvent>();
         assert_copy::<FaultEvent>();
         assert_copy::<RetryEvent>();
-        assert_copy::<AcceptEvent>();
-        assert_copy::<ServeEvent>();
-        assert_copy::<ThrottleEvent>();
-        assert_copy::<AuthEvent>();
-        assert_copy::<WindowEvent>();
-        assert_copy::<WakeEvent>();
         assert_copy::<ScrubEvent>();
         assert_copy::<RepairEvent>();
         assert!(std::mem::size_of::<ColumnEvent>() <= 48);

@@ -43,12 +43,6 @@ pub fn render_text(snapshot: &MetricsSnapshot) -> String {
     line("max_round_backlog", snapshot.max_round_backlog);
     line("hardware_faults", snapshot.hardware_faults);
     line("fault_retries", snapshot.fault_retries);
-    line("connections_accepted", snapshot.connections_accepted);
-    line("frames_served", snapshot.frames_served);
-    line("retries_issued", snapshot.retries_issued);
-    line("auth_failures", snapshot.auth_failures);
-    line("reactor_wakeups", snapshot.reactor_wakeups);
-    line("max_window_depth", snapshot.max_window_depth);
     line("scrub_probes", snapshot.scrub_probes);
     line("shards_quarantined", snapshot.shards_quarantined);
     line("shards_restored", snapshot.shards_restored);
@@ -243,42 +237,6 @@ pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
         "counter",
         "Batches retried on another fabric shard.",
         snapshot.fault_retries,
-    );
-    family(
-        "bnb_connections_accepted_total",
-        "counter",
-        "Client connections accepted by the serving front door.",
-        snapshot.connections_accepted,
-    );
-    family(
-        "bnb_frames_served_total",
-        "counter",
-        "Frames routed and delivered back to clients.",
-        snapshot.frames_served,
-    );
-    family(
-        "bnb_retries_issued_total",
-        "counter",
-        "Frames pushed back with an explicit RETRY response.",
-        snapshot.retries_issued,
-    );
-    family(
-        "bnb_auth_failures_total",
-        "counter",
-        "Submits rejected because their authentication tag failed to verify.",
-        snapshot.auth_failures,
-    );
-    family(
-        "bnb_reactor_wakeups_total",
-        "counter",
-        "Times a reactor lane was nudged awake through its wake pipe.",
-        snapshot.reactor_wakeups,
-    );
-    family(
-        "bnb_max_window_depth",
-        "gauge",
-        "Deepest per-connection pipeline window observed.",
-        snapshot.max_window_depth,
     );
     family(
         "bnb_scrub_probes_total",
@@ -529,12 +487,6 @@ mod tests {
         assert!(text.contains("arbiter_sweeps         1"));
         assert!(text.contains("hardware_faults        0"));
         assert!(text.contains("fault_retries          0"));
-        assert!(text.contains("connections_accepted   0"));
-        assert!(text.contains("frames_served          0"));
-        assert!(text.contains("retries_issued         0"));
-        assert!(text.contains("auth_failures          0"));
-        assert!(text.contains("reactor_wakeups        0"));
-        assert!(text.contains("max_window_depth       0"));
         assert!(text.contains("scrub_probes           0"));
         assert!(text.contains("shards_quarantined     0"));
         assert!(text.contains("shards_restored        0"));
@@ -598,14 +550,6 @@ mod tests {
         assert!(text.contains("# TYPE bnb_columns_total counter"));
         assert!(text.contains("bnb_columns_total 1"));
         assert!(text.contains("bnb_arbiter_sweeps_total 1"));
-        assert!(text.contains("# TYPE bnb_frames_served_total counter"));
-        assert!(text.contains("bnb_connections_accepted_total 0"));
-        assert!(text.contains("bnb_retries_issued_total 0"));
-        assert!(text.contains("# TYPE bnb_auth_failures_total counter"));
-        assert!(text.contains("bnb_auth_failures_total 0"));
-        assert!(text.contains("bnb_reactor_wakeups_total 0"));
-        assert!(text.contains("# TYPE bnb_max_window_depth gauge"));
-        assert!(text.contains("bnb_max_window_depth 0"));
         assert!(text.contains("# TYPE bnb_scrub_probes_total counter"));
         assert!(text.contains("bnb_scrub_probes_total 0"));
         assert!(text.contains("bnb_shards_quarantined_total 0"));

@@ -79,9 +79,8 @@ pub mod timer;
 pub use chrome::render_chrome_trace;
 pub use counters::{Counters, MetricsSnapshot, StageMetrics};
 pub use event::{
-    AcceptEvent, AuthEvent, ColumnEvent, ConflictEvent, DrainEvent, FaultEvent, HopEvent,
-    RepairEvent, RetryEvent, RoundEvent, ScrubEvent, ServeEvent, ShardEvent, SubmitEvent,
-    SweepEvent, ThrottleEvent, WakeEvent, WindowEvent,
+    ColumnEvent, ConflictEvent, DrainEvent, FaultEvent, HopEvent, RepairEvent, RetryEvent,
+    RoundEvent, ScrubEvent, ShardEvent, SubmitEvent, SweepEvent,
 };
 pub use export::{
     render_json, render_json_pretty, render_prometheus, render_prometheus_telemetry, render_text,

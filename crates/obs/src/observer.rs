@@ -2,9 +2,8 @@
 //! [`Fanout`] combinator for feeding two sinks at once.
 
 use crate::event::{
-    AcceptEvent, AuthEvent, ColumnEvent, ConflictEvent, DrainEvent, FaultEvent, HopEvent,
-    RepairEvent, RetryEvent, RoundEvent, ScrubEvent, ServeEvent, ShardEvent, SubmitEvent,
-    SweepEvent, ThrottleEvent, WakeEvent, WindowEvent,
+    ColumnEvent, ConflictEvent, DrainEvent, FaultEvent, HopEvent, RepairEvent, RetryEvent,
+    RoundEvent, ScrubEvent, ShardEvent, SubmitEvent, SweepEvent,
 };
 
 /// Sink for routing-layer events.
@@ -126,42 +125,6 @@ pub trait Observer: Send + Sync {
         let _ = event;
     }
 
-    /// The serving front door accepted a client connection.
-    #[inline]
-    fn connection_accepted(&self, event: AcceptEvent) {
-        let _ = event;
-    }
-
-    /// A frame was routed and its response delivered to the client.
-    #[inline]
-    fn frame_served(&self, event: ServeEvent) {
-        let _ = event;
-    }
-
-    /// A frame was pushed back with an explicit `RETRY` response.
-    #[inline]
-    fn retry_issued(&self, event: ThrottleEvent) {
-        let _ = event;
-    }
-
-    /// A SUBMIT was refused by tenant authentication.
-    #[inline]
-    fn auth_failed(&self, event: AuthEvent) {
-        let _ = event;
-    }
-
-    /// A connection's pipelining window deepened by one admission.
-    #[inline]
-    fn window_observed(&self, event: WindowEvent) {
-        let _ = event;
-    }
-
-    /// A reactor lane was woken through its wake pipe.
-    #[inline]
-    fn reactor_woken(&self, event: WakeEvent) {
-        let _ = event;
-    }
-
     /// The background scrubber probed a fabric shard.
     #[inline]
     fn shard_scrubbed(&self, event: ScrubEvent) {
@@ -255,36 +218,6 @@ impl<O: Observer + ?Sized> Observer for &O {
     #[inline]
     fn batch_retried(&self, event: RetryEvent) {
         (**self).batch_retried(event);
-    }
-
-    #[inline]
-    fn connection_accepted(&self, event: AcceptEvent) {
-        (**self).connection_accepted(event);
-    }
-
-    #[inline]
-    fn frame_served(&self, event: ServeEvent) {
-        (**self).frame_served(event);
-    }
-
-    #[inline]
-    fn retry_issued(&self, event: ThrottleEvent) {
-        (**self).retry_issued(event);
-    }
-
-    #[inline]
-    fn auth_failed(&self, event: AuthEvent) {
-        (**self).auth_failed(event);
-    }
-
-    #[inline]
-    fn window_observed(&self, event: WindowEvent) {
-        (**self).window_observed(event);
-    }
-
-    #[inline]
-    fn reactor_woken(&self, event: WakeEvent) {
-        (**self).reactor_woken(event);
     }
 
     #[inline]
@@ -410,42 +343,6 @@ impl<A: Observer, B: Observer> Observer for Fanout<A, B> {
     fn batch_retried(&self, event: RetryEvent) {
         self.a.batch_retried(event);
         self.b.batch_retried(event);
-    }
-
-    #[inline]
-    fn connection_accepted(&self, event: AcceptEvent) {
-        self.a.connection_accepted(event);
-        self.b.connection_accepted(event);
-    }
-
-    #[inline]
-    fn frame_served(&self, event: ServeEvent) {
-        self.a.frame_served(event);
-        self.b.frame_served(event);
-    }
-
-    #[inline]
-    fn retry_issued(&self, event: ThrottleEvent) {
-        self.a.retry_issued(event);
-        self.b.retry_issued(event);
-    }
-
-    #[inline]
-    fn auth_failed(&self, event: AuthEvent) {
-        self.a.auth_failed(event);
-        self.b.auth_failed(event);
-    }
-
-    #[inline]
-    fn window_observed(&self, event: WindowEvent) {
-        self.a.window_observed(event);
-        self.b.window_observed(event);
-    }
-
-    #[inline]
-    fn reactor_woken(&self, event: WakeEvent) {
-        self.a.reactor_woken(event);
-        self.b.reactor_woken(event);
     }
 
     #[inline]

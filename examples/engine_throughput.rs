@@ -90,9 +90,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  max  {:>10} ns", stats.latency.max_ns);
     println!("  mean {:>10} ns", stats.latency.mean_ns);
     let busiest = stats
-        .worker_utilization
+        .worker_metrics
         .iter()
-        .cloned()
+        .map(|w| w.utilization)
         .fold(0.0f64, f64::max);
     println!(
         "  throughput {:.0} records/sec, busiest worker {:.0}% utilized",

@@ -579,3 +579,88 @@ fn loadgen_resubmits_retried_frames_and_both_ledgers_balance() {
     assert_eq!(report.frames_served, load.served);
     assert_eq!(report.retries_issued, load.resubmitted + load.retried);
 }
+
+#[test]
+fn serve_families_come_from_one_ledger_and_latency_counts_each_frame_once() {
+    let config = ServeConfig {
+        inputs: 16,
+        workers: 2,
+        queue_capacity: 8,
+        // Quota below the loadgen window forces some TenantQuota RETRYs.
+        tenant_quota: 3,
+        max_connections: 8,
+        read_timeout: Duration::from_millis(20),
+        slow_ms: 0,
+        reactor_threads: 1,
+        window: 8,
+    };
+    let counters = Counters::new();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().unwrap().to_string();
+    let control = ServerControl::new();
+
+    let (report, (load, metrics, status)) = thread::scope(|s| {
+        let server_control = Arc::clone(&control);
+        let counters_ref = &counters;
+        let server = s.spawn(move || {
+            Server::new(config, counters_ref)
+                .serve(listener, &server_control)
+                .expect("serving session")
+        });
+        let load = run_loadgen(&LoadgenConfig {
+            addr: addr.clone(),
+            tenants: 2,
+            frames: 60,
+            inputs: 16,
+            mode: LoadMode::Closed { inflight: 4 },
+            seed: 0x1ED6,
+            drain_window: Duration::from_secs(2),
+            shutdown_when_done: false,
+            max_resubmits: 0,
+            connections: 0,
+            keys: None,
+        })
+        .expect("loadgen run");
+        let metrics = scrape_metrics(&addr);
+        let status = scrape_status(&addr);
+        control.trigger_shutdown();
+        let report = server.join().expect("server thread");
+        (report, (load, metrics, status))
+    });
+
+    assert_eq!(load.misdelivered, 0, "{load:?}");
+    assert_eq!(load.errored, 0, "{load:?}");
+    assert_eq!(load.unanswered, 0, "{load:?}");
+    assert!(report.accounted(), "{report:?}");
+    assert_eq!(report.responses_dropped, 0, "{report:?}");
+
+    for (family, kind) in [
+        ("bnb_connections_accepted_total", "counter"),
+        ("bnb_frames_served_total", "counter"),
+        ("bnb_retries_issued_total", "counter"),
+        ("bnb_auth_failures_total", "counter"),
+        ("bnb_reactor_wakeups_total", "counter"),
+        ("bnb_max_window_depth", "gauge"),
+    ] {
+        assert!(
+            metrics.contains(&format!("\n# TYPE {family} {kind}\n")),
+            "missing TYPE line for {family}:\n{metrics}"
+        );
+    }
+    assert_eq!(prom_counter(&metrics, "frames_served_total"), load.served);
+    assert_eq!(prom_counter(&metrics, "retries_issued_total"), load.retried);
+    let max_depth = prom_counter(&metrics, "max_window_depth");
+    assert_eq!(max_depth, status.window.max_depth as u64);
+    assert!(max_depth >= 1, "{metrics}");
+    assert!(prom_counter(&metrics, "reactor_wakeups_total") > 0);
+
+    // The latency histogram holds engine submit-to-drain samples only:
+    // one per routed frame, none added at delivery.
+    let snapshot = counters.snapshot();
+    assert_eq!(snapshot.batches_drained, report.frames_served);
+    assert_eq!(
+        snapshot.histogram.count(),
+        snapshot.batches_drained,
+        "one latency sample per drained frame"
+    );
+}
