@@ -4,15 +4,18 @@
 //! Routes seeded random frames through three kernels — the scalar oracle
 //! ([`Kernel::Scalar`]), the single-frame bit-packed word-parallel path
 //! ([`Kernel::Packed`] via [`RouteSpan`]), and the frame-batched kernel
-//! ([`route_batch`] over a [`FrameBatch`] of `--batch` frames) — and
-//! reports nanoseconds per frame and cells per second for each. Every row
-//! is self-describing: kernel name, batch size, and SWAR word width, so
-//! the checked-in baseline can accumulate rows from different kernel
-//! generations without ambiguity. The CI bench-smoke job re-parses the
-//! `--json` output and gates on packed > scalar at m ≥ 8, batched >
-//! packed at m ≥ 10, and batched flatness (m = 12 within 3x of m = 4
-//! cells/s); a full-size run (`bnb bench --out BENCH_routing.json`) is
-//! checked in so future PRs have a baseline to diff against.
+//! ([`route_batch`] over a [`FrameBatch`] of `--batch` frames), the last
+//! both unobserved and observed by [`Counters`] (the server's
+//! configuration) — and reports nanoseconds per frame and cells per
+//! second for each. Every row is self-describing: kernel name, batch
+//! size, and SWAR word width, so the checked-in baseline can accumulate
+//! rows from different kernel generations without ambiguity. The CI
+//! bench-smoke job re-parses the `--json` output and gates on packed >
+//! scalar at m ≥ 8, batched > packed at m ≥ 10, Counters-observed
+//! batched within 1.5x of batched at m ≥ 8, and batched flatness (m = 12
+//! within 3x of m = 4 cells/s); a full-size run
+//! (`bnb bench --out BENCH_routing.json`) is checked in so future PRs
+//! have a baseline to diff against.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -21,6 +24,7 @@ use std::time::Instant;
 use bnb_core::batch::{route_batch, BatchOutcome, FrameBatch};
 use bnb_core::network::BnbNetwork;
 use bnb_core::stages::{Kernel, RouteSpan, StageScratch};
+use bnb_obs::Counters;
 use bnb_topology::perm::Permutation;
 use bnb_topology::record::{records_for_permutation, Record};
 use serde::{Deserialize, Serialize};
@@ -30,7 +34,8 @@ use crate::{err, CliError, Flags};
 /// One benchmark measurement: a kernel variant at a size.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchRow {
-    /// Kernel name: `"scalar"`, `"packed"`, or `"batched"`.
+    /// Kernel name: `"scalar"`, `"packed"`, `"batched"`, or
+    /// `"batched-counters"` (the batched kernel observed by [`Counters`]).
     pub kernel: String,
     /// Network size exponent (`N = 2^m` cells per frame).
     pub m: usize,
@@ -92,18 +97,18 @@ fn time_kernel(
 
 /// Times the batched kernel: each pass refills one [`FrameBatch`] with
 /// every pre-generated frame (grouped `batch_size` at a time) and routes
-/// it through [`route_batch`]. The refill is part of the measured work —
-/// a real submit path pays the same copy — so batched and per-frame rows
-/// compare end to end. Returns mean ns per routed frame.
+/// it through [`route_batch`] with `opts`. The refill is part of the
+/// measured work — a real submit path pays the same copy — so batched and
+/// per-frame rows compare end to end. Returns mean ns per routed frame.
 fn time_batched(
     net: &BnbNetwork,
     frames: &[Vec<Record>],
     scratch: &mut StageScratch,
+    opts: &RouteSpan<'_>,
     batch_size: usize,
     min_ns: u128,
 ) -> f64 {
     let n = net.inputs();
-    let opts = RouteSpan::new();
     let mut batch = FrameBatch::with_capacity(n, batch_size.min(frames.len()));
     let mut outcome = BatchOutcome::new();
     let pass = |scratch: &mut StageScratch, batch: &mut FrameBatch, outcome: &mut BatchOutcome| {
@@ -112,7 +117,7 @@ fn time_batched(
             for frame in group {
                 batch.push_frame(frame);
             }
-            route_batch(net, batch, &opts, scratch, outcome);
+            route_batch(net, batch, opts, scratch, outcome);
             assert!(outcome.all_ok());
             black_box(batch.len());
         }
@@ -172,8 +177,14 @@ pub fn run_bench(
             let ns = time_kernel(&net, &batch, &mut scratch, &mut buf, Kernel::Scalar, min_ns);
             push("scalar", 1, ns);
         }
-        let ns = time_batched(&net, &batch, &mut scratch, batch_size, min_ns);
-        push("batched", batch_size, ns);
+        let counters = Counters::new();
+        for (kernel, opts) in [
+            ("batched", RouteSpan::new()),
+            ("batched-counters", RouteSpan::new().observer(&counters)),
+        ] {
+            let ns = time_batched(&net, &batch, &mut scratch, &opts, batch_size, min_ns);
+            push(kernel, batch_size, ns);
+        }
     }
     BenchReport { frames, rows }
 }
@@ -184,7 +195,7 @@ fn render_table(report: &BenchReport) -> String {
     let mut out = String::from(
         "routing-kernel benchmark (ns/frame, lower is better)\n\
          \n\
-         m      N     scalar ns     packed ns    batched ns   pk-x   bt-x   batched cells/s\n",
+         m      N     scalar ns     packed ns    batched ns   counters ns   pk-x   bt-x   batched cells/s\n",
     );
     let mut by_m: Vec<usize> = report.rows.iter().map(|r| r.m).collect();
     by_m.dedup();
@@ -192,6 +203,7 @@ fn render_table(report: &BenchReport) -> String {
         let find = |kernel: &str| report.rows.iter().find(|r| r.m == m && r.kernel == kernel);
         let packed = find("packed").expect("packed measured per size");
         let batched = find("batched").expect("batched measured per size");
+        let counted = find("batched-counters").expect("observed batched measured per size");
         let scalar = find("scalar");
         let (scalar_ns, pk_x, bt_x) = match scalar {
             Some(s) => (
@@ -203,10 +215,11 @@ fn render_table(report: &BenchReport) -> String {
         };
         let _ = writeln!(
             out,
-            "{m:<2} {n:>6} {scalar_ns} {p:>13.0} {b:>13.0} {pk_x} {bt_x} {c:>17.3e}",
+            "{m:<2} {n:>6} {scalar_ns} {p:>13.0} {b:>13.0} {o:>13.0} {pk_x} {bt_x} {c:>17.3e}",
             n = 1usize << m,
             p = packed.ns_per_frame,
             b = batched.ns_per_frame,
+            o = counted.ns_per_frame,
             c = batched.cells_per_s,
         );
     }

@@ -798,9 +798,19 @@ fn cmd_engine(flags: &Flags) -> Result<String, CliError> {
     // Chrome trace shows per-worker activity on separate tid rows.
     let recorder = FlightRecorder::new().policy(sample_flag(flags)?);
     let result = (|| {
-        let stats = if metrics.is_some() || record_path.is_some() {
+        // The recorder wants per-column events, which route on the scalar
+        // sweep; attach it only when a recording was asked for, so
+        // `--metrics` alone keeps the packed kernels.
+        let stats = if record_path.is_some() {
             drive_engine(
                 &Engine::with_observer(net, config, Fanout::new(&counters, &recorder)),
+                n,
+                batches,
+                seed,
+            )
+        } else if metrics.is_some() {
+            drive_engine(
+                &Engine::with_observer(net, config, &counters),
                 n,
                 batches,
                 seed,
@@ -1080,10 +1090,11 @@ mod tests {
         .unwrap();
         let report: bench::BenchReport = serde_json::from_str(out.trim()).unwrap();
         assert_eq!(report.frames, 2);
-        // One packed, one scalar, and one batched row per size, in order.
-        assert_eq!(report.rows.len(), 9);
+        // One packed, one scalar, one batched and one Counters-observed
+        // batched row per size, in order.
+        assert_eq!(report.rows.len(), 12);
         for m in 2..=4usize {
-            for kernel in ["packed", "scalar", "batched"] {
+            for kernel in ["packed", "scalar", "batched", "batched-counters"] {
                 let row = report
                     .rows
                     .iter()
@@ -1092,7 +1103,8 @@ mod tests {
                 assert!(row.ns_per_frame > 0.0);
                 assert!(row.cells_per_s > 0.0);
                 assert_eq!(row.word_bits, 64);
-                assert_eq!(row.batch, if kernel == "batched" { 64 } else { 1 });
+                let batched = kernel.starts_with("batched");
+                assert_eq!(row.batch, if batched { 64 } else { 1 });
             }
         }
     }
@@ -1111,7 +1123,7 @@ mod tests {
         let written = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         let report: bench::BenchReport = serde_json::from_str(&written).unwrap();
-        assert_eq!(report.rows.len(), 3);
+        assert_eq!(report.rows.len(), 4);
     }
 
     #[test]

@@ -20,20 +20,25 @@
 //! original contents. Results are byte-identical to routing each frame
 //! alone through [`RouteSpan::run`].
 //!
+//! An observer that declines per-column events (such as
+//! [`bnb_obs::Counters`]) keeps the batched kernel, which reports one
+//! stage-totals event per main stage summed over the batch's frames.
 //! Options that need per-frame machinery — an enabled observer wanting
-//! per-column events, a non-empty [`FaultMap`], [`Kernel::Scalar`] — fall
-//! back to frame-at-a-time routing through the same [`RouteSpan`]
-//! dispatch, so semantics (fault detection, event streams, error values)
-//! never depend on how frames were grouped.
+//! per-column or per-hop events, a non-empty [`FaultMap`],
+//! [`Kernel::Scalar`] — fall back to frame-at-a-time routing through the
+//! same [`RouteSpan`] dispatch, so semantics (fault detection, event
+//! streams and counts, error values) never depend on how frames were
+//! grouped.
 //!
 //! [`validate_lines`]: crate::stages::validate_lines
 //! [`FaultMap`]: crate::fault::FaultMap
+//! [`Kernel::Scalar`]: crate::stages::Kernel::Scalar
 
 use bnb_topology::record::Record;
 
 use crate::error::RouteError;
 use crate::network::{BnbNetwork, RoutePolicy};
-use crate::stages::{Kernel, RouteSpan, StageScratch};
+use crate::stages::{RouteSpan, StageScratch, Sweep};
 
 /// The batched kernel's plane arithmetic indexes cells with `u32`s and
 /// carries one plane per address bit; `m` beyond this falls back to
@@ -282,11 +287,13 @@ fn validate_frame(
 /// Each frame behaves exactly as if validated with
 /// [`validate_lines`](crate::stages::validate_lines) and routed alone
 /// with [`RouteSpan::run`] — byte-identical outputs, identical error
-/// values — but fault-free unobserved batches (the steady-state hot path)
-/// route through one word-parallel kernel invocation over the
-/// concatenated frame-major bit-planes, with every SWAR word fully
-/// occupied regardless of `m`. Frames that fail validation (and, under
-/// faults, frames whose routing errors) keep their original contents.
+/// values, identical observer counts — but fault-free batches whose
+/// observer, if any, declines per-column events (the steady-state hot
+/// path, served batches observed by `Counters` included) route through
+/// one word-parallel kernel invocation over the concatenated frame-major
+/// bit-planes, with every SWAR word fully occupied regardless of `m`.
+/// Frames that fail validation (and, under faults, frames whose routing
+/// errors) keep their original contents.
 ///
 /// Unlike the span entry points this routes whole frames only: engine
 /// workers splitting a span route the slices with [`RouteSpan::run`].
@@ -322,24 +329,20 @@ pub fn route_batch(
         ));
     }
 
-    let (observer, faults, kernel) = opts.effective();
     // The batched kernel covers exactly the configurations whose per-frame
     // dispatch would take the packed path *and* cannot fail after
-    // validation: no faults, no enabled observer demanding events
-    // (Kernel::Packed drops events per-frame too), not the scalar oracle,
-    // and — under strict policy — the paper's Unshuffle wiring, the only
-    // mode whose Theorem 2 guarantees every splitter balances for a
-    // validated permutation (the ablation wirings can unbalance mid-route
-    // and must keep per-frame error reporting).
+    // validation: no faults, and — under strict policy — the paper's
+    // Unshuffle wiring, the only mode whose Theorem 2 guarantees every
+    // splitter balances for a validated permutation (the ablation wirings
+    // can unbalance mid-route and must keep per-frame error reporting).
     let strict = matches!(net.policy(), RoutePolicy::Strict);
-    let batched = faults.is_none()
-        && (observer.is_none() || matches!(kernel, Kernel::Packed))
-        && !matches!(kernel, Kernel::Scalar)
-        && (!strict || matches!(net.wiring(), crate::network::WiringMode::Unshuffle))
-        && net.m() <= MAX_BATCHED_M;
-    if batched {
-        crate::packed::route_batch_packed(net, batch, results, scratch);
-        return;
+    if let (Sweep::Packed(tally), None) = opts.effective() {
+        if (!strict || matches!(net.wiring(), crate::network::WiringMode::Unshuffle))
+            && net.m() <= MAX_BATCHED_M
+        {
+            crate::packed::route_batch_packed(net, batch, results, scratch, tally);
+            return;
+        }
     }
 
     // Frame-at-a-time fallback: materialise each valid frame, route it
@@ -367,7 +370,7 @@ pub fn route_batch(
 mod tests {
     use super::*;
     use crate::network::WiringMode;
-    use crate::stages::validate_lines;
+    use crate::stages::{validate_lines, Kernel};
 
     fn frame(n: usize, perm: &[usize], tag: u64) -> Vec<Record> {
         perm.iter()

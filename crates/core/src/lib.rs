@@ -41,11 +41,15 @@
 //! - [`stages`] — the stage-span routing kernel behind the [`RouteSpan`]
 //!   options struct: routes any contiguous range of main stages over an
 //!   aligned subnetwork slice, enabling split-and-conquer parallel
-//!   routing. Unobserved spans take a bit-packed word-parallel fast path
-//!   (`packed`, crate-internal): destination bits are cached once per
-//!   span in per-stage `u64` bit-planes and every arbiter sweep, balance
-//!   check and exchange runs as word operations, byte-identical to the
-//!   scalar sweep ([`Kernel::Scalar`], the retained oracle).
+//!   routing. Spans with no observer, or one that takes stage totals
+//!   instead of per-column events (such as `bnb_obs::Counters`), take a
+//!   bit-packed word-parallel fast path (`packed`, crate-internal):
+//!   destination bits are cached once per span in per-stage `u64`
+//!   bit-planes and every arbiter sweep, balance check and exchange runs
+//!   as word operations, byte-identical to the scalar sweep
+//!   ([`Kernel::Scalar`], the retained oracle, and the path for
+//!   observers wanting per-column or per-hop events), with the same
+//!   counts.
 //! - [`batch`] — frame-batched routing: [`FrameBatch`] holds `B` frames
 //!   in structure-of-arrays order and [`route_batch`] routes them through
 //!   one kernel invocation over concatenated frame-major bit-planes, so

@@ -303,8 +303,9 @@ impl BnbNetwork {
     }
 
     /// Like [`BnbNetwork::route`] but emits routing events (columns,
-    /// arbiter sweeps, conflicts) to `observer`. Results are bit-identical
-    /// to [`BnbNetwork::route`].
+    /// arbiter sweeps, conflicts — or per-stage totals for an observer
+    /// that declines per-column events) to `observer`. Results are
+    /// bit-identical to [`BnbNetwork::route`].
     ///
     /// For repeated batches prefer an observed [`Router`]
     /// (`builder(..).observer(..).build_router()`), which reuses its

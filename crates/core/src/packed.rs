@@ -1,5 +1,6 @@
-//! Word-parallel (bit-packed) stage-span routing: the unobserved fast
-//! path behind [`crate::stages::RouteSpan`].
+//! Word-parallel (bit-packed) stage-span routing: the fast path behind
+//! [`crate::stages::RouteSpan`] for no observer, or for one that takes
+//! stage totals instead of per-column events.
 //!
 //! The paper's arbiter (Definition 6) computes every switch setting from
 //! one-bit local information: XOR parities sweep *up* a binary tree and
@@ -25,6 +26,11 @@
 //!   `trailing_zeros` iteration swaps the position permutation and a
 //!   masked pair-swap updates every live plane. Records move once, at the
 //!   end of the span, through a single gather.
+//! - **Counts** — a column's exchanges are the popcount of its flag words
+//!   and its sweeps one per box, so a tallying observer gets each main
+//!   stage's totals ([`StageTotalsEvent`]) without a per-cell walk, equal
+//!   to what the scalar sweep's per-column events add up to — including
+//!   the partial stage before a splitter error.
 //!
 //! The kernel is byte-identical to the scalar path on success and returns
 //! identical error values on failure; only the (unspecified) contents of
@@ -35,13 +41,14 @@
 
 use std::ops::Range;
 
+use bnb_obs::{Observer, StageTotalsEvent};
 use bnb_topology::record::Record;
 
 use crate::error::RouteError;
 use crate::fault::FaultMap;
 use crate::network::{BnbNetwork, RoutePolicy, WiringMode};
 use crate::splitter::{check_balanced, controls_into, SplitterSite};
-use crate::stages::StageScratch;
+use crate::stages::{report_route_error, StageScratch};
 
 /// Bits at even positions: the switch-control positions (`2t`).
 const EVEN: u64 = 0x5555_5555_5555_5555;
@@ -94,11 +101,12 @@ pub(crate) struct PackedScratch {
     /// cell's *original within-frame line*, carried through every exchange
     /// and wiring exactly like `perm`, but word-parallel.
     iplanes: Vec<u64>,
-    /// Double buffers for the batched kernel's final frame-blocked
-    /// gather/scatter (swapped with the batch's own storage, never copied).
-    out_dests: Vec<u32>,
-    /// See [`PackedScratch::out_dests`].
-    out_data: Vec<u64>,
+    /// Frame-sized staging for the batched kernel's final movement: one
+    /// frame's results land here and are copied back over the frame, so
+    /// no batch-sized second copy of the batch is kept.
+    stage_dests: Vec<u32>,
+    /// See [`PackedScratch::stage_dests`].
+    stage_data: Vec<u64>,
 }
 
 impl PackedScratch {
@@ -113,19 +121,86 @@ impl PackedScratch {
         self.zds.resize(words, false);
     }
 
-    fn ensure_batch(&mut self, cells: usize, words: usize, m: usize, index_planes: bool) {
+    fn ensure_batch(&mut self, n: usize, words: usize, m: usize, index_planes: bool) {
         self.planes.clear();
         self.planes.resize(m * words, 0);
         self.iplanes.clear();
         if index_planes {
             self.iplanes.resize(m * words, 0);
+            self.stage_dests.resize(n, 0);
         }
         self.flags.resize(words, 0);
         self.tmp.resize(words, 0);
         self.roots.resize(words, false);
         self.zds.resize(words, false);
-        self.out_dests.resize(cells, 0);
-        self.out_data.resize(cells, 0);
+        self.stage_data.resize(n, 0);
+    }
+}
+
+/// One main stage's running totals for a tallying observer: what the
+/// scalar sweep's column and sweep events for the same call add up to.
+/// With no sink it only keeps a few integers per column.
+struct StageTally<'o> {
+    sink: Option<&'o dyn Observer>,
+    totals: StageTotalsEvent,
+}
+
+impl<'o> StageTally<'o> {
+    fn new(
+        sink: Option<&'o dyn Observer>,
+        main_stage: usize,
+        first_line: usize,
+        width: usize,
+        frames: u64,
+    ) -> Self {
+        StageTally {
+            sink,
+            totals: StageTotalsEvent {
+                main_stage,
+                first_line,
+                width,
+                frames,
+                columns: 0,
+                sweeps: 0,
+                exchanges: 0,
+                max_depth: 0,
+            },
+        }
+    }
+
+    /// `boxes` splitter boxes of arbiter depth `depth` were swept.
+    fn swept(&mut self, boxes: u64, depth: usize) {
+        self.totals.sweeps += boxes;
+        if boxes > 0 {
+            self.totals.max_depth = self.totals.max_depth.max(depth);
+        }
+    }
+
+    /// A column completed in every frame: `boxes` boxes per frame swept,
+    /// `exchanges` switches exchanged in all.
+    fn column(&mut self, boxes: u64, depth: usize, exchanges: u64) {
+        self.totals.columns += self.totals.frames;
+        self.swept(self.totals.frames * boxes, depth);
+        self.totals.exchanges += exchanges;
+    }
+
+    /// Reports the stage's totals.
+    fn emit(&self) {
+        if let Some(sink) = self.sink {
+            sink.stage_routed(self.totals);
+        }
+    }
+
+    /// Reports the partial stage a splitter error cut short — the columns
+    /// completed and every box swept so far; the aborted column's boxes
+    /// count, the column itself and its exchanges do not — then the
+    /// error's own event, and hands the error back.
+    fn fail(&self, err: RouteError) -> RouteError {
+        if let Some(sink) = self.sink {
+            sink.stage_routed(self.totals);
+            report_route_error(sink, &err);
+        }
+        err
     }
 }
 
@@ -920,6 +995,8 @@ fn bits_from_plane(plane: &[u64], start: usize, box_size: usize, bits: &mut Vec<
 
 /// Routes `stages` of `net` over one aligned slice, word-parallel. Same
 /// contract and error values as the scalar kernel; see the module docs.
+/// `tally` receives one [`StageTotalsEvent`] per main stage routed (or cut
+/// short by an error, followed by the error's event).
 pub(crate) fn route_span_packed(
     net: &BnbNetwork,
     lines: &mut [Record],
@@ -927,6 +1004,7 @@ pub(crate) fn route_span_packed(
     stages: Range<usize>,
     scratch: &mut StageScratch,
     faults: Option<&FaultMap>,
+    tally: Option<&dyn Observer>,
 ) -> Result<(), RouteError> {
     if stages.is_empty() {
         return Ok(());
@@ -941,7 +1019,6 @@ pub(crate) fn route_span_packed(
     );
     debug_assert_eq!(first_line % span, 0, "slice must be aligned");
     assert!(span <= u32::MAX as usize, "span must fit the position perm");
-    let span_log = span.trailing_zeros() as usize;
     let words = span.div_ceil(64);
     let num_stages = stages.end - stages.start;
     let strict = matches!(net.policy(), RoutePolicy::Strict);
@@ -988,8 +1065,10 @@ pub(crate) fn route_span_packed(
 
     for (srel, main_stage) in stages.clone().enumerate() {
         let k = m - main_stage;
+        let mut totals = StageTally::new(tally, main_stage, first_line, span, 1);
         for internal in 0..k {
             let box_size = 1usize << (k - internal);
+            let depth = k - internal;
             let column_faults = faults.filter(|f| f.affects(main_stage, internal));
             // Planes for already-routed stages are dead; the current
             // stage's plane feeds the arbiter, later ones ride along.
@@ -1004,14 +1083,15 @@ pub(crate) fn route_span_packed(
                 for start in (0..span).step_by(box_size) {
                     bits_from_plane(cur, start, box_size, bits);
                     if strict {
-                        check_balanced(
-                            bits,
-                            SplitterSite {
-                                main_stage,
-                                internal_stage: internal,
-                                first_line: first_line + start,
-                            },
-                        )?;
+                        let site = SplitterSite {
+                            main_stage,
+                            internal_stage: internal,
+                            first_line: first_line + start,
+                        };
+                        if let Err(err) = check_balanced(bits, site) {
+                            totals.swept((start / box_size) as u64, depth);
+                            return Err(totals.fail(err));
+                        }
                     }
                     tapped.clear();
                     tapped.extend_from_slice(bits);
@@ -1042,27 +1122,30 @@ pub(crate) fn route_span_packed(
                             even_ones == odd_ones
                         };
                         if !balanced {
-                            return Err(RouteError::HardwareFault {
+                            // The failing box was swept before its audit.
+                            totals.swept((start / box_size + 1) as u64, depth);
+                            return Err(totals.fail(RouteError::HardwareFault {
                                 main_stage,
                                 internal_stage: internal,
                                 first_line: first_line + start,
                                 width: box_size,
                                 even_ones,
                                 odd_ones,
-                            });
+                            }));
                         }
                     }
                 }
             } else {
                 if strict {
                     if let Some((start, ones)) = first_unbalanced(cur, span, box_size) {
-                        return Err(RouteError::UnbalancedSplitter {
+                        totals.swept((start / box_size) as u64, depth);
+                        return Err(totals.fail(RouteError::UnbalancedSplitter {
                             main_stage,
                             internal_stage: internal,
                             first_line: first_line + start,
                             width: box_size,
                             ones,
-                        });
+                        }));
                     }
                 }
                 let mut trees = ColumnTrees { roots, zds, tree };
@@ -1070,19 +1153,21 @@ pub(crate) fn route_span_packed(
             }
             // Exchange: flag words drive the position permutation and
             // every live plane; records move once, at the gather below.
+            let mut exchanges = 0;
             for w in 0..words {
                 let f = flags[w];
                 if f == 0 {
                     continue;
                 }
                 let base = w * 64;
-                apply_flag_word(f, &mut perm[base..span.min(base + 64)]);
+                exchanges += apply_flag_word(f, &mut perm[base..span.min(base + 64)]);
                 let ce = f | (f << 1);
                 cur[w] = swap_pairs_word(cur[w], ce);
                 for plane in future.chunks_exact_mut(words) {
                     plane[w] = swap_pairs_word(plane[w], ce);
                 }
             }
+            totals.column((span / box_size) as u64, depth, exchanges);
             // Wiring: rotate the low r index bits within each 2^r block
             // (r = box width inside a stage, r = k for the main wiring).
             let last_internal = internal + 1 == k;
@@ -1112,8 +1197,8 @@ pub(crate) fn route_span_packed(
                 }
             }
         }
+        totals.emit();
     }
-    let _ = span_log;
     // One gather moves every record to its final line.
     for (dst, &src) in gather[..span].iter_mut().zip(perm.iter()) {
         *dst = lines[src as usize];
@@ -1134,17 +1219,24 @@ pub(crate) fn route_span_packed(
 /// all-zero plane regions — zero lanes produce zero exchange flags, so
 /// their (skipped) cells are never moved and never read back.
 ///
-/// Output movement:
+/// Output movement, one frame at a time through frame-sized staging:
 /// - **Strict** (frames are validated permutations): the sweeps carry the
 ///   destination planes forward — each column's flags are computed from
 ///   plane bits whose positions those same sweeps produced — and the final
 ///   movement short-circuits through the delivery guarantee (Theorem 2:
-///   output line `d` holds the record destined `d`), as one frame-blocked
-///   scatter. Byte-identical to the scalar oracle by the same theorem.
+///   output line `d` holds the record destined `d`): the payloads scatter
+///   into the stage and back, and the identity ramp overwrites the
+///   destinations in place. Byte-identical to the scalar oracle by the
+///   same theorem.
 /// - **Permissive** (arbitrary traffic): `m` *index* bit-planes ride
 ///   through every exchange and wiring — the word-parallel analogue of
 ///   the single-frame kernel's position `perm` — and the final gather
 ///   reconstructs each slot's source index from them.
+///
+/// `tally` receives one [`StageTotalsEvent`] per main stage summed over
+/// the valid frames: the per-frame column and sweep counts times the
+/// frame count, and the popcount of the stage's flag words (inert lanes
+/// of invalid frames contribute none).
 ///
 /// Infallible: validation happened in [`crate::batch::route_batch`], and
 /// validated strict traffic cannot unbalance a splitter (Theorem 2), which
@@ -1156,6 +1248,7 @@ pub(crate) fn route_batch_packed(
     batch: &mut crate::batch::FrameBatch,
     valid: &[Result<(), RouteError>],
     scratch: &mut StageScratch,
+    tally: Option<&dyn Observer>,
 ) {
     let m = net.m();
     let n = 1usize << m;
@@ -1167,7 +1260,7 @@ pub(crate) fn route_batch_packed(
     let words = cells.div_ceil(64);
     let strict = matches!(net.policy(), RoutePolicy::Strict);
     let wiring = net.wiring();
-    scratch.packed.ensure_batch(cells, words, m, !strict);
+    scratch.packed.ensure_batch(n, words, m, !strict);
     let PackedScratch {
         planes,
         flags,
@@ -1176,8 +1269,8 @@ pub(crate) fn route_batch_packed(
         zds,
         tree,
         iplanes,
-        out_dests,
-        out_data,
+        stage_dests,
+        stage_data,
         ..
     } = &mut scratch.packed;
     let (dests, data) = batch.soa_mut();
@@ -1217,14 +1310,15 @@ pub(crate) fn route_batch_packed(
         }
     }
 
-    let all_valid = valid.iter().all(|r| r.is_ok());
+    let routed = valid.iter().filter(|r| r.is_ok()).count();
     for main_stage in 0..m {
         let srel = main_stage;
         let k = m - main_stage;
+        let mut totals = StageTally::new(tally, main_stage, 0, n, routed as u64);
         for internal in 0..k {
             let box_size = 1usize << (k - internal);
             let live = &mut planes[srel * words..m * words];
-            if strict && all_valid && cells.is_multiple_of(64) {
+            if strict && routed == frames && cells.is_multiple_of(64) {
                 // Validated permutations satisfy Definition 3 at every
                 // splitter (Theorem 2); there is nothing to detect. (The
                 // check reads whole words, so it only applies when no
@@ -1236,11 +1330,19 @@ pub(crate) fn route_batch_packed(
             }
             let mut trees = ColumnTrees { roots, zds, tree };
             column_flags(&live[..words], flags, box_size, &mut trees);
+            if tally.is_some() {
+                let exchanges = flags[..words]
+                    .iter()
+                    .map(|f| u64::from(f.count_ones()))
+                    .sum();
+                totals.column((n / box_size) as u64, k - internal, exchanges);
+            }
             // One fused pass per live plane applies the column's
             // exchanges and wiring together: the flag words drive the
             // current plane, every future plane, and (permissive) the
-            // index planes; cells move once, at the gather below. The
-            // fabric's very last column has no wiring (r = 0 sentinel).
+            // index planes; cells move once, at the final movement below.
+            // The fabric's very last column has no wiring (r = 0
+            // sentinel).
             let last_internal = internal + 1 == k;
             let r = if !last_internal {
                 k - internal
@@ -1254,27 +1356,28 @@ pub(crate) fn route_batch_packed(
                 apply_column(iplanes, words, flags, r, wiring, tmp);
             }
         }
+        totals.emit();
     }
-    // Final movement, one frame-sized block at a time (a frame's working
-    // set — n destinations + n payloads — stays cache-resident while its
-    // cells land). Invalid frames are copied through untouched.
+    // Final movement, one frame at a time (a frame's working set — n
+    // destinations + n payloads + the stage — stays cache-resident while
+    // its cells land). Invalid frames are left untouched.
     for (f, res) in valid.iter().enumerate() {
-        let base = f * n;
         if res.is_err() {
-            out_dests[base..base + n].copy_from_slice(&dests[base..base + n]);
-            out_data[base..base + n].copy_from_slice(&data[base..base + n]);
             continue;
         }
+        let base = f * n;
+        let frame_dests = &mut dests[base..base + n];
+        let frame_data = &mut data[base..base + n];
         if strict {
             // Delivery scatter: output line d holds the record destined
-            // d — so the destination column is the identity ramp and
-            // only the payloads actually scatter.
-            for (j, od) in out_dests[base..base + n].iter_mut().enumerate() {
-                *od = j as u32;
+            // d — so only the payloads move, and the destination column
+            // becomes the identity ramp.
+            for (&d, &x) in frame_dests.iter().zip(frame_data.iter()) {
+                stage_data[d as usize] = x;
             }
-            for j in 0..n {
-                let g = base + j;
-                out_data[base + dests[g] as usize] = data[g];
+            frame_data.copy_from_slice(&stage_data[..n]);
+            for (j, d) in frame_dests.iter_mut().enumerate() {
+                *d = j as u32;
             }
         } else {
             // Index gather: each slot's source line comes out of the
@@ -1286,14 +1389,13 @@ pub(crate) fn route_batch_packed(
                 for (bb, plane) in iplanes.chunks_exact(words).enumerate() {
                     idx |= (((plane[w] >> b) & 1) as usize) << bb;
                 }
-                let src = base + idx;
-                out_dests[g] = dests[src];
-                out_data[g] = data[src];
+                stage_dests[j] = frame_dests[idx];
+                stage_data[j] = frame_data[idx];
             }
+            frame_dests.copy_from_slice(&stage_dests[..n]);
+            frame_data.copy_from_slice(&stage_data[..n]);
         }
     }
-    std::mem::swap(dests, out_dests);
-    std::mem::swap(data, out_data);
 }
 
 #[cfg(test)]

@@ -14,15 +14,20 @@
 //! All buffers live in a caller-owned [`StageScratch`], so steady-state
 //! routing performs no heap allocation.
 //!
-//! Two kernels share the entry points: unobserved spans route through the
-//! bit-packed word-parallel kernel (`crate::packed` — cached destination
-//! bit-planes, word-level arbiter sweeps and balance checks), while an
-//! attached observer selects the scalar cell-at-a-time sweep, which emits
-//! per-column and per-hop events and doubles as the packed kernel's
-//! oracle via [`Kernel::Scalar`]. Both produce byte-identical frames
-//! and identical error values. [`RouteSpan`] is the options struct that
-//! selects observer, fault map, and kernel; whole frames can also be
-//! routed many at a time through [`crate::batch::route_batch`].
+//! Two kernels share the entry points. The bit-packed word-parallel
+//! kernel (`crate::packed` — cached destination bit-planes, word-level
+//! arbiter sweeps and balance checks) routes every span whose observer,
+//! if any, declines per-column events ([`Observer::wants_columns`]): it
+//! counts columns, sweeps and exchanges as it routes and reports one
+//! [`StageTotalsEvent`] per main stage. An observer that wants per-column
+//! or per-hop events selects the scalar cell-at-a-time sweep, which emits
+//! them and doubles as the packed kernel's oracle via [`Kernel::Scalar`].
+//! Both produce byte-identical frames, identical error values, and the
+//! same counts. [`RouteSpan`] is the options struct that selects
+//! observer, fault map, and kernel; whole frames can also be routed many
+//! at a time through [`crate::batch::route_batch`].
+//!
+//! [`StageTotalsEvent`]: bnb_obs::StageTotalsEvent
 
 use std::ops::Range;
 
@@ -130,14 +135,16 @@ pub fn validate_lines(
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Kernel {
-    /// The default dispatch: the bit-packed word-parallel kernel whenever
-    /// no enabled observer is attached, the scalar sweep otherwise (the
-    /// packed kernel cannot attribute per-column events cheaply).
+    /// The default dispatch: the scalar sweep for an enabled observer that
+    /// wants per-column or per-hop events (the packed kernel cannot
+    /// attribute them cheaply), the bit-packed word-parallel kernel for
+    /// every other observer and for none.
     #[default]
     Auto,
-    /// Force the word-parallel kernel. An attached observer receives no
-    /// routing events on this path; use [`Kernel::Scalar`] (or `Auto`)
-    /// when events matter.
+    /// Force the word-parallel kernel. An attached observer receives
+    /// stage totals, conflict and fault events — never per-column or
+    /// per-hop events; use [`Kernel::Scalar`] (or `Auto`) when those
+    /// matter.
     Packed,
     /// Force the scalar cell-at-a-time sweep — the oracle the packed
     /// equivalence suites and `bitpacked_vs_scalar` benchmark hold the
@@ -164,11 +171,13 @@ pub enum Kernel {
 /// # Ok::<(), bnb_core::RouteError>(())
 /// ```
 ///
-/// The observer is held as `&dyn Observer`, but the noop fast path stays
-/// monomorphic: [`run`](RouteSpan::run) re-checks
-/// [`enabled`](Observer::enabled) once and routes disabled observers
-/// through the same static [`NoopObserver`] path as no observer at all,
-/// so the packed kernel and the zero-alloc guarantees are unaffected.
+/// The observer is held as `&dyn Observer`, but the fast paths are
+/// unaffected: [`run`](RouteSpan::run) checks
+/// [`enabled`](Observer::enabled) and the granularity queries once, and
+/// routes a disabled observer — or one that declines per-column events —
+/// through the packed kernel exactly as it routes no observer, with the
+/// same zero-alloc guarantees; an enabled one receives a handful of
+/// per-stage events per call.
 #[derive(Clone, Copy, Default)]
 pub struct RouteSpan<'a> {
     observer: Option<&'a dyn Observer>,
@@ -188,7 +197,11 @@ impl<'a> RouteSpan<'a> {
     /// [`RouteError::UnbalancedSplitter`], and — for observers that opt
     /// in via [`Observer::wants_hops`] — one [`HopEvent`] per cell per
     /// column, from which a path tracer reconstructs every route.
-    /// `enabled()` and `wants_hops()` are hoisted out of the stage loops.
+    /// An observer that declines per-column events
+    /// ([`Observer::wants_columns`]) gets one
+    /// [`StageTotalsEvent`](bnb_obs::StageTotalsEvent) per main stage in
+    /// their place, and its spans route exactly as unobserved ones do.
+    /// The granularity queries are hoisted out of the stage loops.
     pub fn observer(mut self, observer: &'a dyn Observer) -> Self {
         self.observer = Some(observer);
         self
@@ -214,6 +227,22 @@ impl<'a> RouteSpan<'a> {
     pub fn kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
         self
+    }
+
+    /// The sweep these options route with, and the fault map in effect:
+    /// a disabled observer and an empty fault map count as absent. The one
+    /// dispatch [`RouteSpan::run`] and [`crate::batch::route_batch`]
+    /// share, so the batched fast path is taken exactly when per-frame
+    /// routing would take the packed kernel.
+    pub(crate) fn effective(&self) -> (Sweep<'a>, Option<&'a FaultMap>) {
+        let observer = self.observer.filter(|o| o.enabled());
+        let sweep = match self.kernel {
+            Kernel::Scalar => Sweep::Scalar(observer),
+            Kernel::Packed => Sweep::Packed(observer),
+            Kernel::Auto if observer.is_some_and(needs_scalar_sweep) => Sweep::Scalar(observer),
+            Kernel::Auto => Sweep::Packed(observer),
+        };
+        (sweep, self.faults.filter(|f| !f.is_empty()))
     }
 
     /// Routes main stages `stages` of `net` over one aligned subnetwork
@@ -242,18 +271,6 @@ impl<'a> RouteSpan<'a> {
     ///
     /// In debug builds, panics if the slice length or alignment does not
     /// match `stages.start`, or if `stages.end > m`.
-    /// The effective options, post-hoisting: a disabled observer and an
-    /// empty fault map count as absent, exactly as [`RouteSpan::run`]
-    /// dispatches. Lets [`crate::batch::route_batch`] pick the batched
-    /// fast path only when these options cannot change the result.
-    pub(crate) fn effective(&self) -> (Option<&'a dyn Observer>, Option<&'a FaultMap>, Kernel) {
-        (
-            self.observer.filter(|o| o.enabled()),
-            self.faults.filter(|f| !f.is_empty()),
-            self.kernel,
-        )
-    }
-
     pub fn run(
         &self,
         net: &BnbNetwork,
@@ -262,13 +279,14 @@ impl<'a> RouteSpan<'a> {
         stages: Range<usize>,
         scratch: &mut StageScratch,
     ) -> Result<(), RouteError> {
-        let faults = self.faults.filter(|f| !f.is_empty());
-        // Disabled observers fold onto the same static path as none at
-        // all, keeping the noop case monomorphic (no virtual dispatch in
-        // the sweep loops).
-        let observer = self.observer.filter(|o| o.enabled());
-        match (self.kernel, observer) {
-            (Kernel::Scalar, None) => route_span_scalar_inner(
+        let (sweep, faults) = self.effective();
+        match sweep {
+            Sweep::Packed(tally) => crate::packed::route_span_packed(
+                net, lines, first_line, stages, scratch, faults, tally,
+            ),
+            // No observer folds onto the static noop path, keeping it
+            // monomorphic (no virtual dispatch in the sweep loops).
+            Sweep::Scalar(None) => route_span_scalar_inner(
                 net,
                 lines,
                 first_line,
@@ -277,20 +295,28 @@ impl<'a> RouteSpan<'a> {
                 &NoopObserver,
                 faults,
             ),
-            (Kernel::Scalar, Some(o)) => {
-                route_span_scalar_inner(net, lines, first_line, stages, scratch, &o, faults)
-            }
-            (Kernel::Packed, _) => {
-                crate::packed::route_span_packed(net, lines, first_line, stages, scratch, faults)
-            }
-            (Kernel::Auto, None) => {
-                crate::packed::route_span_packed(net, lines, first_line, stages, scratch, faults)
-            }
-            (Kernel::Auto, Some(o)) => {
+            Sweep::Scalar(Some(o)) => {
                 route_span_scalar_inner(net, lines, first_line, stages, scratch, &o, faults)
             }
         }
     }
+}
+
+/// Which kernel routes a span, with the enabled observer (if any) it
+/// reports to: stage totals from the packed kernels, per-column events
+/// from the scalar sweep.
+pub(crate) enum Sweep<'a> {
+    /// The word-parallel kernels.
+    Packed(Option<&'a dyn Observer>),
+    /// The scalar cell-at-a-time sweep.
+    Scalar(Option<&'a dyn Observer>),
+}
+
+/// The routing rule for observers: an enabled observer that wants
+/// per-column or per-hop events needs the scalar sweep; every other
+/// observer routes exactly as no observer does, on the packed kernels.
+pub(crate) fn needs_scalar_sweep<O: Observer + ?Sized>(observer: &O) -> bool {
+    observer.enabled() && (observer.wants_columns() || observer.wants_hops())
 }
 
 impl std::fmt::Debug for RouteSpan<'_> {
@@ -303,6 +329,9 @@ impl std::fmt::Debug for RouteSpan<'_> {
     }
 }
 
+/// Routes a span for a statically typed observer, by the same rule as
+/// [`RouteSpan::run`] under [`Kernel::Auto`] (see [`needs_scalar_sweep`]);
+/// the scalar path stays monomorphic in `O`.
 pub(crate) fn route_span_inner<O: Observer + ?Sized>(
     net: &BnbNetwork,
     lines: &mut [Record],
@@ -312,13 +341,11 @@ pub(crate) fn route_span_inner<O: Observer + ?Sized>(
     observer: &O,
     faults: Option<&FaultMap>,
 ) -> Result<(), RouteError> {
-    // The word-parallel kernel is the default fast path; the scalar sweep
-    // remains the path taken when an observer wants per-column (or
-    // per-hop) events, which the packed kernel cannot attribute cheaply.
-    if !observer.enabled() {
-        return crate::packed::route_span_packed(net, lines, first_line, stages, scratch, faults);
+    if needs_scalar_sweep(observer) {
+        return route_span_scalar_inner(net, lines, first_line, stages, scratch, observer, faults);
     }
-    route_span_scalar_inner(net, lines, first_line, stages, scratch, observer, faults)
+    let tally = observer.enabled().then_some(&observer as &dyn Observer);
+    crate::packed::route_span_packed(net, lines, first_line, stages, scratch, faults, tally)
 }
 
 pub(crate) fn route_span_scalar_inner<O: Observer + ?Sized>(
@@ -367,15 +394,7 @@ pub(crate) fn route_span_scalar_inner<O: Observer + ?Sized>(
                         },
                     ) {
                         if observing {
-                            if let RouteError::UnbalancedSplitter { width, ones, .. } = err {
-                                observer.splitter_conflict(ConflictEvent {
-                                    main_stage,
-                                    internal_stage: internal,
-                                    first_line: first_line + start,
-                                    width,
-                                    ones,
-                                });
-                            }
+                            report_route_error(observer, &err);
                         }
                         return Err(err);
                     }
@@ -459,24 +478,18 @@ pub(crate) fn route_span_scalar_inner<O: Observer + ?Sized>(
                         even_ones == odd_ones
                     };
                     if !balanced {
-                        if observing {
-                            observer.hardware_fault(FaultEvent {
-                                main_stage,
-                                internal_stage: internal,
-                                first_line: first_line + start,
-                                width: box_size,
-                                even_ones,
-                                odd_ones,
-                            });
-                        }
-                        return Err(RouteError::HardwareFault {
+                        let err = RouteError::HardwareFault {
                             main_stage,
                             internal_stage: internal,
                             first_line: first_line + start,
                             width: box_size,
                             even_ones,
                             odd_ones,
-                        });
+                        };
+                        if observing {
+                            report_route_error(observer, &err);
+                        }
+                        return Err(err);
                     }
                 }
             }
@@ -530,6 +543,44 @@ pub(crate) fn route_span_scalar_inner<O: Observer + ?Sized>(
         }
     }
     Ok(())
+}
+
+/// Emits the event that accompanies a splitter error: a [`ConflictEvent`]
+/// for [`RouteError::UnbalancedSplitter`], a [`FaultEvent`] for
+/// [`RouteError::HardwareFault`]. Both kernels report through here, so
+/// their event values cannot drift apart.
+pub(crate) fn report_route_error<O: Observer + ?Sized>(observer: &O, err: &RouteError) {
+    match *err {
+        RouteError::UnbalancedSplitter {
+            main_stage,
+            internal_stage,
+            first_line,
+            width,
+            ones,
+        } => observer.splitter_conflict(ConflictEvent {
+            main_stage,
+            internal_stage,
+            first_line,
+            width,
+            ones,
+        }),
+        RouteError::HardwareFault {
+            main_stage,
+            internal_stage,
+            first_line,
+            width,
+            even_ones,
+            odd_ones,
+        } => observer.hardware_fault(FaultEvent {
+            main_stage,
+            internal_stage,
+            first_line,
+            width,
+            even_ones,
+            odd_ones,
+        }),
+        _ => {}
+    }
 }
 
 /// Applies one box's exchange flags to its window of lines and returns

@@ -11,9 +11,11 @@
 //! worker; the owner recurses into the other. After `depth` splits the
 //! frame is `2^depth` disjoint slice tasks routing concurrently, each with
 //! the worker's own reusable [`StageScratch`] — zero per-batch allocation
-//! in steady state. With no observer attached (the default), every slice
-//! takes `bnb-core`'s bit-packed word-parallel kernel, so the engine's
-//! per-worker throughput is the packed kernel's, not the scalar sweep's.
+//! in steady state. With no observer attached (the default), or one that
+//! takes stage totals instead of per-column events (`bnb_obs::Counters`),
+//! every slice takes `bnb-core`'s bit-packed word-parallel kernel, so the
+//! engine's per-worker throughput is the packed kernel's, not the scalar
+//! sweep's.
 //!
 //! Because BNB routing is oblivious data movement (every switch setting
 //! depends only on local destination bits), the parallel result is
@@ -27,8 +29,9 @@
 //! submissions and completions ([`SubmitEvent`]/[`DrainEvent`]), slice
 //! hand-offs ([`ShardEvent`] on enqueue and on steal), and — through
 //! [`bnb_core::stages::RouteSpan`] — every routed column and arbiter
-//! sweep. Attach with [`Engine::with_observer`]; the noop path compiles
-//! to the same code as before the hooks existed.
+//! sweep, or one stage-totals event per main stage for a sink that
+//! declines per-column events. Attach with [`Engine::with_observer`]; the
+//! noop path compiles to the same code as before the hooks existed.
 //!
 //! # Batched submission
 //!
@@ -782,9 +785,10 @@ impl<O: Observer> Worker<'_, O> {
         let (shard, faults) = landing.unwrap_or_default();
         #[cfg(debug_assertions)]
         let inputs = faults.is_empty().then(|| batch.to_frames());
-        // An enabled observer or a faulted map makes route_batch fall
-        // back to frame-at-a-time routing, so per-column and fault events
-        // fire exactly as per-frame submission would.
+        // A faulted map, or an observer wanting per-column events, makes
+        // route_batch fall back to frame-at-a-time routing, so those
+        // events fire exactly as per-frame submission would; an aggregate
+        // sink such as Counters keeps the batched kernel and its totals.
         let opts = RouteSpan::new().observer(self.observer).faults(&faults);
         route_batch(
             &self.net,

@@ -23,8 +23,11 @@
 //!   [`bnb_core::RouteError`].
 //! - The engine is generic over a [`bnb_obs::Observer`] (defaulting to the
 //!   zero-cost noop): [`Engine::with_observer`] streams submit/drain,
-//!   shard hand-off, column and arbiter-sweep events to any sink, e.g. a
-//!   lock-free `bnb_obs::Counters`.
+//!   shard hand-off, and routing events to any sink — per column and
+//!   arbiter sweep for sinks that want them (the scalar sweep), per main
+//!   stage for aggregate sinks such as the lock-free `bnb_obs::Counters`,
+//!   whose jobs route on the same packed and batched kernels as
+//!   unobserved ones.
 //! - [`Engine::run_faulted`] routes through damaged hardware: a
 //!   [`FaultPlan`] assigns a `bnb_core::fault::FaultMap` to each fabric
 //!   shard, frames hitting a detected fault are retried on another

@@ -11,7 +11,7 @@
 
 use crate::event::{
     ColumnEvent, ConflictEvent, DrainEvent, FaultEvent, RepairEvent, RetryEvent, RoundEvent,
-    ScrubEvent, ShardEvent, SubmitEvent, SweepEvent,
+    ScrubEvent, ShardEvent, StageTotalsEvent, SubmitEvent, SweepEvent,
 };
 use crate::histogram::{AtomicHistogram, LatencyHistogram, LatencySummary};
 use crate::observer::Observer;
@@ -137,6 +137,13 @@ fn stage_slot(main_stage: usize) -> usize {
 /// through the blanket reference impl. Batch-drain latencies feed the
 /// embedded [`AtomicHistogram`], so a snapshot carries the same latency
 /// distribution the engine's own stats report.
+///
+/// `Counters` keeps only per-stage totals, so it declines per-column
+/// events ([`Observer::wants_columns`] is `false`): routing observed by
+/// it alone keeps the word-parallel kernels and reports one
+/// [`StageTotalsEvent`] per main stage. Paired with a per-column sink in
+/// a [`crate::Fanout`], it counts the column and sweep events instead;
+/// either way a snapshot holds the same numbers.
 #[derive(Debug)]
 pub struct Counters {
     shards: [Shard; SHARDS],
@@ -248,6 +255,28 @@ impl Counters {
 }
 
 impl Observer for Counters {
+    #[inline]
+    fn wants_columns(&self) -> bool {
+        false
+    }
+
+    #[inline]
+    fn stage_routed(&self, event: StageTotalsEvent) {
+        let shard = self.shard();
+        shard.columns.fetch_add(event.columns, Ordering::Relaxed);
+        shard
+            .exchanges
+            .fetch_add(event.exchanges, Ordering::Relaxed);
+        shard.sweeps.fetch_add(event.sweeps, Ordering::Relaxed);
+        shard
+            .max_sweep_depth
+            .fetch_max(event.max_depth as u64, Ordering::Relaxed);
+        let slot = stage_slot(event.main_stage);
+        shard.stage_columns[slot].fetch_add(event.columns, Ordering::Relaxed);
+        shard.stage_exchanges[slot].fetch_add(event.exchanges, Ordering::Relaxed);
+        shard.stage_sweeps[slot].fetch_add(event.sweeps, Ordering::Relaxed);
+    }
+
     #[inline]
     fn column_routed(&self, event: ColumnEvent) {
         let shard = self.shard();
@@ -449,6 +478,35 @@ mod tests {
         assert_eq!(snap.per_stage[0].exchanges, 4);
         assert_eq!(snap.per_stage[1].columns, 1);
         assert_eq!(snap.per_stage[1].conflicts, 1);
+    }
+
+    #[test]
+    fn stage_totals_count_like_their_column_and_sweep_events() {
+        let by_column = Counters::new();
+        by_column.column_routed(column(1, 3));
+        by_column.column_routed(column(1, 2));
+        for depth in [2, 2, 1, 1, 1, 1] {
+            by_column.arbiter_sweep(SweepEvent {
+                main_stage: 1,
+                internal_stage: 2 - depth,
+                first_line: 0,
+                width: 1 << depth,
+                depth,
+            });
+        }
+        let by_stage = Counters::new();
+        assert!(!by_stage.wants_columns());
+        by_stage.stage_routed(StageTotalsEvent {
+            main_stage: 1,
+            first_line: 0,
+            width: 8,
+            frames: 1,
+            columns: 2,
+            sweeps: 6,
+            exchanges: 5,
+            max_depth: 2,
+        });
+        assert_eq!(by_stage.snapshot(), by_column.snapshot());
     }
 
     #[test]

@@ -44,6 +44,36 @@ pub struct SweepEvent {
     pub depth: usize,
 }
 
+/// One main stage's totals over one routed span: what the stage's
+/// [`ColumnEvent`]s and [`SweepEvent`]s would have added up to. Emitted
+/// instead of them to observers that decline per-column events
+/// ([`Observer::wants_columns`](crate::Observer::wants_columns)), so the
+/// word-parallel kernels can count as they route.
+///
+/// A full frame's stage `s` of an `N = 2^m` network contributes `m − s`
+/// columns and `N − 2^s` sweeps of depth at most `m − s`; a route that
+/// stops at a splitter error reports only the columns it completed and
+/// the boxes it swept before stopping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StageTotalsEvent {
+    /// Main-network stage (`0..m`).
+    pub main_stage: usize,
+    /// Global line coordinate of the first line of each frame's span.
+    pub first_line: usize,
+    /// Lines per frame covered (the whole frame, or one engine slice).
+    pub width: usize,
+    /// Frames (or slices) the totals sum over.
+    pub frames: u64,
+    /// Switching columns completed, one per column per frame.
+    pub columns: u64,
+    /// Splitter boxes swept (one arbiter sweep each).
+    pub sweeps: u64,
+    /// 2×2 switches that exchanged their pair in the completed columns.
+    pub exchanges: u64,
+    /// Deepest arbiter tree swept (`0` when no box was).
+    pub max_depth: usize,
+}
+
 /// A splitter whose §4 balance assumption was violated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConflictEvent {
@@ -204,6 +234,7 @@ mod tests {
         assert_copy::<ColumnEvent>();
         assert_copy::<HopEvent>();
         assert_copy::<SweepEvent>();
+        assert_copy::<StageTotalsEvent>();
         assert_copy::<ConflictEvent>();
         assert_copy::<ShardEvent>();
         assert_copy::<SubmitEvent>();

@@ -3,7 +3,7 @@
 
 use crate::event::{
     ColumnEvent, ConflictEvent, DrainEvent, FaultEvent, HopEvent, RepairEvent, RetryEvent,
-    RoundEvent, ScrubEvent, ShardEvent, SubmitEvent, SweepEvent,
+    RoundEvent, ScrubEvent, ShardEvent, StageTotalsEvent, SubmitEvent, SweepEvent,
 };
 
 /// Sink for routing-layer events.
@@ -58,6 +58,18 @@ pub trait Observer: Send + Sync {
         false
     }
 
+    /// Whether this observer wants per-column events — one
+    /// [`ColumnEvent`] per switching column and one [`SweepEvent`] per
+    /// splitter box. On by default. A sink that only sums them returns
+    /// `false` and receives one [`StageTotalsEvent`] per main stage
+    /// instead; routing for such a sink (when it also declines hops) takes
+    /// the same word-parallel kernels as routing with no observer at all.
+    /// Conflict and fault events are emitted at either granularity.
+    #[inline]
+    fn wants_columns(&self) -> bool {
+        true
+    }
+
     /// A switching column was routed over `event.width` lines.
     #[inline]
     fn column_routed(&self, event: ColumnEvent) {
@@ -74,6 +86,14 @@ pub trait Observer: Send + Sync {
     /// A splitter's arbiter tree completed a sweep of `event.depth`.
     #[inline]
     fn arbiter_sweep(&self, event: SweepEvent) {
+        let _ = event;
+    }
+
+    /// A main stage was routed over a span: its column and sweep totals
+    /// (only emitted when [`wants_columns`](Observer::wants_columns) is
+    /// false).
+    #[inline]
+    fn stage_routed(&self, event: StageTotalsEvent) {
         let _ = event;
     }
 
@@ -166,6 +186,11 @@ impl<O: Observer + ?Sized> Observer for &O {
     }
 
     #[inline]
+    fn wants_columns(&self) -> bool {
+        (**self).wants_columns()
+    }
+
+    #[inline]
     fn column_routed(&self, event: ColumnEvent) {
         (**self).column_routed(event);
     }
@@ -178,6 +203,11 @@ impl<O: Observer + ?Sized> Observer for &O {
     #[inline]
     fn arbiter_sweep(&self, event: SweepEvent) {
         (**self).arbiter_sweep(event);
+    }
+
+    #[inline]
+    fn stage_routed(&self, event: StageTotalsEvent) {
+        (**self).stage_routed(event);
     }
 
     #[inline]
@@ -233,10 +263,11 @@ impl<O: Observer + ?Sized> Observer for &O {
 
 /// Fans every event out to two observers (nest for more).
 ///
-/// `enabled()`/`wants_hops()` are the ORs of the two sinks', so a pair
-/// stays zero-cost only when both halves are noops — and a hop-hungry
-/// tracer can ride alongside an aggregate counter without either knowing
-/// about the other:
+/// `enabled()`/`wants_hops()`/`wants_columns()` are the ORs of the two
+/// sinks', so a pair stays zero-cost only when both halves are noops, a
+/// pair takes the per-column path when either half wants it — and a
+/// hop-hungry tracer can ride alongside an aggregate counter without
+/// either knowing about the other:
 ///
 /// ```
 /// use bnb_obs::{Counters, Fanout, FlightRecorder, Observer};
@@ -280,6 +311,11 @@ impl<A: Observer, B: Observer> Observer for Fanout<A, B> {
     }
 
     #[inline]
+    fn wants_columns(&self) -> bool {
+        self.a.wants_columns() || self.b.wants_columns()
+    }
+
+    #[inline]
     fn column_routed(&self, event: ColumnEvent) {
         self.a.column_routed(event);
         self.b.column_routed(event);
@@ -295,6 +331,12 @@ impl<A: Observer, B: Observer> Observer for Fanout<A, B> {
     fn arbiter_sweep(&self, event: SweepEvent) {
         self.a.arbiter_sweep(event);
         self.b.arbiter_sweep(event);
+    }
+
+    #[inline]
+    fn stage_routed(&self, event: StageTotalsEvent) {
+        self.a.stage_routed(event);
+        self.b.stage_routed(event);
     }
 
     #[inline]
@@ -413,6 +455,36 @@ mod tests {
             width: 2,
             exchanges: 0,
         });
+    }
+
+    #[test]
+    fn fanout_wants_columns_when_either_half_does() {
+        #[derive(Default)]
+        struct StageTally(AtomicU64);
+        impl Observer for StageTally {
+            fn wants_columns(&self) -> bool {
+                false
+            }
+            fn stage_routed(&self, event: StageTotalsEvent) {
+                self.0.fetch_add(event.columns, Ordering::Relaxed);
+            }
+        }
+        let (a, b) = (StageTally::default(), StageTally::default());
+        assert!(NoopObserver.wants_columns(), "per-column is the default");
+        assert!(!Fanout::new(&a, &b).wants_columns());
+        assert!(Fanout::new(&a, &NoopObserver).wants_columns());
+        Fanout::new(&a, &b).stage_routed(StageTotalsEvent {
+            main_stage: 0,
+            first_line: 0,
+            width: 8,
+            frames: 1,
+            columns: 3,
+            sweeps: 7,
+            exchanges: 4,
+            max_depth: 3,
+        });
+        assert_eq!(a.0.load(Ordering::Relaxed), 3);
+        assert_eq!(b.0.load(Ordering::Relaxed), 3);
     }
 
     #[test]

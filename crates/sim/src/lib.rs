@@ -26,9 +26,10 @@
 //!
 //! All of these drain frames through `bnb-core`'s stage-span entry
 //! points, so unobserved simulation runs (no `_observed` variant, or a
-//! `NoopObserver`) automatically route on the bit-packed word-parallel
-//! kernel; attaching a live observer switches to the scalar sweep that
-//! can narrate per-hop events.
+//! `NoopObserver`) and runs observed by `Counters` automatically route on
+//! the bit-packed word-parallel kernel; attaching an observer that wants
+//! per-column or per-hop events switches to the scalar sweep that can
+//! narrate them.
 
 pub mod chaos;
 pub mod faults;

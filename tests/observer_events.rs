@@ -155,3 +155,169 @@ fn metrics_snapshot_serde_round_trips() {
     assert_eq!(back, snap, "render_json must round trip too");
     assert_eq!(back.histogram.count(), 2);
 }
+
+mod tallied_counts {
+    //! `Counters` declines per-column events, so routing it observes takes
+    //! the packed and batched kernels, which report one stage-totals event
+    //! per main stage. Its snapshot must equal, field by field, the one the
+    //! scalar sweep's per-column events produce — on healthy and faulted
+    //! fabrics, for valid, duplicate-destination and mid-route-unbalanced
+    //! traffic, whole frames in batches and engine-style split spans.
+
+    use bnb::core::batch::{route_batch, BatchOutcome, FrameBatch};
+    use bnb::core::network::{BnbNetwork, RoutePolicy, WiringMode};
+    use bnb::core::stages::{Kernel, RouteSpan, StageScratch};
+    use bnb::core::{FaultKind, FaultMap, FaultSite};
+    use bnb::obs::Counters;
+    use bnb::topology::perm::Permutation;
+    use bnb::topology::record::{records_for_permutation, Record};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    const KINDS: [FaultKind; 4] = [
+        FaultKind::StuckStraight,
+        FaultKind::StuckExchange,
+        FaultKind::DeadArbiter,
+        FaultKind::BrokenLink,
+    ];
+
+    fn network(m: usize, strict: bool, shuffle: bool) -> BnbNetwork {
+        let policy = if strict {
+            RoutePolicy::Strict
+        } else {
+            RoutePolicy::Permissive
+        };
+        let wiring = if shuffle {
+            WiringMode::Shuffle
+        } else {
+            WiringMode::Unshuffle
+        };
+        BnbNetwork::builder(m)
+            .data_width(32)
+            .policy(policy)
+            .wiring(wiring)
+            .build()
+    }
+
+    /// `fault == 0`: an empty map; `1..=4`: one fault of that kind at a
+    /// seeded site.
+    fn fault_map(m: usize, fault: usize, rng: &mut StdRng) -> FaultMap {
+        if fault == 0 {
+            return FaultMap::new();
+        }
+        let kind = KINDS[fault - 1];
+        let main = rng.random_range(0..m);
+        let internal = rng.random_range(0..m - main);
+        let element = rng.random_range(0..kind.elements(m, main, internal));
+        FaultMap::single(FaultSite::new(main, internal, element), kind)
+    }
+
+    /// Seeded permutation frames, about a third with one destination
+    /// duplicated.
+    fn frames(n: usize, count: usize, rng: &mut StdRng) -> Vec<Vec<Record>> {
+        (0..count)
+            .map(|_| {
+                let mut frame = records_for_permutation(&Permutation::random(n, rng));
+                if rng.random_range(0..3) == 0 {
+                    let d = frame[rng.random_range(0..n)].dest();
+                    let j = rng.random_range(0..n);
+                    frame[j] = Record::new(d, frame[j].data());
+                }
+                frame
+            })
+            .collect()
+    }
+
+    /// Routes `frames` as one batch with the tallied options and with the
+    /// scalar oracle.
+    fn assert_batch_counts_agree(
+        net: &BnbNetwork,
+        frames: &[Vec<Record>],
+        faults: &FaultMap,
+        ctx: &str,
+    ) {
+        let n = net.inputs();
+        let (tallied, scalar) = (Counters::new(), Counters::new());
+        let mut outs = Vec::new();
+        for (counters, kernel) in [(&tallied, Kernel::Auto), (&scalar, Kernel::Scalar)] {
+            let opts = RouteSpan::new()
+                .kernel(kernel)
+                .observer(counters)
+                .faults(faults);
+            let mut batch = FrameBatch::with_capacity(n, frames.len());
+            for frame in frames {
+                batch.push_frame(frame);
+            }
+            let mut scratch = StageScratch::with_capacity(n);
+            let mut outcome = BatchOutcome::new();
+            route_batch(net, &mut batch, &opts, &mut scratch, &mut outcome);
+            outs.push((outcome, batch.to_frames()));
+        }
+        let ((got, got_frames), (want, want_frames)) = (&outs[0], &outs[1]);
+        assert_eq!(got.results(), want.results(), "results ({ctx})");
+        assert_eq!(got_frames, want_frames, "routed frames ({ctx})");
+        assert_eq!(tallied.snapshot(), scalar.snapshot(), "snapshots ({ctx})");
+    }
+
+    /// The engine's slicing pattern: head stages `0..depth` over the whole
+    /// frame, then every aligned slice through `depth..m`, at every split
+    /// depth, unvalidated (so duplicate destinations reach the splitters).
+    fn assert_span_counts_agree(net: &BnbNetwork, frame: &[Record], faults: &FaultMap, ctx: &str) {
+        let m = net.m();
+        let n = net.inputs();
+        let mut scratch = StageScratch::with_capacity(n);
+        for depth in 0..=m {
+            let (tallied, scalar) = (Counters::new(), Counters::new());
+            let mut runs = Vec::new();
+            for (counters, kernel) in [(&tallied, Kernel::Auto), (&scalar, Kernel::Scalar)] {
+                let opts = RouteSpan::new()
+                    .kernel(kernel)
+                    .observer(counters)
+                    .faults(faults);
+                let mut lines = frame.to_vec();
+                let mut results = vec![opts.run(net, &mut lines, 0, 0..depth, &mut scratch)];
+                if results[0].is_ok() {
+                    let sub = n >> depth;
+                    for (i, chunk) in lines.chunks_mut(sub).enumerate() {
+                        results.push(opts.run(net, chunk, i * sub, depth..m, &mut scratch));
+                    }
+                }
+                runs.push((results, lines));
+            }
+            let ((got, got_lines), (want, want_lines)) = (&runs[0], &runs[1]);
+            let ctx = format!("{ctx} depth={depth}");
+            assert_eq!(got, want, "slice results ({ctx})");
+            if want.iter().all(Result::is_ok) {
+                assert_eq!(got_lines, want_lines, "routed lines ({ctx})");
+            }
+            assert_eq!(tallied.snapshot(), scalar.snapshot(), "snapshots ({ctx})");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// Batches of 1, 7 and 64 frames (64 only up to m = 8, to keep
+        /// debug runs short) and single split spans, over both policies,
+        /// both wirings, and an empty or single-fault map of every kind.
+        #[test]
+        fn counters_snapshots_equal_the_scalar_sweeps(
+            m in 2usize..=10,
+            strict in any::<bool>(),
+            shuffle in any::<bool>(),
+            size in 0usize..3,
+            fault in 0usize..=4,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let net = network(m, strict, shuffle);
+            let faults = fault_map(m, fault, &mut rng);
+            let count = [1, 7, if m <= 8 { 64 } else { 7 }][size];
+            let batch = frames(net.inputs(), count, &mut rng);
+            let ctx = format!("m={m} strict={strict} shuffle={shuffle} frames={count} {faults:?}");
+            assert_batch_counts_agree(&net, &batch, &faults, &ctx);
+            assert_span_counts_agree(&net, &batch[0], &faults, &ctx);
+        }
+    }
+}

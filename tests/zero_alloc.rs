@@ -445,3 +445,105 @@ fn stage_span_kernel_is_allocation_free_after_warmup() {
     });
     assert_eq!(allocs, 0, "stage kernel allocated in steady state");
 }
+
+#[test]
+fn counters_observed_batched_kernel_is_allocation_free_after_warmup() {
+    // The served configuration: `route_batch` with `&Counters` keeps the
+    // batched kernel and reports stage totals into preallocated atomics.
+    // Each batch carries one invalid frame (a duplicate destination), so
+    // inert lanes ride along; the final movement stages one frame at a
+    // time. After warm-up none of it may touch the heap.
+    use bnb::core::batch::{route_batch, BatchOutcome, FrameBatch};
+    use bnb::obs::Counters;
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    const FRAMES: usize = 7;
+    for m in [5usize, 8] {
+        let n = 1usize << m;
+        let net = BnbNetwork::new(m);
+        let counters = Counters::new();
+        let opts = RouteSpan::new().observer(&counters);
+        let mut frames: Vec<Vec<Record>> = (0..FRAMES)
+            .map(|_| records_for_permutation(&Permutation::random(n, &mut rng)))
+            .collect();
+        let dup = frames[3][0].dest();
+        frames[3][1] = Record::new(dup, frames[3][1].data());
+        let mut scratch = StageScratch::with_capacity(n);
+        let mut batch = FrameBatch::with_capacity(n, FRAMES);
+        let mut outcome = BatchOutcome::new();
+        let mut out = Vec::new();
+        let pass = |batch: &mut FrameBatch,
+                    outcome: &mut BatchOutcome,
+                    scratch: &mut StageScratch,
+                    out: &mut Vec<Record>| {
+            batch.clear();
+            for frame in &frames {
+                batch.push_frame(frame);
+            }
+            route_batch(&net, batch, &opts, scratch, outcome);
+            let failed = outcome.results().iter().filter(|r| r.is_err()).count();
+            assert_eq!(failed, 1, "m = {m}: exactly the duplicate frame fails");
+            batch.read_frame_into(FRAMES - 1, out);
+        };
+        // Warm-up sizes every buffer and pins this thread's counter shard.
+        pass(&mut batch, &mut outcome, &mut scratch, &mut out);
+        let allocs = allocations_during(|| {
+            for _ in 0..10 {
+                pass(&mut batch, &mut outcome, &mut scratch, &mut out);
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "m = {m}: Counters-observed batched routing allocated in steady state"
+        );
+        let columns = (m * (m + 1) / 2) as u64;
+        assert_eq!(
+            counters.snapshot().columns,
+            11 * (FRAMES as u64 - 1) * columns,
+            "m = {m}: the sink counted every routed frame's columns"
+        );
+    }
+}
+
+#[test]
+fn counters_observed_packed_span_is_allocation_free_after_warmup() {
+    // `Kernel::Packed` with `&Counters`: the word-parallel span kernel
+    // reports stage totals, over the engine's split-and-conquer pattern,
+    // without touching the heap after warm-up.
+    use bnb::obs::Counters;
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(18);
+    let m = 7usize;
+    let n = 1usize << m;
+    let net = BnbNetwork::new(m);
+    let counters = Counters::new();
+    let span_opts = RouteSpan::new().kernel(Kernel::Packed).observer(&counters);
+    let mut scratch = StageScratch::with_capacity(n);
+    let records = records_for_permutation(&Permutation::random(n, &mut rng));
+    let mut lines = records.clone();
+    span_opts
+        .run(&net, &mut lines, 0, 0..m, &mut scratch)
+        .unwrap();
+    let allocs = allocations_during(|| {
+        for depth in [0usize, 1, 2] {
+            lines.copy_from_slice(&records);
+            span_opts
+                .run(&net, &mut lines, 0, 0..depth, &mut scratch)
+                .unwrap();
+            let span = n >> depth;
+            for (idx, chunk) in lines.chunks_mut(span).enumerate() {
+                span_opts
+                    .run(&net, chunk, idx * span, depth..m, &mut scratch)
+                    .unwrap();
+            }
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "Counters-observed packed span allocated in steady state"
+    );
+    assert!(
+        counters.snapshot().columns > 0,
+        "the sink counted the spans"
+    );
+}
