@@ -281,8 +281,9 @@ pub fn usage() -> String {
        serve      run the long-lived routing service until SIGTERM/SIGINT\n\
                   or a wire SHUTDOWN; prints 'listening on ADDR' at bind\n\
                   and the session report JSON after the graceful drain\n\
-                  ([--addr 127.0.0.1:0] [--inputs 64] [--workers 2]\n\
-                  [--queue 8] [--threads 0 (= cores) reactor threads]\n\
+                  ([--addr 127.0.0.1:0] [--inputs 64] [--workers 2\n\
+                  (kept for compatibility; sizes nothing)] [--queue 8\n\
+                  in-flight cap] [--threads 0 (= cores) reactor threads]\n\
                   [--window 32 per-conn pipeline] [--tenant-keys FILE]\n\
                   [--tenant-quota 4] [--max-conns 64]\n\
                   [--read-timeout-ms 100] [--pretty]); HTTP GET /metrics\n\

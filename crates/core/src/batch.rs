@@ -78,7 +78,7 @@ const MAX_BATCHED_M: usize = 24;
 /// // Delivered: output line d holds the record destined d.
 /// assert!(out.iter().enumerate().all(|(d, r)| r.dest() == d));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct FrameBatch {
     /// Frame width (cells per frame); every frame has exactly this many.
     n: usize,
@@ -86,6 +86,24 @@ pub struct FrameBatch {
     dests: Vec<u32>,
     /// Payload of cell `j` of frame `f` at index `f * n + j`.
     data: Vec<u64>,
+}
+
+// By hand so that `clone_from` reuses the columns' capacity: a routing
+// thread keeping a reference copy of each batch never reallocates it.
+impl Clone for FrameBatch {
+    fn clone(&self) -> Self {
+        FrameBatch {
+            n: self.n,
+            dests: self.dests.clone(),
+            data: self.data.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.dests.clone_from(&source.dests);
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl FrameBatch {
@@ -126,6 +144,21 @@ impl FrameBatch {
             self.dests.push(r.dest() as u32);
             self.data.push(r.data());
         }
+    }
+
+    /// Appends one frame whose cell `j` is bound for `dests[j]` and
+    /// carries its input index `j` as payload, so the routed frame's
+    /// payload column names the source of every output line. The
+    /// destinations are taken as they come, with no intermediate frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dests` does not yield exactly the batch width.
+    pub fn push_indexed(&mut self, dests: impl IntoIterator<Item = u32>) {
+        let before = self.dests.len();
+        self.dests.extend(dests);
+        assert_eq!(self.dests.len() - before, self.n, "frame width mismatch");
+        self.data.extend(0..self.n as u64);
     }
 
     /// Cells per frame.
@@ -183,9 +216,26 @@ impl FrameBatch {
         out
     }
 
-    /// Overwrites frame `f` (the fallback path writes routed frames back).
-    pub(crate) fn write_frame(&mut self, f: usize, frame: &[Record]) {
-        debug_assert_eq!(frame.len(), self.n);
+    /// Frame `f`'s payload column: after routing, the payload that
+    /// arrived at each output line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f >= self.frames()`.
+    pub fn frame_data(&self, f: usize) -> &[u64] {
+        assert!(f < self.frames(), "frame index out of range");
+        &self.data[f * self.n..(f + 1) * self.n]
+    }
+
+    /// Overwrites frame `f` (a frame routed on its own is written back).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f >= self.frames()` or `frame.len()` differs from the
+    /// batch width.
+    pub fn write_frame(&mut self, f: usize, frame: &[Record]) {
+        assert!(f < self.frames(), "frame index out of range");
+        assert_eq!(frame.len(), self.n, "frame width mismatch");
         let base = f * self.n;
         for (j, r) in frame.iter().enumerate() {
             self.dests[base + j] = r.dest() as u32;

@@ -43,6 +43,13 @@
 //! occupied regardless of network size, where per-frame submission leaves
 //! `64 - 2^m` of 64 lanes idle for small networks.
 //!
+//! # Routing on the calling thread
+//!
+//! [`EngineHandle::route_batch`] routes a [`FrameBatch`] on the calling
+//! thread through the routine a pool worker runs for a batch job, without
+//! the queue: the serving layer routes every frame this way, on the
+//! reactor thread that decoded it.
+//!
 //! # One worker path, with or without faults
 //!
 //! [`Engine::run`], [`Engine::run_faulted`] and [`Engine::run_scrubbed`]
@@ -130,7 +137,9 @@ pub struct RetryPolicy {
     /// minimum 1).
     pub max_attempts: usize,
     /// Base backoff slept before retry `k` is `backoff * 2^(k-1)`
-    /// (exponential; `Duration::ZERO` disables sleeping).
+    /// (exponential; `Duration::ZERO` disables sleeping). The thread
+    /// routing the frame sleeps it: a pool worker, or the caller of
+    /// [`EngineHandle::route_batch`].
     pub backoff: Duration,
 }
 
@@ -306,8 +315,9 @@ impl<O: Observer> Engine<O> {
     /// no scrubber, so shard choice is health steering:
     ///
     /// - A job lands on the first healthy shard counting from its
-    ///   worker's index, and a retry on the first healthy shard after
-    ///   that. A shard that trips is marked
+    ///   worker's index (plus, for a [`FrameBatch`] job, the batches that
+    ///   worker routed before it), and a retry on the first healthy shard
+    ///   after that. A shard that trips is marked
     ///   [`Suspect`](crate::ShardHealth::Suspect) and, with no scrubber
     ///   to clear it, skipped for the rest of the run. With no healthy
     ///   shard left, attempts fall back to plain round-robin.
@@ -379,15 +389,18 @@ impl<O: Observer> Engine<O> {
         let started = Instant::now();
         let stop = AtomicBool::new(false);
         let observer = &self.observer;
+        let fabric = Fabric {
+            net: self.network,
+            observer,
+            plan,
+        };
         thread::scope(|s| {
             for (index, slot) in counters.iter().enumerate() {
                 let worker = Worker {
                     hub: &hub,
-                    net: self.network,
+                    fabric: &fabric,
                     depth,
                     counters: slot,
-                    observer,
-                    plan,
                     index,
                 };
                 s.spawn(move || worker.run());
@@ -398,11 +411,12 @@ impl<O: Observer> Engine<O> {
             }
             let handle = EngineHandle {
                 hub: &hub,
+                fabric: &fabric,
                 counters: &counters,
                 workers,
                 depth,
                 started,
-                observer,
+                inline_seq: AtomicU64::new(INLINE_SEQ_BASE),
             };
             // Drop order is reverse of declaration: the hub closes first
             // (workers drain and exit), then the scrubber is stopped —
@@ -423,26 +437,111 @@ impl Drop for StopGuard<'_> {
     }
 }
 
+/// Frames routed by [`EngineHandle::route_batch`] number from here, apart
+/// from queued jobs' numbers, so the in-order drain never waits for one.
+const INLINE_SEQ_BASE: u64 = 1 << 63;
+
 /// Submit/drain interface handed to the [`Engine::run`] closure.
 pub struct EngineHandle<'a, O: Observer = NoopObserver> {
     hub: &'a Hub,
+    fabric: &'a Fabric<'a, O>,
     counters: &'a [WorkerCounters],
     workers: usize,
     depth: usize,
     started: Instant,
-    observer: &'a O,
+    /// Next sequence number for a frame routed on a caller's thread.
+    inline_seq: AtomicU64,
 }
 
 impl<O: Observer> EngineHandle<'_, O> {
+    /// Routes every frame of `batch` in place on the calling thread, as a
+    /// pool worker routes a [`Self::submit_batch`] job, and returns one
+    /// result per frame (a failed frame keeps its submitted contents).
+    /// Under a fault plan the landing shard rotates with every batch
+    /// routed with `scratch`, starting from shard `lane`, and a retry's
+    /// backoff sleeps on this thread. Each frame takes its own sequence
+    /// number and counts as one batch and one latency sample in
+    /// [`EngineStats`] (one stats lock per call) with one submit and one
+    /// drain event; none enters the queue, so [`Self::drain`] never sees
+    /// it. With `&Counters` and no plan, steady state allocates nothing.
+    pub fn route_batch<'s>(
+        &self,
+        lane: usize,
+        batch: &mut FrameBatch,
+        scratch: &'s mut RouteScratch,
+    ) -> &'s [Result<(), EngineError>] {
+        let frames = batch.frames() as u64;
+        let seq = self.inline_seq.fetch_add(frames, Ordering::Relaxed);
+        let started = Instant::now();
+        self.submitted(seq, frames, batch.width());
+        self.fabric.route_batch(scratch, lane, seq, batch);
+        self.account(seq, batch.width(), &scratch.results, started);
+        &scratch.results
+    }
+
+    /// Accounts a frame of `width` records, which cannot join a batch of
+    /// the network's width, as routing it would have: it fails with
+    /// [`RouteError::WidthMismatch`] under its own sequence number.
+    pub fn reject_width(&self, width: usize) -> EngineError {
+        let seq = self.inline_seq.fetch_add(1, Ordering::Relaxed);
+        let started = Instant::now();
+        self.submitted(seq, 1, width);
+        let mismatch = RouteError::WidthMismatch {
+            expected: self.fabric.net.inputs(),
+            actual: width,
+        };
+        let err = EngineError::batch(seq, mismatch);
+        self.account(seq, width, std::slice::from_ref(&Err(err.clone())), started);
+        err
+    }
+
+    /// Emits the submit events of `frames` frames numbered from `seq`.
+    fn submitted(&self, seq: u64, frames: u64, records: usize) {
+        if self.fabric.observer.enabled() {
+            for f in 0..frames {
+                self.fabric.observer.batch_submitted(SubmitEvent {
+                    seq: seq + f,
+                    records,
+                });
+            }
+        }
+    }
+
+    /// Counts the frames of one call routed on the caller's thread, under
+    /// one stats lock, and emits their drain events.
+    fn account(
+        &self,
+        seq: u64,
+        width: usize,
+        results: &[Result<(), EngineError>],
+        started: Instant,
+    ) {
+        if results.is_empty() {
+            return;
+        }
+        let latency_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let ok = results.iter().filter(|r| r.is_ok()).count() as u64;
+        self.hub
+            .count_routed(results.len() as u64, ok, width as u64, latency_ns);
+        if self.fabric.observer.enabled() {
+            for (f, result) in results.iter().enumerate() {
+                self.fabric.observer.batch_drained(DrainEvent {
+                    seq: seq + f as u64,
+                    records: if result.is_ok() { width } else { 0 },
+                    latency_ns,
+                    ok: result.is_ok(),
+                });
+            }
+        }
+    }
+
     /// Submits one batch (a full frame of records), blocking while the
     /// bounded queue is full. Returns the batch's sequence number;
     /// [`Self::drain`] yields results in sequence order.
     pub fn submit(&self, lines: Vec<Record>) -> u64 {
         let records = lines.len();
         let seq = self.hub.submit(lines);
-        if self.observer.enabled() {
-            self.observer.batch_submitted(SubmitEvent { seq, records });
-        }
+        self.submitted(seq, 1, records);
         seq
     }
 
@@ -452,27 +551,19 @@ impl<O: Observer> EngineHandle<'_, O> {
     /// [`Self::drain_and_close`] ([`SubmitError::Closed`]), handing the
     /// records back inside the error. This is the admission-control
     /// primitive: a front door that checks occupancy before offering can
-    /// turn `Full` into an explicit `RETRY` instead of blocking a shared
-    /// dispatch thread.
+    /// turn `Full` into an explicit `RETRY` instead of blocking its
+    /// caller.
     pub fn try_submit(&self, lines: Vec<Record>) -> Result<u64, SubmitError> {
-        let records = lines.len();
-        let seq = self.hub.try_submit(lines)?;
-        if self.observer.enabled() {
-            self.observer.batch_submitted(SubmitEvent { seq, records });
-        }
-        Ok(seq)
+        self.try_submit_tagged(lines, 0)
     }
 
     /// [`Self::try_submit`] with a caller completion-routing token: the
-    /// frame's [`RoutedBatch`] carries `token` back verbatim. Serving
-    /// front-ends key the token by connection so completions fan out to
-    /// the owning socket without a shared side table. `0` = untagged.
+    /// frame's [`RoutedBatch`] carries `token` back verbatim, so a caller
+    /// can route completions without a side table. `0` = untagged.
     pub fn try_submit_tagged(&self, lines: Vec<Record>, token: u64) -> Result<u64, SubmitError> {
         let records = lines.len();
         let seq = self.hub.try_submit_tagged(lines, token)?;
-        if self.observer.enabled() {
-            self.observer.batch_submitted(SubmitEvent { seq, records });
-        }
+        self.submitted(seq, 1, records);
         Ok(seq)
     }
 
@@ -493,14 +584,7 @@ impl<O: Observer> EngineHandle<'_, O> {
         let frames = batch.frames() as u64;
         let records = batch.width();
         let seq = self.hub.try_submit_batch(batch, tokens)?;
-        if self.observer.enabled() {
-            for f in 0..frames {
-                self.observer.batch_submitted(SubmitEvent {
-                    seq: seq + f,
-                    records,
-                });
-            }
-        }
+        self.submitted(seq, frames, records);
         Ok(seq)
     }
 
@@ -524,14 +608,7 @@ impl<O: Observer> EngineHandle<'_, O> {
         let frames = batch.frames() as u64;
         let records = batch.width();
         let seq = self.hub.submit_batch(batch);
-        if self.observer.enabled() {
-            for f in 0..frames {
-                self.observer.batch_submitted(SubmitEvent {
-                    seq: seq + f,
-                    records,
-                });
-            }
-        }
+        self.submitted(seq, frames, records);
         seq
     }
 
@@ -612,18 +689,51 @@ struct WorkerCounters {
     tasks_stolen: AtomicU64,
 }
 
-/// One-per-worker routing state, reused across every job and task the
-/// worker touches. The latch is rearmed for each job this worker owns, so
-/// even batch coordination allocates nothing in steady state.
-struct WorkerCtx {
-    scratch: StageScratch,
-    seen: Vec<usize>,
-    latch: Arc<JobLatch>,
-    /// Per-frame results of owned batch jobs, reused across batches.
+/// Reusable routing state for [`EngineHandle::route_batch`], one per
+/// routing thread (pool workers keep one too). It grows on first use and
+/// then stays put.
+#[derive(Debug)]
+pub struct RouteScratch {
+    stage: StageScratch,
     outcome: BatchOutcome,
     /// Working copy of a frame for sequential fault attempts; it grows
     /// on the first one, so healthy runs never allocate it.
     attempt: Vec<Record>,
+    /// A batch frame being settled after it tripped a fault.
+    frame: Vec<Record>,
+    /// Per-frame results of the last batch routed.
+    results: Vec<Result<(), EngineError>>,
+    /// Batches routed with this scratch; rotates their landing shard.
+    routed: usize,
+    /// Debug builds: an unrouted copy of the batch and its outcome on
+    /// the scalar sweep, which every fault-free batch must match.
+    #[cfg(debug_assertions)]
+    reference: (FrameBatch, BatchOutcome),
+}
+
+impl RouteScratch {
+    /// Scratch pre-sized for frames of `n` records.
+    pub fn with_capacity(n: usize) -> Self {
+        RouteScratch {
+            stage: StageScratch::with_capacity(n),
+            outcome: BatchOutcome::new(),
+            attempt: Vec::new(),
+            frame: Vec::new(),
+            results: Vec::new(),
+            routed: 0,
+            #[cfg(debug_assertions)]
+            reference: (FrameBatch::new(n.max(1)), BatchOutcome::new()),
+        }
+    }
+}
+
+/// One-per-worker routing state, reused across every job and task the
+/// worker touches. The latch is rearmed for each job this worker owns, so
+/// even batch coordination allocates nothing in steady state.
+struct WorkerCtx {
+    route: RouteScratch,
+    seen: Vec<usize>,
+    latch: Arc<JobLatch>,
 }
 
 /// `ceil(log2(workers))`, clamped so slices never shrink below one line.
@@ -635,16 +745,185 @@ fn auto_depth(workers: usize, m: usize) -> usize {
     (log as usize).min(m)
 }
 
-/// One pool thread's view of the run: the shared hub and observer, its
-/// own activity counters, and the fault plan it steers by (`None` under
-/// [`Engine::run`]).
-struct Worker<'a, O: Observer> {
-    hub: &'a Hub,
+/// What routing needs from a run, shared by the pool workers and by
+/// callers routing on their own thread: the network, the observer, and
+/// the fault plan jobs steer by (`None` under [`Engine::run`]).
+struct Fabric<'a, O: Observer> {
     net: BnbNetwork,
-    depth: usize,
-    counters: &'a WorkerCounters,
     observer: &'a O,
     plan: Option<&'a LiveFaultPlan>,
+}
+
+impl<O: Observer> Fabric<'_, O> {
+    /// Under a plan, the shard a job starting from `base` lands on and a
+    /// point-in-time copy of its fault map; that copy alone decides how
+    /// the job routes.
+    fn land(&self, base: usize) -> Option<(usize, FaultMap)> {
+        self.plan.map(|plan| {
+            let shard = plan.pick_shard(base, 0);
+            (shard, plan.faults_snapshot(shard))
+        })
+    }
+
+    /// The one batch routine, behind pool batch jobs and
+    /// [`EngineHandle::route_batch`]: all frames through one
+    /// [`route_batch`] call on the landing shard's fault map, then one
+    /// result per frame in `scratch.results` (frame `f` is `seq + f`),
+    /// settling any tripped frame on the way. Batches are never sliced
+    /// across workers: the batched kernel's full word occupancy replaces
+    /// the intra-frame split.
+    fn route_batch(
+        &self,
+        scratch: &mut RouteScratch,
+        lane: usize,
+        seq: u64,
+        batch: &mut FrameBatch,
+    ) {
+        // Rotate the landing with every batch: a caller that always
+        // passes one lane still spreads its batches over every healthy
+        // shard, so a fault on any shard meets traffic.
+        let base = lane.wrapping_add(scratch.routed);
+        scratch.routed = scratch.routed.wrapping_add(1);
+        let (shard, faults) = self.land(base).unwrap_or_default();
+        #[cfg(debug_assertions)]
+        if faults.is_empty() {
+            scratch.reference.0.clone_from(batch);
+        }
+        // A faulted map, or an observer wanting per-column events, makes
+        // route_batch fall back to frame-at-a-time routing, so those
+        // events fire exactly as per-frame submission would; an aggregate
+        // sink such as Counters keeps the batched kernel and its totals.
+        let opts = RouteSpan::new().observer(self.observer).faults(&faults);
+        route_batch(
+            &self.net,
+            batch,
+            &opts,
+            &mut scratch.stage,
+            &mut scratch.outcome,
+        );
+        scratch.results.clear();
+        let mut frame = std::mem::take(&mut scratch.frame);
+        for f in 0..batch.frames() {
+            let result = match scratch.outcome.results()[f].clone() {
+                Ok(()) => Ok(()),
+                // A frame whose route failed still holds its submitted
+                // order: settle it alone, and write it back if it lands.
+                first => {
+                    batch.read_frame_into(f, &mut frame);
+                    let settled =
+                        self.settle(scratch, seq + f as u64, &mut frame, base, shard, first);
+                    if settled.is_ok() {
+                        batch.write_frame(f, &frame);
+                    }
+                    settled
+                }
+            };
+            scratch.results.push(result);
+        }
+        scratch.frame = frame;
+        // The batched kernel must be indistinguishable from routing each
+        // frame alone through the scalar sweep: same contents, same errors.
+        #[cfg(debug_assertions)]
+        if faults.is_empty() {
+            let (copy, outcome) = &mut scratch.reference;
+            let oracle = RouteSpan::new().kernel(bnb_core::stages::Kernel::Scalar);
+            route_batch(&self.net, copy, &oracle, &mut scratch.stage, outcome);
+            let same_errors = outcome
+                .results()
+                .iter()
+                .zip(&scratch.results)
+                .all(|(want, got)| {
+                    want.as_ref().err() == got.as_ref().err().map(EngineError::route_error)
+                });
+            debug_assert!(
+                copy == batch && same_errors,
+                "batched routing diverged from the sequential reference"
+            );
+        }
+    }
+
+    /// The one fault-retry routine. `first` is frame `seq`'s attempt on
+    /// the landing `shard`; `lines` holds the frame as submitted, or as
+    /// routed once an attempt succeeds. A hardware fault marks the shard
+    /// suspect and retries on the next shard the plan steers to from
+    /// `base`, after exponential backoff, until the budget runs out
+    /// ([`EngineError::Quarantined`]). Any other error is terminal —
+    /// retrying cannot fix the input.
+    fn settle(
+        &self,
+        scratch: &mut RouteScratch,
+        seq: u64,
+        lines: &mut [Record],
+        base: usize,
+        mut shard: usize,
+        first: Result<(), RouteError>,
+    ) -> Result<(), EngineError> {
+        let mut outcome = first;
+        let mut attempt = 0;
+        loop {
+            // Only a plan's fault maps raise hardware faults.
+            let (plan, fault) = match (outcome, self.plan) {
+                (Ok(()), _) => return Ok(()),
+                (Err(e @ RouteError::HardwareFault { .. }), Some(plan)) => (plan, e),
+                (Err(e), _) => return Err(EngineError::batch(seq, e)),
+            };
+            plan.mark_suspect(shard);
+            let retry = plan.retry();
+            attempt += 1;
+            if attempt >= retry.max_attempts {
+                return Err(EngineError::quarantined(seq, attempt, fault));
+            }
+            shard = plan.pick_shard(base, attempt);
+            let backoff = retry
+                .backoff
+                .saturating_mul(1u32 << (attempt - 1).min(16) as u32);
+            if !backoff.is_zero() {
+                thread::sleep(backoff);
+            }
+            if self.observer.enabled() {
+                self.observer.batch_retried(RetryEvent {
+                    seq,
+                    attempt,
+                    shard,
+                });
+            }
+            outcome = self.attempt(scratch, &plan.faults_snapshot(shard), lines);
+        }
+    }
+
+    /// One sequential route of `lines` through `faults`, on a copy: a
+    /// failed attempt leaves partly routed cells behind, and the next
+    /// attempt must start from the submitted order.
+    fn attempt(
+        &self,
+        scratch: &mut RouteScratch,
+        faults: &FaultMap,
+        lines: &mut [Record],
+    ) -> Result<(), RouteError> {
+        scratch.attempt.clear();
+        scratch.attempt.extend_from_slice(lines);
+        RouteSpan::new()
+            .observer(self.observer)
+            .faults(faults)
+            .run(
+                &self.net,
+                &mut scratch.attempt,
+                0,
+                0..self.net.m(),
+                &mut scratch.stage,
+            )?;
+        lines.copy_from_slice(&scratch.attempt);
+        Ok(())
+    }
+}
+
+/// One pool thread's view of the run: the shared hub and fabric, its own
+/// activity counters, and its index (where its jobs' landing starts).
+struct Worker<'a, O: Observer> {
+    hub: &'a Hub,
+    fabric: &'a Fabric<'a, O>,
+    depth: usize,
+    counters: &'a WorkerCounters,
     index: usize,
 }
 
@@ -653,11 +932,9 @@ impl<O: Observer> Worker<'_, O> {
     /// closes.
     fn run(self) {
         let mut ctx = WorkerCtx {
-            scratch: StageScratch::with_capacity(self.net.inputs()),
+            route: RouteScratch::with_capacity(self.fabric.net.inputs()),
             seen: Vec::new(),
             latch: Arc::new(JobLatch::new(0)),
-            outcome: BatchOutcome::new(),
-            attempt: Vec::new(),
         };
         while let Some(work) = self.hub.next_work() {
             let t0 = Instant::now();
@@ -665,18 +942,12 @@ impl<O: Observer> Worker<'_, O> {
                 Work::Task(task) => self.steal(task, &mut ctx),
                 Work::Job(job) => {
                     self.counters.jobs_owned.fetch_add(1, Ordering::Relaxed);
-                    // The shard the job lands on and a point-in-time copy
-                    // of its fault map; that copy alone decides the path.
-                    let landing = self.plan.map(|plan| {
-                        let shard = plan.pick_shard(self.index, 0);
-                        (shard, plan.faults_snapshot(shard))
-                    });
                     match job.payload {
                         JobPayload::Frame(lines) => {
-                            self.route_frame(&mut ctx, job.seq, job.submitted_at, lines, landing)
+                            self.route_frame(&mut ctx, job.seq, job.submitted_at, lines)
                         }
                         JobPayload::Batch(batch) => {
-                            self.route_batch(&mut ctx, job.seq, job.submitted_at, batch, landing)
+                            self.route_batch(&mut ctx, job.seq, job.submitted_at, batch)
                         }
                     }
                 }
@@ -690,8 +961,8 @@ impl<O: Observer> Worker<'_, O> {
     /// Routes a slice task queued by another job's owner.
     fn steal(&self, task: SliceTask, ctx: &mut WorkerCtx) {
         self.counters.tasks_stolen.fetch_add(1, Ordering::Relaxed);
-        if self.observer.enabled() {
-            self.observer.shard_stolen(shard_event(&task));
+        if self.fabric.observer.enabled() {
+            self.fabric.observer.shard_stolen(shard_event(&task));
         }
         self.run_task(task, ctx);
     }
@@ -705,13 +976,15 @@ impl<O: Observer> Worker<'_, O> {
         seq: u64,
         submitted_at: Instant,
         mut lines: Vec<Record>,
-        landing: Option<(usize, FaultMap)>,
     ) {
-        let result = if let Err(e) = validate_lines(&self.net, &lines, &mut ctx.seen) {
+        let fabric = self.fabric;
+        let result = if let Err(e) = validate_lines(&fabric.net, &lines, &mut ctx.seen) {
             Err(EngineError::batch(seq, e))
-        } else if let Some((shard, faults)) = landing.filter(|(_, f)| !f.is_empty()) {
-            let first = self.attempt(ctx, &faults, &mut lines);
-            self.settle(ctx, seq, &mut lines, shard, first)
+        } else if let Some((shard, faults)) = fabric.land(self.index).filter(|(_, f)| !f.is_empty())
+        {
+            let first = fabric.attempt(&mut ctx.route, &faults, &mut lines);
+            fabric
+                .settle(&mut ctx.route, seq, &mut lines, self.index, shard, first)
                 .map(|()| lines)
         } else {
             self.route_sliced(ctx, lines)
@@ -727,19 +1000,20 @@ impl<O: Observer> Worker<'_, O> {
         ctx: &mut WorkerCtx,
         mut lines: Vec<Record>,
     ) -> Result<Vec<Record>, RouteError> {
+        let net = self.fabric.net;
         #[cfg(debug_assertions)]
-        let reference = self.net.route(&lines);
+        let reference = net.route(&lines);
 
         // The latch travels behind an `Arc` so the last helper's completion
         // can never outlive it; this worker's latch is rearmed per owned job.
         ctx.latch.reset(1);
         let root = SliceTask {
-            net: self.net,
+            net,
             lines: lines.as_mut_ptr(),
             len: lines.len(),
             first_line: 0,
             start_stage: 0,
-            split_until: self.depth.min(self.net.m()),
+            split_until: self.depth.min(net.m()),
             latch: Arc::clone(&ctx.latch),
         };
         self.run_task(root, ctx);
@@ -767,130 +1041,26 @@ impl<O: Observer> Worker<'_, O> {
         result
     }
 
-    /// Routes one owned [`JobPayload::Batch`]: all frames through one
-    /// [`route_batch`] call on the landing shard's fault map, then one
-    /// published result per reserved sequence number, settling any
-    /// tripped frame on the way. Batch jobs are never sliced across
-    /// workers — parallelism comes from workers owning *different*
-    /// batches, and the batched kernel's full word occupancy replaces the
-    /// intra-frame split.
+    /// Routes one owned [`JobPayload::Batch`] through the shared batch
+    /// routine, then publishes one result per reserved sequence number.
+    /// Parallelism comes from workers owning *different* batches.
     fn route_batch(
         &self,
         ctx: &mut WorkerCtx,
         seq: u64,
         submitted_at: Instant,
         mut batch: FrameBatch,
-        landing: Option<(usize, FaultMap)>,
     ) {
-        let (shard, faults) = landing.unwrap_or_default();
-        #[cfg(debug_assertions)]
-        let inputs = faults.is_empty().then(|| batch.to_frames());
-        // A faulted map, or an observer wanting per-column events, makes
-        // route_batch fall back to frame-at-a-time routing, so those
-        // events fire exactly as per-frame submission would; an aggregate
-        // sink such as Counters keeps the batched kernel and its totals.
-        let opts = RouteSpan::new().observer(self.observer).faults(&faults);
-        route_batch(
-            &self.net,
-            &mut batch,
-            &opts,
-            &mut ctx.scratch,
-            &mut ctx.outcome,
-        );
-        for f in 0..batch.frames() {
-            let fseq = seq + f as u64;
-            let mut lines = Vec::with_capacity(batch.width());
-            // A frame whose route failed still holds its submitted order.
-            batch.read_frame_into(f, &mut lines);
-            let first = ctx.outcome.results()[f].clone();
-            let result = self
-                .settle(ctx, fseq, &mut lines, shard, first)
-                .map(|()| lines);
-            // The batched kernel must be indistinguishable from routing
-            // each frame alone through the sequential reference.
-            #[cfg(debug_assertions)]
-            if let Some(inputs) = &inputs {
-                debug_assert_eq!(
-                    result.as_ref().map_err(EngineError::route_error),
-                    self.net.route(&inputs[f]).as_ref(),
-                    "batched routing diverged from the sequential reference"
-                );
-            }
-            self.finish(fseq, submitted_at, result);
+        self.fabric
+            .route_batch(&mut ctx.route, self.index, seq, &mut batch);
+        for (f, result) in ctx.route.results.drain(..).enumerate() {
+            let result = result.map(|()| {
+                let mut lines = Vec::with_capacity(batch.width());
+                batch.read_frame_into(f, &mut lines);
+                lines
+            });
+            self.finish(seq + f as u64, submitted_at, result);
         }
-    }
-
-    /// The one fault-retry routine. `first` is frame `seq`'s attempt on
-    /// the landing `shard`; `lines` holds the frame as submitted, or as
-    /// routed once an attempt succeeds. A hardware fault marks the shard
-    /// suspect and retries on the next shard the plan steers to, after
-    /// exponential backoff, until the budget runs out
-    /// ([`EngineError::Quarantined`]). Any other error is terminal —
-    /// retrying cannot fix the input.
-    fn settle(
-        &self,
-        ctx: &mut WorkerCtx,
-        seq: u64,
-        lines: &mut [Record],
-        mut shard: usize,
-        first: Result<(), RouteError>,
-    ) -> Result<(), EngineError> {
-        let mut outcome = first;
-        let mut attempt = 0;
-        loop {
-            // Only a plan's fault maps raise hardware faults.
-            let (plan, fault) = match (outcome, self.plan) {
-                (Ok(()), _) => return Ok(()),
-                (Err(e @ RouteError::HardwareFault { .. }), Some(plan)) => (plan, e),
-                (Err(e), _) => return Err(EngineError::batch(seq, e)),
-            };
-            plan.mark_suspect(shard);
-            let retry = plan.retry();
-            attempt += 1;
-            if attempt >= retry.max_attempts {
-                return Err(EngineError::quarantined(seq, attempt, fault));
-            }
-            shard = plan.pick_shard(self.index, attempt);
-            let backoff = retry
-                .backoff
-                .saturating_mul(1u32 << (attempt - 1).min(16) as u32);
-            if !backoff.is_zero() {
-                thread::sleep(backoff);
-            }
-            if self.observer.enabled() {
-                self.observer.batch_retried(RetryEvent {
-                    seq,
-                    attempt,
-                    shard,
-                });
-            }
-            outcome = self.attempt(ctx, &plan.faults_snapshot(shard), lines);
-        }
-    }
-
-    /// One sequential route of `lines` through `faults`, on a copy: a
-    /// failed attempt leaves partly routed cells behind, and the next
-    /// attempt must start from the submitted order.
-    fn attempt(
-        &self,
-        ctx: &mut WorkerCtx,
-        faults: &FaultMap,
-        lines: &mut [Record],
-    ) -> Result<(), RouteError> {
-        ctx.attempt.clear();
-        ctx.attempt.extend_from_slice(lines);
-        RouteSpan::new()
-            .observer(self.observer)
-            .faults(faults)
-            .run(
-                &self.net,
-                &mut ctx.attempt,
-                0,
-                0..self.net.m(),
-                &mut ctx.scratch,
-            )?;
-        lines.copy_from_slice(&ctx.attempt);
-        Ok(())
     }
 
     /// Publishes a frame's result and, when observing, emits the matching
@@ -900,9 +1070,10 @@ impl<O: Observer> Worker<'_, O> {
         let ok = result.is_ok();
         let records = result.as_ref().map_or(0, Vec::len);
         self.hub.finish(seq, submitted_at, result);
-        if self.observer.enabled() {
+        let observer = self.fabric.observer;
+        if observer.enabled() {
             let latency_ns = submitted_at.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            self.observer.batch_drained(DrainEvent {
+            observer.batch_drained(DrainEvent {
                 seq,
                 records,
                 latency_ns,
@@ -918,7 +1089,9 @@ impl<O: Observer> Worker<'_, O> {
         let net = task.net;
         let m = net.m();
         let latch = &task.latch;
-        let opts = RouteSpan::new().observer(self.observer);
+        let observer = self.fabric.observer;
+        let opts = RouteSpan::new().observer(observer);
+        let scratch = &mut ctx.route.stage;
         // SAFETY: the owning worker keeps the batch vector alive until the
         // latch (which we complete below, after the last use) reports done,
         // and sibling tasks cover disjoint ranges.
@@ -929,7 +1102,7 @@ impl<O: Observer> Worker<'_, O> {
         let mut stage = task.start_stage;
         loop {
             if stage >= task.split_until || stage >= m || lines.len() < 2 {
-                match opts.run(&net, lines, first_line, stage..m, &mut ctx.scratch) {
+                match opts.run(&net, lines, first_line, stage..m, scratch) {
                     Ok(()) => latch.complete_one(),
                     Err(e) => latch.fail(e),
                 }
@@ -937,7 +1110,7 @@ impl<O: Observer> Worker<'_, O> {
             }
             // Route this main stage over the whole slice, then hand half of
             // the now-independent subnetworks to any idle worker.
-            if let Err(e) = opts.run(&net, lines, first_line, stage..stage + 1, &mut ctx.scratch) {
+            if let Err(e) = opts.run(&net, lines, first_line, stage..stage + 1, scratch) {
                 latch.fail(e);
                 return;
             }
@@ -954,8 +1127,8 @@ impl<O: Observer> Worker<'_, O> {
                 latch: Arc::clone(&task.latch),
             };
             latch.add_one();
-            if self.observer.enabled() {
-                self.observer.shard_enqueued(shard_event(&sibling));
+            if observer.enabled() {
+                observer.shard_enqueued(shard_event(&sibling));
             }
             self.hub.push_task(sibling);
             lines = keep;
@@ -1597,6 +1770,46 @@ mod tests {
         });
         let err = routed.result.unwrap_err();
         assert!(matches!(err, EngineError::Quarantined { attempts: 3, .. }));
+    }
+
+    /// Routing on the caller's thread rotates the landing shard with
+    /// every batch, so a caller that always passes one lane still meets
+    /// a fault on any shard. Landing every batch at the lane's own shard
+    /// would route both frames on healthy shard 1 and never trip shard
+    /// 0's fault.
+    #[test]
+    fn inline_batches_rotate_their_landing_shard() {
+        use bnb_core::fault::{FaultKind, FaultSite, FaultyFabric};
+        let net = BnbNetwork::new(4);
+        // A first-splitter dead arbiter trips almost every permutation.
+        let dead = FaultMap::single(FaultSite::new(0, 0, 0), FaultKind::DeadArbiter);
+        let bad = records_for_permutation(&Permutation::random(16, &mut StdRng::seed_from_u64(52)));
+        assert!(
+            FaultyFabric::new(net, dead.clone()).route(&bad).is_err(),
+            "test premise: the frame trips the fault"
+        );
+        let expected = net.route(&bad).unwrap();
+        let engine = Engine::new(net, EngineConfig::with_workers(1));
+        let plan = LiveFaultPlan::healthy(2).with_retry(RetryPolicy {
+            max_attempts: 3,
+            backoff: Duration::ZERO,
+        });
+        plan.set_faults(0, dead);
+        engine.run_scrubbed(&plan, |h| {
+            let mut scratch = RouteScratch::with_capacity(net.inputs());
+            for _ in 0..2 {
+                let mut batch = FrameBatch::new(net.inputs());
+                batch.push_frame(&bad);
+                let results = h.route_batch(1, &mut batch, &mut scratch);
+                assert!(results[0].is_ok(), "{results:?}");
+                assert_eq!(batch.to_frames()[0], expected);
+            }
+        });
+        assert_ne!(
+            plan.health(0),
+            ShardHealth::Healthy,
+            "no batch landed on the faulted shard 0"
+        );
     }
 
     #[test]

@@ -63,9 +63,9 @@ pub struct RoutedBatch {
     /// recorded in the engine histogram.
     pub route_ns: u64,
     /// Opaque caller token attached at submission (see
-    /// [`Hub::try_submit_tagged`] / [`Hub::try_submit_batch`]). Serving
-    /// front-ends key completion routing by connection with it; plain
-    /// submissions carry `0`.
+    /// [`Hub::try_submit_tagged`] / [`Hub::try_submit_batch`]), for a
+    /// caller that routes completions by it; plain submissions carry
+    /// `0`.
     pub token: u64,
 }
 
@@ -129,7 +129,7 @@ impl std::error::Error for SubmitError {}
 
 /// Why [`Hub::try_submit_batch`] refused a whole [`FrameBatch`]. The
 /// rejected batch rides back inside the variant, mirroring
-/// [`SubmitError`], so dispatchers keep the SoA allocation for a later
+/// [`SubmitError`], so callers keep the SoA allocation for a later
 /// re-offer or per-frame RETRY fan-out.
 #[derive(Debug)]
 pub enum BatchSubmitError {
@@ -385,15 +385,9 @@ impl Hub {
     /// # Panics
     ///
     /// Panics if the hub is past [`Hub::stop_accepting`]; callers that
-    /// may race a shutdown must use [`Hub::try_submit`].
+    /// may race a shutdown must use [`Hub::try_submit_tagged`].
     pub fn submit(&self, lines: Vec<Record>) -> u64 {
-        let mut st = self.state.lock().unwrap();
-        assert!(st.accepting, "submit after drain_and_close");
-        while st.jobs.len() >= self.capacity {
-            st = self.space_cv.wait(st).unwrap();
-            assert!(st.accepting, "submit after drain_and_close");
-        }
-        self.enqueue_locked(st, JobPayload::Frame(lines), 1)
+        self.submit_waiting(JobPayload::Frame(lines), 1)
     }
 
     /// Enqueues a whole frame batch as one job, blocking while the bounded
@@ -407,33 +401,28 @@ impl Hub {
     pub fn submit_batch(&self, batch: FrameBatch) -> u64 {
         assert!(!batch.is_empty(), "cannot submit an empty batch");
         let frames = batch.frames() as u64;
+        self.submit_waiting(JobPayload::Batch(batch), frames)
+    }
+
+    /// Enqueues a job of `seqs` sequence numbers, blocking while the
+    /// bounded queue is full.
+    fn submit_waiting(&self, payload: JobPayload, seqs: u64) -> u64 {
         let mut st = self.state.lock().unwrap();
         assert!(st.accepting, "submit after drain_and_close");
         while st.jobs.len() >= self.capacity {
             st = self.space_cv.wait(st).unwrap();
             assert!(st.accepting, "submit after drain_and_close");
         }
-        self.enqueue_locked(st, JobPayload::Batch(batch), frames)
+        self.enqueue_locked(st, payload, seqs)
     }
 
     /// Non-blocking [`Hub::submit`]: rejects instead of waiting when the
     /// queue is full or the hub no longer accepts submissions, handing
     /// the batch back inside the error.
-    pub fn try_submit(&self, lines: Vec<Record>) -> Result<u64, SubmitError> {
-        let st = self.state.lock().unwrap();
-        if !st.accepting {
-            return Err(SubmitError::Closed(lines));
-        }
-        if st.jobs.len() >= self.capacity {
-            return Err(SubmitError::Full(lines));
-        }
-        Ok(self.enqueue_locked(st, JobPayload::Frame(lines), 1))
-    }
-
-    /// [`Hub::try_submit`] with a caller completion-routing token: the
-    /// frame's [`RoutedBatch`] carries `token` back verbatim, so a
-    /// serving dispatcher can fan the completion to the owning
-    /// connection without a side table. `0` means "untagged".
+    ///
+    /// The frame's [`RoutedBatch`] carries `token` back verbatim, so a
+    /// caller can route the completion without a side table. `0` means
+    /// "untagged".
     pub fn try_submit_tagged(&self, lines: Vec<Record>, token: u64) -> Result<u64, SubmitError> {
         let mut st = self.state.lock().unwrap();
         if !st.accepting {
@@ -594,6 +583,19 @@ impl Hub {
         );
         drop(st);
         self.done_cv.notify_all();
+    }
+
+    /// Counts `frames` frames routed outside the queue on a caller's
+    /// thread, `ok` of them successfully, `width` records each: one batch
+    /// and one latency sample per frame, under one lock.
+    pub fn count_routed(&self, frames: u64, ok: u64, width: u64, latency_ns: u64) {
+        let mut st = self.state.lock().unwrap();
+        st.batches += frames;
+        st.records += ok * width;
+        st.errors += frames - ok;
+        for _ in 0..frames {
+            st.histogram.record(latency_ns);
+        }
     }
 
     /// Pushes slice tasks produced by a split and wakes helpers.

@@ -15,6 +15,10 @@
 //!   slices ([`ShardDepth`]), routed concurrently with per-worker reusable
 //!   scratch (zero per-batch allocation in steady state), byte-identical
 //!   to the sequential route.
+//! - [`EngineHandle::route_batch`] routes a whole `FrameBatch` on the
+//!   calling thread, through the routine a pool worker runs for a batch
+//!   job, without the queue or a thread hop: the serving layer's reactors
+//!   route every admitted frame this way.
 //! - [`EngineHandle::drain`] returns routed batches in submission order;
 //!   [`EngineHandle::stats`] snapshots throughput, a fixed-bucket latency
 //!   histogram, queue high-water marks, and per-worker activity
@@ -58,8 +62,8 @@ pub mod live;
 pub mod stats;
 
 pub use engine::{
-    BatchSubmitError, Engine, EngineConfig, EngineHandle, FaultPlan, RetryPolicy, RoutedBatch,
-    ShardDepth, SubmitError,
+    BatchSubmitError, Engine, EngineConfig, EngineHandle, FaultPlan, RetryPolicy, RouteScratch,
+    RoutedBatch, ShardDepth, SubmitError,
 };
 pub use error::EngineError;
 pub use live::{LiveFaultPlan, PlanStatus, ShardHealth, ShardStatus};

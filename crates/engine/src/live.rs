@@ -102,14 +102,14 @@ impl ShardState {
 /// [`Engine::run_faulted`](crate::Engine::run_faulted) runs a fixed
 /// [`FaultPlan`](crate::FaultPlan) in.
 ///
-/// A `LiveFaultPlan` is shared by reference between the routing workers,
+/// A `LiveFaultPlan` is shared by reference between the routing threads,
 /// the scrubber thread, and any chaos driver injecting or clearing
-/// faults concurrently. For each job, the owning worker picks a shard
-/// (the first healthy one from its own index) and routes on a
-/// point-in-time copy of that shard's map: a fault-free copy takes the
-/// engine's healthy path, and a faulted copy routes the job sequentially
-/// and retries only the frames that trip. All mutation is internally
-/// synchronized; the plan itself is `Sync`.
+/// faults concurrently. For each job, the routing thread picks a shard
+/// (the first healthy one from its own index, rotated per batch) and
+/// routes on a point-in-time copy of that shard's map: a fault-free copy
+/// takes the engine's healthy path, and a faulted copy routes the job
+/// sequentially and retries only the frames that trip. All mutation is
+/// internally synchronized; the plan itself is `Sync`.
 #[derive(Debug)]
 pub struct LiveFaultPlan {
     shards: Vec<ShardState>,

@@ -46,17 +46,18 @@ pub enum Stage {
     /// Reading and parsing the frame off the wire (after the length
     /// prefix arrives; idle time between frames is not charged).
     Decode = 0,
-    /// Admission control: draining check, tenant quota, global cap.
+    /// Admission control: draining check, window, tenant quota, global
+    /// cap.
     Admission = 1,
-    /// Waiting for engine capacity: dispatcher hand-off plus the
-    /// engine's bounded submission queue.
+    /// Admitted, waiting for the route call: the rest of the reactor's
+    /// poll turn.
     QueueWait = 2,
-    /// Routing proper: worker pop to batch publish.
+    /// Routing proper: the route call that carries the frame's batch.
     Route = 3,
-    /// Sitting routed in the completion buffer until the dispatcher
-    /// delivers it.
+    /// From the route call's return until the frame's reply is encoded.
     Drain = 4,
-    /// Response write: reply-channel wait plus the socket write.
+    /// From the reply being queued until its last byte is written to the
+    /// socket.
     Write = 5,
 }
 

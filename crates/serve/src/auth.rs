@@ -21,6 +21,13 @@ use std::collections::HashMap;
 /// The classic Aumasson–Bernstein construction: 2 compression rounds per
 /// 8-byte word, 4 finalization rounds.
 pub fn siphash24(key: &[u8; 16], data: &[u8]) -> u64 {
+    siphash24_parts(key, &[data])
+}
+
+/// SipHash-2-4 of the concatenation of `parts`, without concatenating
+/// them: a server tags a SUBMIT's header fields and its destination
+/// words where they sit.
+fn siphash24_parts(key: &[u8; 16], parts: &[&[u8]]) -> u64 {
     let k0 = u64::from_le_bytes(key[..8].try_into().unwrap());
     let k1 = u64::from_le_bytes(key[8..].try_into().unwrap());
     let mut v0 = k0 ^ 0x736f_6d65_7073_6575;
@@ -47,20 +54,22 @@ pub fn siphash24(key: &[u8; 16], data: &[u8]) -> u64 {
         };
     }
 
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let m = u64::from_le_bytes(chunk.try_into().unwrap());
-        v3 ^= m;
-        sipround!();
-        sipround!();
-        v0 ^= m;
+    // Little-endian 8-byte words across part boundaries; the final word
+    // holds the remaining bytes and the length in its top byte.
+    let mut m = 0u64;
+    let mut len = 0usize;
+    for &byte in parts.iter().copied().flatten() {
+        m |= u64::from(byte) << (8 * (len % 8));
+        len += 1;
+        if len.is_multiple_of(8) {
+            v3 ^= m;
+            sipround!();
+            sipround!();
+            v0 ^= m;
+            m = 0;
+        }
     }
-    // Final block: remaining bytes little-endian, length in the top byte.
-    let rest = chunks.remainder();
-    let mut last = [0u8; 8];
-    last[..rest.len()].copy_from_slice(rest);
-    last[7] = data.len() as u8;
-    let m = u64::from_le_bytes(last);
+    m |= (len as u64 & 0xff) << 56;
     v3 ^= m;
     sipround!();
     sipround!();
@@ -89,17 +98,15 @@ pub fn derive_key(secret: &str) -> [u8; 16] {
     key
 }
 
-/// The canonical bytes a SUBMIT tag covers: big-endian tenant, request
-/// id, then each destination — exactly the header/payload fields the
-/// server acts on, so nothing taggable is outside the tag.
-fn tag_input(tenant: u16, request_id: u64, dests: &[u32]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(10 + 4 * dests.len());
-    buf.extend_from_slice(&tenant.to_be_bytes());
-    buf.extend_from_slice(&request_id.to_be_bytes());
-    for &d in dests {
-        buf.extend_from_slice(&d.to_be_bytes());
-    }
-    buf
+/// The tag over the canonical bytes a SUBMIT tag covers: big-endian
+/// tenant, request id, then each destination as the big-endian word it
+/// travels as — exactly the header/payload fields the server acts on, so
+/// nothing taggable is outside the tag.
+fn tag_wire(key: &[u8; 16], tenant: u16, request_id: u64, dest_bytes: &[u8]) -> u64 {
+    siphash24_parts(
+        key,
+        &[&tenant.to_be_bytes(), &request_id.to_be_bytes(), dest_bytes],
+    )
 }
 
 /// The tenant-id → key table loaded from `--tenant-keys FILE`.
@@ -152,7 +159,8 @@ impl TenantKeys {
     /// tenant with no key.
     pub fn tag(&self, tenant: u16, request_id: u64, dests: &[u32]) -> Option<u64> {
         let key = self.keys.get(&tenant)?;
-        Some(siphash24(key, &tag_input(tenant, request_id, dests)))
+        let dest_bytes: Vec<u8> = dests.iter().flat_map(|d| d.to_be_bytes()).collect();
+        Some(tag_wire(key, tenant, request_id, &dest_bytes))
     }
 
     /// Verifies a received tag. Unknown tenants verify as `false`: a
@@ -162,6 +170,16 @@ impl TenantKeys {
         match self.tag(tenant, request_id, dests) {
             // Constant-time-ish compare: no early exit on a byte match.
             Some(want) => (want ^ tag) == 0,
+            None => false,
+        }
+    }
+
+    /// [`Self::verify`] over the destinations as they arrived on the
+    /// wire: big-endian words, four bytes each
+    /// ([`crate::protocol::SubmitView::dest_bytes`]).
+    pub fn verify_wire(&self, tenant: u16, request_id: u64, dest_bytes: &[u8], tag: u64) -> bool {
+        match self.keys.get(&tenant) {
+            Some(key) => (tag_wire(key, tenant, request_id, dest_bytes) ^ tag) == 0,
             None => false,
         }
     }

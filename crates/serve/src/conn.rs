@@ -13,22 +13,31 @@
 //! have arrived so far — not a blocking 4-byte peek — a byte-at-a-time
 //! HTTP client works on a nonblocking socket.
 //!
-//! Admission control runs here, in the owning reactor thread, *before*
-//! the dispatcher sees a frame: draining check, tenant auth (keyed
-//! servers), the per-connection window, the per-tenant quota, then the
-//! global in-flight cap. Every refusal is an explicit wire answer.
+//! Admission control runs here, in the owning reactor thread: tenant
+//! auth (keyed servers), the draining check, the per-connection window,
+//! the per-tenant quota, then the global in-flight cap. Every refusal is
+//! an explicit wire answer. A SUBMIT body is read in place
+//! ([`crate::protocol::decode_submit`]): an admitted frame's
+//! destinations go straight from the read buffer into the reactor's
+//! [`Inbox`], and its ROUTED reply is encoded straight from the routed
+//! batch ([`Conn::deliver`]) — no per-frame vector either way.
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::TcpStream;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bnb_engine::EngineError;
 use bnb_obs::{Span, SpanKind, Stage};
-use bnb_topology::record::Record;
 
-use crate::protocol::{ErrorCode, FrameAssembler, Message, RetryReason};
+use crate::protocol::{
+    decode_body, decode_submit, elapsed_ns, encode_routed, ErrorCode, FrameAssembler, Message,
+    RetryReason, SubmitView,
+};
+use crate::reactor::{Admitted, Inbox};
 use crate::server::{build_status, SessionCtx, SessionStats};
 
 /// Pause reads once this many unflushed response bytes accumulate; the
@@ -42,39 +51,6 @@ const HTTP_HEAD_MAX: usize = 8192;
 /// is dropped (mirrors the blocking reader's mid-frame deadline).
 pub(crate) const MID_FRAME_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Identifies the connection a completion must return to: which reactor
-/// lane, and which connection token within it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ReplyRoute {
-    pub lane: usize,
-    pub token: u64,
-}
-
-/// Connection tokens are 48-bit; the engine completion token packs the
-/// lane index (plus one, so `0` stays "untagged") in the top 16 bits.
-const TOKEN_BITS: u32 = 48;
-const TOKEN_MASK: u64 = (1 << TOKEN_BITS) - 1;
-
-impl ReplyRoute {
-    /// Packs the route into the engine's opaque completion token.
-    pub fn encode(self) -> u64 {
-        debug_assert!(self.token <= TOKEN_MASK);
-        ((self.lane as u64 + 1) << TOKEN_BITS) | self.token
-    }
-
-    /// Unpacks an engine completion token; `None` for untagged (`0`).
-    pub fn decode(raw: u64) -> Option<ReplyRoute> {
-        let lane = (raw >> TOKEN_BITS) as usize;
-        if lane == 0 {
-            return None;
-        }
-        Some(ReplyRoute {
-            lane: lane - 1,
-            token: raw & TOKEN_MASK,
-        })
-    }
-}
-
 /// A served request's accumulated stage stamps, attached to its ROUTED
 /// reply. The owning reactor records all six stages plus the
 /// wire-to-wire latency when the reply's last byte flushes to the
@@ -84,94 +60,13 @@ pub(crate) struct ReplyMeta {
     pub tenant: u16,
     pub request_id: u64,
     pub records: usize,
-    /// Approximate arrival instant (first body byte), reconstructed as
-    /// read-completion minus decode time.
+    /// Approximate arrival instant (first body byte).
     pub arrival: Instant,
-    pub decode_ns: u64,
-    pub admission_ns: u64,
-    /// Dispatcher hand-off plus the engine's bounded-queue wait.
-    pub queue_ns: u64,
-    /// Worker pickup to batch publish inside the engine.
-    pub route_ns: u64,
-    /// Batch publish to dispatcher delivery.
-    pub drain_ns: u64,
-    /// When the dispatcher queued the reply (write stage starts here).
+    /// Nanoseconds spent in every stage but the write, in [`Stage`]
+    /// order.
+    pub stages: [u64; 5],
+    /// When the reply was queued (the write stage starts here).
     pub queued_at: Instant,
-}
-
-/// One admitted frame travelling from a reactor to the dispatcher.
-pub(crate) struct RouteJob {
-    pub tenant: u16,
-    pub request_id: u64,
-    pub arrival: Instant,
-    pub decode_ns: u64,
-    pub admission_ns: u64,
-    pub admitted_at: Instant,
-    pub lines: Vec<Record>,
-    pub route: ReplyRoute,
-    pub tenant_slot: Arc<AtomicUsize>,
-}
-
-/// Dispatcher-side record of a submitted frame awaiting its drain.
-pub(crate) struct Pending {
-    pub tenant: u16,
-    pub request_id: u64,
-    pub records: usize,
-    pub arrival: Instant,
-    pub decode_ns: u64,
-    pub admission_ns: u64,
-    /// Reactor admission to engine-queue entry (dispatcher hand-off).
-    pub handoff_ns: u64,
-    /// When the engine accepted the frame.
-    pub submitted_at: Instant,
-    pub route: ReplyRoute,
-    pub tenant_slot: Arc<AtomicUsize>,
-}
-
-impl Pending {
-    /// The dispatcher's bookkeeping for one just-submitted job.
-    /// `records` is passed explicitly because the single-submit path
-    /// hands `job.lines` to the engine before this runs.
-    pub fn from_job(job: RouteJob, records: usize, submitted_at: Instant) -> Pending {
-        let handoff_ns = job
-            .admitted_at
-            .elapsed()
-            .as_nanos()
-            .min(u128::from(u64::MAX)) as u64;
-        Pending {
-            tenant: job.tenant,
-            request_id: job.request_id,
-            records,
-            arrival: job.arrival,
-            decode_ns: job.decode_ns,
-            admission_ns: job.admission_ns,
-            handoff_ns,
-            submitted_at,
-            route: job.route,
-            tenant_slot: job.tenant_slot,
-        }
-    }
-}
-
-/// How a completion affects the frame ledger when it reaches (or fails
-/// to reach) its connection.
-pub(crate) enum Account {
-    /// A successfully routed frame: `frames_served` if the connection
-    /// still exists, `responses_dropped` otherwise.
-    Served,
-    /// An engine ERROR: `frames_errored` if deliverable, dropped if not.
-    Errored,
-    /// Already fully accounted at the dispatcher (defensive RETRY).
-    None,
-}
-
-/// One response travelling from the dispatcher back to its owning
-/// reactor lane.
-pub(crate) struct Completion {
-    pub token: u64,
-    pub msg: Message,
-    pub meta: Option<ReplyMeta>,
-    pub account: Account,
 }
 
 /// What the connection is speaking.
@@ -189,8 +84,6 @@ enum Mode {
 pub(crate) struct Conn {
     stream: TcpStream,
     pub token: u64,
-    /// The owning reactor lane (completions route back here).
-    lane: usize,
     mode: Mode,
     asm: FrameAssembler,
     /// Buffered, not-yet-flushed response bytes (`out[out_start..]`).
@@ -203,6 +96,9 @@ pub(crate) struct Conn {
     meta_queue: VecDeque<(u64, ReplyMeta)>,
     /// Frames admitted on this connection and not yet answered.
     pub window_used: usize,
+    /// The quota slot of the tenant this connection last submitted for,
+    /// so admission looks the tenant up only when it changes.
+    tenant_slot: Option<(u16, Arc<AtomicUsize>)>,
     /// Reads paused by the write high-water mark.
     pub read_paused: bool,
     /// Peer half-closed its send side; serve in-flight, then close.
@@ -217,12 +113,11 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    pub fn new(stream: TcpStream, token: u64, lane: usize) -> Conn {
+    pub fn new(stream: TcpStream, token: u64) -> Conn {
         stream.set_nodelay(true).ok();
         Conn {
             stream,
             token,
-            lane,
             mode: Mode::Sniffing,
             asm: FrameAssembler::new(),
             out: Vec::new(),
@@ -231,6 +126,7 @@ impl Conn {
             flushed_total: 0,
             meta_queue: VecDeque::new(),
             window_used: 0,
+            tenant_slot: None,
             read_paused: false,
             read_eof: false,
             closing: false,
@@ -279,15 +175,11 @@ impl Conn {
         }
     }
 
-    /// Appends one encoded reply to the write buffer, remembering its
-    /// telemetry stamps keyed by the buffer offset where it ends.
-    pub fn queue_reply(&mut self, msg: &Message, meta: Option<ReplyMeta>) {
+    /// Appends one encoded reply to the write buffer.
+    pub fn queue_reply(&mut self, msg: &Message) {
         let before = self.out.len();
         msg.encode(&mut self.out);
         self.appended_total += (self.out.len() - before) as u64;
-        if let Some(meta) = meta {
-            self.meta_queue.push_back((self.appended_total, meta));
-        }
     }
 
     /// Appends raw bytes (HTTP responses).
@@ -331,27 +223,21 @@ impl Conn {
         }
     }
 
-    /// Records the six-stage telemetry for every reply now fully on the
-    /// wire. This is the reactor-world equivalent of the old writer
-    /// thread's post-write bookkeeping: same stages, same stamps.
+    /// Records the six-stage telemetry for every ROUTED reply now fully
+    /// on the wire; a reply's stamps are keyed by the buffer offset where
+    /// it ends.
     fn settle_flushed_metas(&mut self, ctx: &SessionCtx<'_>) {
         while let Some((end, _)) = self.meta_queue.front() {
             if *end > self.flushed_total {
                 break;
             }
             let (_, meta) = self.meta_queue.pop_front().unwrap();
-            let wire_ns = meta.arrival.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            let write_ns = meta
-                .queued_at
-                .elapsed()
-                .as_nanos()
-                .min(u128::from(u64::MAX)) as u64;
+            let wire_ns = elapsed_ns(meta.arrival);
+            let write_ns = elapsed_ns(meta.queued_at);
             let t = ctx.telemetry;
-            t.record_stage(Stage::Decode, meta.decode_ns);
-            t.record_stage(Stage::Admission, meta.admission_ns);
-            t.record_stage(Stage::QueueWait, meta.queue_ns);
-            t.record_stage(Stage::Route, meta.route_ns);
-            t.record_stage(Stage::Drain, meta.drain_ns);
+            for (&stage, &ns) in Stage::ALL.iter().zip(&meta.stages) {
+                t.record_stage(stage, ns);
+            }
             t.record_stage(Stage::Write, write_ns);
             t.record_request(meta.tenant, (meta.records as u64) * 4, wire_ns);
             if t.note_if_slow(wire_ns) {
@@ -372,44 +258,68 @@ impl Conn {
         }
     }
 
-    /// Delivers one dispatcher completion: frees a window slot, settles
-    /// the ledger, and queues the wire reply.
-    pub fn deliver(&mut self, ctx: &SessionCtx<'_>, completion: Completion) {
-        self.window_used = self.window_used.saturating_sub(1);
-        match completion.account {
-            Account::Served => SessionStats::bump(&ctx.stats.frames_served),
-            Account::Errored => SessionStats::bump(&ctx.stats.frames_errored),
-            Account::None => {}
-        }
-        self.queue_reply(&completion.msg, completion.meta);
-    }
-
-    /// Drains the socket until `WouldBlock`, feeding the assembler and
-    /// acting on every complete message. Returns `Err` only on
-    /// transport failure (the connection is also marked dead).
-    pub fn handle_readable(
+    /// Answers one routed frame of this connection: frees its window
+    /// slot, settles the ledger, and queues the reply — ROUTED encoded
+    /// straight from the frame's payload column, or ERROR(Route). `route`
+    /// spans the route call that carried the frame.
+    pub fn deliver(
         &mut self,
         ctx: &SessionCtx<'_>,
-        job_tx: Option<&mpsc::Sender<RouteJob>>,
+        frame: &Admitted,
+        result: &Result<(), EngineError>,
+        sources: &[u64],
+        route: Range<Instant>,
     ) {
+        self.window_used = self.window_used.saturating_sub(1);
+        match result {
+            Ok(()) => {
+                SessionStats::bump(&ctx.stats.frames_served);
+                let before = self.out.len();
+                encode_routed(&mut self.out, frame.tenant, frame.request_id, sources);
+                self.appended_total += (self.out.len() - before) as u64;
+                let queued_at = Instant::now();
+                let ns = |from: Instant, to: Instant| to.saturating_duration_since(from).as_nanos();
+                let meta = ReplyMeta {
+                    tenant: frame.tenant,
+                    request_id: frame.request_id,
+                    records: sources.len(),
+                    arrival: frame.arrival,
+                    stages: [
+                        frame.decode_ns,
+                        frame.admission_ns,
+                        ns(frame.admitted_at, route.start) as u64,
+                        ns(route.start, route.end) as u64,
+                        ns(route.end, queued_at) as u64,
+                    ],
+                    queued_at,
+                };
+                self.meta_queue.push_back((self.appended_total, meta));
+            }
+            Err(e) => self.refuse_route(ctx, frame.tenant, frame.request_id, e),
+        }
+    }
+
+    /// Drains the socket until `WouldBlock`, reading straight into the
+    /// assembler and acting on every complete message; SUBMITs that pass
+    /// admission join `inbox`. A transport failure marks the connection
+    /// dead.
+    pub fn handle_readable(&mut self, ctx: &SessionCtx<'_>, inbox: &mut Inbox) {
         // Frames may already be sitting decoded-but-unprocessed in the
         // assembler from before a write-pressure pause; drain those
         // first so a resume makes progress even when the socket itself
         // has nothing new.
-        self.process_buffered(ctx, job_tx);
-        let mut scratch = [0u8; 16 * 1024];
+        self.process_buffered(ctx, inbox);
         loop {
             if self.closing || self.dead || self.read_paused {
                 return;
             }
-            match self.stream.read(&mut scratch) {
+            match self.asm.read_from(&mut self.stream) {
                 Ok(0) => {
                     self.read_eof = true;
                     break;
                 }
-                Ok(n) => {
-                    self.asm.feed(&scratch[..n]);
-                    self.process_buffered(ctx, job_tx);
+                Ok(_) => {
+                    self.process_buffered(ctx, inbox);
                     if self.read_paused {
                         break;
                     }
@@ -431,7 +341,7 @@ impl Conn {
     }
 
     /// Acts on whatever complete structures the buffer now holds.
-    fn process_buffered(&mut self, ctx: &SessionCtx<'_>, job_tx: Option<&mpsc::Sender<RouteJob>>) {
+    fn process_buffered(&mut self, ctx: &SessionCtx<'_>, inbox: &mut Inbox) {
         if self.mode == Mode::Sniffing {
             let peeked = self.asm.peek();
             if peeked.len() >= 4 {
@@ -446,7 +356,13 @@ impl Conn {
         }
         match self.mode {
             Mode::Http => self.process_http(ctx),
-            Mode::Binary => self.process_frames(ctx, job_tx),
+            Mode::Binary => {
+                // The assembler leaves the connection while its bodies
+                // are read in place.
+                let mut asm = std::mem::take(&mut self.asm);
+                self.process_frames(ctx, inbox, &mut asm);
+                self.asm = asm;
+            }
             Mode::Sniffing => unreachable!(),
         }
     }
@@ -463,103 +379,108 @@ impl Conn {
         self.closing = true;
     }
 
-    /// Pops and handles every complete binary frame.
-    fn process_frames(&mut self, ctx: &SessionCtx<'_>, job_tx: Option<&mpsc::Sender<RouteJob>>) {
+    /// Pops and handles every complete binary frame. SUBMIT bodies are
+    /// read in place; every other opcode decodes into a [`Message`].
+    fn process_frames(
+        &mut self,
+        ctx: &SessionCtx<'_>,
+        inbox: &mut Inbox,
+        asm: &mut FrameAssembler,
+    ) {
         loop {
-            match self.asm.next_frame() {
-                Ok(Some((msg, decode_ns))) => {
-                    self.handle_message(ctx, job_tx, msg, decode_ns);
-                    if self.closing || self.dead {
-                        return;
-                    }
-                    if self.out.len() - self.out_start >= WRITE_HIGH_WATER {
-                        self.read_paused = true;
-                        return;
-                    }
-                }
+            let (body, started) = match asm.next_body() {
+                Ok(Some(frame)) => frame,
                 Ok(None) => return,
-                Err(e) => {
-                    SessionStats::bump(&ctx.stats.protocol_errors);
-                    let reply = Message::Error {
-                        tenant: 0,
-                        request_id: 0,
-                        code: ErrorCode::Protocol,
-                        message: e.to_string(),
-                    };
-                    self.queue_reply(&reply, None);
-                    self.closing = true;
-                    return;
-                }
+                Err(e) => return self.protocol_error(ctx, &e),
+            };
+            match decode_submit(body) {
+                Ok(Some(view)) => self.submit(ctx, inbox, view, elapsed_ns(started)),
+                Ok(None) => match decode_body(body) {
+                    Ok(msg) => self.handle_message(ctx, msg),
+                    Err(e) => return self.protocol_error(ctx, &e),
+                },
+                Err(e) => return self.protocol_error(ctx, &e),
+            }
+            if self.closing || self.dead {
+                return;
+            }
+            if self.out.len() - self.out_start >= WRITE_HIGH_WATER {
+                self.read_paused = true;
+                return;
             }
         }
     }
 
-    fn handle_message(
-        &mut self,
-        ctx: &SessionCtx<'_>,
-        job_tx: Option<&mpsc::Sender<RouteJob>>,
-        msg: Message,
-        decode_ns: u64,
-    ) {
+    /// Answers a wire-format violation and closes the connection.
+    fn protocol_error(&mut self, ctx: &SessionCtx<'_>, e: &dyn std::fmt::Display) {
+        SessionStats::bump(&ctx.stats.protocol_errors);
+        self.queue_error(0, 0, ErrorCode::Protocol, e.to_string());
+        self.closing = true;
+    }
+
+    fn queue_error(&mut self, tenant: u16, request_id: u64, code: ErrorCode, message: String) {
+        self.queue_reply(&Message::Error {
+            tenant,
+            request_id,
+            code,
+            message,
+        });
+    }
+
+    /// Every opcode but SUBMIT and SUBMIT_TAGGED.
+    fn handle_message(&mut self, ctx: &SessionCtx<'_>, msg: Message) {
         match msg {
-            Message::Submit {
-                tenant,
-                request_id,
-                dests,
-            } => {
-                SessionStats::bump(&ctx.stats.frames_submitted);
-                if ctx.keys.is_some() {
-                    // Keyed servers accept only tagged SUBMITs.
-                    self.refuse_auth(ctx, tenant, request_id, "SUBMIT without auth tag");
-                    return;
-                }
-                self.admit(ctx, job_tx, tenant, request_id, dests, decode_ns);
-            }
-            Message::SubmitTagged {
-                tenant,
-                request_id,
-                tag,
-                dests,
-            } => {
-                SessionStats::bump(&ctx.stats.frames_submitted);
-                if let Some(keys) = ctx.keys {
-                    if !keys.verify(tenant, request_id, &dests, tag) {
-                        self.refuse_auth(ctx, tenant, request_id, "bad auth tag");
-                        return;
-                    }
-                }
-                // Open mode ignores the tag entirely.
-                self.admit(ctx, job_tx, tenant, request_id, dests, decode_ns);
-            }
             Message::Status { tenant, request_id } => {
                 // Answered in the reactor; never enters the frame ledger.
                 let json = serde_json::to_string(&build_status(ctx))
                     .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
-                let reply = Message::StatusReport {
+                self.queue_reply(&Message::StatusReport {
                     tenant,
                     request_id,
                     json,
-                };
-                self.queue_reply(&reply, None);
+                });
             }
             Message::Shutdown { .. } => ctx.control.trigger_shutdown(),
+            Message::Submit { .. } | Message::SubmitTagged { .. } => {
+                unreachable!("SUBMIT bodies are read in place, never decoded")
+            }
             // Server-to-client opcodes arriving at the server are a
             // protocol violation.
             Message::Routed { .. }
             | Message::Retry { .. }
             | Message::Error { .. }
             | Message::StatusReport { .. } => {
+                let why = format!("client sent server-only opcode 0x{:02x}", msg.opcode());
                 SessionStats::bump(&ctx.stats.protocol_errors);
-                let reply = Message::Error {
-                    tenant: msg.tenant(),
-                    request_id: msg.request_id(),
-                    code: ErrorCode::Protocol,
-                    message: format!("client sent server-only opcode 0x{:02x}", msg.opcode()),
-                };
-                self.queue_reply(&reply, None);
+                self.queue_error(msg.tenant(), msg.request_id(), ErrorCode::Protocol, why);
                 self.closing = true;
             }
         }
+    }
+
+    /// A SUBMIT or SUBMIT_TAGGED: tenant auth on keyed servers (open
+    /// mode ignores the tag entirely), then admission.
+    fn submit(
+        &mut self,
+        ctx: &SessionCtx<'_>,
+        inbox: &mut Inbox,
+        view: SubmitView<'_>,
+        decode_ns: u64,
+    ) {
+        SessionStats::bump(&ctx.stats.frames_submitted);
+        if let Some(keys) = ctx.keys {
+            // Keyed servers accept only tagged SUBMITs, with a valid tag.
+            let valid = |tag| keys.verify_wire(view.tenant, view.request_id, view.dest_bytes, tag);
+            if !view.tag.is_some_and(valid) {
+                let why = match view.tag {
+                    Some(_) => "bad auth tag",
+                    None => "SUBMIT without auth tag",
+                };
+                self.refuse_auth(ctx, view.tenant, view.request_id, why);
+                return;
+            }
+        }
+        self.admit(ctx, inbox, view, decode_ns);
     }
 
     /// Refuses a SUBMIT that failed tenant authentication: typed ERROR,
@@ -568,26 +489,35 @@ impl Conn {
         SessionStats::bump(&ctx.stats.auth_failures);
         SessionStats::bump(&ctx.stats.frames_errored);
         ctx.telemetry.record_error(tenant);
-        let reply = Message::Error {
-            tenant,
-            request_id,
-            code: ErrorCode::Auth,
-            message: why.to_string(),
-        };
-        self.queue_reply(&reply, None);
+        self.queue_error(tenant, request_id, ErrorCode::Auth, why.to_string());
+    }
+
+    /// Answers a frame that failed to route with `ERROR(Route)` and the
+    /// error's full cause chain; ledger entry under `frames_errored`.
+    fn refuse_route(
+        &mut self,
+        ctx: &SessionCtx<'_>,
+        tenant: u16,
+        request_id: u64,
+        err: &EngineError,
+    ) {
+        SessionStats::bump(&ctx.stats.frames_errored);
+        ctx.telemetry.record_error(tenant);
+        self.queue_error(tenant, request_id, ErrorCode::Route, error_chain(err));
     }
 
     /// Admission control for one SUBMIT: draining check, per-connection
-    /// window, per-tenant quota, then the global in-flight cap.
+    /// window, per-tenant quota, then the global in-flight cap. An
+    /// admitted frame joins `inbox`, its destinations copied straight
+    /// from the wire.
     fn admit(
         &mut self,
         ctx: &SessionCtx<'_>,
-        job_tx: Option<&mpsc::Sender<RouteJob>>,
-        tenant: u16,
-        request_id: u64,
-        dests: Vec<u32>,
+        inbox: &mut Inbox,
+        view: SubmitView<'_>,
         decode_ns: u64,
     ) {
+        let (tenant, request_id) = (view.tenant, view.request_id);
         // Arrival ≈ read completion minus the timed body wait, so idle
         // time between frames never counts against a request.
         let received_at = Instant::now();
@@ -595,10 +525,6 @@ impl Conn {
             .checked_sub(Duration::from_nanos(decode_ns))
             .unwrap_or(received_at);
 
-        let Some(job_tx) = job_tx else {
-            self.refuse(ctx, tenant, request_id, RetryReason::Draining);
-            return;
-        };
         if ctx.control.shutdown_requested() {
             self.refuse(ctx, tenant, request_id, RetryReason::Draining);
             return;
@@ -607,7 +533,14 @@ impl Conn {
             self.refuse(ctx, tenant, request_id, RetryReason::WindowFull);
             return;
         }
-        let tenant_slot = ctx.admission.tenant_slot(tenant);
+        let tenant_slot = match &self.tenant_slot {
+            Some((cached, slot)) if *cached == tenant => Arc::clone(slot),
+            _ => {
+                let slot = ctx.admission.tenant_slot(tenant);
+                self.tenant_slot = Some((tenant, Arc::clone(&slot)));
+                slot
+            }
+        };
         if tenant_slot.fetch_add(1, Ordering::AcqRel) >= ctx.cfg.tenant_quota {
             tenant_slot.fetch_sub(1, Ordering::AcqRel);
             self.refuse(ctx, tenant, request_id, RetryReason::TenantQuota);
@@ -619,50 +552,58 @@ impl Conn {
             self.refuse(ctx, tenant, request_id, RetryReason::QueueFull);
             return;
         }
+        if view.records() != ctx.cfg.inputs {
+            // A frame of another width cannot join the batch; the engine
+            // counts it failed, as routing it would have.
+            ctx.admission.inflight.fetch_sub(1, Ordering::AcqRel);
+            tenant_slot.fetch_sub(1, Ordering::AcqRel);
+            let err = ctx.engine.reject_width(view.records());
+            self.refuse_route(ctx, tenant, request_id, &err);
+            return;
+        }
 
         self.window_used += 1;
         ctx.stats
             .max_window_depth
             .fetch_max(self.window_used as u64, Ordering::Relaxed);
-        let lines: Vec<Record> = dests
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| Record::new(d as usize, i as u64))
-            .collect();
-        let admission_ns = received_at.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let job = RouteJob {
-            tenant,
-            request_id,
-            arrival,
-            decode_ns,
-            admission_ns,
-            admitted_at: Instant::now(),
-            lines,
-            route: ReplyRoute {
-                lane: self.lane,
+        let admitted_at = Instant::now();
+        inbox.push(
+            view.dests(),
+            Admitted {
                 token: self.token,
+                tenant,
+                request_id,
+                arrival,
+                decode_ns,
+                admission_ns: admitted_at
+                    .saturating_duration_since(received_at)
+                    .as_nanos() as u64,
+                admitted_at,
+                tenant_slot,
             },
-            tenant_slot,
-        };
-        if let Err(mpsc::SendError(job)) = job_tx.send(job) {
-            // Dispatcher already gone: the session is past its drain
-            // point. Release everything and push the frame back.
-            ctx.admission.inflight.fetch_sub(1, Ordering::AcqRel);
-            job.tenant_slot.fetch_sub(1, Ordering::AcqRel);
-            self.window_used -= 1;
-            self.refuse(ctx, tenant, request_id, RetryReason::Draining);
-        }
+        );
     }
 
     /// Answers a refused SUBMIT with an explicit RETRY.
     fn refuse(&mut self, ctx: &SessionCtx<'_>, tenant: u16, request_id: u64, reason: RetryReason) {
         SessionStats::bump(&ctx.stats.retries_issued);
         ctx.telemetry.record_retry(tenant);
-        let reply = Message::Retry {
+        self.queue_reply(&Message::Retry {
             tenant,
             request_id,
             reason,
-        };
-        self.queue_reply(&reply, None);
+        });
     }
+}
+
+/// Renders an error with its full `source()` chain.
+fn error_chain(err: &dyn std::error::Error) -> String {
+    let mut out = err.to_string();
+    let mut cur = err.source();
+    while let Some(e) = cur {
+        out.push_str(": ");
+        out.push_str(&e.to_string());
+        cur = e.source();
+    }
+    out
 }

@@ -10,14 +10,16 @@
 //!   opcode, tenant id, request id) whose decoder is total — malformed,
 //!   truncated, or oversized input yields a typed
 //!   [`protocol::WireError`], never a panic. See DESIGN.md §14.
-//! - [`server`]: a threaded server multiplexing many connections onto
-//!   one [`bnb_engine::Engine`] submit/drain queue, with per-tenant
-//!   in-flight quotas and a global cap equal to the engine's bounded
-//!   queue. Overload is answered with explicit `RETRY` responses — the
-//!   server never buffers beyond its declared bounds. SIGTERM/SIGINT (or
-//!   a wire `SHUTDOWN`) triggers a graceful drain: in-flight frames are
-//!   delivered, threads join deterministically, and the session's
-//!   [`server::ServeReport`] balances its frame ledger. The same
+//! - [`server`]: epoll reactor threads multiplexing many connections,
+//!   each routing the frames it admits on its own thread through one
+//!   [`bnb_engine::Engine`]'s batch routine — no dispatcher — with
+//!   per-connection windows, per-tenant in-flight quotas and a global
+//!   in-flight cap. Overload is answered with explicit `RETRY` responses
+//!   — the server never buffers beyond its declared bounds.
+//!   SIGTERM/SIGINT (or a wire `SHUTDOWN`) triggers a graceful drain:
+//!   admitted frames are answered, threads join deterministically, and
+//!   the session's [`server::ServeReport`] balances its frame ledger. The
+//!   same
 //!   listener doubles as the operator surface: HTTP `GET /metrics`
 //!   answers with the Prometheus exposition of the shared
 //!   [`bnb_obs::Counters`] (routing), the session's serve ledger, and

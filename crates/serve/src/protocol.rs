@@ -243,12 +243,7 @@ impl Message {
 
     /// Appends the full wire encoding (length prefix included) to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.extend_from_slice(&[0u8; 4]); // length, patched below
-        out.push(VERSION);
-        out.push(self.opcode());
-        out.extend_from_slice(&self.tenant().to_be_bytes());
-        out.extend_from_slice(&self.request_id().to_be_bytes());
+        let start = begin_frame(out, self.opcode(), self.tenant(), self.request_id());
         match self {
             Message::Submit { dests: lines, .. } | Message::Routed { sources: lines, .. } => {
                 out.extend_from_slice(&(lines.len() as u32).to_be_bytes());
@@ -274,8 +269,7 @@ impl Message {
             Message::Shutdown { .. } | Message::Status { .. } => {}
             Message::StatusReport { json, .. } => out.extend_from_slice(json.as_bytes()),
         }
-        let body_len = (out.len() - start - 4) as u32;
-        out[start..start + 4].copy_from_slice(&body_len.to_be_bytes());
+        end_frame(out, start);
     }
 
     /// The full wire encoding as a fresh buffer.
@@ -284,6 +278,141 @@ impl Message {
         self.encode(&mut out);
         out
     }
+}
+
+/// Appends a length prefix (patched by [`end_frame`]) and the fixed body
+/// header; returns where the frame starts.
+fn begin_frame(out: &mut Vec<u8>, opcode: u8, tenant: u16, request_id: u64) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; 4]);
+    out.push(VERSION);
+    out.push(opcode);
+    out.extend_from_slice(&tenant.to_be_bytes());
+    out.extend_from_slice(&request_id.to_be_bytes());
+    start
+}
+
+/// Patches the length prefix of the frame starting at `start`.
+fn end_frame(out: &mut [u8], start: usize) {
+    let body_len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&body_len.to_be_bytes());
+}
+
+/// Appends the [`Message::Routed`] bytes for `sources` (a routed frame's
+/// payload column: the input that arrived at each output) without
+/// building the message.
+pub fn encode_routed(out: &mut Vec<u8>, tenant: u16, request_id: u64, sources: &[u64]) {
+    out.reserve(4 + HEADER_LEN + 4 + 4 * sources.len());
+    let start = begin_frame(out, OP_ROUTED, tenant, request_id);
+    out.extend_from_slice(&(sources.len() as u32).to_be_bytes());
+    for &source in sources {
+        out.extend_from_slice(&(source as u32).to_be_bytes());
+    }
+    end_frame(out, start);
+}
+
+/// A SUBMIT or SUBMIT_TAGGED body read in place, its destination words
+/// still where they arrived: no [`Message`] is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SubmitView<'a> {
+    /// Submitting tenant.
+    pub tenant: u16,
+    /// Client-chosen id echoed back on the response.
+    pub request_id: u64,
+    /// The SUBMIT_TAGGED auth tag; `None` for a plain SUBMIT.
+    pub tag: Option<u64>,
+    /// The destination words, four big-endian bytes per input line.
+    pub dest_bytes: &'a [u8],
+}
+
+impl SubmitView<'_> {
+    /// Records the frame carries.
+    pub fn records(&self) -> usize {
+        self.dest_bytes.len() / 4
+    }
+
+    /// Each input line's destination, in input order.
+    pub fn dests(&self) -> impl Iterator<Item = u32> + '_ {
+        words(self.dest_bytes)
+    }
+}
+
+/// Reads `body` (everything after the length prefix) as a SUBMIT or
+/// SUBMIT_TAGGED in place. `Ok(None)` for any other opcode, which
+/// [`decode_body`] decodes; a malformed body fails with the same
+/// [`WireError`] [`decode_body`] reports for it.
+pub fn decode_submit(body: &[u8]) -> Result<Option<SubmitView<'_>>, WireError> {
+    let (opcode, tenant, request_id, payload) = split_header(body)?;
+    // A SUBMIT_TAGGED payload opens with its tag word.
+    let skip = match opcode {
+        OP_SUBMIT => 0,
+        OP_SUBMIT_TAGGED => 8,
+        _ => return Ok(None),
+    };
+    let dest_bytes = record_words(payload, skip, body.len())?;
+    Ok(Some(SubmitView {
+        tenant,
+        request_id,
+        tag: (skip == 8).then(|| u64::from_be_bytes(payload[..8].try_into().expect("8 bytes"))),
+        dest_bytes,
+    }))
+}
+
+/// The bound, length and version checks every body passes first; returns
+/// the opcode, tenant, request id and opcode-specific payload.
+fn split_header(body: &[u8]) -> Result<(u8, u16, u64, &[u8]), WireError> {
+    if body.len() > MAX_BODY {
+        return Err(WireError::Oversized {
+            len: body.len() as u64,
+            max: MAX_BODY as u64,
+        });
+    }
+    if body.len() < HEADER_LEN {
+        return Err(WireError::Truncated {
+            needed: HEADER_LEN,
+            got: body.len(),
+        });
+    }
+    let version = body[0];
+    if version != VERSION {
+        return Err(WireError::BadVersion { got: version });
+    }
+    let tenant = u16::from_be_bytes([body[2], body[3]]);
+    let request_id = u64::from_be_bytes(body[4..HEADER_LEN].try_into().expect("8 bytes"));
+    Ok((body[1], tenant, request_id, &body[HEADER_LEN..]))
+}
+
+/// The record words of a SUBMIT, SUBMIT_TAGGED or ROUTED payload whose
+/// count word sits `skip` bytes in: the count is checked against
+/// [`MAX_RECORDS`] and against the bytes that follow it.
+fn record_words(payload: &[u8], skip: usize, body_len: usize) -> Result<&[u8], WireError> {
+    let head = skip + 4;
+    if payload.len() < head {
+        return Err(WireError::Truncated {
+            needed: HEADER_LEN + head,
+            got: body_len,
+        });
+    }
+    let count = u32::from_be_bytes(payload[skip..head].try_into().expect("4 bytes")) as u64;
+    if count > MAX_RECORDS as u64 {
+        return Err(WireError::Oversized {
+            len: count,
+            max: MAX_RECORDS as u64,
+        });
+    }
+    let expected = 4 * count;
+    let got = (payload.len() - head) as u64;
+    if expected != got {
+        return Err(WireError::LengthMismatch { expected, got });
+    }
+    Ok(&payload[head..])
+}
+
+/// Big-endian 32-bit words.
+fn words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
 }
 
 /// A typed wire-format violation. Produced instead of panicking for any
@@ -366,101 +495,29 @@ impl std::error::Error for WireError {}
 
 /// Decodes one message body (everything after the length prefix).
 pub fn decode_body(body: &[u8]) -> Result<Message, WireError> {
-    if body.len() > MAX_BODY {
-        return Err(WireError::Oversized {
-            len: body.len() as u64,
-            max: MAX_BODY as u64,
-        });
-    }
-    if body.len() < HEADER_LEN {
-        return Err(WireError::Truncated {
-            needed: HEADER_LEN,
-            got: body.len(),
-        });
-    }
-    let version = body[0];
-    if version != VERSION {
-        return Err(WireError::BadVersion { got: version });
-    }
-    let opcode = body[1];
-    let tenant = u16::from_be_bytes([body[2], body[3]]);
-    let request_id = u64::from_be_bytes([
-        body[4], body[5], body[6], body[7], body[8], body[9], body[10], body[11],
-    ]);
-    let payload = &body[HEADER_LEN..];
-    match opcode {
-        OP_SUBMIT | OP_ROUTED => {
-            if payload.len() < 4 {
-                return Err(WireError::Truncated {
-                    needed: HEADER_LEN + 4,
-                    got: body.len(),
-                });
-            }
-            let count = u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]]) as u64;
-            if count > MAX_RECORDS as u64 {
-                return Err(WireError::Oversized {
-                    len: count,
-                    max: MAX_RECORDS as u64,
-                });
-            }
-            let expected = 4 * count;
-            let got = (payload.len() - 4) as u64;
-            if expected != got {
-                return Err(WireError::LengthMismatch { expected, got });
-            }
-            let lines: Vec<u32> = payload[4..]
-                .chunks_exact(4)
-                .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
-                .collect();
-            Ok(if opcode == OP_SUBMIT {
-                Message::Submit {
-                    tenant,
-                    request_id,
-                    dests: lines,
-                }
-            } else {
-                Message::Routed {
-                    tenant,
-                    request_id,
-                    sources: lines,
-                }
-            })
-        }
-        OP_SUBMIT_TAGGED => {
-            if payload.len() < 12 {
-                return Err(WireError::Truncated {
-                    needed: HEADER_LEN + 12,
-                    got: body.len(),
-                });
-            }
-            let tag = u64::from_be_bytes([
-                payload[0], payload[1], payload[2], payload[3], payload[4], payload[5], payload[6],
-                payload[7],
-            ]);
-            let count =
-                u32::from_be_bytes([payload[8], payload[9], payload[10], payload[11]]) as u64;
-            if count > MAX_RECORDS as u64 {
-                return Err(WireError::Oversized {
-                    len: count,
-                    max: MAX_RECORDS as u64,
-                });
-            }
-            let expected = 4 * count;
-            let got = (payload.len() - 12) as u64;
-            if expected != got {
-                return Err(WireError::LengthMismatch { expected, got });
-            }
-            let dests: Vec<u32> = payload[12..]
-                .chunks_exact(4)
-                .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
-                .collect();
-            Ok(Message::SubmitTagged {
+    if let Some(view) = decode_submit(body)? {
+        let (tenant, request_id, dests) = (view.tenant, view.request_id, view.dests().collect());
+        return Ok(match view.tag {
+            None => Message::Submit {
+                tenant,
+                request_id,
+                dests,
+            },
+            Some(tag) => Message::SubmitTagged {
                 tenant,
                 request_id,
                 tag,
                 dests,
-            })
-        }
+            },
+        });
+    }
+    let (opcode, tenant, request_id, payload) = split_header(body)?;
+    match opcode {
+        OP_ROUTED => Ok(Message::Routed {
+            tenant,
+            request_id,
+            sources: words(record_words(payload, 0, body.len())?).collect(),
+        }),
         OP_RETRY => {
             if payload.len() != 1 {
                 return Err(WireError::LengthMismatch {
@@ -653,8 +710,7 @@ pub fn read_message_timed(r: &mut impl Read) -> Result<Option<(Message, u64)>, R
         )));
     }
     let msg = decode_body(&body)?;
-    let decode_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    Ok(Some((msg, decode_ns)))
+    Ok(Some((msg, elapsed_ns(started))))
 }
 
 /// Writes one framed message.
@@ -664,22 +720,31 @@ pub fn write_message(w: &mut impl Write, msg: &Message) -> io::Result<()> {
 
 /// Incremental frame decoder for nonblocking sockets.
 ///
-/// A reactor feeds whatever bytes `read(2)` produced and pulls complete
-/// messages out; partial frames stay buffered across feeds. Decoding is
-/// as total as [`decode_body`]: a [`WireError`] (oversized prefix,
-/// malformed body) is a connection-fatal protocol violation, never a
-/// panic. The length prefix is validated against [`MAX_BODY`] as soon as
-/// it is visible, so buffered memory per connection stays bounded.
+/// A reactor reads straight into the assembler ([`Self::read_from`]) and
+/// pulls complete bodies ([`Self::next_body`]) or messages
+/// ([`Self::next_frame`]) out; partial frames stay buffered across reads.
+/// Decoding is as total as [`decode_body`]: a [`WireError`] (oversized
+/// prefix, malformed body) is a connection-fatal protocol violation,
+/// never a panic. The length prefix is validated against [`MAX_BODY`] as
+/// soon as it is visible, so buffered memory per connection stays
+/// bounded.
 ///
 /// The per-frame decode clock matches [`read_message_timed`]: it starts
 /// when the frame's 4-byte length prefix is fully buffered and stops
 /// when the body parses, so idle time between frames is not charged.
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
+    /// Storage: bytes `start..end` are buffered and unconsumed. The bytes
+    /// past `end` are initialised spare room, so a read lands in place
+    /// without zeroing anything first.
     buf: Vec<u8>,
     start: usize,
+    end: usize,
     frame_started: Option<Instant>,
 }
+
+/// Spare room [`FrameAssembler::read_from`] offers each `read`.
+const READ_ROOM: usize = 16 * 1024;
 
 impl FrameAssembler {
     /// An empty assembler.
@@ -687,19 +752,44 @@ impl FrameAssembler {
         FrameAssembler::default()
     }
 
-    /// Buffers freshly read bytes.
+    /// Buffers bytes read elsewhere.
     pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.make_room(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// One `read` from `r` straight into the buffer, with at least 16 KiB
+    /// of room; returns what `read` returned (`Ok(0)` is end of stream).
+    pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        self.make_room(READ_ROOM);
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Ensures `room` spare bytes past the buffered ones, sliding those
+    /// to the front before growing the storage.
+    fn make_room(&mut self, room: usize) {
+        if self.buf.len() - self.end >= room {
+            return;
+        }
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.buf.len() - self.end < room {
+            self.buf.resize(self.end + room, 0);
+        }
     }
 
     /// Unconsumed buffered bytes.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// The unconsumed bytes, without consuming them (protocol sniffing).
     pub fn peek(&self) -> &[u8] {
-        &self.buf[self.start..]
+        &self.buf[self.start..self.end]
     }
 
     /// When the in-progress frame's length prefix arrived, if a frame is
@@ -709,15 +799,21 @@ impl FrameAssembler {
         self.frame_started
     }
 
-    /// Pops the next complete message, with its decode nanoseconds.
+    /// Pops the next complete body (everything after its length prefix)
+    /// without decoding it, with the instant its decode clock started.
+    /// The body borrows the buffer until the assembler is used again.
     /// `Ok(None)` means "need more bytes"; an error is connection-fatal.
-    pub fn next_frame(&mut self) -> Result<Option<(Message, u64)>, WireError> {
-        let avail = self.buf.len() - self.start;
+    pub fn next_body(&mut self) -> Result<Option<(&[u8], Instant)>, WireError> {
+        if self.start == self.end {
+            // Everything consumed: reads land at the front again.
+            self.start = 0;
+            self.end = 0;
+        }
+        let avail = self.end - self.start;
         if avail < 4 {
-            self.compact();
             return Ok(None);
         }
-        let p = &self.buf[self.start..];
+        let p = &self.buf[self.start..self.end];
         let len = u32::from_be_bytes([p[0], p[1], p[2], p[3]]) as usize;
         if len > MAX_BODY {
             return Err(WireError::Oversized {
@@ -731,28 +827,29 @@ impl FrameAssembler {
             if self.frame_started.is_none() {
                 self.frame_started = Some(Instant::now());
             }
-            self.compact();
             return Ok(None);
         }
         let started = self.frame_started.take().unwrap_or_else(Instant::now);
-        let body = &self.buf[self.start + 4..self.start + 4 + len];
-        let msg = decode_body(body)?;
-        let decode_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.start += 4 + len;
-        self.compact();
-        Ok(Some((msg, decode_ns)))
+        let body = self.start + 4..self.start + 4 + len;
+        self.start = body.end;
+        Ok(Some((&self.buf[body], started)))
     }
 
-    /// Reclaims consumed prefix space once it dominates the buffer.
-    fn compact(&mut self) {
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        } else if self.start >= 4096 && self.start * 2 >= self.buf.len() {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
+    /// Pops and decodes the next complete message, with its decode
+    /// nanoseconds. `Ok(None)` means "need more bytes"; an error is
+    /// connection-fatal.
+    pub fn next_frame(&mut self) -> Result<Option<(Message, u64)>, WireError> {
+        let Some((body, started)) = self.next_body()? else {
+            return Ok(None);
+        };
+        let msg = decode_body(body)?;
+        Ok(Some((msg, elapsed_ns(started))))
     }
+}
+
+/// Nanoseconds since `since`, saturating.
+pub(crate) fn elapsed_ns(since: Instant) -> u64 {
+    since.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 #[cfg(test)]

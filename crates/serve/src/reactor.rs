@@ -1,56 +1,57 @@
 //! The epoll reactor: N threads, each owning a set of nonblocking
-//! connections, replacing two-threads-per-connection.
+//! connections and routing the frames they admit.
 //!
 //! Each reactor lane runs one thread around a [`Poller`] (epoll on
-//! Linux, `poll(2)` elsewhere — see `sys.rs`). The lane owns three
-//! inputs, all drained from the same wait loop:
+//! Linux, `poll(2)` elsewhere — see `sys.rs`). One turn of its loop:
 //!
 //! 1. **Socket readiness** — edge-triggered; the [`Conn`] state
-//!    machines drain reads to `WouldBlock` and buffer writes, so no
-//!    readiness edge is ever wasted.
+//!    machines drain reads to `WouldBlock`, and every SUBMIT they admit
+//!    joins the lane's [`Inbox`]: its destinations go straight into one
+//!    [`FrameBatch`].
 //! 2. **Registrations** — the acceptor hands fresh sockets to lanes
 //!    round-robin through a mutexed mailbox plus a wake-pipe nudge.
-//! 3. **Completions** — the dispatcher routes finished frames back to
-//!    the owning lane (the engine's completion token encodes
-//!    `lane:conn`, see [`ReplyRoute`]), again mailbox + wake.
+//! 3. **Routing** — the lane routes the inbox on its own thread and
+//!    scratch, through the engine's batch routine
+//!    ([`bnb_engine::EngineHandle::route_batch`]), and encodes each
+//!    ROUTED reply straight from the batch's payload column into its
+//!    connection's write buffer. Then it flushes every connection that
+//!    made progress; frames admitted by reads that a flush resumes are
+//!    routed before the turn ends.
 //!
-//! The wake pipe is the only cross-thread signalling primitive: its
-//! read end is registered with the poller under a reserved token, so a
-//! sleeping reactor notices mail within one syscall instead of one
-//! timeout tick.
+//! Routing is run-to-completion: no frame is in flight between turns, and
+//! no lane waits on another. The wake pipe, registered with the poller
+//! under a reserved token, is the only cross-thread signal.
 //!
-//! Shutdown is a three-step handshake. The acceptor stops and every
-//! reactor drops its dispatcher sender (new SUBMITs answer
-//! `RETRY(Draining)` locally); the dispatcher drains in-flight frames,
-//! pushes their completions, sets `dispatcher_done`, and wakes all
-//! lanes; each reactor then delivers the final completions, flushes
-//! write buffers under a bounded grace deadline, and exits. Joins are
-//! deterministic — no thread waits on a peer that might be blocked on a
-//! socket.
+//! Shutdown needs no handshake: once a drain is requested, admission
+//! answers `RETRY(Draining)`, and the lane finishes its turn, flushes
+//! under a bounded grace deadline, and exits.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::conn::{Account, Completion, Conn, RouteJob};
+use bnb_core::batch::FrameBatch;
+use bnb_engine::RouteScratch;
+
+use crate::conn::Conn;
 use crate::server::{SessionCtx, SessionStats};
 use crate::sys::{PollEvent, Poller, WakePipe};
 
 /// Poller token reserved for the lane's wake pipe.
 const WAKE_TOKEN: u64 = 0;
 /// How long the wait loop sleeps with nothing to do; bounds how stale a
-/// missed edge-case wakeup can get and paces the stall sweep.
+/// missed edge-case wakeup can get, how long a drain request waits to be
+/// noticed, and paces the stall sweep.
 const IDLE_WAIT: Duration = Duration::from_millis(50);
-/// How long a reactor keeps flushing buffered responses after the
-/// dispatcher finishes, before abandoning slow readers.
+/// How long a reactor keeps flushing buffered responses once it stops
+/// serving, before abandoning slow readers.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
-/// One reactor lane's cross-thread mailboxes.
+/// One reactor lane's registration mailbox.
 pub(crate) struct ReactorLane {
-    completions: Mutex<Vec<Completion>>,
     registrations: Mutex<Vec<TcpStream>>,
     wake: WakePipe,
 }
@@ -58,16 +59,9 @@ pub(crate) struct ReactorLane {
 impl ReactorLane {
     fn new() -> io::Result<ReactorLane> {
         Ok(ReactorLane {
-            completions: Mutex::new(Vec::new()),
             registrations: Mutex::new(Vec::new()),
             wake: WakePipe::new()?,
         })
-    }
-
-    /// Queues a completion; the caller wakes the lane (possibly once
-    /// for a whole batch) via [`ReactorLane::wake`].
-    pub fn push_completion(&self, c: Completion) {
-        self.completions.lock().unwrap().push(c);
     }
 
     /// Hands a fresh connection to this lane and nudges it.
@@ -76,28 +70,16 @@ impl ReactorLane {
         self.wake.wake();
     }
 
-    /// Nudges the lane's poller out of its wait.
-    pub fn wake(&self) {
-        self.wake.wake();
-    }
-
-    fn take_completions(&self) -> Vec<Completion> {
-        std::mem::take(&mut *self.completions.lock().unwrap())
-    }
-
     fn take_registrations(&self) -> Vec<TcpStream> {
         std::mem::take(&mut *self.registrations.lock().unwrap())
     }
 }
 
-/// State shared by the acceptor, the dispatcher, and all reactor lanes.
+/// State shared by the acceptor and all reactor lanes.
 pub(crate) struct ReactorShared {
     pub lanes: Vec<ReactorLane>,
-    /// Set by the dispatcher after its last completion is pushed; the
-    /// gate for reactor exit.
-    pub dispatcher_done: AtomicBool,
     /// Connection token allocator. Starts at 1: token 0 is the wake
-    /// pipe, and an all-zero engine token means "untagged".
+    /// pipe.
     next_token: AtomicU64,
 }
 
@@ -108,22 +90,46 @@ impl ReactorShared {
             .collect::<io::Result<Vec<_>>>()?;
         Ok(ReactorShared {
             lanes,
-            dispatcher_done: AtomicBool::new(false),
             next_token: AtomicU64::new(1),
         })
     }
 
-    /// Wakes every lane (dispatcher-done broadcast).
-    pub fn wake_all(&self) {
-        for lane in &self.lanes {
-            lane.wake();
-        }
-    }
-
     fn alloc_token(&self) -> u64 {
-        // 48-bit space; wrap-around would need 2^48 connections in one
-        // session.
         self.next_token.fetch_add(1, Ordering::Relaxed)
+    }
+}
+
+/// One admitted frame waiting in its lane's [`Inbox`] for the end of the
+/// turn: who asked, its timeline so far, and the tenant slot it holds.
+pub(crate) struct Admitted {
+    /// The connection the reply goes to.
+    pub token: u64,
+    pub tenant: u16,
+    pub request_id: u64,
+    /// Approximate arrival instant (first body byte), reconstructed as
+    /// read-completion minus decode time.
+    pub arrival: Instant,
+    pub decode_ns: u64,
+    pub admission_ns: u64,
+    /// When admission finished (queue wait starts here).
+    pub admitted_at: Instant,
+    pub tenant_slot: Arc<AtomicUsize>,
+}
+
+/// The frames a lane admitted this turn: one [`FrameBatch`] of
+/// `inputs`-wide frames, and per frame who asked. The lane routes it at
+/// the end of the turn with its own [`RouteScratch`].
+pub(crate) struct Inbox {
+    batch: FrameBatch,
+    frames: Vec<Admitted>,
+    scratch: RouteScratch,
+}
+
+impl Inbox {
+    /// Adds one frame; `dests` must yield exactly `inputs` destinations.
+    pub fn push(&mut self, dests: impl IntoIterator<Item = u32>, frame: Admitted) {
+        self.batch.push_indexed(dests);
+        self.frames.push(frame);
     }
 }
 
@@ -146,7 +152,6 @@ pub(crate) fn run_reactor(
     shared: &ReactorShared,
     ctx: &SessionCtx<'_>,
     mut poller: Poller,
-    job_tx: mpsc::Sender<RouteJob>,
 ) {
     let lane = &shared.lanes[lane_idx];
     if poller
@@ -160,18 +165,16 @@ pub(crate) fn run_reactor(
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut events: Vec<PollEvent> = Vec::new();
     let mut touched: Vec<u64> = Vec::new();
-    let mut job_tx = Some(job_tx);
+    let mut pass: Vec<u64> = Vec::new();
+    let mut inbox = Inbox {
+        batch: FrameBatch::new(ctx.cfg.inputs),
+        frames: Vec::new(),
+        scratch: RouteScratch::with_capacity(ctx.cfg.inputs),
+    };
 
     loop {
         events.clear();
         let _ = poller.wait(&mut events, Some(IDLE_WAIT));
-
-        // Drop our dispatcher sender the moment shutdown is requested:
-        // the jobs channel disconnecting is what lets the dispatcher
-        // finish, and admission answers RETRY(Draining) from here on.
-        if job_tx.is_some() && ctx.control.shutdown_requested() {
-            job_tx = None;
-        }
 
         touched.clear();
         for ev in &events {
@@ -187,7 +190,7 @@ pub(crate) fn run_reactor(
                 conn.dead = true;
             }
             if ev.readable && !conn.dead {
-                conn.handle_readable(ctx, job_tx.as_ref());
+                conn.handle_readable(ctx, &mut inbox);
             }
             if ev.writable && !conn.dead {
                 conn.flush(ctx);
@@ -199,7 +202,7 @@ pub(crate) fn run_reactor(
         // only report *new* readiness, so sweep the socket once now.
         for stream in lane.take_registrations() {
             let token = shared.alloc_token();
-            let mut conn = Conn::new(stream, token, lane_idx);
+            let mut conn = Conn::new(stream, token);
             if poller
                 .add(fd_of(conn.stream()), token, true, false)
                 .is_err()
@@ -207,29 +210,31 @@ pub(crate) fn run_reactor(
                 ctx.active_conns.fetch_sub(1, Ordering::AcqRel);
                 continue;
             }
-            conn.handle_readable(ctx, job_tx.as_ref());
+            conn.handle_readable(ctx, &mut inbox);
             touched.push(token);
             conns.insert(token, conn);
         }
 
-        // Snapshot the dispatcher-done flag *before* draining
-        // completions: everything pushed before the flag flipped is
-        // then guaranteed to be in this take.
-        let dispatcher_done = shared.dispatcher_done.load(Ordering::Acquire);
-        for completion in lane.take_completions() {
-            deliver_completion(ctx, &mut conns, completion, &mut touched);
-        }
-
-        // Flush and re-arm everything that made progress this turn.
-        touched.sort_unstable();
-        touched.dedup();
-        for &token in &touched {
-            let Some(conn) = conns.get_mut(&token) else {
-                continue;
-            };
-            service_conn(ctx, &mut poller, conn, job_tx.as_ref());
-            if conn.finished() {
-                teardown(ctx, &mut poller, conns.remove(&token).unwrap());
+        // Route what the turn admitted, then flush and re-arm everything
+        // that made progress. A flush that resumes a paused read admits
+        // more frames; they are routed before the turn ends.
+        loop {
+            route_inbox(ctx, lane_idx, &mut inbox, &mut conns, &mut touched);
+            std::mem::swap(&mut touched, &mut pass);
+            touched.clear();
+            pass.sort_unstable();
+            pass.dedup();
+            for &token in &pass {
+                let Some(conn) = conns.get_mut(&token) else {
+                    continue;
+                };
+                service_conn(ctx, &mut poller, conn, &mut inbox);
+                if conn.finished() {
+                    teardown(ctx, &mut poller, conns.remove(&token).unwrap());
+                }
+            }
+            if inbox.frames.is_empty() {
+                break;
             }
         }
 
@@ -245,17 +250,15 @@ pub(crate) fn run_reactor(
             teardown(ctx, &mut poller, conns.remove(&token).unwrap());
         }
 
-        if job_tx.is_none() && dispatcher_done {
+        // Every frame admitted before the drain request has been routed
+        // and its reply queued; admission refuses everything after it.
+        if ctx.control.shutdown_requested() {
             break;
         }
     }
 
-    // Final drain: the dispatcher has pushed its last completion and
-    // will never push again. Deliver stragglers, then keep flushing
-    // buffered responses under a grace deadline.
-    for completion in lane.take_completions() {
-        deliver_completion(ctx, &mut conns, completion, &mut touched);
-    }
+    // Final drain: keep flushing buffered responses under a grace
+    // deadline.
     let deadline = Instant::now() + DRAIN_GRACE;
     loop {
         let mut pending = false;
@@ -282,37 +285,45 @@ pub(crate) fn run_reactor(
     }
 }
 
-/// Routes one dispatcher completion to its connection, or accounts it
-/// as dropped when the connection is gone.
-fn deliver_completion(
+/// Routes the inbox on this thread and queues every reply on its
+/// connection (marking it touched), or accounts it as dropped when the
+/// connection is gone. Each frame frees its tenant and global slots
+/// before its reply is queued, so a client reading the reply can refill
+/// its window at once.
+fn route_inbox(
     ctx: &SessionCtx<'_>,
+    lane: usize,
+    inbox: &mut Inbox,
     conns: &mut HashMap<u64, Conn>,
-    completion: Completion,
     touched: &mut Vec<u64>,
 ) {
-    match conns.get_mut(&completion.token) {
-        Some(conn) if !conn.dead => {
-            touched.push(conn.token);
-            conn.deliver(ctx, completion);
-        }
-        _ => match completion.account {
-            Account::Served | Account::Errored => {
-                SessionStats::bump(&ctx.stats.responses_dropped);
-            }
-            Account::None => {}
-        },
+    if inbox.frames.is_empty() {
+        return;
     }
+    let route_start = Instant::now();
+    let results = ctx
+        .engine
+        .route_batch(lane, &mut inbox.batch, &mut inbox.scratch);
+    let route = route_start..Instant::now();
+    for (f, (frame, result)) in inbox.frames.drain(..).zip(results).enumerate() {
+        frame.tenant_slot.fetch_sub(1, Ordering::AcqRel);
+        ctx.admission.inflight.fetch_sub(1, Ordering::AcqRel);
+        match conns.get_mut(&frame.token) {
+            Some(conn) if !conn.dead => {
+                touched.push(frame.token);
+                let sources = inbox.batch.frame_data(f);
+                conn.deliver(ctx, &frame, result, sources, route.clone());
+            }
+            _ => SessionStats::bump(&ctx.stats.responses_dropped),
+        }
+    }
+    inbox.batch.clear();
 }
 
 /// Post-progress housekeeping for one connection: flush, resume paused
 /// reads (draining any frames already buffered while paused), and
 /// re-arm poller interest if it changed.
-fn service_conn(
-    ctx: &SessionCtx<'_>,
-    poller: &mut Poller,
-    conn: &mut Conn,
-    job_tx: Option<&mpsc::Sender<RouteJob>>,
-) {
+fn service_conn(ctx: &SessionCtx<'_>, poller: &mut Poller, conn: &mut Conn, inbox: &mut Inbox) {
     let was_paused = conn.read_paused;
     if !conn.dead {
         conn.flush(ctx);
@@ -320,7 +331,7 @@ fn service_conn(
     if was_paused && !conn.read_paused && !conn.dead && !conn.closing {
         // The flush crossed the low-water mark: pick the read side back
         // up (buffered frames first, then the socket).
-        conn.handle_readable(ctx, job_tx);
+        conn.handle_readable(ctx, inbox);
         if !conn.dead {
             conn.flush(ctx);
         }

@@ -6,30 +6,29 @@
 //! see `sys.rs` and `reactor.rs` — instead of two threads per
 //! connection: each reactor owns its connections' nonblocking sockets
 //! with edge-triggered readiness, runs the per-connection state
-//! machines (`conn.rs`), and performs admission control *before* the
-//! dispatcher ever sees a frame:
+//! machines (`conn.rs`), performs admission control, and routes the
+//! frames it admitted itself:
 //!
 //! - a per-connection pipelining window ([`ServeConfig::window`]) — how
 //!   many SUBMITs one client may have in flight,
 //! - a per-tenant in-flight quota, and
-//! - a global in-flight cap equal to the engine's bounded queue
-//!   capacity (so the engine queue can never be full at submit time).
+//! - a global in-flight cap ([`ServeConfig::queue_capacity`]).
 //!
 //! A frame that fails admission is answered with an explicit `RETRY`
-//! response — the server never buffers beyond its declared bounds. A
-//! single dispatcher thread aggregates admitted frames into
-//! [`FrameBatch`] jobs for the engine's word-parallel batched kernel
-//! (pipelined clients keep multiple frames in flight, so the batch is
-//! usually non-trivial) and fans completions back to the owning reactor
-//! lane, keyed by the engine's opaque completion token
-//! ([`crate::conn::ReplyRoute`]).
+//! response — the server never buffers beyond its declared bounds. The
+//! frames a reactor admits during one poll turn form one [`FrameBatch`],
+//! which it routes at the end of the turn on its own thread through the
+//! engine's batch routine ([`EngineHandle::route_batch`]: the batched
+//! kernel, plus shard steering and fault retry under a
+//! [`LiveFaultPlan`]), encoding each reply straight into its connection's
+//! write buffer. The paper's thesis applied to serving: every frame is
+//! routed where it was decoded, with no global dispatcher.
 //!
 //! On shutdown (SIGTERM/SIGINT via [`install_signal_handlers`], a wire
 //! `SHUTDOWN` message, or [`ServerControl::trigger_shutdown`]) the
-//! acceptor closes, new submissions get `RETRY Draining`, every
-//! in-flight frame is routed and delivered, and all threads join
-//! deterministically before [`Server::serve`] returns its
-//! [`ServeReport`].
+//! acceptor closes, new submissions get `RETRY Draining`, every reactor
+//! routes what it admitted, flushes, and exits, and all threads join
+//! before [`Server::serve`] returns its [`ServeReport`].
 //!
 //! The listener doubles as an HTTP operator surface: a connection whose
 //! first bytes are `"GET "` is answered once and closed — `/status`
@@ -47,17 +46,16 @@
 //! # Request-lifecycle telemetry
 //!
 //! Every served frame's timeline is cut into six stages — decode (body
-//! buffering + parse), admission (auth + quota checks), queue wait
-//! (dispatcher hand-off + the engine's bounded queue; for pipelined
-//! clients this includes time spent behind the same connection's
-//! earlier frames), route (worker pickup to batch publish), drain
-//! (completion buffer to dispatcher delivery), and response write
-//! (completion fan-out + socket write). All six are recorded by the
-//! owning reactor when the reply's last byte flushes to the socket,
-//! from stamps taken at adjacent points of the one request's timeline,
-//! so the per-stage sums partition the independently measured
-//! wire-to-wire latency. Requests slower than [`ServeConfig::slow_ms`]
-//! are additionally sampled into an optional [`FlightRecorder`] as
+//! buffering + parse), admission (auth + quota checks), queue wait (the
+//! rest of the poll turn, until the route call starts), route (the route
+//! call, shared by the turn's batch), drain (until the frame's reply is
+//! encoded), and response write (until the reply's last byte is on the
+//! socket). All six are recorded by the owning
+//! reactor when the reply's last byte flushes to the socket, from stamps
+//! taken at adjacent points of the one request's timeline, so the
+//! per-stage sums partition the independently measured wire-to-wire
+//! latency. Requests slower than [`ServeConfig::slow_ms`] are
+//! additionally sampled into an optional [`FlightRecorder`] as
 //! [`SpanKind::Request`] spans.
 
 use std::collections::HashMap;
@@ -65,29 +63,25 @@ use std::fmt::Write as _;
 use std::io;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use bnb_core::batch::FrameBatch;
 use bnb_core::network::BnbNetwork;
-use bnb_engine::{
-    Engine, EngineConfig, EngineHandle, EngineStats, LiveFaultPlan, PlanStatus, ShardDepth,
-};
+use bnb_engine::{Engine, EngineConfig, EngineHandle, LiveFaultPlan, PlanStatus};
 use bnb_obs::{
     render_prometheus, render_prometheus_telemetry, Counters, FlightRecorder, LatencySummary,
-    Observer, Telemetry, TelemetrySnapshot,
+    Telemetry, TelemetrySnapshot,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::auth::TenantKeys;
-use crate::conn::{Account, Completion, Pending, ReplyMeta, ReplyRoute, RouteJob};
-use crate::protocol::{ErrorCode, Message, RetryReason};
 use crate::reactor::{run_reactor, ReactorShared};
 use crate::sys::Poller;
 
-// `SpanKind` appears in doc links only; the spans themselves are
-// recorded by `conn.rs`.
+// `FrameBatch` and `SpanKind` appear in doc links only.
+#[allow(unused_imports)]
+use bnb_core::batch::FrameBatch;
 #[allow(unused_imports)]
 use bnb_obs::SpanKind;
 
@@ -97,9 +91,13 @@ pub struct ServeConfig {
     /// Network size `N = 2^m`; every SUBMIT frame must carry exactly this
     /// many records.
     pub inputs: usize,
-    /// Engine worker threads.
+    /// Kept for config compatibility: every reactor routes the frames
+    /// it admits on its own thread, so no worker pool serves frames and
+    /// this sizes nothing.
     pub workers: usize,
-    /// Bounded engine queue capacity — also the global in-flight cap.
+    /// The global in-flight cap: frames admitted across all connections
+    /// and not yet answered. Past it, SUBMITs are answered
+    /// `RETRY QueueFull`.
     pub queue_capacity: usize,
     /// Per-tenant in-flight frame quota.
     pub tenant_quota: usize,
@@ -334,8 +332,8 @@ impl Admission {
     }
 }
 
-/// Everything a reactor or the dispatcher needs from the session,
-/// bundled once instead of threaded as a dozen parameters.
+/// Everything a reactor needs from the session, bundled once instead of
+/// threaded as a dozen parameters.
 pub(crate) struct SessionCtx<'s> {
     pub cfg: ServeConfig,
     pub control: &'s ServerControl,
@@ -347,14 +345,18 @@ pub(crate) struct SessionCtx<'s> {
     pub recorder: Option<&'s FlightRecorder>,
     pub plan: Option<&'s LiveFaultPlan>,
     pub active_conns: &'s AtomicUsize,
-    pub engine_stats: &'s (dyn Fn() -> EngineStats + Sync),
+    /// The engine every reactor routes through, on its own thread.
+    pub engine: &'s EngineHandle<'s, &'s Counters>,
     /// Tenant auth keys; `None` = open mode.
     pub keys: Option<&'s TenantKeys>,
     /// How many reactor lanes the session runs.
     pub reactors: usize,
 }
 
-/// Engine-side queue and latency state in a [`StatusSnapshot`].
+/// Engine-side counts and latency in a [`StatusSnapshot`]. Served frames
+/// are routed on the reactor threads and never enter the engine's
+/// bounded queue, so the queue fields stay at 0 for them; they are kept
+/// because status consumers deserialize them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineStatus {
     /// Batches sitting in the bounded submission queue right now.
@@ -363,15 +365,16 @@ pub struct EngineStatus {
     pub queue_high_water: usize,
     /// Deepest the shared slice-task queue got this submission wave.
     pub task_queue_high_water: usize,
-    /// Batches fully routed (including failed ones).
+    /// Frames routed, each counted as one batch (including failed ones).
     pub batches: u64,
-    /// Records in successfully routed batches.
+    /// Records in successfully routed frames.
     pub records: u64,
-    /// Batches that failed validation or routing.
+    /// Frames that failed validation or routing.
     pub errors: u64,
     /// Queue-wait latency quantiles (submit to worker pickup).
     pub wait_latency: LatencySummary,
-    /// Submit-to-completion latency quantiles.
+    /// Per-frame routing latency quantiles: the route call that carried
+    /// the frame.
     pub latency: LatencySummary,
 }
 
@@ -394,7 +397,8 @@ pub struct WindowStatus {
 pub struct StatusSnapshot {
     /// Milliseconds since the serving session started.
     pub uptime_ms: u64,
-    /// Frames currently between admission and delivery.
+    /// Frames currently admitted and not yet answered (they wait for
+    /// the end of their reactor's poll turn).
     pub inflight: usize,
     /// Client connections currently open.
     pub connections: usize,
@@ -414,7 +418,7 @@ pub struct StatusSnapshot {
 
 /// Builds the [`StatusSnapshot`] both operator surfaces serve.
 pub(crate) fn build_status(ctx: &SessionCtx<'_>) -> StatusSnapshot {
-    let est = (ctx.engine_stats)();
+    let est = ctx.engine.stats();
     StatusSnapshot {
         uptime_ms: ctx.telemetry.uptime_ms(),
         inflight: ctx.admission.inflight.load(Ordering::Acquire),
@@ -512,15 +516,10 @@ impl<'a> Server<'a> {
         let network = BnbNetwork::builder_for(cfg.inputs)
             .map_err(|e| ServeError::Config(format!("bad network size {}: {e}", cfg.inputs)))?
             .build();
-        let engine = Engine::with_observer(
-            network,
-            EngineConfig {
-                workers: cfg.workers.max(1),
-                queue_capacity: cfg.queue_capacity.max(1),
-                shard_depth: ShardDepth::Auto,
-            },
-            self.counters,
-        );
+        // The reactors route every frame themselves. The engine scope
+        // supplies the handle they route through, the stats, and under a
+        // fault plan the scrubber; its one pool worker never gets a job.
+        let engine = Engine::with_observer(network, EngineConfig::with_workers(1), self.counters);
         listener
             .set_nonblocking(true)
             .map_err(ServeError::Listener)?;
@@ -534,8 +533,8 @@ impl<'a> Server<'a> {
             cfg.reactor_threads
         };
         // Everything that can fail with a syscall error fails here, before
-        // any thread spawns: the reactor mailbox wake pipes and one poller
-        // per lane. On targets without epoll/poll this is where the
+        // any thread spawns: the reactor wake pipes and one poller per
+        // lane. On targets without epoll/poll this is where the
         // `Unsupported` error surfaces.
         let shared = ReactorShared::new(reactors).map_err(ServeError::Reactor)?;
         let reactors = shared.lanes.len();
@@ -555,7 +554,6 @@ impl<'a> Server<'a> {
         let active_conns = AtomicUsize::new(0);
 
         let session = |handle: &EngineHandle<'_, &Counters>| {
-            let engine_stats = || handle.stats();
             let ctx = SessionCtx {
                 cfg,
                 control,
@@ -566,18 +564,15 @@ impl<'a> Server<'a> {
                 recorder: self.recorder,
                 plan: self.fault_plan,
                 active_conns: &active_conns,
-                engine_stats: &engine_stats,
+                engine: handle,
                 keys: self.tenant_keys.as_ref(),
                 reactors,
             };
-            let (job_tx, job_rx) = mpsc::channel::<RouteJob>();
             let shared_ref = &shared;
             thread::scope(|s| {
                 let ctx_ref = &ctx;
-                s.spawn(move || dispatch(handle, job_rx, ctx_ref, shared_ref));
                 for (lane_idx, poller) in pollers.drain(..).enumerate() {
-                    let job_tx = job_tx.clone();
-                    s.spawn(move || run_reactor(lane_idx, shared_ref, ctx_ref, poller, job_tx));
+                    s.spawn(move || run_reactor(lane_idx, shared_ref, ctx_ref, poller));
                 }
 
                 // Accept loop, run inline on this thread. Fresh sockets
@@ -608,22 +603,16 @@ impl<'a> Server<'a> {
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                         Err(_) => {
                             graceful.store(false, Ordering::SeqCst);
-                            // The reactors and dispatcher only exit
-                            // through the drain protocol.
+                            // The reactors only exit through the drain
+                            // protocol.
                             control.trigger_shutdown();
                             break;
                         }
                     }
                 }
-                // Dropping the acceptor's sender (the reactors drop
-                // theirs on seeing the shutdown flag) lets the
-                // dispatcher finish its drain.
-                drop(job_tx);
             });
-            // Every reactor and the dispatcher have joined; nothing can
-            // be in flight, but close the engine queue deterministically.
-            let tail = handle.drain_and_close();
-            debug_assert!(tail.is_empty(), "dispatcher left {} batches", tail.len());
+            // Every reactor has joined, each after routing everything it
+            // admitted.
             let est = handle.stats();
             (est.batches, est.records)
         };
@@ -685,255 +674,6 @@ impl std::error::Error for ServeError {
             ServeError::Listener(e) | ServeError::Reactor(e) => Some(e),
         }
     }
-}
-
-/// The dispatcher: aggregates every admitted frame onto the engine's
-/// bounded queue — full-width frames as one [`FrameBatch`] job for the
-/// batched kernel — and fans drained completions back to the owning
-/// reactor lanes via the engine's completion tokens.
-fn dispatch<O: Observer>(
-    handle: &EngineHandle<'_, O>,
-    jobs: mpsc::Receiver<RouteJob>,
-    ctx: &SessionCtx<'_>,
-    shared: &ReactorShared,
-) {
-    let mut pending: HashMap<u64, Pending> = HashMap::new();
-    let mut ready: Vec<RouteJob> = Vec::new();
-    let mut to_wake = vec![false; shared.lanes.len()];
-    let mut disconnected = false;
-    loop {
-        // Fan out everything the engine has finished.
-        while let Some(batch) = handle.try_drain() {
-            let Some(p) = pending.remove(&batch.seq) else {
-                continue; // unreachable: every submit records a Pending
-            };
-            let route = ReplyRoute::decode(batch.token).unwrap_or(p.route);
-            debug_assert_eq!(route, p.route, "engine token must round-trip the route");
-            // Submit-to-delivery, cut at the engine's own stamps: whatever
-            // the engine did not spend queued or routing was spent in the
-            // completion buffer waiting for this delivery sweep.
-            let drain_total = p
-                .submitted_at
-                .elapsed()
-                .as_nanos()
-                .min(u128::from(u64::MAX)) as u64;
-            let drain_ns = drain_total.saturating_sub(batch.queue_ns + batch.route_ns);
-            let completion = match batch.result {
-                Ok(lines) => Completion {
-                    token: route.token,
-                    msg: Message::Routed {
-                        tenant: p.tenant,
-                        request_id: p.request_id,
-                        sources: lines.iter().map(|r| r.data() as u32).collect(),
-                    },
-                    meta: Some(ReplyMeta {
-                        tenant: p.tenant,
-                        request_id: p.request_id,
-                        records: p.records,
-                        arrival: p.arrival,
-                        decode_ns: p.decode_ns,
-                        admission_ns: p.admission_ns,
-                        queue_ns: p.handoff_ns + batch.queue_ns,
-                        route_ns: batch.route_ns,
-                        drain_ns,
-                        queued_at: Instant::now(),
-                    }),
-                    account: Account::Served,
-                },
-                Err(e) => {
-                    ctx.telemetry.record_error(p.tenant);
-                    Completion {
-                        token: route.token,
-                        msg: Message::Error {
-                            tenant: p.tenant,
-                            request_id: p.request_id,
-                            code: ErrorCode::Route,
-                            message: error_chain(&e),
-                        },
-                        meta: None,
-                        account: Account::Errored,
-                    }
-                }
-            };
-            // Free the admission slots before the reply is visible: a
-            // reactor takes completions on every pass, so a client could
-            // otherwise read it, refill its window, and be refused for a
-            // slot this frame still holds.
-            p.tenant_slot.fetch_sub(1, Ordering::AcqRel);
-            ctx.admission.inflight.fetch_sub(1, Ordering::AcqRel);
-            shared.lanes[route.lane].push_completion(completion);
-            to_wake[route.lane] = true;
-        }
-
-        // Gather everything the reactors have admitted, then submit the
-        // gathering as one batched kernel job where possible.
-        loop {
-            match jobs.try_recv() {
-                Ok(job) => ready.push(job),
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-            }
-        }
-        flush_ready(handle, ctx, shared, &mut pending, &mut ready, &mut to_wake);
-
-        // One wake per lane per sweep, not per completion.
-        for (lane, marked) in to_wake.iter_mut().enumerate() {
-            if *marked {
-                shared.lanes[lane].wake();
-                *marked = false;
-            }
-        }
-
-        if disconnected && pending.is_empty() {
-            break;
-        }
-
-        // Park briefly: long when fully idle, short while batches are in
-        // flight so drains are delivered promptly.
-        let wait = if pending.is_empty() {
-            Duration::from_millis(50)
-        } else {
-            Duration::from_micros(200)
-        };
-        match jobs.recv_timeout(wait) {
-            Ok(job) => ready.push(job),
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => disconnected = true,
-        }
-    }
-    // Nothing in flight and no sender left: the reactors may exit once
-    // they have delivered what was already pushed.
-    shared.dispatcher_done.store(true, Ordering::Release);
-    shared.wake_all();
-}
-
-/// Submits the gathered jobs: every full-width frame goes into one
-/// [`FrameBatch`] job (the engine's word-parallel batched kernel; each
-/// frame still drains as its own completion), wrong-width frames submit
-/// singly so the engine's validation rejects them per-frame.
-fn flush_ready<O: Observer>(
-    handle: &EngineHandle<'_, O>,
-    ctx: &SessionCtx<'_>,
-    shared: &ReactorShared,
-    pending: &mut HashMap<u64, Pending>,
-    ready: &mut Vec<RouteJob>,
-    to_wake: &mut [bool],
-) {
-    if ready.is_empty() {
-        return;
-    }
-    let width = ctx.cfg.inputs;
-    let batchable = ready.iter().filter(|j| j.lines.len() == width).count();
-    if batchable >= 2 {
-        let mut batch = FrameBatch::with_capacity(width, batchable);
-        let mut tokens = Vec::with_capacity(batchable);
-        let mut members = Vec::with_capacity(batchable);
-        let mut singles = Vec::new();
-        for job in ready.drain(..) {
-            if job.lines.len() == width {
-                batch.push_frame(&job.lines);
-                tokens.push(job.route.encode());
-                members.push(job);
-            } else {
-                singles.push(job);
-            }
-        }
-        match handle.try_submit_batch(batch, &tokens) {
-            Ok(seq) => {
-                // The admission cap keeps in-flight frames (≥ queued
-                // jobs) within `queue_capacity`, so the queue had room.
-                let submitted_at = Instant::now();
-                for (f, job) in members.into_iter().enumerate() {
-                    pending.insert(seq + f as u64, Pending::from_job(job, width, submitted_at));
-                }
-            }
-            Err(err) => {
-                // Defensive: admission should make this unreachable.
-                let reason = if err.is_closed() {
-                    RetryReason::Draining
-                } else {
-                    RetryReason::QueueFull
-                };
-                for job in members {
-                    refuse_job(ctx, shared, to_wake, job, reason);
-                }
-            }
-        }
-        for job in singles {
-            submit_single(handle, ctx, shared, pending, to_wake, job);
-        }
-    } else {
-        for job in ready.drain(..) {
-            submit_single(handle, ctx, shared, pending, to_wake, job);
-        }
-    }
-}
-
-fn submit_single<O: Observer>(
-    handle: &EngineHandle<'_, O>,
-    ctx: &SessionCtx<'_>,
-    shared: &ReactorShared,
-    pending: &mut HashMap<u64, Pending>,
-    to_wake: &mut [bool],
-    mut job: RouteJob,
-) {
-    let token = job.route.encode();
-    let records = job.lines.len();
-    match handle.try_submit_tagged(std::mem::take(&mut job.lines), token) {
-        Ok(seq) => {
-            pending.insert(seq, Pending::from_job(job, records, Instant::now()));
-        }
-        Err(err) => {
-            let reason = if err.is_closed() {
-                RetryReason::Draining
-            } else {
-                RetryReason::QueueFull
-            };
-            refuse_job(ctx, shared, to_wake, job, reason);
-        }
-    }
-}
-
-/// Answers a frame the engine would not take with a defensive RETRY,
-/// fully accounted here (the completion carries [`Account::None`]).
-fn refuse_job(
-    ctx: &SessionCtx<'_>,
-    shared: &ReactorShared,
-    to_wake: &mut [bool],
-    job: RouteJob,
-    reason: RetryReason,
-) {
-    SessionStats::bump(&ctx.stats.retries_issued);
-    ctx.telemetry.record_retry(job.tenant);
-    // Slots first, then the reply (see `dispatch`).
-    job.tenant_slot.fetch_sub(1, Ordering::AcqRel);
-    ctx.admission.inflight.fetch_sub(1, Ordering::AcqRel);
-    shared.lanes[job.route.lane].push_completion(Completion {
-        token: job.route.token,
-        msg: Message::Retry {
-            tenant: job.tenant,
-            request_id: job.request_id,
-            reason,
-        },
-        meta: None,
-        account: Account::None,
-    });
-    to_wake[job.route.lane] = true;
-}
-
-/// Renders an error with its full `source()` chain.
-fn error_chain(err: &dyn std::error::Error) -> String {
-    let mut out = err.to_string();
-    let mut cur = err.source();
-    while let Some(e) = cur {
-        out.push_str(": ");
-        out.push_str(&e.to_string());
-        cur = e.source();
-    }
-    out
 }
 
 /// Renders one HTTP operator response from a buffered request head:

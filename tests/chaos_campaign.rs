@@ -27,6 +27,17 @@ use bnb::serve::server::{ServeConfig, Server, ServerControl, StatusSnapshot};
 use bnb::serve::Message;
 use bnb::sim::chaos::{chaos_engine_campaign, ChaosAction, ChaosSchedule};
 
+/// Runs its closure on drop, also while a failed assertion unwinds: the
+/// tests use it to stop the server (and any traffic driver) so that
+/// `thread::scope` can join and the failure is reported instead of hanging.
+struct OnDrop<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)()
+    }
+}
+
 #[test]
 fn hundred_randomized_schedules_hold_the_contract_through_the_engine() {
     let counters = Counters::new();
@@ -145,6 +156,10 @@ fn chaos_through_a_live_server_keeps_the_wire_ledger_balanced() {
                 for shard in 0..2 {
                     plan_ref.clear(shard);
                 }
+            });
+            let _stop = OnDrop(|| {
+                stop.store(true, Ordering::Release);
+                control.trigger_shutdown();
             });
 
             let load_report = run_loadgen(&LoadgenConfig {
@@ -320,6 +335,10 @@ fn status_reflects_shard_quarantine_and_restore() {
                     _ => break,
                 }
             }
+        });
+        let _stop = OnDrop(|| {
+            stop.store(true, Ordering::Release);
+            control.trigger_shutdown();
         });
 
         plan.inject(0, FaultSite::new(0, 0, 0), FaultKind::StuckExchange);

@@ -15,6 +15,17 @@ use bnb::obs::Counters;
 use bnb::serve::loadgen::{run_loadgen, LoadMode, LoadgenConfig, TenantLoad};
 use bnb::serve::server::{ServeConfig, ServeReport, Server, ServerControl, StatusSnapshot};
 
+/// Runs its closure on drop, also while a failed assertion unwinds: the
+/// tests use it to stop the server (and any traffic driver) so that
+/// `thread::scope` can join and the failure is reported instead of hanging.
+struct OnDrop<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)()
+    }
+}
+
 /// Runs `body` against a live server, then triggers a graceful drain and
 /// returns (session report, body result).
 fn serve_scope<R: Send>(
@@ -34,6 +45,7 @@ fn serve_scope<R: Send>(
                 .serve(listener, &server_control)
                 .expect("serving session")
         });
+        let _drain = OnDrop(|| control.trigger_shutdown());
 
         let out = body(&addr, &control);
 
@@ -436,6 +448,7 @@ fn operator_surfaces_stay_live_under_traffic_and_during_drain() {
                 }
                 n
             });
+            let _stop = OnDrop(|| stop.store(true, Ordering::Release));
             let load = run_loadgen(&LoadgenConfig {
                 addr: addr.to_string(),
                 tenants: 3,
@@ -607,6 +620,7 @@ fn serve_families_come_from_one_ledger_and_latency_counts_each_frame_once() {
                 .serve(listener, &server_control)
                 .expect("serving session")
         });
+        let _drain = OnDrop(|| control.trigger_shutdown());
         let load = run_loadgen(&LoadgenConfig {
             addr: addr.clone(),
             tenants: 2,

@@ -34,6 +34,17 @@ fn base_config() -> ServeConfig {
     }
 }
 
+/// Runs its closure on drop, also while a failed assertion unwinds: the
+/// tests use it to stop the server (and any traffic driver) so that
+/// `thread::scope` can join and the failure is reported instead of hanging.
+struct OnDrop<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)()
+    }
+}
+
 /// Runs `body` against a live server (optionally keyed), then triggers a
 /// graceful drain and returns (session report, body result).
 fn serve_scope<R: Send>(
@@ -58,6 +69,7 @@ fn serve_scope<R: Send>(
                 .serve(listener, &server_control)
                 .expect("serving session")
         });
+        let _drain = OnDrop(|| control.trigger_shutdown());
 
         let out = body(&addr, &control);
 
