@@ -27,11 +27,11 @@
 //!   `GET /status` (and the wire `STATUS` opcode) with a JSON
 //!   [`server::StatusSnapshot`] covering uptime, tenant windows, engine
 //!   queue depths, and live fabric health.
-//! - [`loadgen`]: an open/closed-loop load generator that verifies every
-//!   routed frame against the submitted permutation, optionally resubmits
-//!   RETRYed frames, and reports latency percentiles (first-attempt and
-//!   retry-to-served) plus per-tenant breakdowns from shared
-//!   [`bnb_obs::AtomicHistogram`]s.
+//! - [`loadgen`]: an open/closed-loop load generator that drives every
+//!   connection from one thread through per-connection state machines,
+//!   verifies every routed frame against the submitted permutation,
+//!   optionally resubmits RETRYed frames, and reports latency percentiles
+//!   (first-attempt and retry-to-served) plus per-tenant breakdowns.
 
 pub mod auth;
 mod conn;

@@ -1,61 +1,64 @@
 //! The load-generator client for `bnb serve`.
 //!
-//! The generator drives [`LoadgenConfig::connections`] concurrent
-//! connections (default: one per tenant; beyond that, connections share
-//! tenants round-robin), each with a sender thread and a receiver
-//! thread. Two pacing modes:
+//! One thread drives every connection, as the server's reactor does: each
+//! connection is a `ClientConn` state machine that does no I/O and reads
+//! no clock (reply bytes in, requests out of its write buffer, `now`
+//! passed to every call), and one loop in [`run_loadgen`] moves bytes
+//! between the sockets and the machines through the reactor's poller. So
+//! it needs a unix host; elsewhere it returns the poller's `Unsupported`
+//! error. Connections share tenants round-robin. Two pacing modes:
 //!
-//! - **closed loop**: at most `inflight` unanswered frames per tenant —
-//!   every response (ROUTED, RETRY, or ERROR) releases a send credit.
-//!   Setting `inflight` above the server's tenant quota deliberately
-//!   drives the server into its explicit-RETRY backpressure path.
-//! - **open loop**: frames are sent on a fixed wall-clock schedule at the
-//!   target aggregate QPS regardless of responses, which measures queueing
-//!   latency honestly (no coordinated omission).
+//! - **closed loop**: at most `inflight` unanswered frames per connection.
+//!   Setting it above the server's tenant quota deliberately drives the
+//!   server into its explicit-RETRY backpressure path.
+//! - **open loop**: each connection sends its even share of the aggregate
+//!   QPS on a fixed wall-clock schedule, regardless of responses, which
+//!   measures queueing latency honestly (no coordinated omission).
 //!
 //! Every ROUTED response is verified against the submitted permutation:
 //! output `j` must have received the input whose destination was `j`.
-//! Misdeliveries, routing errors, retries, and unanswered frames are all
-//! tallied separately in the [`LoadgenReport`]; latency percentiles come
-//! from per-tenant [`AtomicHistogram`]s merged into run-wide totals.
-//!
-//! With [`LoadgenConfig::max_resubmits`] > 0 the generator behaves like a
-//! well-mannered client under backpressure: a RETRY response re-enqueues
-//! the frame (up to the cap) through the sender thread instead of
-//! abandoning it, and frames eventually served after a RETRY feed a
-//! separate first-send-to-served histogram ([`LoadgenReport::retry_latency`])
-//! so backpressure cost is visible apart from first-attempt latency.
+//! Misdeliveries, errors, retries and unanswered frames are tallied
+//! separately in the [`LoadgenReport`], with latency from when the
+//! answered attempt was queued to the read that completed its reply. With
+//! [`LoadgenConfig::max_resubmits`] > 0 a RETRYed frame keeps its window
+//! slot and is resent after an exponential backoff; frames served after a
+//! RETRY also feed [`LoadgenReport::retry_latency`], timed from the first
+//! send, so backpressure cost is visible apart from first-attempt latency.
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
-use std::thread;
 use std::time::{Duration, Instant};
 
-use bnb_obs::{AtomicHistogram, LatencyHistogram};
+use bnb_obs::LatencyHistogram;
 use bnb_topology::perm::Permutation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
 use crate::auth::TenantKeys;
-use crate::protocol::{read_message, write_message, Message, RecvError};
+use crate::protocol::{write_message, FrameAssembler, Message};
+use crate::sys::{fd_of, Poller};
+
+/// A RETRYed frame's k-th resend waits `RESUBMIT_BACKOFF · 2^(k−1)`,
+/// the engine's `RetryPolicy` (50 µs, doubling). A resend in the turn its
+/// RETRY arrived would meet the same full quota and flood the server with
+/// repeat requests; 200 µs and 1 ms bases abandoned no fewer frames.
+const RESUBMIT_BACKOFF: Duration = Duration::from_micros(50);
 
 /// How the load generator paces its submissions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LoadMode {
-    /// At most this many unanswered frames per tenant; each response
-    /// releases a send credit.
+    /// At most this many unanswered frames per connection; each settled
+    /// response frees a slot.
     Closed {
-        /// Per-tenant in-flight window.
+        /// Per-connection in-flight window.
         inflight: usize,
     },
     /// Fixed-schedule sending at this aggregate frames-per-second target,
-    /// split evenly across tenants.
+    /// split evenly across connections.
     Open {
-        /// Aggregate target QPS across all tenants.
+        /// Aggregate target QPS across all connections.
         qps: f64,
     },
 }
@@ -78,8 +81,9 @@ pub struct LoadgenConfig {
     pub mode: LoadMode,
     /// Seed for the per-frame random permutations.
     pub seed: u64,
-    /// How long a receiver waits for a quiet wire before declaring the
-    /// remaining outstanding frames unanswered.
+    /// How long a connection with frames on the wire waits while nothing
+    /// is sent or received before it declares them unanswered — so a
+    /// silent server ends the run instead of hanging it.
     pub drain_window: Duration,
     /// Send a SHUTDOWN to the server after all tenants finish.
     pub shutdown_when_done: bool,
@@ -207,80 +211,22 @@ pub struct TenantLoad {
     pub p99_ns: u64,
 }
 
-/// One unanswered frame: what was submitted and when.
-struct OutFrame {
-    dests: Vec<u32>,
-    /// First send — retry latency is measured from here.
-    first_sent: Instant,
-    /// Most recent (re)send — attempt latency is measured from here.
-    last_sent: Instant,
-    /// Resubmissions performed so far.
-    attempts: u32,
-}
-
-/// Per-tenant window of unanswered frames, keyed by request id.
-type Outstanding = Mutex<HashMap<u64, OutFrame>>;
-
-/// The closed-loop credit gate.
-struct Credits {
-    free: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl Credits {
-    fn new(n: usize) -> Self {
-        Credits {
-            free: Mutex::new(n),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn acquire(&self) {
-        let mut free = self.free.lock().unwrap();
-        while *free == 0 {
-            free = self.cv.wait(free).unwrap();
-        }
-        *free -= 1;
-    }
-
-    fn release(&self) {
-        *self.free.lock().unwrap() += 1;
-        self.cv.notify_one();
-    }
-}
-
-/// One tenant's tallies and histograms; each connection thread writes
-/// only its own, so aggregation happens once at report time.
+/// One tenant's tallies and histograms. One thread owns them all, so
+/// they are plain counters, merged into run totals at report time.
+#[derive(Default)]
 struct Tally {
-    submitted: AtomicU64,
-    served: AtomicU64,
-    retried: AtomicU64,
-    resubmitted: AtomicU64,
-    errored: AtomicU64,
-    misdelivered: AtomicU64,
-    unanswered: AtomicU64,
-    protocol_surprises: AtomicU64,
+    submitted: u64,
+    served: u64,
+    retried: u64,
+    resubmitted: u64,
+    errored: u64,
+    misdelivered: u64,
+    unanswered: u64,
+    protocol_surprises: u64,
     /// Served latency from the answered attempt's send.
-    hist: AtomicHistogram,
+    hist: LatencyHistogram,
     /// Served-after-RETRY latency from the frame's first send.
-    retry_hist: AtomicHistogram,
-}
-
-impl Tally {
-    fn new() -> Self {
-        Tally {
-            submitted: AtomicU64::new(0),
-            served: AtomicU64::new(0),
-            retried: AtomicU64::new(0),
-            resubmitted: AtomicU64::new(0),
-            errored: AtomicU64::new(0),
-            misdelivered: AtomicU64::new(0),
-            unanswered: AtomicU64::new(0),
-            protocol_surprises: AtomicU64::new(0),
-            hist: AtomicHistogram::new(),
-            retry_hist: AtomicHistogram::new(),
-        }
-    }
+    retry_hist: LatencyHistogram,
 }
 
 /// Renders a merged histogram as the report's percentile block.
@@ -296,63 +242,325 @@ fn percentiles(hist: &LatencyHistogram) -> LatencyPercentiles {
     }
 }
 
+/// Nanoseconds from `since` to `now`, saturating.
+fn nanos(since: Instant, now: Instant) -> u64 {
+    u64::try_from(now.saturating_duration_since(since).as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// One unanswered frame: what was submitted and when.
+struct OutFrame {
+    dests: Vec<u32>,
+    /// First send — retry latency is measured from here.
+    first_sent: Instant,
+    /// Most recent (re)send — attempt latency is measured from here.
+    last_sent: Instant,
+    /// Resubmissions performed so far.
+    attempts: u32,
+}
+
+/// One connection's client: it paces submissions and settles replies, and
+/// never touches a socket or reads a clock — the caller feeds it bytes and
+/// `now` and writes out `out` — so it runs over any transport.
+struct ClientConn<'a> {
+    cfg: &'a LoadgenConfig,
+    tenant: u16,
+    rng: StdRng,
+    /// Fresh frames `0..next_id` have been submitted.
+    next_id: u64,
+    outstanding: HashMap<u64, OutFrame>,
+    /// RETRYed frames waiting out their backoff: (due, request id).
+    resends: Vec<(Instant, u64)>,
+    replies: FrameAssembler,
+    /// Encoded requests not yet written.
+    out: Vec<u8>,
+    /// Open loop: fresh frame `k` is due at `start + k / rate`.
+    start: Instant,
+    /// When a request was last queued or reply bytes last arrived.
+    last_activity: Instant,
+    /// The peer hung up or broke the protocol.
+    closed: bool,
+}
+
+impl<'a> ClientConn<'a> {
+    fn new(cfg: &'a LoadgenConfig, index: usize, now: Instant) -> Self {
+        ClientConn {
+            cfg,
+            tenant: (index % usize::from(cfg.tenants.max(1))) as u16,
+            rng: StdRng::seed_from_u64(cfg.seed ^ (index as u64).wrapping_mul(0x9E37_79B9)),
+            next_id: 0,
+            outstanding: HashMap::new(),
+            resends: Vec::new(),
+            replies: FrameAssembler::new(),
+            out: Vec::new(),
+            start: now,
+            last_activity: now,
+            closed: false,
+        }
+    }
+
+    /// When the next fresh frame is due, while any remain: at once below
+    /// the window (closed loop), or at its slot on the schedule (open loop).
+    fn next_fresh(&self) -> Option<Instant> {
+        if self.next_id >= self.cfg.frames {
+            return None;
+        }
+        match self.cfg.mode {
+            LoadMode::Closed { inflight } => {
+                (self.outstanding.len() < inflight.max(1)).then_some(self.start)
+            }
+            LoadMode::Open { qps } => {
+                let rate = (qps / self.cfg.effective_connections() as f64).max(1e-3);
+                Some(self.start + Duration::from_secs_f64(self.next_id as f64 / rate))
+            }
+        }
+    }
+
+    /// Whether some outstanding frame is on the wire, not in a backoff.
+    fn awaiting_reply(&self) -> bool {
+        self.outstanding.len() > self.resends.len()
+    }
+
+    /// Queues the resends that are due, then the fresh frames that are.
+    fn pump(&mut self, now: Instant, tally: &mut Tally) {
+        while let Some(i) = self.resends.iter().position(|&(due, _)| due <= now) {
+            let (_, id) = self.resends.swap_remove(i);
+            self.send(id, now);
+        }
+        while self.next_fresh().is_some_and(|due| due <= now) {
+            let perm = Permutation::random(self.cfg.inputs, &mut self.rng);
+            let frame = OutFrame {
+                dests: perm.as_slice().iter().map(|&d| d as u32).collect(),
+                first_sent: now,
+                last_sent: now,
+                attempts: 0,
+            };
+            self.outstanding.insert(self.next_id, frame);
+            self.send(self.next_id, now);
+            self.next_id += 1;
+            tally.submitted += 1;
+        }
+    }
+
+    /// Queues one (re)submission of an outstanding frame and restamps its
+    /// attempt clock; under keyed auth the tag is the same every attempt.
+    fn send(&mut self, request_id: u64, now: Instant) {
+        if let Some(frame) = self.outstanding.get_mut(&request_id) {
+            frame.last_sent = now;
+            let dests = frame.dests.clone();
+            submit_message(self.cfg.keys.as_ref(), self.tenant, request_id, dests)
+                .encode(&mut self.out);
+            self.last_activity = now;
+        }
+    }
+
+    /// Takes reply bytes read at `now` and settles every complete reply.
+    /// A malformed frame closes the connection.
+    fn receive(&mut self, bytes: &[u8], now: Instant, tally: &mut Tally) {
+        self.last_activity = now;
+        self.replies.feed(bytes);
+        while !self.closed {
+            match self.replies.next_frame() {
+                Ok(Some((msg, _))) => self.settle(msg, now, tally),
+                Ok(None) => break,
+                Err(_) => {
+                    tally.protocol_surprises += 1;
+                    self.closed = true;
+                }
+            }
+        }
+    }
+
+    /// Processes one server response against the outstanding window.
+    fn settle(&mut self, msg: Message, now: Instant, tally: &mut Tally) {
+        match msg {
+            Message::Routed {
+                request_id,
+                sources,
+                ..
+            } => match self.outstanding.remove(&request_id) {
+                None => tally.protocol_surprises += 1,
+                Some(frame) if !verify_routed(&frame.dests, &sources) => tally.misdelivered += 1,
+                Some(frame) => {
+                    tally.served += 1;
+                    tally.hist.record(nanos(frame.last_sent, now));
+                    if frame.attempts > 0 {
+                        tally.retry_hist.record(nanos(frame.first_sent, now));
+                    }
+                }
+            },
+            Message::Retry { request_id, .. } => match self.outstanding.get_mut(&request_id) {
+                None => tally.protocol_surprises += 1,
+                Some(frame) if frame.attempts < self.cfg.max_resubmits => {
+                    frame.attempts += 1;
+                    let backoff =
+                        RESUBMIT_BACKOFF.saturating_mul(1 << (frame.attempts - 1).min(16));
+                    self.resends.push((now + backoff, request_id));
+                    tally.resubmitted += 1;
+                }
+                Some(_) => {
+                    self.outstanding.remove(&request_id);
+                    tally.retried += 1;
+                }
+            },
+            Message::Error { request_id, .. } => match self.outstanding.remove(&request_id) {
+                Some(_) => tally.errored += 1,
+                None => tally.protocol_surprises += 1,
+            },
+            _ => tally.protocol_surprises += 1,
+        }
+    }
+
+    /// When this connection next needs a turn if no reply arrives: its
+    /// next fresh frame, its next resend, or its drain deadline.
+    fn deadline(&self) -> Option<Instant> {
+        let drain = self.last_activity + self.cfg.drain_window;
+        let drain = self.awaiting_reply().then_some(drain);
+        let resends = self.resends.iter().map(|&(due, _)| due);
+        resends.chain(self.next_fresh()).chain(drain).min()
+    }
+
+    /// Done: every frame settled, the peer gone, or a frame on a wire quiet
+    /// for the drain window. What is still outstanding is unanswered.
+    fn finished(&self, now: Instant) -> bool {
+        let settled = self.next_id >= self.cfg.frames && self.outstanding.is_empty();
+        let drained = self.awaiting_reply()
+            && now.saturating_duration_since(self.last_activity) >= self.cfg.drain_window;
+        self.closed || settled || drained
+    }
+}
+
+/// A connected socket and the state machine it carries.
+struct Link<'a> {
+    stream: TcpStream,
+    conn: ClientConn<'a>,
+    /// Write readiness is subscribed: only while bytes stay buffered.
+    write_armed: bool,
+}
+
+impl Link<'_> {
+    /// Writes queued requests until the socket would block; a failed
+    /// write closes the connection.
+    fn flush(&mut self) {
+        let out = &mut self.conn.out;
+        let mut written = 0;
+        while written < out.len() {
+            match self.stream.write(&out[written..]) {
+                Ok(n) if n > 0 => written += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Ok(_) | Err(_) => {
+                    self.conn.closed = true;
+                    break;
+                }
+            }
+        }
+        out.drain(..written);
+    }
+}
+
 /// Drives the configured load against a running server and reports what
 /// came back.
 pub fn run_loadgen(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
-    let tallies: Vec<Tally> = (0..cfg.tenants).map(|_| Tally::new()).collect();
     let started = Instant::now();
-
     let conn_count = cfg.effective_connections();
-    thread::scope(|s| -> io::Result<()> {
-        let mut handles = Vec::new();
-        for conn_idx in 0..conn_count {
-            let tenant = (conn_idx % usize::from(cfg.tenants.max(1))) as u16;
-            // Tallies are per tenant; connections sharing a tenant share
-            // its (all-atomic) tally.
-            let tally = &tallies[usize::from(tenant)];
-            handles.push(s.spawn(move || drive_conn(cfg, conn_idx, tenant, tally)));
-        }
-        let mut first_err = None;
-        for h in handles {
-            if let Err(e) = h.join().expect("tenant thread panicked") {
-                first_err.get_or_insert(e);
+    let mut poller = Poller::new()?;
+    let mut streams = Vec::with_capacity(conn_count);
+    for token in 0..conn_count {
+        let stream = TcpStream::connect(&cfg.addr)?;
+        stream.set_nonblocking(true)?;
+        stream.set_nodelay(true).ok();
+        poller.add(fd_of(&stream), token as u64, true, false)?;
+        streams.push(stream);
+    }
+    // Open-loop schedules start once every socket is up.
+    let now = Instant::now();
+    let mut links = Vec::with_capacity(conn_count);
+    for (index, stream) in streams.into_iter().enumerate() {
+        let conn = ClientConn::new(cfg, index, now);
+        links.push(Some(Link {
+            stream,
+            conn,
+            write_armed: false,
+        }));
+    }
+    let mut tallies: Vec<Tally> = (0..cfg.tenants).map(|_| Tally::default()).collect();
+    let mut events = Vec::new();
+    let mut buf = vec![0u8; 64 * 1024];
+
+    loop {
+        let mut wake = None;
+        for (token, slot) in links.iter_mut().enumerate() {
+            let Some(link) = slot else { continue };
+            let tally = &mut tallies[usize::from(link.conn.tenant)];
+            let now = Instant::now();
+            link.conn.pump(now, tally);
+            link.flush();
+            if link.conn.finished(now) {
+                tally.unanswered += link.conn.outstanding.len() as u64;
+                poller.remove(fd_of(&link.stream)).ok();
+                *slot = None;
+                continue;
             }
+            let want_write = !link.conn.out.is_empty();
+            if want_write != link.write_armed {
+                poller.modify(fd_of(&link.stream), token as u64, true, want_write)?;
+                link.write_armed = want_write;
+            }
+            wake = wake.into_iter().chain(link.conn.deadline()).min();
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
+        // Every live connection has a deadline (a slot, a resend or its
+        // drain), so none left means every connection has retired.
+        let Some(wake) = wake else { break };
+        events.clear();
+        poller.wait(
+            &mut events,
+            Some(wake.saturating_duration_since(Instant::now())),
+        )?;
+        // Read each ready socket until it would block; end of stream or
+        // an error closes the connection.
+        for ev in &events {
+            let Some(Some(link)) = links.get_mut(ev.token as usize) else {
+                continue;
+            };
+            let tally = &mut tallies[usize::from(link.conn.tenant)];
+            while ev.readable && !link.conn.closed {
+                match link.stream.read(&mut buf) {
+                    Ok(n) if n > 0 => link.conn.receive(&buf[..n], Instant::now(), tally),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Ok(_) | Err(_) => link.conn.closed = true,
+                }
+            }
+            link.conn.closed |= ev.hangup;
         }
-    })?;
+    }
 
     if cfg.shutdown_when_done {
         request_shutdown(&cfg.addr)?;
     }
 
     let elapsed = started.elapsed();
-    let sum = |f: fn(&Tally) -> &AtomicU64| -> u64 {
-        tallies.iter().map(|t| f(t).load(Ordering::Relaxed)).sum()
-    };
+    let sum = |f: fn(&Tally) -> u64| -> u64 { tallies.iter().map(f).sum() };
     let mut hist = LatencyHistogram::new();
     let mut retry_hist = LatencyHistogram::new();
     let mut per_tenant = Vec::with_capacity(tallies.len());
     for (tenant, t) in tallies.iter().enumerate() {
-        let th = t.hist.snapshot();
-        hist.merge(&th);
-        retry_hist.merge(&t.retry_hist.snapshot());
+        hist.merge(&t.hist);
+        retry_hist.merge(&t.retry_hist);
         per_tenant.push(TenantLoad {
             tenant: tenant as u16,
-            submitted: t.submitted.load(Ordering::Relaxed),
-            served: t.served.load(Ordering::Relaxed),
-            retried: t.retried.load(Ordering::Relaxed),
-            resubmitted: t.resubmitted.load(Ordering::Relaxed),
-            errored: t.errored.load(Ordering::Relaxed),
-            misdelivered: t.misdelivered.load(Ordering::Relaxed),
-            unanswered: t.unanswered.load(Ordering::Relaxed),
-            p50_ns: th.quantile(0.50),
-            p99_ns: th.quantile(0.99),
+            submitted: t.submitted,
+            served: t.served,
+            retried: t.retried,
+            resubmitted: t.resubmitted,
+            errored: t.errored,
+            misdelivered: t.misdelivered,
+            unanswered: t.unanswered,
+            p50_ns: t.hist.quantile(0.50),
+            p99_ns: t.hist.quantile(0.99),
         });
     }
-    let served = sum(|t| &t.served);
+    let served = sum(|t| t.served);
     Ok(LoadgenReport {
         tenants: cfg.tenants,
         connections: conn_count,
@@ -360,14 +568,14 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
             LoadMode::Closed { .. } => "closed".to_string(),
             LoadMode::Open { .. } => "open".to_string(),
         },
-        submitted: sum(|t| &t.submitted),
+        submitted: sum(|t| t.submitted),
         served,
-        retried: sum(|t| &t.retried),
-        resubmitted: sum(|t| &t.resubmitted),
-        errored: sum(|t| &t.errored),
-        misdelivered: sum(|t| &t.misdelivered),
-        unanswered: sum(|t| &t.unanswered),
-        protocol_surprises: sum(|t| &t.protocol_surprises),
+        retried: sum(|t| t.retried),
+        resubmitted: sum(|t| t.resubmitted),
+        errored: sum(|t| t.errored),
+        misdelivered: sum(|t| t.misdelivered),
+        unanswered: sum(|t| t.unanswered),
+        protocol_surprises: sum(|t| t.protocol_surprises),
         elapsed_ms: elapsed.as_millis().min(u128::from(u64::MAX)) as u64,
         achieved_qps: served as f64 / elapsed.as_secs_f64().max(1e-9),
         latency: percentiles(&hist),
@@ -484,272 +692,6 @@ fn submit_message(
     }
 }
 
-/// One connection's full run: a paced sender and a verifying receiver
-/// over a single socket. The receiver hands RETRYed frames back to the
-/// sender over a channel, so the socket has exactly one writer.
-fn drive_conn(cfg: &LoadgenConfig, conn_idx: usize, tenant: u16, tally: &Tally) -> io::Result<()> {
-    let stream = TcpStream::connect(&cfg.addr)?;
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = stream;
-
-    let outstanding: Outstanding = Mutex::new(HashMap::new());
-    let credits = match cfg.mode {
-        LoadMode::Closed { inflight } => Some(Credits::new(inflight.max(1))),
-        LoadMode::Open { .. } => None,
-    };
-    let (resub_tx, resub_rx) = mpsc::channel::<u64>();
-
-    thread::scope(|s| -> io::Result<()> {
-        let outstanding = &outstanding;
-        let credits = &credits;
-        let sender = s.spawn(move || -> io::Result<()> {
-            let mut rng =
-                StdRng::seed_from_u64(cfg.seed ^ ((conn_idx as u64).wrapping_mul(0x9E37_79B9)));
-            let open_gap = match cfg.mode {
-                LoadMode::Open { qps } => {
-                    let per_tenant = (qps / f64::from(cfg.tenants.max(1))).max(1e-3);
-                    Some(Duration::from_secs_f64(1.0 / per_tenant))
-                }
-                LoadMode::Closed { .. } => None,
-            };
-            let t0 = Instant::now();
-            for request_id in 0..cfg.frames {
-                // Resubmits jump the fresh-frame queue. Each takes its own
-                // credit: the RETRY that caused it released one, so the
-                // in-flight window stays bounded.
-                while let Ok(id) = resub_rx.try_recv() {
-                    if outstanding.lock().unwrap().contains_key(&id) {
-                        if let Some(credits) = credits {
-                            credits.acquire();
-                        }
-                        resend(&mut writer, outstanding, cfg.keys.as_ref(), tenant, id)?;
-                    }
-                }
-                if let Some(credits) = credits {
-                    credits.acquire();
-                }
-                if let Some(gap) = open_gap {
-                    let due = t0 + gap.mul_f64(request_id as f64);
-                    let now = Instant::now();
-                    if due > now {
-                        thread::sleep(due - now);
-                    }
-                }
-                let perm = Permutation::random(cfg.inputs, &mut rng);
-                let dests: Vec<u32> = perm.as_slice().iter().map(|&d| d as u32).collect();
-                let now = Instant::now();
-                outstanding.lock().unwrap().insert(
-                    request_id,
-                    OutFrame {
-                        dests: dests.clone(),
-                        first_sent: now,
-                        last_sent: now,
-                        attempts: 0,
-                    },
-                );
-                tally.submitted.fetch_add(1, Ordering::Relaxed);
-                write_message(
-                    &mut writer,
-                    &submit_message(cfg.keys.as_ref(), tenant, request_id, dests),
-                )?;
-            }
-            // Fresh frames done: keep serving resubmits until the
-            // receiver drops its end of the channel.
-            while let Ok(id) = resub_rx.recv() {
-                if outstanding.lock().unwrap().contains_key(&id) {
-                    if let Some(credits) = credits {
-                        credits.acquire();
-                    }
-                    resend(&mut writer, outstanding, cfg.keys.as_ref(), tenant, id)?;
-                }
-            }
-            Ok(())
-        });
-
-        // Receiver: runs on this thread until every frame is answered or
-        // the wire stays quiet past the drain window.
-        let mut answered = 0u64;
-        let mut last_activity = Instant::now();
-        while answered < cfg.frames {
-            match read_message(&mut reader) {
-                Ok(Some(msg)) => {
-                    last_activity = Instant::now();
-                    match handle_response(msg, outstanding, tally, cfg.max_resubmits, &resub_tx) {
-                        Answer::Settled => {
-                            answered += 1;
-                            if let Some(credits) = credits {
-                                credits.release();
-                            }
-                        }
-                        // The frame is back in flight via the sender, but
-                        // its credit must recirculate so the resend's own
-                        // acquire can succeed.
-                        Answer::Resubmitted => {
-                            if let Some(credits) = credits {
-                                credits.release();
-                            }
-                        }
-                        Answer::Ignored => {}
-                    }
-                }
-                Ok(None) => break, // server hung up
-                Err(RecvError::IdleTimeout) => {
-                    let sender_done = sender.is_finished();
-                    if sender_done && last_activity.elapsed() >= cfg.drain_window {
-                        break;
-                    }
-                }
-                Err(RecvError::Wire(_)) => {
-                    tally.protocol_surprises.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                Err(RecvError::Io(_)) => break,
-            }
-        }
-
-        // Whatever is still outstanding was never answered. Release every
-        // credit so a blocked sender can finish (its writes then fail or
-        // land on a dead socket; either way the thread exits), and drop
-        // the resubmit channel so its drain loop ends.
-        drop(resub_tx);
-        let leftovers = {
-            let mut out = outstanding.lock().unwrap();
-            let n = out.len() as u64;
-            out.clear();
-            n
-        };
-        tally.unanswered.fetch_add(leftovers, Ordering::Relaxed);
-        if let Some(credits) = &credits {
-            for _ in 0..cfg.frames {
-                credits.release();
-            }
-        }
-        reader.shutdown(std::net::Shutdown::Both).ok();
-        match sender.join().expect("sender thread panicked") {
-            // A sender that died because we tore the socket down is not a
-            // run failure — its unsent frames were already accounted.
-            Ok(()) | Err(_) => Ok(()),
-        }
-    })
-}
-
-/// Re-sends one RETRYed frame, restamping its attempt clock (and re-tagging
-/// it under keyed auth — the tag covers only immutable fields, so it is
-/// identical across attempts). A frame the receiver already settled
-/// (raced answer) is silently skipped.
-fn resend(
-    writer: &mut TcpStream,
-    outstanding: &Outstanding,
-    keys: Option<&TenantKeys>,
-    tenant: u16,
-    request_id: u64,
-) -> io::Result<()> {
-    let dests = {
-        let mut out = outstanding.lock().unwrap();
-        let Some(frame) = out.get_mut(&request_id) else {
-            return Ok(());
-        };
-        frame.last_sent = Instant::now();
-        frame.dests.clone()
-    };
-    write_message(writer, &submit_message(keys, tenant, request_id, dests))
-}
-
-/// What one server response did to the outstanding window.
-enum Answer {
-    /// The frame is done: served, abandoned after RETRY, or errored.
-    Settled,
-    /// A RETRY was answered by handing the frame back to the sender.
-    Resubmitted,
-    /// The response matched no outstanding frame.
-    Ignored,
-}
-
-/// Processes one server response against the outstanding window.
-fn handle_response(
-    msg: Message,
-    outstanding: &Outstanding,
-    tally: &Tally,
-    max_resubmits: u32,
-    resub_tx: &mpsc::Sender<u64>,
-) -> Answer {
-    match msg {
-        Message::Routed {
-            request_id,
-            sources,
-            ..
-        } => {
-            let Some(frame) = outstanding.lock().unwrap().remove(&request_id) else {
-                tally.protocol_surprises.fetch_add(1, Ordering::Relaxed);
-                return Answer::Ignored;
-            };
-            if verify_routed(&frame.dests, &sources) {
-                tally.served.fetch_add(1, Ordering::Relaxed);
-                tally.hist.record(
-                    frame
-                        .last_sent
-                        .elapsed()
-                        .as_nanos()
-                        .min(u128::from(u64::MAX)) as u64,
-                );
-                if frame.attempts > 0 {
-                    tally.retry_hist.record(
-                        frame
-                            .first_sent
-                            .elapsed()
-                            .as_nanos()
-                            .min(u128::from(u64::MAX)) as u64,
-                    );
-                }
-            } else {
-                tally.misdelivered.fetch_add(1, Ordering::Relaxed);
-            }
-            Answer::Settled
-        }
-        Message::Retry { request_id, .. } => {
-            let mut out = outstanding.lock().unwrap();
-            let Some(frame) = out.get_mut(&request_id) else {
-                drop(out);
-                tally.protocol_surprises.fetch_add(1, Ordering::Relaxed);
-                return Answer::Ignored;
-            };
-            if frame.attempts < max_resubmits {
-                frame.attempts += 1;
-                drop(out);
-                if resub_tx.send(request_id).is_ok() {
-                    tally.resubmitted.fetch_add(1, Ordering::Relaxed);
-                    return Answer::Resubmitted;
-                }
-                // Sender gone: nobody can resubmit, so the frame settles.
-                outstanding.lock().unwrap().remove(&request_id);
-            } else {
-                out.remove(&request_id);
-            }
-            tally.retried.fetch_add(1, Ordering::Relaxed);
-            Answer::Settled
-        }
-        Message::Error { request_id, .. } => {
-            if outstanding.lock().unwrap().remove(&request_id).is_some() {
-                tally.errored.fetch_add(1, Ordering::Relaxed);
-                Answer::Settled
-            } else {
-                tally.protocol_surprises.fetch_add(1, Ordering::Relaxed);
-                Answer::Ignored
-            }
-        }
-        Message::Submit { .. }
-        | Message::SubmitTagged { .. }
-        | Message::Shutdown { .. }
-        | Message::Status { .. }
-        | Message::StatusReport { .. } => {
-            tally.protocol_surprises.fetch_add(1, Ordering::Relaxed);
-            Answer::Ignored
-        }
-    }
-}
-
 /// True when the routed frame matches the submitted permutation: output
 /// `j` received the input whose requested destination was `j`, and every
 /// output is covered exactly once.
@@ -772,6 +714,7 @@ fn verify_routed(dests: &[u32], sources: &[u32]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{ErrorCode, RetryReason};
 
     #[test]
     fn verify_accepts_a_correct_route_and_rejects_corruption() {
@@ -785,24 +728,130 @@ mod tests {
         assert!(!verify_routed(&dests, &[3, 2, 1, 9]), "out of range");
     }
 
+    /// Decodes and clears every request `conn` has queued.
+    fn take_requests(conn: &mut ClientConn) -> Vec<(u64, Vec<u32>)> {
+        let mut asm = FrameAssembler::new();
+        asm.feed(&std::mem::take(&mut conn.out));
+        let mut requests = Vec::new();
+        while let Some((msg, _)) = asm.next_frame().expect("well-formed requests") {
+            match msg {
+                Message::Submit {
+                    request_id, dests, ..
+                } => requests.push((request_id, dests)),
+                other => panic!("expected a SUBMIT, got {other:?}"),
+            }
+        }
+        requests
+    }
+
+    /// What a correct router returns for `dests`: output `dests[i]` holds
+    /// input `i`.
+    fn sources_for(dests: &[u32]) -> Vec<u32> {
+        let mut sources = vec![0; dests.len()];
+        for (i, &d) in dests.iter().enumerate() {
+            sources[d as usize] = i as u32;
+        }
+        sources
+    }
+
     #[test]
-    fn credits_gate_admissions() {
-        let credits = Credits::new(2);
-        credits.acquire();
-        credits.acquire();
-        // A third acquire would block; release must unblock it.
-        let unblocked = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        thread::scope(|s| {
-            let flag = std::sync::Arc::clone(&unblocked);
-            let credits = &credits;
-            s.spawn(move || {
-                credits.acquire();
-                flag.store(true, Ordering::SeqCst);
-            });
-            thread::sleep(Duration::from_millis(20));
-            assert!(!unblocked.load(Ordering::SeqCst), "gate must hold at 0");
-            credits.release();
-        });
-        assert!(unblocked.load(Ordering::SeqCst));
+    fn client_conn_paces_verifies_and_settles_without_a_socket() {
+        let cfg = LoadgenConfig {
+            tenants: 1,
+            frames: 4,
+            inputs: 8,
+            mode: LoadMode::Closed { inflight: 2 },
+            max_resubmits: 1,
+            ..LoadgenConfig::default()
+        };
+        let t0 = Instant::now();
+        let us = |n: u64| Duration::from_micros(n);
+        let mut tally = Tally::default();
+        let mut conn = ClientConn::new(&cfg, 0, t0);
+        let reply = |conn: &mut ClientConn, msg: Message, now: Instant, tally: &mut Tally| {
+            conn.receive(&msg.to_bytes(), now, tally);
+            conn.pump(now, tally);
+            assert!(conn.outstanding.len() <= 2, "the window holds 2 frames");
+        };
+        let routed = |request_id, sources| Message::Routed {
+            tenant: 0,
+            request_id,
+            sources,
+        };
+
+        // The window fills to 2 and stays there.
+        conn.pump(t0, &mut tally);
+        conn.pump(t0, &mut tally);
+        let first = take_requests(&mut conn);
+        assert_eq!(first.iter().map(|r| r.0).collect::<Vec<_>>(), [0, 1]);
+
+        // Frame 0 routed correctly: served, and frame 2 takes its slot.
+        reply(
+            &mut conn,
+            routed(0, sources_for(&first[0].1)),
+            t0 + us(10),
+            &mut tally,
+        );
+        assert_eq!((tally.served, tally.hist.count()), (1, 1));
+        // Frame 1 routed with two sources swapped: misdelivered.
+        let mut swapped = sources_for(&first[1].1);
+        swapped.swap(0, 1);
+        reply(&mut conn, routed(1, swapped), t0 + us(20), &mut tally);
+        assert_eq!(tally.misdelivered, 1);
+        let second = take_requests(&mut conn);
+        assert_eq!(second.iter().map(|r| r.0).collect::<Vec<_>>(), [2, 3]);
+        assert_eq!(tally.submitted, 4);
+
+        // A RETRY for frame 2: resent with the same id and destinations,
+        // only once its backoff has passed.
+        let retry = Message::Retry {
+            tenant: 0,
+            request_id: 2,
+            reason: RetryReason::TenantQuota,
+        };
+        let retried_at = t0 + us(30);
+        let resend_at = retried_at + RESUBMIT_BACKOFF;
+        reply(&mut conn, retry.clone(), retried_at, &mut tally);
+        assert_eq!(tally.resubmitted, 1);
+        assert_eq!(conn.deadline(), Some(resend_at));
+        conn.pump(resend_at - Duration::from_nanos(1), &mut tally);
+        assert!(conn.out.is_empty(), "no resend before the backoff");
+        conn.pump(resend_at, &mut tally);
+        assert_eq!(take_requests(&mut conn), [second[0].clone()]);
+        // A second RETRY exhausts max_resubmits: abandoned.
+        let now = resend_at + us(10);
+        reply(&mut conn, retry, now, &mut tally);
+        assert_eq!(tally.retried, 1);
+        assert!(conn.out.is_empty());
+
+        // Frame 3 is still on the wire: the drain window ends the
+        // connection only once nothing moved for that long.
+        assert!(!conn.finished(now));
+        assert!(conn.finished(now + cfg.drain_window));
+        let error = Message::Error {
+            tenant: 0,
+            request_id: 3,
+            code: ErrorCode::Route,
+            message: "route failed".to_string(),
+        };
+        reply(&mut conn, error, now + us(10), &mut tally);
+        assert_eq!(tally.errored, 1);
+        assert!(conn.finished(now + us(10)), "every frame is settled");
+
+        // An unknown id is a protocol surprise, not a settlement.
+        reply(
+            &mut conn,
+            routed(99, sources_for(&first[0].1)),
+            now + us(20),
+            &mut tally,
+        );
+        assert_eq!(tally.protocol_surprises, 1);
+        let settled = (
+            tally.served,
+            tally.misdelivered,
+            tally.retried,
+            tally.errored,
+        );
+        assert_eq!(settled, (1, 1, 1, 1));
     }
 }

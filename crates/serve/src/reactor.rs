@@ -38,7 +38,7 @@ use bnb_engine::RouteScratch;
 
 use crate::conn::Conn;
 use crate::server::{SessionCtx, SessionStats};
-use crate::sys::{PollEvent, Poller, WakePipe};
+use crate::sys::{fd_of, PollEvent, Poller, WakePipe};
 
 /// Poller token reserved for the lane's wake pipe.
 const WAKE_TOKEN: u64 = 0;
@@ -131,17 +131,6 @@ impl Inbox {
         self.batch.push_indexed(dests);
         self.frames.push(frame);
     }
-}
-
-#[cfg(unix)]
-fn fd_of(stream: &TcpStream) -> i32 {
-    use std::os::unix::io::AsRawFd;
-    stream.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-fn fd_of(_stream: &TcpStream) -> i32 {
-    -1
 }
 
 /// Runs one reactor lane to completion. `poller` is created by the

@@ -16,12 +16,13 @@
 #![allow(dead_code)]
 
 use std::io;
+use std::net::TcpStream;
 use std::time::Duration;
 
 #[cfg(not(unix))]
-pub(crate) use stub::{Poller, WakePipe};
+pub(crate) use stub::{fd_of, Poller, WakePipe};
 #[cfg(unix)]
-pub(crate) use unix::{Poller, WakePipe};
+pub(crate) use unix::{fd_of, Poller, WakePipe};
 
 /// One readiness report from [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
@@ -38,8 +39,8 @@ pub(crate) struct PollEvent {
 
 #[cfg(unix)]
 mod unix {
-    use super::{io, Duration, PollEvent};
-    use std::os::unix::io::RawFd;
+    use super::{io, Duration, PollEvent, TcpStream};
+    use std::os::unix::io::{AsRawFd, RawFd};
 
     extern "C" {
         fn close(fd: i32) -> i32;
@@ -55,6 +56,20 @@ mod unix {
     const O_NONBLOCK: i32 = 0x0004;
     #[cfg(not(any(target_os = "macos", target_os = "ios")))]
     const O_NONBLOCK: i32 = 0o4000;
+
+    /// The fd a [`Poller`] registers `stream` under.
+    pub(crate) fn fd_of(stream: &TcpStream) -> RawFd {
+        stream.as_raw_fd()
+    }
+
+    /// A millisecond timeout for `epoll_wait`/`poll`, rounded up so the
+    /// wait never ends before `timeout` (`-1` = forever).
+    fn timeout_ms(timeout: Option<Duration>) -> i32 {
+        match timeout {
+            None => -1,
+            Some(d) => d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32,
+        }
+    }
 
     fn set_nonblocking(fd: RawFd) -> io::Result<()> {
         // SAFETY: fcntl on an owned, open fd; no memory is passed.
@@ -137,7 +152,7 @@ mod unix {
 
     #[cfg(target_os = "linux")]
     mod linux {
-        use super::{close, io, Duration, PollEvent};
+        use super::{close, io, timeout_ms, Duration, PollEvent};
         use std::os::unix::io::RawFd;
 
         // The kernel ABI struct: packed on x86-64, aligned elsewhere.
@@ -150,6 +165,7 @@ mod unix {
         }
 
         extern "C" {
+            fn syscall(num: i64, ...) -> i64;
             fn epoll_create1(flags: i32) -> i32;
             fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
             fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
@@ -171,6 +187,8 @@ mod unix {
         pub(crate) struct Poller {
             epfd: RawFd,
             buf: Vec<u64>, // raw event storage, reinterpreted per wait
+            /// Cleared once `epoll_pwait2` proves unavailable.
+            pwait2: bool,
         }
 
         fn interest_bits(read: bool, write: bool) -> u32 {
@@ -194,6 +212,7 @@ mod unix {
                 Ok(Poller {
                     epfd,
                     buf: vec![0u64; 512],
+                    pwait2: true,
                 })
             }
 
@@ -236,29 +255,59 @@ mod unix {
                 self.ctl(EPOLL_CTL_DEL, fd, 0, false, false)
             }
 
+            /// `epoll_pwait2(2)` (Linux 5.11+), which takes a nanosecond
+            /// timeout, through `syscall(2)` so that builds against glibc
+            /// older than 2.35 still link. `None` once it is unavailable.
+            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+            fn pwait2(&mut self, max_events: i32, timeout: Option<Duration>) -> Option<i64> {
+                if !self.pwait2 {
+                    return None;
+                }
+                // The kernel's `__kernel_timespec`: two 64-bit fields.
+                let secs = |d: Duration| d.as_secs().min(i64::MAX as u64) as i64;
+                let timespec = timeout.map(|d| [secs(d), i64::from(d.subsec_nanos())]);
+                let spec = timespec.as_ref().map_or(std::ptr::null(), |s| s.as_ptr()) as i64;
+                let (epfd, events) = (i64::from(self.epfd), self.buf.as_mut_ptr() as i64);
+                // SAFETY: `buf` holds `max_events` EpollEvent-sized slots and
+                // `timespec` (or null: no timeout) outlives the call; a null
+                // sigmask keeps the mask. Every variadic argument is 64 bits.
+                let n =
+                    unsafe { syscall(441, epfd, events, i64::from(max_events), spec, 0i64, 0i64) };
+                // ENOSYS: a kernel before 5.11; EPERM: a seccomp filter.
+                let unavailable = [io::ErrorKind::Unsupported, io::ErrorKind::PermissionDenied];
+                self.pwait2 = n >= 0 || !unavailable.contains(&io::Error::last_os_error().kind());
+                self.pwait2.then_some(n)
+            }
+
+            #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+            fn pwait2(&mut self, _max_events: i32, _timeout: Option<Duration>) -> Option<i64> {
+                None
+            }
+
             /// Blocks for readiness up to `timeout` (`None` = forever),
-            /// appending to `out`. Returns the number of events.
+            /// appending to `out`. Returns the number of events. Without
+            /// `epoll_pwait2` the timeout rounds up to whole milliseconds,
+            /// so a wait never ends before its deadline.
             pub fn wait(
                 &mut self,
                 out: &mut Vec<PollEvent>,
                 timeout: Option<Duration>,
             ) -> io::Result<usize> {
-                let timeout_ms: i32 = match timeout {
-                    None => -1,
-                    Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
-                };
                 // 12 packed bytes (x86-64) or 16 aligned bytes fit in
                 // two u64 slots either way.
                 let max_events = (self.buf.len() / 2) as i32;
-                // SAFETY: the buffer holds `max_events` EpollEvent-sized
-                // slots and outlives the call.
-                let n = unsafe {
-                    epoll_wait(
-                        self.epfd,
-                        self.buf.as_mut_ptr() as *mut EpollEvent,
-                        max_events,
-                        timeout_ms,
-                    )
+                let n = match self.pwait2(max_events, timeout) {
+                    Some(n) => n,
+                    // SAFETY: the buffer holds `max_events` EpollEvent-sized
+                    // slots and outlives the call.
+                    None => i64::from(unsafe {
+                        epoll_wait(
+                            self.epfd,
+                            self.buf.as_mut_ptr() as *mut EpollEvent,
+                            max_events,
+                            timeout_ms(timeout),
+                        )
+                    }),
                 };
                 if n < 0 {
                     let err = io::Error::last_os_error();
@@ -296,7 +345,7 @@ mod unix {
 
     #[cfg(not(target_os = "linux"))]
     mod fallback {
-        use super::{io, Duration, PollEvent};
+        use super::{io, timeout_ms, Duration, PollEvent};
         use std::collections::HashMap;
         use std::os::unix::io::RawFd;
 
@@ -373,13 +422,9 @@ mod unix {
                         revents: 0,
                     })
                     .collect();
-                let timeout_ms: i32 = match timeout {
-                    None => -1,
-                    Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
-                };
                 // SAFETY: `fds` outlives the call; the kernel writes
                 // revents in place.
-                let n = unsafe { poll(fds.as_mut_ptr(), fds.len(), timeout_ms) };
+                let n = unsafe { poll(fds.as_mut_ptr(), fds.len(), timeout_ms(timeout)) };
                 if n < 0 {
                     let err = io::Error::last_os_error();
                     if err.kind() == io::ErrorKind::Interrupted {
@@ -409,7 +454,11 @@ mod unix {
 
 #[cfg(not(unix))]
 mod stub {
-    use super::{io, Duration, PollEvent};
+    use super::{io, Duration, PollEvent, TcpStream};
+
+    pub(crate) fn fd_of(_stream: &TcpStream) -> i32 {
+        -1
+    }
 
     fn unsupported() -> io::Error {
         io::Error::new(
@@ -464,8 +513,9 @@ mod stub {
 mod tests {
     use super::*;
     use std::io::{Read as _, Write as _};
-    use std::net::{TcpListener, TcpStream};
+    use std::net::TcpListener;
     use std::os::unix::io::AsRawFd;
+    use std::time::Instant;
 
     #[test]
     fn wake_pipe_wakes_and_drains() {
@@ -486,6 +536,21 @@ mod tests {
             .unwrap();
         assert!(events.iter().any(|e| e.token == 99 && e.readable));
         pipe.drain();
+    }
+
+    #[test]
+    fn sub_millisecond_wait_blocks() {
+        let mut poller = Poller::new().unwrap();
+        let mut events = Vec::new();
+        let timeout = Duration::from_micros(300);
+        let started = Instant::now();
+        poller.wait(&mut events, Some(timeout)).unwrap();
+        let waited = started.elapsed();
+        assert!(events.is_empty());
+        assert!(
+            waited >= timeout && waited < Duration::from_millis(100),
+            "a 300 µs wait took {waited:?}"
+        );
     }
 
     #[test]

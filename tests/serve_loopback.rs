@@ -7,12 +7,12 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
 use bnb::obs::Counters;
-use bnb::serve::loadgen::{run_loadgen, LoadMode, LoadgenConfig, TenantLoad};
+use bnb::serve::loadgen::{run_loadgen, run_sweep, LoadMode, LoadgenConfig, TenantLoad};
 use bnb::serve::server::{ServeConfig, ServeReport, Server, ServerControl, StatusSnapshot};
 
 /// Runs its closure on drop, also while a failed assertion unwinds: the
@@ -677,4 +677,141 @@ fn serve_families_come_from_one_ledger_and_latency_counts_each_frame_once() {
         snapshot.batches_drained,
         "one latency sample per drained frame"
     );
+}
+
+#[test]
+fn a_silent_server_ends_in_unanswered_not_a_hang() {
+    // A listener that accepts and reads, but never answers.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().unwrap().to_string();
+    let silent = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut buf = [0u8; 4096];
+        while matches!(stream.read(&mut buf), Ok(n) if n > 0) {}
+    });
+    // Detached, so a hang fails the deadline below instead of the suite.
+    let (done, result) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = done.send(run_loadgen(&LoadgenConfig {
+            addr,
+            tenants: 1,
+            frames: 2,
+            inputs: 8,
+            mode: LoadMode::Closed { inflight: 4 },
+            seed: 0x511E,
+            drain_window: Duration::from_millis(200),
+            shutdown_when_done: false,
+            max_resubmits: 0,
+            connections: 0,
+            keys: None,
+        }));
+    });
+    let load = result
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the drain window must end the run against a silent server")
+        .expect("loadgen run");
+    assert_eq!(load.submitted, 2, "{load:?}");
+    assert_eq!(load.unanswered, load.submitted, "{load:?}");
+    assert_eq!(load.served, 0, "{load:?}");
+    silent.join().expect("silent listener");
+}
+
+#[test]
+fn open_loop_holds_its_aggregate_rate_with_connections_sharing_tenants() {
+    let config = ServeConfig {
+        inputs: 8,
+        workers: 1,
+        queue_capacity: 64,
+        tenant_quota: 64,
+        max_connections: 8,
+        read_timeout: Duration::from_millis(20),
+        slow_ms: 0,
+        reactor_threads: 1,
+        window: 32,
+    };
+    let (report, load) = serve_scope(config, |addr, _control| {
+        run_loadgen(&LoadgenConfig {
+            addr: addr.to_string(),
+            tenants: 2,
+            connections: 4,
+            frames: 100,
+            inputs: 8,
+            mode: LoadMode::Open { qps: 2000.0 },
+            seed: 0x0BE7,
+            drain_window: Duration::from_secs(2),
+            shutdown_when_done: false,
+            max_resubmits: 0,
+            keys: None,
+        })
+        .expect("loadgen run")
+    });
+    // 400 frames at 2000 frames/s take 200 ms; pacing each connection at
+    // its tenant's share (1000/s) would finish in half that.
+    assert!(load.elapsed_ms >= 180, "ran ahead of --qps: {load:?}");
+    assert_eq!(load.submitted, 400, "{load:?}");
+    assert_eq!(load.misdelivered, 0, "{load:?}");
+    assert_eq!(load.unanswered, 0, "{load:?}");
+    assert_eq!(
+        load.submitted,
+        load.served + load.retried + load.errored,
+        "client ledger must balance: {load:?}"
+    );
+    assert!(report.accounted(), "{report:?}");
+    assert_eq!(report.frames_submitted, load.submitted);
+}
+
+#[test]
+fn sweep_reports_each_point_and_drains_the_session_once_after_the_last() {
+    let config = ServeConfig {
+        inputs: 8,
+        workers: 1,
+        queue_capacity: 16,
+        tenant_quota: 16,
+        max_connections: 8,
+        read_timeout: Duration::from_millis(20),
+        slow_ms: 0,
+        reactor_threads: 1,
+        window: 32,
+    };
+    let (report, (sweep, drained)) = serve_scope(config, |addr, control| {
+        let sweep = run_sweep(
+            &LoadgenConfig {
+                addr: addr.to_string(),
+                tenants: 2,
+                connections: 0,
+                frames: 12,
+                inputs: 8,
+                mode: LoadMode::Closed { inflight: 3 },
+                seed: 0x5EE9,
+                drain_window: Duration::from_secs(2),
+                shutdown_when_done: true,
+                max_resubmits: 4,
+                keys: None,
+            },
+            &[1, 3],
+        )
+        .expect("sweep run");
+        // The sweep's wire SHUTDOWN, not serve_scope's trailing trigger,
+        // starts the drain.
+        let drained = (0..500).any(|_| {
+            thread::sleep(Duration::from_millis(2));
+            control.shutdown_requested()
+        });
+        (sweep, drained)
+    });
+    let counts: Vec<usize> = sweep.points.iter().map(|p| p.connections).collect();
+    assert_eq!(counts, [1, 3], "{sweep:?}");
+    for p in &sweep.points {
+        assert_eq!(p.submitted, p.connections as u64 * 12, "{p:?}");
+        assert_eq!(p.misdelivered, 0, "{p:?}");
+        assert_eq!(p.unanswered, 0, "{p:?}");
+        assert_eq!(p.submitted, p.served + p.retried + p.errored, "{p:?}");
+    }
+    // Both points ran against one live session: the drain came once,
+    // after the last point, so every frame reached the server.
+    assert!(drained, "the sweep never sent its SHUTDOWN");
+    assert!(report.graceful);
+    assert!(report.accounted(), "{report:?}");
+    let served: u64 = sweep.points.iter().map(|p| p.served).sum();
+    assert_eq!(report.frames_served, served, "{report:?}");
 }
