@@ -57,6 +57,8 @@ pub struct StageScratch {
     /// per-frame validation (the span entry points take caller-owned
     /// `seen`, see [`validate_lines`]).
     pub(crate) seen: Vec<usize>,
+    /// The byte map behind that validation's uniqueness check.
+    pub(crate) marks: Vec<u8>,
     /// Per-frame staging buffer for the batch API's frame-at-a-time
     /// fallback paths (`lines` is the wiring buffer and cannot double up).
     pub(crate) frame_buf: Vec<Record>,
@@ -74,6 +76,7 @@ impl StageScratch {
             up: Vec::with_capacity(2 * n),
             tapped: Vec::new(),
             seen: Vec::new(),
+            marks: Vec::new(),
             frame_buf: Vec::new(),
             packed: crate::packed::PackedScratch::default(),
         }

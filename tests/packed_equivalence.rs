@@ -8,7 +8,7 @@
 //! this suite can hold the kernels against each other forever.
 
 use bnb::core::batch::{route_batch, BatchOutcome, FrameBatch};
-use bnb::core::network::{BnbNetwork, RoutePolicy};
+use bnb::core::network::{BnbNetwork, RoutePolicy, WiringMode};
 use bnb::core::stages::{Kernel, RouteSpan, StageScratch};
 use bnb::core::{FaultKind, FaultMap, FaultSite};
 use bnb::topology::perm::Permutation;
@@ -209,24 +209,31 @@ proptest! {
 
     /// The batched kernel against the scalar oracle: batch sizes 1, 7,
     /// and 64 (sub-word, unaligned-tail, and multi-word plane shapes),
-    /// both policies, valid-only and garbled frame mixes.
+    /// both policies, valid-only and garbled frame mixes, every wiring.
+    /// m runs to 12, so relabelings that cross words (m > 6) and the
+    /// served m = 10 shape are covered; a Shuffle wiring leaves σ in
+    /// non-contiguous level orders. Batches at m >= 11 (2-4K-cell
+    /// frames) are capped at 4 frames to keep the scalar oracle fast.
     #[test]
     fn batched_matches_scalar(
-        m in 1usize..=8,
+        m in 1usize..=12,
         seed in any::<u64>(),
         strict in any::<bool>(),
         batch_idx in 0usize..3,
         garble in any::<bool>(),
+        wiring_idx in 0usize..3,
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let policy = if strict { RoutePolicy::Strict } else { RoutePolicy::Permissive };
-        let net = build(m, policy);
-        let frames = random_frames(1 << m, [1usize, 7, 64][batch_idx], garble, &mut rng);
+        let wiring = [WiringMode::Unshuffle, WiringMode::Shuffle, WiringMode::Identity][wiring_idx];
+        let net = BnbNetwork::builder(m).data_width(32).policy(policy).wiring(wiring).build();
+        let sizes = if m <= 10 { [1usize, 7, 64] } else { [1, 3, 4] };
+        let frames = random_frames(1 << m, sizes[batch_idx], garble, &mut rng);
         let opts = RouteSpan::new();
         let oracle = RouteSpan::new().kernel(Kernel::Scalar);
         assert_batch_matches_scalar(
             &net, &frames, &opts, &oracle,
-            &format!("m={m} {policy:?} b={} garble={garble}", frames.len()),
+            &format!("m={m} {policy:?} {wiring:?} b={} garble={garble}", frames.len()),
         );
     }
 
