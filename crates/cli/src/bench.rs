@@ -8,12 +8,13 @@
 //! both unobserved and observed by [`Counters`] (the server's
 //! configuration) — and reports nanoseconds per frame and cells per
 //! second for each. Every row is self-describing: kernel name, batch
-//! size, and SWAR word width, so the checked-in baseline can accumulate
-//! rows from different kernel generations without ambiguity. The CI
-//! bench-smoke job re-parses the `--json` output and gates on packed >
-//! scalar at m ≥ 8, batched > packed at m ≥ 10, Counters-observed
-//! batched within 1.5x of batched at m ≥ 8, and batched flatness (m = 12
-//! within 3x of m = 4 cells/s); a full-size run
+//! size (the frames each call routed), and SWAR word width, so the
+//! checked-in baseline can accumulate rows from different kernel
+//! generations without ambiguity. The CI bench-smoke job re-parses the
+//! `--json` output and gates on packed > scalar at m ≥ 8, batched >
+//! packed at m ≥ 10, Counters-observed batched within 1.5x of batched at
+//! m ≥ 8, batched flatness (m = 12 within 3x of m = 4 cells/s), and no
+//! row's batch above the report's frames; a full-size run
 //! (`bnb bench --out BENCH_routing.json`) is checked in so future PRs
 //! have a baseline to diff against.
 
@@ -39,7 +40,9 @@ pub struct BenchRow {
     pub kernel: String,
     /// Network size exponent (`N = 2^m` cells per frame).
     pub m: usize,
-    /// Frames routed per kernel invocation (1 for the per-frame kernels).
+    /// Frames routed per kernel invocation (1 for the per-frame kernels;
+    /// for the batched ones the `--batch` size, capped by the frames
+    /// there are).
     pub batch: usize,
     /// SWAR word width in bits (64 for the packed kernels; 64 recorded
     /// for scalar too — it is the unit the packed paths are held against).
@@ -183,7 +186,7 @@ pub fn run_bench(
             ("batched-counters", RouteSpan::new().observer(&counters)),
         ] {
             let ns = time_batched(&net, &batch, &mut scratch, &opts, batch_size, min_ns);
-            push(kernel, batch_size, ns);
+            push(kernel, batch_size.min(frames), ns);
         }
     }
     BenchReport { frames, rows }

@@ -276,8 +276,9 @@ pub fn usage() -> String {
                   [--ops 8] [--workers 2] [--seed 0] [--out FILE])\n\
        bench      time the routing kernels (bit-packed vs scalar) and\n\
                   report ns/frame and cells/s ([--min-m 4] [--max-m 12]\n\
-                  [--frames 16] [--seed 0] [--min-ms 20] [--json]\n\
-                  [--out BENCH_routing.json])\n\
+                  [--frames 16] [--batch 64 frames per batched call,\n\
+                  at most --frames] [--scalar-max-m MAX_M] [--seed 0]\n\
+                  [--min-ms 20] [--json] [--out BENCH_routing.json])\n\
        serve      run the long-lived routing service until SIGTERM/SIGINT\n\
                   or a wire SHUTDOWN; prints 'listening on ADDR' at bind\n\
                   and the session report JSON after the graceful drain\n\
@@ -314,7 +315,9 @@ pub fn usage() -> String {
      trace-event JSON (open in chrome://tracing or ui.perfetto.dev), on\n\
      success and on error alike. --sample all|errors|N picks the recording\n\
      policy: keep everything, keep only error-path spans (conflicts,\n\
-     hardware faults, retries, failed drains), or keep one span in N.\n"
+     hardware faults, retries, failed drains), or keep one span in N.\n\
+     \n\
+     --help or -h after any command prints this text instead of running it.\n"
         .to_string()
 }
 
@@ -328,6 +331,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         return Ok(usage());
     };
     let flags = Flags { args: &args[1..] };
+    // Flags are looked up by name, so an unknown one would be ignored and
+    // the command would run: `--help` after a command asks for usage.
+    if flags.present("--help") || flags.present("-h") {
+        return Ok(usage());
+    }
     match command.as_str() {
         "help" | "--help" | "-h" => Ok(usage()),
         "route" => cmd_route(&flags),
@@ -1105,9 +1113,31 @@ mod tests {
                 assert!(row.cells_per_s > 0.0);
                 assert_eq!(row.word_bits, 64);
                 let batched = kernel.starts_with("batched");
-                assert_eq!(row.batch, if batched { 64 } else { 1 });
+                assert_eq!(row.batch, if batched { 2 } else { 1 });
             }
         }
+    }
+
+    #[test]
+    fn bench_and_serve_help_print_usage_without_running() {
+        // A held port: a server that tried to bind it would fail.
+        let held = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = held.local_addr().unwrap().to_string();
+        let path = std::env::temp_dir().join(format!("bnb_help_{}.json", std::process::id()));
+        let path = path.to_str().unwrap().to_string();
+        let started = std::time::Instant::now();
+        for flag in ["--help", "-h"] {
+            assert_eq!(run_str(&["serve", "--addr", &addr, flag]).unwrap(), usage());
+            // Ten seconds per cell would take minutes if anything were timed.
+            let bench = ["bench", flag, "--min-ms", "10000", "--out", &path];
+            assert_eq!(run_str(&bench).unwrap(), usage());
+        }
+        assert!(
+            !std::path::Path::new(&path).exists(),
+            "bench wrote a report"
+        );
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
+        drop(held);
     }
 
     #[test]

@@ -38,6 +38,7 @@ use bnb_topology::record::Record;
 
 use crate::error::RouteError;
 use crate::network::{BnbNetwork, RoutePolicy};
+use crate::packed::{route_batch_in, Build};
 use crate::stages::{RouteSpan, StageScratch, Sweep};
 
 /// `B` frames of width `n`, structure-of-arrays: destinations and payloads
@@ -141,31 +142,20 @@ impl FrameBatch {
         }
     }
 
-    /// Appends one frame whose cell `j` is bound for `dests[j]` and
-    /// carries its input index `j` as payload, so the routed frame's
-    /// payload column names the source of every output line. The
-    /// destinations are taken as they come, with no intermediate frame.
+    /// Appends one frame whose cell `j` carries its input index `j` as
+    /// payload, so the routed frame's payload column names the source of
+    /// every output line. `fill` writes the destinations, cell `j`'s at
+    /// index `j`, straight into the frame's batch-width slot of the
+    /// destination column (zeroed first), with no intermediate frame: a
+    /// caller decodes a SUBMIT's destination words into it in one pass.
     ///
     /// # Panics
     ///
-    /// Panics if `dests` does not yield exactly the batch width.
-    pub fn push_indexed(&mut self, dests: impl IntoIterator<Item = u32>) {
-        let dests = dests.into_iter();
+    /// Panics if `fill` does, say on a frame of another width.
+    pub fn push_indexed_with(&mut self, fill: impl FnOnce(&mut [u32])) {
         let before = self.dests.len();
-        if dests.size_hint() == (self.n, Some(self.n)) {
-            // A known width (a SUBMIT's destination words): fill the
-            // pre-sized column in place, a loop that vectorizes.
-            self.dests.resize(before + self.n, 0);
-            let mut filled = 0;
-            for (slot, d) in self.dests[before..].iter_mut().zip(dests) {
-                *slot = d;
-                filled += 1;
-            }
-            assert_eq!(filled, self.n, "frame width mismatch");
-        } else {
-            self.dests.extend(dests);
-            assert_eq!(self.dests.len() - before, self.n, "frame width mismatch");
-        }
+        self.dests.resize(before + self.n, 0);
+        fill(&mut self.dests[before..]);
         self.data.extend(0..self.n as u64);
     }
 
@@ -307,6 +297,8 @@ impl BatchOutcome {
 /// Strict uniqueness: `n` in-range destinations form a permutation iff
 /// they mark all `n` entries of a byte map; the scan for the first
 /// repeated destination runs only for a frame that leaves one unmarked.
+/// `#[inline(always)]`, so it runs in the build of its caller.
+#[inline(always)]
 fn validate_frame(
     net: &BnbNetwork,
     dests: &[u32],
@@ -337,6 +329,9 @@ fn validate_frame(
     if matches!(net.policy(), RoutePolicy::Strict) {
         marks.clear();
         marks.resize(n, 0);
+        // Through a slice, whose pointer and length stay in registers
+        // while the bytes are stored.
+        let marks = &mut marks[..];
         for &d in dests {
             marks[d as usize] = 1;
         }
@@ -377,7 +372,26 @@ fn validate_frame(
 ///
 /// Unlike the span entry points this routes whole frames only: engine
 /// workers splitting a span route the slices with [`RouteSpan::run`].
+///
+/// The call checks the CPU's features once and runs validation, plane
+/// extraction, every column pass and the delivery in the widest build it
+/// has: AVX-512, AVX2 or portable.
 pub fn route_batch(
+    net: &BnbNetwork,
+    batch: &mut FrameBatch,
+    opts: &RouteSpan<'_>,
+    scratch: &mut StageScratch,
+    outcome: &mut BatchOutcome,
+) {
+    route_batch_in(Build::detect(), net, batch, opts, scratch, outcome);
+}
+
+/// The whole of [`route_batch`] in `build`, `#[inline(always)]` so each
+/// build's wrapper ([`route_batch_in`]) compiles its own copy, with
+/// `build` a constant in it.
+#[inline(always)]
+pub(crate) fn route_batch_body(
+    build: Build,
     net: &BnbNetwork,
     batch: &mut FrameBatch,
     opts: &RouteSpan<'_>,
@@ -421,7 +435,7 @@ pub fn route_batch(
         if (!strict || matches!(net.wiring(), crate::network::WiringMode::Unshuffle))
             && net.m() <= crate::packed::MAX_BATCHED_M
         {
-            crate::packed::route_batch_packed(net, batch, results, scratch, tally);
+            crate::packed::route_batch_packed(build, net, batch, results, scratch, tally);
             return;
         }
     }
@@ -544,19 +558,30 @@ mod tests {
     }
 
     #[test]
-    fn push_indexed_fills_the_same_with_or_without_a_length() {
+    fn push_indexed_with_fills_one_zeroed_slot_and_index_payloads() {
         let dests = [3u32, 1, 0, 2];
-        let mut exact = FrameBatch::new(4);
-        exact.push_indexed(dests);
-        let mut unsized_ = FrameBatch::new(4);
-        unsized_.push_indexed(dests.into_iter().filter(|_| true));
-        assert_eq!(exact, unsized_);
-        assert_eq!(exact.dests(), &dests);
-        assert_eq!(exact.frame_data(0), &[0, 1, 2, 3]);
+        let mut filled = FrameBatch::new(4);
+        for _ in 0..2 {
+            filled.push_indexed_with(|slots| {
+                assert_eq!(slots, [0; 4]);
+                slots.copy_from_slice(&dests);
+            });
+        }
+        let frame: Vec<Record> = dests
+            .iter()
+            .enumerate()
+            .map(|(j, &d)| Record::new(d as usize, j as u64))
+            .collect();
+        let mut pushed = FrameBatch::new(4);
+        pushed.push_frame(&frame);
+        pushed.push_frame(&frame);
+        assert_eq!(filled, pushed);
+        assert_eq!(&filled.dests()[4..], &dests);
+        assert_eq!(filled.frame_data(1), &[0, 1, 2, 3]);
         for short in [&dests[..3], &dests[..]] {
             let width = short.len() + 1;
             let pushed = std::panic::catch_unwind(|| {
-                FrameBatch::new(width).push_indexed(short.iter().copied());
+                FrameBatch::new(width).push_indexed_with(|slots| slots.copy_from_slice(short));
             });
             assert!(
                 pushed.is_err(),
@@ -576,33 +601,93 @@ mod tests {
         frames[0][5] = Record::new(8, 5);
         frames[1][1] = Record::new(9, 6); // destination too wide first
         frames[1][6] = Record::new(1, 1 << 7);
-        let mut batch = FrameBatch::new(8);
-        for frame in &frames {
-            batch.push_frame(frame);
+        for build in Build::available() {
+            let mut batch = FrameBatch::new(8);
+            for frame in &frames {
+                batch.push_frame(frame);
+            }
+            let mut scratch = StageScratch::with_capacity(8);
+            let mut outcome = BatchOutcome::new();
+            route_batch_in(
+                build,
+                &net,
+                &mut batch,
+                &RouteSpan::new(),
+                &mut scratch,
+                &mut outcome,
+            );
+            let mut seen = Vec::new();
+            for (f, frame) in frames.iter().enumerate() {
+                let want = validate_lines(&net, frame, &mut seen);
+                assert_eq!(outcome.results()[f], want, "{build:?} build, frame {f}");
+            }
+            assert!(matches!(
+                outcome.results()[0],
+                Err(RouteError::DataTooWide { .. })
+            ));
+            assert!(matches!(
+                outcome.results()[1],
+                Err(RouteError::DestinationTooWide { dest: 9, .. })
+            ));
+            assert!(outcome.results()[2].is_ok());
         }
-        let mut scratch = StageScratch::with_capacity(8);
-        let mut outcome = BatchOutcome::new();
-        route_batch(
-            &net,
-            &mut batch,
-            &RouteSpan::new(),
-            &mut scratch,
-            &mut outcome,
-        );
-        let mut seen = Vec::new();
-        for (f, frame) in frames.iter().enumerate() {
-            let want = validate_lines(&net, frame, &mut seen);
-            assert_eq!(outcome.results()[f], want, "frame {f}");
+    }
+
+    /// Every build of `route_batch` routes, rejects and counts exactly as
+    /// the portable one: m = 1..=12, strict and permissive, valid frames
+    /// among repeated, out-of-range and too-wide ones, under a `Counters`
+    /// observer (the served configuration).
+    #[test]
+    fn route_batch_builds_agree() {
+        use bnb_obs::Counters;
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(42);
+        for m in 1..=12usize {
+            let n = 1usize << m;
+            for policy in [RoutePolicy::Strict, RoutePolicy::Permissive] {
+                let net = BnbNetwork::builder(m).policy(policy).data_width(16).build();
+                let mut batch = FrameBatch::new(n);
+                for f in 0..if m > 10 { 5 } else { 9 } {
+                    let mut dests: Vec<usize> = (0..n).collect();
+                    for j in (1..n).rev() {
+                        dests.swap(j, rng.random_range(0..=j));
+                    }
+                    let mut frame: Vec<Record> = dests
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &d)| Record::new(d, (j as u64 * 7 + f) & 0xFFFF))
+                        .collect();
+                    let cell = rng.random_range(0..n);
+                    match f % 4 {
+                        1 if n > 1 => frame[cell] = Record::new(frame[(cell + 1) % n].dest(), 3),
+                        2 => frame[cell] = Record::new(n + cell, 5),
+                        3 => frame[cell] = Record::new(frame[cell].dest(), 1 << 16),
+                        _ => {}
+                    }
+                    batch.push_frame(&frame);
+                }
+                let run = |build: Build| {
+                    let mut routed = batch.clone();
+                    let counters = Counters::new();
+                    let mut scratch = StageScratch::with_capacity(n);
+                    let mut outcome = BatchOutcome::new();
+                    let opts = RouteSpan::new().observer(&counters);
+                    route_batch_in(build, &net, &mut routed, &opts, &mut scratch, &mut outcome);
+                    (routed, outcome, counters.snapshot())
+                };
+                let portable = run(Build::PORTABLE);
+                assert!(
+                    portable.1.results().iter().any(Result::is_ok)
+                        && portable.1.results().iter().any(Result::is_err),
+                    "test premise: m = {m} mixes routed and rejected frames"
+                );
+                assert!(portable.2.columns > 0, "m = {m} routed no column");
+                for build in Build::available() {
+                    assert_eq!(run(build), portable, "{build:?} build, m = {m}, {policy:?}");
+                }
+            }
         }
-        assert!(matches!(
-            outcome.results()[0],
-            Err(RouteError::DataTooWide { .. })
-        ));
-        assert!(matches!(
-            outcome.results()[1],
-            Err(RouteError::DestinationTooWide { dest: 9, .. })
-        ));
-        assert!(outcome.results()[2].is_ok());
     }
 
     #[test]

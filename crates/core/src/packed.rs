@@ -37,6 +37,10 @@
 //!   stage's totals ([`StageTotalsEvent`]) without a per-cell walk, equal
 //!   to what the scalar sweep's per-column events add up to — including
 //!   the partial stage before a splitter error.
+//! - **Builds** — [`Build`] names the instruction set a route runs in:
+//!   AVX-512, AVX2 (both with POPCNT) or portable. A batched route picks
+//!   one per call and runs its extraction, every column pass and its
+//!   delivery inside it; the span kernel picks one per span.
 //!
 //! The kernel is byte-identical to the scalar path on success and returns
 //! identical error values on failure; only the (unspecified) contents of
@@ -50,11 +54,12 @@ use std::ops::Range;
 use bnb_obs::{Observer, StageTotalsEvent};
 use bnb_topology::record::Record;
 
+use crate::batch::{route_batch_body, BatchOutcome, FrameBatch};
 use crate::error::RouteError;
 use crate::fault::FaultMap;
 use crate::network::{BnbNetwork, RoutePolicy, WiringMode};
 use crate::splitter::{check_balanced, controls_into, SplitterSite};
-use crate::stages::{report_route_error, StageScratch};
+use crate::stages::{report_route_error, RouteSpan, StageScratch};
 
 /// Bits at even positions: the switch-control positions (`2t`).
 const EVEN: u64 = 0x5555_5555_5555_5555;
@@ -466,6 +471,8 @@ struct ColumnPass<'a> {
     /// The column ends its main stage, whose plane then dies, so the
     /// exchange skips it.
     last: bool,
+    /// Count the column's exchanges: set only where a tally reads them.
+    count: bool,
 }
 
 /// Words of a row processed together: two AVX-512 registers, four AVX2
@@ -738,10 +745,12 @@ fn exchange_planes(planes: &mut [u64], flags: &[u64], pair: Fold) {
 
 /// Body of one batched column: the arbiter sweep of the current plane
 /// (`live[..words]`) tile by tile into `flags`, then the exchange on every
-/// live plane and every index plane. `#[inline(always)]` so each
-/// `#[target_feature]` wrapper below gets its own autovectorized copy:
-/// every pass is a lane-wise shift/mask loop over sequential words with a
-/// loop-invariant shift.
+/// live plane and every index plane. With `pass.count` it returns the
+/// column's exchanges, the popcount of the flag words it wrote, counted
+/// tile by tile while they are in cache (0 without). `#[inline(always)]`
+/// so each build gets its own autovectorized copy: every pass is a
+/// lane-wise shift/mask loop over sequential words with a loop-invariant
+/// shift, and the popcount is one instruction where the build has one.
 #[inline(always)]
 fn column_pass_body(
     live: &mut [u64],
@@ -749,88 +758,211 @@ fn column_pass_body(
     flags: &mut [u64],
     lev: &mut [u64],
     pass: &ColumnPass,
-) {
+) -> u64 {
     let words = pass.words;
+    let mut exchanges = 0;
     for (x, f) in live[..words]
         .chunks(pass.tile)
         .zip(flags[..words].chunks_mut(pass.tile))
     {
         tile_flags(x, f, lev, pass.folds);
+        if pass.count {
+            exchanges += f.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+        }
     }
     let flags = &flags[..words];
     let pair = pass.folds[0];
     let from = if pass.last { words } else { 0 };
     exchange_planes(&mut live[from..], flags, pair);
     exchange_planes(iplanes, flags, pair);
+    exchanges
 }
 
-/// [`column_pass_body`] compiled with AVX-512 enabled; reachable only
-/// after a runtime feature check.
+/// [`column_pass_body`] in the portable build.
+#[inline(never)]
+fn column_pass_portable(
+    live: &mut [u64],
+    iplanes: &mut [u64],
+    flags: &mut [u64],
+    lev: &mut [u64],
+    pass: &ColumnPass,
+) -> u64 {
+    column_pass_body(live, iplanes, flags, lev, pass)
+}
+
+/// [`column_pass_body`] in the AVX-512 build.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,popcnt")]
+#[inline(never)]
 fn column_pass_avx512(
     live: &mut [u64],
     iplanes: &mut [u64],
     flags: &mut [u64],
     lev: &mut [u64],
     pass: &ColumnPass,
-) {
-    column_pass_body(live, iplanes, flags, lev, pass);
+) -> u64 {
+    column_pass_body(live, iplanes, flags, lev, pass)
 }
 
-/// [`column_pass_body`] compiled with AVX2 enabled; reachable only after
-/// a runtime feature check.
+/// [`column_pass_body`] in the AVX2 build.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,popcnt")]
+#[inline(never)]
 fn column_pass_avx2(
     live: &mut [u64],
     iplanes: &mut [u64],
     flags: &mut [u64],
     lev: &mut [u64],
     pass: &ColumnPass,
-) {
-    column_pass_body(live, iplanes, flags, lev, pass);
+) -> u64 {
+    column_pass_body(live, iplanes, flags, lev, pass)
 }
 
-/// Runs one batched column, dispatching once to the widest SIMD build
-/// this CPU supports.
+/// Runs one column pass in `build`. Each build's pass is a function of
+/// its own, which keeps the kernels around it small enough for the
+/// inliner. In a batched route `build` is a constant of the caller's
+/// build and the match folds away; the span kernel, compiled once,
+/// dispatches per column.
+#[inline(always)]
 fn column_pass(
+    build: Build,
     live: &mut [u64],
     iplanes: &mut [u64],
     flags: &mut [u64],
     lev: &mut [u64],
     pass: &ColumnPass,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if has_avx512() {
-            // SAFETY: the features the wrapper enables were just detected.
-            unsafe { column_pass_avx512(live, iplanes, flags, lev, pass) };
-            return;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 was just detected.
-            unsafe { column_pass_avx2(live, iplanes, flags, lev, pass) };
-            return;
-        }
+) -> u64 {
+    match build.0 {
+        // SAFETY: a SIMD build exists only where its features were
+        // detected (see `Build`).
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { column_pass_avx512(live, iplanes, flags, lev, pass) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { column_pass_avx2(live, iplanes, flags, lev, pass) },
+        Isa::Portable => column_pass_portable(live, iplanes, flags, lev, pass),
     }
-    column_pass_body(live, iplanes, flags, lev, pass);
 }
 
-/// Whether this CPU has the AVX-512 subsets the `_avx512` builds enable.
+/// The instruction set a word-parallel route runs in. The batched path
+/// ([`crate::batch::route_batch`]) picks one per call and runs
+/// validation, plane extraction, every column pass and the delivery
+/// inside it; the span kernel picks one per span.
+///
+/// Only [`Build::detect`] and, in tests, [`Build::available`] make a SIMD
+/// build, and every match that enters one is in this module, so a SIMD
+/// build exists only on a CPU that has its features: that is what makes
+/// entering it sound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Build(Isa);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    /// Baseline code for the target: the reference every other build is
+    /// tested against.
+    Portable,
+    /// AVX2 and POPCNT.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// AVX-512 (F, BW, DQ, VL) and POPCNT.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Build {
+    /// The portable build, which every CPU runs.
+    pub(crate) const PORTABLE: Build = Build(Isa::Portable);
+
+    /// The widest build this CPU runs.
+    pub(crate) fn detect() -> Build {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("popcnt") && has!("avx2") {
+                if has!("avx512f") && has!("avx512bw") && has!("avx512dq") && has!("avx512vl") {
+                    return Build(Isa::Avx512);
+                }
+                return Build(Isa::Avx2);
+            }
+        }
+        Build::PORTABLE
+    }
+
+    /// Every build this CPU runs, portable first.
+    #[cfg(test)]
+    pub(crate) fn available() -> Vec<Build> {
+        let mut builds = vec![Build::PORTABLE];
+        #[cfg(target_arch = "x86_64")]
+        {
+            let widest = Build::detect().0;
+            if widest != Isa::Portable {
+                builds.push(Build(Isa::Avx2));
+            }
+            if widest == Isa::Avx512 {
+                builds.push(Build(Isa::Avx512));
+            }
+        }
+        builds
+    }
+}
+
+/// [`crate::batch::route_batch`] in `build`. Each SIMD build's wrapper
+/// compiles its own copy of the whole route, with the build a constant
+/// in it.
+pub(crate) fn route_batch_in(
+    build: Build,
+    net: &BnbNetwork,
+    batch: &mut FrameBatch,
+    opts: &RouteSpan<'_>,
+    scratch: &mut StageScratch,
+    outcome: &mut BatchOutcome,
+) {
+    match build.0 {
+        // SAFETY: a SIMD build exists only where its features were
+        // detected (see `Build`).
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { route_batch_avx512(net, batch, opts, scratch, outcome) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { route_batch_avx2(net, batch, opts, scratch, outcome) },
+        Isa::Portable => route_batch_body(Build::PORTABLE, net, batch, opts, scratch, outcome),
+    }
+}
+
+/// [`route_batch_body`] in the AVX-512 build.
 #[cfg(target_arch = "x86_64")]
-fn has_avx512() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512bw")
-        && std::arch::is_x86_feature_detected!("avx512dq")
-        && std::arch::is_x86_feature_detected!("avx512vl")
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,popcnt")]
+fn route_batch_avx512(
+    net: &BnbNetwork,
+    batch: &mut FrameBatch,
+    opts: &RouteSpan<'_>,
+    scratch: &mut StageScratch,
+    outcome: &mut BatchOutcome,
+) {
+    route_batch_body(Build(Isa::Avx512), net, batch, opts, scratch, outcome);
 }
 
-/// Scalar destination-bit extraction over whole words: for each word of
-/// 64 cells, bit `j` of plane `srel` receives destination bit
-/// `m - 1 - srel` of cell `j`.
+/// [`route_batch_body`] in the AVX2 build.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+fn route_batch_avx2(
+    net: &BnbNetwork,
+    batch: &mut FrameBatch,
+    opts: &RouteSpan<'_>,
+    scratch: &mut StageScratch,
+    outcome: &mut BatchOutcome,
+) {
+    route_batch_body(Build(Isa::Avx2), net, batch, opts, scratch, outcome);
+}
+
+/// Fills plane words `w0..w1` from the destination column, one bit-plane
+/// row per destination bit: bit `j` of word `w` of plane `srel` receives
+/// destination bit `m - 1 - srel` of cell `64w + j`. Runs in `build`:
+/// the AVX-512 one peels planes with mask tests, every other build runs
+/// the portable loop compiled in it.
 #[inline(always)]
-fn extract_planes_words_body(
+fn extract_planes_words(
+    build: Build,
     dests: &[u32],
     planes: &mut [u64],
     words: usize,
@@ -838,17 +970,27 @@ fn extract_planes_words_body(
     w0: usize,
     w1: usize,
 ) {
-    let mut acc = [0u64; 24];
-    for w in w0..w1 {
-        acc[..m].fill(0);
-        for (j, &d) in dests[w << 6..(w + 1) << 6].iter().enumerate() {
-            let d = u64::from(d);
-            for (srel, a) in acc[..m].iter_mut().enumerate() {
-                *a |= ((d >> (m - 1 - srel)) & 1) << j;
+    assert!(dests.len() >= w1 << 6 && planes.len() >= m * words);
+    match build.0 {
+        // SAFETY: a SIMD build exists only where its features were
+        // detected (see `Build`); the cells read were asserted above.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { extract_planes_avx512(dests, planes, words, m, w0, w1) },
+        // The portable loop, compiled in the caller's build.
+        _ => {
+            let mut acc = [0u64; MAX_BATCHED_M];
+            for w in w0..w1 {
+                acc[..m].fill(0);
+                for (j, &d) in dests[w << 6..(w + 1) << 6].iter().enumerate() {
+                    let d = u64::from(d);
+                    for (srel, a) in acc[..m].iter_mut().enumerate() {
+                        *a |= ((d >> (m - 1 - srel)) & 1) << j;
+                    }
+                }
+                for (srel, &a) in acc[..m].iter().enumerate() {
+                    planes[srel * words + w] = a;
+                }
             }
-        }
-        for (srel, &a) in acc[..m].iter().enumerate() {
-            planes[srel * words + w] = a;
         }
     }
 }
@@ -856,10 +998,15 @@ fn extract_planes_words_body(
 /// AVX-512 destination-bit extraction: loads each word's 64 `u32`
 /// destinations as four 16-lane vectors once, then peels one plane per
 /// `vptestm` mask round — `4 + 4m` vector ops per word against the
-/// scalar body's `64m` shift-and-or steps.
+/// portable loop's `64m` shift-and-or steps.
+///
+/// # Safety
+///
+/// The CPU has the enabled features, and `dests` holds cells
+/// `..w1 << 6`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-fn extract_planes_avx512(
+unsafe fn extract_planes_avx512(
     dests: &[u32],
     planes: &mut [u64],
     words: usize,
@@ -868,13 +1015,11 @@ fn extract_planes_avx512(
     w1: usize,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(dests.len() >= w1 << 6);
     for w in w0..w1 {
-        let base = w << 6;
-        // SAFETY: the caller guarantees cells `base..base + 64` exist;
-        // unaligned loads are explicitly allowed by `loadu`.
+        // SAFETY: cells `64w..64w + 64` exist (caller); unaligned loads
+        // are explicitly allowed by `loadu`.
         let (v0, v1, v2, v3) = unsafe {
-            let p = dests.as_ptr().add(base);
+            let p = dests.as_ptr().add(w << 6);
             (
                 _mm512_loadu_si512(p.cast()),
                 _mm512_loadu_si512(p.add(16).cast()),
@@ -891,28 +1036,6 @@ fn extract_planes_avx512(
             planes[srel * words + w] = m0 | (m1 << 16) | (m2 << 32) | (m3 << 48);
         }
     }
-}
-
-/// Fills plane words `w0..w1` from the destination column, one bit-plane
-/// row per destination bit. Dispatches to the AVX-512 mask-test path
-/// when the CPU has it.
-fn extract_planes_words(
-    dests: &[u32],
-    planes: &mut [u64],
-    words: usize,
-    m: usize,
-    w0: usize,
-    w1: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if has_avx512() {
-            // SAFETY: the features the wrapper enables were just detected.
-            unsafe { extract_planes_avx512(dests, planes, words, m, w0, w1) };
-            return;
-        }
-    }
-    extract_planes_words_body(dests, planes, words, m, w0, w1);
 }
 
 /// First unbalanced box of the column, as `(box_start, ones)`, scanning
@@ -1008,6 +1131,7 @@ pub(crate) fn route_span_packed(
     let num_stages = stages.end - stages.start;
     let strict = matches!(net.policy(), RoutePolicy::Strict);
     let wiring = net.wiring();
+    let build = Build::detect();
     scratch.ensure(span);
     scratch.packed.ensure(span, words, num_stages);
     let StageScratch {
@@ -1144,8 +1268,9 @@ pub(crate) fn route_span_packed(
                     tile: words.min((box_size >> 6).max(64)),
                     folds: &span_folds[..depth],
                     last: last_internal,
+                    count: false,
                 };
-                column_pass(live, &mut [], flags, levels, &pass);
+                column_pass(build, live, &mut [], flags, levels, &pass);
             }
             // The flag words drive the position permutation too; records
             // move once, at the gather below.
@@ -1228,17 +1353,20 @@ pub(crate) fn route_span_packed(
 ///
 /// `tally` receives one [`StageTotalsEvent`] per main stage summed over
 /// the valid frames: the per-frame column and sweep counts times the
-/// frame count, and the popcount of the stage's flag words (inert lanes
-/// of invalid frames contribute none).
+/// frame count, and the exchanges each column pass counts in its flag
+/// words (inert lanes of invalid frames contribute none).
 ///
 /// Infallible: validation happened in [`crate::batch::route_batch`], and
 /// validated strict traffic cannot unbalance a splitter (Theorem 2), which
-/// debug builds assert.
+/// debug builds assert. Runs in `build`: `#[inline(always)]`, so it is
+/// compiled into each build of the caller.
 ///
 /// [`FrameBatch`]: crate::batch::FrameBatch
+#[inline(always)]
 pub(crate) fn route_batch_packed(
+    build: Build,
     net: &BnbNetwork,
-    batch: &mut crate::batch::FrameBatch,
+    batch: &mut FrameBatch,
     valid: &[Result<(), RouteError>],
     scratch: &mut StageScratch,
     tally: Option<&dyn Observer>,
@@ -1283,7 +1411,7 @@ pub(crate) fn route_batch_packed(
         }
         let base = f * n;
         if n >= 64 {
-            extract_planes_words(dests, planes, words, m, base >> 6, (base + n) >> 6);
+            extract_planes_words(build, dests, planes, words, m, base >> 6, (base + n) >> 6);
         } else {
             for (j, &d) in dests[base..base + n].iter().enumerate() {
                 let g = base + j;
@@ -1350,16 +1478,11 @@ pub(crate) fn route_batch_packed(
                 tile: words.min(tile_max),
                 folds: &schedule[next..next + depth],
                 last: last_internal,
+                count: tally.is_some(),
             };
             next += depth;
-            column_pass(live, iplanes, flags, levels, &pass);
-            if tally.is_some() {
-                let exchanges = flags[..words]
-                    .iter()
-                    .map(|f| u64::from(f.count_ones()))
-                    .sum();
-                totals.column((n >> depth) as u64, depth, exchanges);
-            }
+            let exchanges = column_pass(build, live, iplanes, flags, levels, &pass);
+            totals.column((n >> depth) as u64, depth, exchanges);
             // Wiring: rotate the low r line-index bits (r = box width
             // inside a stage, r = k for the main wiring; the fabric's very
             // last column has none) — in σ, not in the planes.
@@ -1393,11 +1516,14 @@ pub(crate) fn route_batch_packed(
         if strict {
             // Delivery scatter: output line d holds the record destined
             // d — so only the payloads move, and the destination column
-            // becomes the identity ramp.
+            // becomes the identity ramp. The stage is a slice, whose
+            // pointer and length stay in registers while the payloads
+            // are stored.
+            let stage = &mut stage_data[..n];
             for (&d, &x) in frame_dests.iter().zip(frame_data.iter()) {
-                stage_data[d as usize] = x;
+                stage[d as usize] = x;
             }
-            frame_data.copy_from_slice(&stage_data[..n]);
+            frame_data.copy_from_slice(stage);
             for (j, d) in frame_dests.iter_mut().enumerate() {
                 *d = j as u32;
             }
@@ -1452,6 +1578,7 @@ mod tests {
                     tile,
                     folds: &folds[..depth],
                     last: false,
+                    count: false,
                 };
                 column_pass_body(&mut live, &mut [], &mut flags, &mut lev, &pass);
                 let bits: Vec<bool> = (0..words * 64).map(|j| bit(&before, j)).collect();
@@ -1550,8 +1677,8 @@ mod tests {
     /// The relabeled column pass equals the scalar arbiter run on each
     /// box in logical line order, for any σ — in-word and cross-word
     /// levels in every order, the non-contiguous orders a Shuffle wiring
-    /// leaves included — and its exchange swaps exactly the flagged
-    /// switches, `2^σ(0)` positions apart, on every plane.
+    /// leaves included — its exchange swaps exactly the flagged switches,
+    /// `2^σ(0)` positions apart, on every plane, and it counts them.
     #[test]
     fn relabeled_column_matches_scalar_arbiter() {
         let mut rng = StdRng::seed_from_u64(35);
@@ -1569,8 +1696,9 @@ mod tests {
                 tile,
                 folds: &folds,
                 last: false,
+                count: true,
             };
-            column_pass_body(&mut live, &mut iplanes, &mut flags, &mut lev, &pass);
+            let exchanges = column_pass_body(&mut live, &mut iplanes, &mut flags, &mut lev, &pass);
             let ctx = format!(
                 "m = {m}, sigma = {:?}, depth = {depth}",
                 &relabel.sigma[..m]
@@ -1598,17 +1726,16 @@ mod tests {
                 }
             }
             assert_eq!(flags, want_flags, "{ctx}: flags");
+            let want_exchanges: u32 = want_flags.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(exchanges, u64::from(want_exchanges), "{ctx}: exchanges");
         }
     }
 
-    /// One build of the column pass: the portable body or a wrapper.
-    type ColumnBuild = fn(&mut [u64], &mut [u64], &mut [u64], &mut [u64], &ColumnPass);
-
     /// The portable build of the column pass against its SIMD builds, on
     /// the same inputs: runners with and without AVX-512 check the same
-    /// code, and the relabeling oracle above holds the portable one.
+    /// code, and the relabeling oracle above holds the portable one. Each
+    /// build counts the exchanges it flags.
     #[test]
-    #[cfg(target_arch = "x86_64")]
     fn column_pass_builds_agree() {
         let mut rng = StdRng::seed_from_u64(36);
         for _ in 0..400 {
@@ -1621,25 +1748,47 @@ mod tests {
                 tile,
                 folds: &folds,
                 last,
+                count: true,
             };
-            let run = |build: ColumnBuild| {
+            let run = |build: Build| {
                 let (mut live, mut iplanes) = (live.clone(), iplanes.clone());
                 let mut flags = vec![0u64; words];
                 let mut lev = vec![0u64; (relabel.m + 2) * tile];
-                build(&mut live, &mut iplanes, &mut flags, &mut lev, &pass);
+                let exchanges =
+                    column_pass(build, &mut live, &mut iplanes, &mut flags, &mut lev, &pass);
+                let flagged: u32 = flags.iter().map(|w| w.count_ones()).sum();
+                assert_eq!(exchanges, u64::from(flagged), "{build:?} exchanges");
                 (live, iplanes, flags)
             };
-            let portable = run(column_pass_body);
+            let portable = run(Build::PORTABLE);
             let ctx = format!("sigma = {:?}, depth = {depth}", &relabel.sigma[..relabel.m]);
-            if has_avx512() {
-                // SAFETY: AVX-512 was just detected.
-                let simd = run(|a, b, c, d, e| unsafe { column_pass_avx512(a, b, c, d, e) });
-                assert_eq!(simd, portable, "AVX-512 build, {ctx}");
+            for build in Build::available() {
+                assert_eq!(run(build), portable, "{build:?} build, {ctx}");
             }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 was just detected.
-                let simd = run(|a, b, c, d, e| unsafe { column_pass_avx2(a, b, c, d, e) });
-                assert_eq!(simd, portable, "AVX2 build, {ctx}");
+        }
+    }
+
+    /// Plane extraction in every build equals the bit-by-bit definition,
+    /// for every plane count the batched kernel takes.
+    #[test]
+    fn extraction_builds_agree() {
+        let mut rng = StdRng::seed_from_u64(37);
+        for m in 1..=MAX_BATCHED_M {
+            let words = 3;
+            let dests: Vec<u32> = (0..64 * words)
+                .map(|_| rng.random_range(0..1u32 << m))
+                .collect();
+            let mut want = vec![0u64; m * words];
+            for (g, &d) in dests.iter().enumerate() {
+                for srel in 0..m {
+                    want[srel * words + g / 64] |= u64::from((d >> (m - 1 - srel)) & 1) << (g % 64);
+                }
+            }
+            for build in Build::available() {
+                let mut planes = vec![0u64; m * words];
+                extract_planes_words(build, &dests, &mut planes, words, m, 1, 3);
+                extract_planes_words(build, &dests, &mut planes, words, m, 0, 1);
+                assert_eq!(planes, want, "{build:?} build, m = {m}");
             }
         }
     }

@@ -89,6 +89,7 @@ pub use histogram::{AtomicHistogram, LatencyHistogram, LatencySummary, HISTOGRAM
 pub use observer::{Fanout, NoopObserver, Observer};
 pub use recorder::{FlightRecorder, RecorderStats, SamplePolicy, Span, SpanKind, RECORDER_LANES};
 pub use telemetry::{
-    Stage, StageSnapshot, Telemetry, TelemetrySnapshot, TenantSnapshot, STAGE_COUNT, WINDOW_SLOTS,
+    Stage, StageSnapshot, Telemetry, TelemetrySnapshot, TenantSnapshot, TenantWindow, STAGE_COUNT,
+    WINDOW_SLOTS,
 };
 pub use timer::SpanTimer;

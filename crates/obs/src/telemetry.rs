@@ -245,7 +245,8 @@ impl Telemetry {
         self.stages[stage as usize].record(ns);
     }
 
-    /// The tenant's window handle; cache it to skip the registry lock.
+    /// The tenant's window handle; cache it and record through the
+    /// `_in` methods to skip the registry lock.
     pub fn tenant(&self, tenant: u16) -> Arc<TenantWindow> {
         Arc::clone(
             self.tenants
@@ -259,8 +260,13 @@ impl Telemetry {
     /// Records one served request: wire-to-wire latency plus the
     /// tenant's window count/bytes/latency.
     pub fn record_request(&self, tenant: u16, bytes: u64, wire_ns: u64) {
+        self.record_request_in(&self.tenant(tenant), bytes, wire_ns);
+    }
+
+    /// [`record_request`](Self::record_request) through a cached window
+    /// handle ([`tenant`](Self::tenant)).
+    pub fn record_request_in(&self, window: &TenantWindow, bytes: u64, wire_ns: u64) {
         self.wire.record(wire_ns);
-        let window = self.tenant(tenant);
         let slot = window.slot(self.now_period());
         slot.count.fetch_add(1, Ordering::Relaxed);
         slot.bytes.fetch_add(bytes, Ordering::Relaxed);
@@ -269,20 +275,24 @@ impl Telemetry {
 
     /// Records one RETRY pushed back to the tenant.
     pub fn record_retry(&self, tenant: u16) {
-        let window = self.tenant(tenant);
-        window
-            .slot(self.now_period())
-            .retries
-            .fetch_add(1, Ordering::Relaxed);
+        self.record_retry_in(&self.tenant(tenant));
+    }
+
+    /// [`record_retry`](Self::record_retry) through a cached window handle.
+    pub fn record_retry_in(&self, window: &TenantWindow) {
+        let slot = window.slot(self.now_period());
+        slot.retries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one ERROR answered to the tenant.
     pub fn record_error(&self, tenant: u16) {
-        let window = self.tenant(tenant);
-        window
-            .slot(self.now_period())
-            .errors
-            .fetch_add(1, Ordering::Relaxed);
+        self.record_error_in(&self.tenant(tenant));
+    }
+
+    /// [`record_error`](Self::record_error) through a cached window handle.
+    pub fn record_error_in(&self, window: &TenantWindow) {
+        let slot = window.slot(self.now_period());
+        slot.errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A point-in-time snapshot: cumulative stage/wire quantiles plus
@@ -464,6 +474,29 @@ mod tests {
         assert!(t3.p50_ns >= 1_000);
         let t9 = &snap.tenants[1];
         assert_eq!((t9.tenant, t9.count, t9.errors), (9, 1, 1));
+    }
+
+    #[test]
+    fn cached_handles_record_as_tenant_ids_do() {
+        let (by_id, by_handle) = (Telemetry::new(), Telemetry::new());
+        by_id.record_request(3, 256, 1_000);
+        by_id.record_request(3, 128, 4_000);
+        by_id.record_request(9, 64, 2_000);
+        by_id.record_retry(3);
+        by_id.record_error(9);
+        by_id.record_error(9);
+        let (three, nine) = (by_handle.tenant(3), by_handle.tenant(9));
+        by_handle.record_request_in(&three, 256, 1_000);
+        by_handle.record_request_in(&three, 128, 4_000);
+        by_handle.record_request_in(&nine, 64, 2_000);
+        by_handle.record_retry_in(&three);
+        by_handle.record_error_in(&nine);
+        by_handle.record_error_in(&nine);
+        let (want, got) = (by_id.snapshot(), by_handle.snapshot());
+        assert_eq!(got.tenants, want.tenants);
+        assert_eq!(got.wire, want.wire);
+        assert_eq!(got.stages, want.stages);
+        assert_eq!(got.tenants.len(), 2);
     }
 
     #[test]

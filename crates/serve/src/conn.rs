@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bnb_engine::EngineError;
-use bnb_obs::{Span, SpanKind, Stage};
+use bnb_obs::{Span, SpanKind, Stage, TenantWindow};
 
 use crate::protocol::{
     decode_body, decode_submit, elapsed_ns, encode_routed, ErrorCode, FrameAssembler, Message,
@@ -99,6 +99,9 @@ pub(crate) struct Conn {
     /// The quota slot of the tenant this connection last submitted for,
     /// so admission looks the tenant up only when it changes.
     tenant_slot: Option<(u16, Arc<AtomicUsize>)>,
+    /// The telemetry window of the tenant this connection last recorded
+    /// for, so recording takes the registry lock only when it changes.
+    tenant_window: Option<(u16, Arc<TenantWindow>)>,
     /// Reads paused by the write high-water mark.
     pub read_paused: bool,
     /// Peer half-closed its send side; serve in-flight, then close.
@@ -127,6 +130,7 @@ impl Conn {
             meta_queue: VecDeque::new(),
             window_used: 0,
             tenant_slot: None,
+            tenant_window: None,
             read_paused: false,
             read_eof: false,
             closing: false,
@@ -148,6 +152,16 @@ impl Conn {
     /// Read interest this connection wants right now.
     pub fn wants_read(&self) -> bool {
         !self.closing && !self.read_eof && !self.read_paused
+    }
+
+    /// Accepted, and the request that tells what it speaks (or the rest
+    /// of its HTTP request head) has not arrived: nothing has been asked
+    /// of the server on it yet, so a drain keeps reading it.
+    pub fn awaiting_request(&self) -> bool {
+        matches!(self.mode, Mode::Sniffing | Mode::Http)
+            && !self.closing
+            && !self.read_eof
+            && !self.dead
     }
 
     /// True when nothing more can happen: no reads expected and the
@@ -239,7 +253,11 @@ impl Conn {
                 t.record_stage(stage, ns);
             }
             t.record_stage(Stage::Write, write_ns);
-            t.record_request(meta.tenant, (meta.records as u64) * 4, wire_ns);
+            t.record_request_in(
+                self.window(ctx, meta.tenant),
+                (meta.records as u64) * 4,
+                wire_ns,
+            );
             if t.note_if_slow(wire_ns) {
                 if let Some(rec) = ctx.recorder {
                     rec.record(Span {
@@ -488,7 +506,7 @@ impl Conn {
     fn refuse_auth(&mut self, ctx: &SessionCtx<'_>, tenant: u16, request_id: u64, why: &str) {
         SessionStats::bump(&ctx.stats.auth_failures);
         SessionStats::bump(&ctx.stats.frames_errored);
-        ctx.telemetry.record_error(tenant);
+        ctx.telemetry.record_error_in(self.window(ctx, tenant));
         self.queue_error(tenant, request_id, ErrorCode::Auth, why.to_string());
     }
 
@@ -502,8 +520,15 @@ impl Conn {
         err: &EngineError,
     ) {
         SessionStats::bump(&ctx.stats.frames_errored);
-        ctx.telemetry.record_error(tenant);
+        ctx.telemetry.record_error_in(self.window(ctx, tenant));
         self.queue_error(tenant, request_id, ErrorCode::Route, error_chain(err));
+    }
+
+    /// `tenant`'s telemetry window, from the connection's cache.
+    fn window(&mut self, ctx: &SessionCtx<'_>, tenant: u16) -> &TenantWindow {
+        cached(&mut self.tenant_window, tenant, || {
+            ctx.telemetry.tenant(tenant)
+        })
     }
 
     /// Admission control for one SUBMIT: draining check, per-connection
@@ -533,14 +558,9 @@ impl Conn {
             self.refuse(ctx, tenant, request_id, RetryReason::WindowFull);
             return;
         }
-        let tenant_slot = match &self.tenant_slot {
-            Some((cached, slot)) if *cached == tenant => Arc::clone(slot),
-            _ => {
-                let slot = ctx.admission.tenant_slot(tenant);
-                self.tenant_slot = Some((tenant, Arc::clone(&slot)));
-                slot
-            }
-        };
+        let tenant_slot = Arc::clone(cached(&mut self.tenant_slot, tenant, || {
+            ctx.admission.tenant_slot(tenant)
+        }));
         if tenant_slot.fetch_add(1, Ordering::AcqRel) >= ctx.cfg.tenant_quota {
             tenant_slot.fetch_sub(1, Ordering::AcqRel);
             self.refuse(ctx, tenant, request_id, RetryReason::TenantQuota);
@@ -568,7 +588,7 @@ impl Conn {
             .fetch_max(self.window_used as u64, Ordering::Relaxed);
         let admitted_at = Instant::now();
         inbox.push(
-            view.dests(),
+            &view,
             Admitted {
                 token: self.token,
                 tenant,
@@ -587,13 +607,26 @@ impl Conn {
     /// Answers a refused SUBMIT with an explicit RETRY.
     fn refuse(&mut self, ctx: &SessionCtx<'_>, tenant: u16, request_id: u64, reason: RetryReason) {
         SessionStats::bump(&ctx.stats.retries_issued);
-        ctx.telemetry.record_retry(tenant);
+        ctx.telemetry.record_retry_in(self.window(ctx, tenant));
         self.queue_reply(&Message::Retry {
             tenant,
             request_id,
             reason,
         });
     }
+}
+
+/// The handle `cache` holds for `tenant`, fetched first when it holds
+/// another tenant's (or none).
+fn cached<T>(
+    cache: &mut Option<(u16, Arc<T>)>,
+    tenant: u16,
+    fetch: impl FnOnce() -> Arc<T>,
+) -> &Arc<T> {
+    if !matches!(cache, Some((held, _)) if *held == tenant) {
+        *cache = Some((tenant, fetch()));
+    }
+    &cache.as_ref().expect("just filled").1
 }
 
 /// Renders an error with its full `source()` chain.

@@ -24,7 +24,9 @@
 //!
 //! Shutdown needs no handshake: once a drain is requested, admission
 //! answers `RETRY(Draining)`, and the lane finishes its turn, flushes
-//! under a bounded grace deadline, and exits.
+//! under a bounded grace deadline, and exits. Until then it still reads
+//! the connections that have not sent their request yet, and answers
+//! those requests.
 
 use std::collections::HashMap;
 use std::io;
@@ -37,6 +39,7 @@ use bnb_core::batch::FrameBatch;
 use bnb_engine::RouteScratch;
 
 use crate::conn::Conn;
+use crate::protocol::SubmitView;
 use crate::server::{SessionCtx, SessionStats};
 use crate::sys::{fd_of, PollEvent, Poller, WakePipe};
 
@@ -126,9 +129,10 @@ pub(crate) struct Inbox {
 }
 
 impl Inbox {
-    /// Adds one frame; `dests` must yield exactly `inputs` destinations.
-    pub fn push(&mut self, dests: impl IntoIterator<Item = u32>, frame: Admitted) {
-        self.batch.push_indexed(dests);
+    /// Adds one frame, its destinations decoded from `view` straight into
+    /// the batch; `view` must carry exactly `inputs` records.
+    pub fn push(&mut self, view: &SubmitView<'_>, frame: Admitted) {
+        self.batch.push_indexed_with(|dests| view.dests_into(dests));
         self.frames.push(frame);
     }
 }
@@ -247,22 +251,32 @@ pub(crate) fn run_reactor(
     }
 
     // Final drain: keep flushing buffered responses under a grace
-    // deadline.
+    // deadline. A connection accepted before the drain that has not sent
+    // its request yet (an operator's scrape, say) is still read until it
+    // has: the request is answered as any is mid-drain (a SUBMIT with
+    // RETRY Draining), and the connection then closes like the rest.
     let deadline = Instant::now() + DRAIN_GRACE;
     loop {
         let mut pending = false;
         let tokens: Vec<u64> = conns.keys().copied().collect();
         for token in tokens {
             let conn = conns.get_mut(&token).unwrap();
+            if conn.awaiting_request() {
+                conn.handle_readable(ctx, &mut inbox);
+            }
             if !conn.dead {
                 conn.flush(ctx);
             }
-            if conn.dead || !conn.wants_write() {
+            if conn.dead || !(conn.wants_write() || conn.awaiting_request()) {
                 teardown(ctx, &mut poller, conns.remove(&token).unwrap());
             } else {
                 pending = true;
             }
         }
+        debug_assert!(
+            inbox.frames.is_empty(),
+            "admission refuses every SUBMIT once the drain began"
+        );
         if !pending || Instant::now() >= deadline {
             break;
         }

@@ -468,9 +468,12 @@ fn operator_surfaces_stay_live_under_traffic_and_during_drain() {
 
             // During-drain scrape: park a connection so it is accepted
             // (and sitting in the HTTP sniffer) before the drain starts,
-            // then ask for /status mid-drain.
+            // then ask for /status mid-drain. With one reactor, accepts
+            // and lane registrations are first in, first out, so a
+            // finished scrape on a fresh connection means the parked one
+            // was accepted and adopted.
             let parked = TcpStream::connect(addr).expect("park connection");
-            thread::sleep(Duration::from_millis(50));
+            scrape_status(addr);
             control.trigger_shutdown();
             let drain_status = status_over(parked);
             (load, scrapes, drain_status)
@@ -484,6 +487,31 @@ fn operator_surfaces_stay_live_under_traffic_and_during_drain() {
     assert!(scrapes >= 2, "the scraper never completed a pass");
     assert_eq!(load.misdelivered, 0);
     assert_eq!(load.unanswered, 0);
+    assert!(report.graceful);
+    assert!(report.accounted());
+}
+
+/// A connection accepted before a drain that has not sent its request
+/// yet is still read once the reactor has finished its turn and entered
+/// the final drain (well within the 200 ms wait: its idle wait is 50 ms),
+/// and its request is answered.
+#[test]
+fn a_connection_accepted_before_a_drain_is_answered_during_it() {
+    let config = ServeConfig {
+        reactor_threads: 1,
+        ..ServeConfig::default()
+    };
+    let (report, drain_status) = serve_scope(config, |addr, control| {
+        let parked = TcpStream::connect(addr).expect("park connection");
+        scrape_status(addr);
+        control.trigger_shutdown();
+        thread::sleep(Duration::from_millis(200));
+        status_over(parked)
+    });
+    assert!(
+        drain_status.draining,
+        "a mid-drain scrape must report draining: {drain_status:?}"
+    );
     assert!(report.graceful);
     assert!(report.accounted());
 }

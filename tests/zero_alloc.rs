@@ -596,7 +596,7 @@ fn served_frames_allocate_nothing_after_warmup() {
                     while let Some((body, _)) = asm.next_body().unwrap() {
                         let view = decode_submit(body).unwrap().expect("a SUBMIT");
                         heads.push((view.tenant, view.request_id));
-                        batch.push_indexed(view.dests());
+                        batch.push_indexed_with(|dests| view.dests_into(dests));
                     }
                     let results = h.route_batch(0, &mut batch, &mut scratch);
                     assert!(results.iter().all(Result::is_ok), "{results:?}");
