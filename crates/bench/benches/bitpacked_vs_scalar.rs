@@ -1,7 +1,7 @@
-//! Head-to-head comparison of the routing kernels: the frame-batched
-//! SoA kernel ([`route_batch`] over a 64-frame [`FrameBatch`]), the
-//! single-frame bit-packed word-parallel path ([`Kernel::Packed`]), and
-//! the scalar sweep they are both held against ([`Kernel::Scalar`], the
+//! Head-to-head comparison of the routing kernels: the bit-packed
+//! word-parallel kernel called on a 64-frame [`FrameBatch`]
+//! ([`route_batch`]) and on one frame per call ([`Kernel::Packed`]), and
+//! the scalar sweep both are held against ([`Kernel::Scalar`], the
 //! correctness oracle).
 //!
 //! Acceptance bars: packed ≥ 2× over scalar at m ≥ 10; batched ≥ 10×

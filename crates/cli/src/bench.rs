@@ -1,21 +1,24 @@
 //! `bnb bench` — the routing-kernel micro-benchmark behind the repo's
 //! `BENCH_routing.json` trajectory.
 //!
-//! Routes seeded random frames through three kernels — the scalar oracle
-//! ([`Kernel::Scalar`]), the single-frame bit-packed word-parallel path
-//! ([`Kernel::Packed`] via [`RouteSpan`]), and the frame-batched kernel
-//! ([`route_batch`] over a [`FrameBatch`] of `--batch` frames), the last
-//! both unobserved and observed by [`Counters`] (the server's
-//! configuration) — and reports nanoseconds per frame and cells per
-//! second for each. Every row is self-describing: kernel name, batch
+//! Routes seeded random frames through the scalar oracle
+//! ([`Kernel::Scalar`]) and through the one word-parallel kernel, called
+//! two ways: one frame per [`RouteSpan::run`] call ([`Kernel::Packed`],
+//! the `packed` row: the path of the `Router`, engine slices and fault
+//! retries) and `--batch` frames per [`route_batch`] call over a
+//! [`FrameBatch`], both unobserved and observed by [`Counters`] (the
+//! server's configuration). It reports nanoseconds per frame and cells
+//! per second for each. Every row is self-describing: kernel name, batch
 //! size (the frames each call routed), and SWAR word width, so the
 //! checked-in baseline can accumulate rows from different kernel
-//! generations without ambiguity. The CI bench-smoke job re-parses the
-//! `--json` output and gates on packed > scalar at m ≥ 8, batched >
-//! packed at m ≥ 10, Counters-observed batched within 1.5x of batched at
-//! m ≥ 8, batched flatness (m = 12 within 3x of m = 4 cells/s), and no
-//! row's batch above the report's frames; a full-size run
-//! (`bnb bench --out BENCH_routing.json`) is checked in so future PRs
+//! generations without ambiguity. A `--frames` above `--batch` must be a
+//! multiple of it, so every batched call routes the frames its row
+//! names. The CI bench-smoke job re-parses the `--json` output and gates
+//! on packed at least 10x faster than scalar at m ≥ 8, packed within 5x
+//! of batched at m ≥ 10, Counters-observed batched within 1.5x of
+//! batched at m ≥ 8, batched flatness (m = 12 within 3x of m = 4
+//! cells/s), and no row's batch above the report's frames; a full-size
+//! run (`bnb bench --out BENCH_routing.json`) is checked in so future PRs
 //! have a baseline to diff against.
 
 use std::fmt::Write as _;
@@ -35,8 +38,9 @@ use crate::{err, CliError, Flags};
 /// One benchmark measurement: a kernel variant at a size.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchRow {
-    /// Kernel name: `"scalar"`, `"packed"`, `"batched"`, or
-    /// `"batched-counters"` (the batched kernel observed by [`Counters`]).
+    /// Kernel name: `"scalar"`, `"packed"` (one frame per call),
+    /// `"batched"`, or `"batched-counters"` (batched calls observed by
+    /// [`Counters`]).
     pub kernel: String,
     /// Network size exponent (`N = 2^m` cells per frame).
     pub m: usize,
@@ -44,8 +48,8 @@ pub struct BenchRow {
     /// for the batched ones the `--batch` size, capped by the frames
     /// there are).
     pub batch: usize,
-    /// SWAR word width in bits (64 for the packed kernels; 64 recorded
-    /// for scalar too — it is the unit the packed paths are held against).
+    /// SWAR word width in bits (64 for the word-parallel rows; 64
+    /// recorded for scalar too — it is the unit they are held against).
     pub word_bits: usize,
     /// Mean wall-clock nanoseconds to route one full frame.
     pub ns_per_frame: f64,
@@ -245,6 +249,12 @@ pub(crate) fn cmd_bench(flags: &Flags) -> Result<String, CliError> {
     let batch_size = flags.usize_or("--batch", 64)?;
     if batch_size == 0 || batch_size > 4096 {
         return Err(err("--batch must be 1..=4096"));
+    }
+    if frames > batch_size && !frames.is_multiple_of(batch_size) {
+        return Err(err(format!(
+            "--frames {frames} above --batch {batch_size} must be a multiple of it: \
+             every batched call routes --batch frames"
+        )));
     }
     let scalar_max_m = flags.usize_or("--scalar-max-m", max_m)?;
     let report = run_bench(min_m, max_m, frames, seed, min_ms, batch_size, scalar_max_m);

@@ -277,7 +277,8 @@ pub fn usage() -> String {
        bench      time the routing kernels (bit-packed vs scalar) and\n\
                   report ns/frame and cells/s ([--min-m 4] [--max-m 12]\n\
                   [--frames 16] [--batch 64 frames per batched call,\n\
-                  at most --frames] [--scalar-max-m MAX_M] [--seed 0]\n\
+                  at most --frames; a larger --frames must be a multiple\n\
+                  of it] [--scalar-max-m MAX_M] [--seed 0]\n\
                   [--min-ms 20] [--json] [--out BENCH_routing.json])\n\
        serve      run the long-lived routing service until SIGTERM/SIGINT\n\
                   or a wire SHUTDOWN; prints 'listening on ADDR' at bind\n\
@@ -1138,6 +1139,26 @@ mod tests {
         );
         assert!(started.elapsed() < std::time::Duration::from_secs(5));
         drop(held);
+    }
+
+    #[test]
+    fn bench_rejects_frames_that_leave_a_short_batch() {
+        // 100 frames in calls of 64 would route 64 and 36 under a row
+        // that says 64.
+        let args = |frames: &'static str, batch: &'static str| {
+            [
+                "bench", "--min-m", "2", "--max-m", "2", "--frames", frames, "--batch", batch,
+                "--min-ms", "1", "--json",
+            ]
+        };
+        let e = run_str(&args("100", "64")).unwrap_err().to_string();
+        assert!(e.contains("--frames") && e.contains("--batch"), "{e}");
+        for (frames, batch, label) in [("128", "64", 64), ("16", "64", 16)] {
+            let out = run_str(&args(frames, batch)).unwrap();
+            let report: bench::BenchReport = serde_json::from_str(out.trim()).unwrap();
+            let batched = report.rows.iter().find(|r| r.kernel == "batched").unwrap();
+            assert_eq!(batched.batch, label, "--frames {frames} --batch {batch}");
+        }
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Frame-batched routing: many frames, one kernel invocation.
 //!
 //! The paper's self-routing property makes control cost per-cell constant,
-//! but the single-frame word-parallel kernel ([`crate::stages`]) loses
-//! lane occupancy as the network shrinks relative to the word: a frame of
-//! `2^m` cells fills only `2^m` of 64 lanes once `m < 6`, and even for
-//! large `m` the *later* columns of every stage run on boxes narrower than
-//! a word. Batching transposes the problem: [`FrameBatch`] holds `B`
-//! frames in frame-major structure-of-arrays order, the planes of all
-//! frames concatenate into `B·2^m`-bit bit-planes, and every SWAR sweep,
-//! exchange and wiring word is fully occupied *regardless of `m`* — frames
+//! but one frame per call of the word-parallel kernel (a span,
+//! [`crate::stages`]) loses lane occupancy as the network shrinks
+//! relative to the word: a frame of `2^m` cells fills only `2^m` of 64
+//! lanes once `m < 6`. Batching transposes the problem: [`FrameBatch`]
+//! holds `B` frames in frame-major structure-of-arrays order, the planes
+//! of all frames concatenate into `B·2^m`-bit bit-planes, and every SWAR
+//! sweep and exchange word is fully occupied *regardless of `m`* — frames
 //! narrower than a word simply share words, lane-aligned, and never
 //! interact (a box spans at most one frame).
 //!
@@ -21,14 +20,15 @@
 //! alone through [`RouteSpan::run`].
 //!
 //! An observer that declines per-column events (such as
-//! [`bnb_obs::Counters`]) keeps the batched kernel, which reports one
+//! [`bnb_obs::Counters`]) keeps the batched call, which reports one
 //! stage-totals event per main stage summed over the batch's frames.
-//! Options that need per-frame machinery — an enabled observer wanting
-//! per-column or per-hop events, a non-empty [`FaultMap`],
-//! [`Kernel::Scalar`] — fall back to frame-at-a-time routing through the
-//! same [`RouteSpan`] dispatch, so semantics (fault detection, event
-//! streams and counts, error values) never depend on how frames were
-//! grouped.
+//! Options that need per-frame results or events — a non-empty
+//! [`FaultMap`] or a strict ablation wiring (a call that can fail carries
+//! one frame), an enabled observer wanting per-column or per-hop events,
+//! [`Kernel::Scalar`] — route frame at a time through the same
+//! [`RouteSpan`] dispatch, in the call's build, so semantics (fault
+//! detection, event streams and counts, error values) never depend on
+//! how frames were grouped.
 //!
 //! [`validate_lines`]: crate::stages::validate_lines
 //! [`FaultMap`]: crate::fault::FaultMap
@@ -37,8 +37,8 @@
 use bnb_topology::record::Record;
 
 use crate::error::RouteError;
-use crate::network::{BnbNetwork, RoutePolicy};
-use crate::packed::{route_batch_in, Build};
+use crate::network::{BnbNetwork, RoutePolicy, WiringMode};
+use crate::packed::{route_batch_in, route_batch_packed, Build, Call};
 use crate::stages::{RouteSpan, StageScratch, Sweep};
 
 /// `B` frames of width `n`, structure-of-arrays: destinations and payloads
@@ -424,34 +424,41 @@ pub(crate) fn route_batch_body(
         ));
     }
 
-    // The batched kernel covers exactly the configurations whose per-frame
-    // dispatch would take the packed path *and* cannot fail after
+    // The batched call covers exactly the configurations whose per-frame
+    // dispatch would take the packed kernel *and* cannot fail after
     // validation: no faults, and — under strict policy — the paper's
     // Unshuffle wiring, the only mode whose Theorem 2 guarantees every
     // splitter balances for a validated permutation (the ablation wirings
     // can unbalance mid-route and must keep per-frame error reporting).
     let strict = matches!(net.policy(), RoutePolicy::Strict);
     if let (Sweep::Packed(tally), None) = opts.effective() {
-        if (!strict || matches!(net.wiring(), crate::network::WiringMode::Unshuffle))
-            && net.m() <= crate::packed::MAX_BATCHED_M
-        {
-            crate::packed::route_batch_packed(build, net, batch, results, scratch, tally);
+        if !strict || matches!(net.wiring(), WiringMode::Unshuffle) {
+            let call = Call {
+                net,
+                stages: 0..net.m(),
+                first_line: 0,
+                faults: None,
+                tally,
+            };
+            let (dests, data) = batch.soa_mut();
+            let routed = route_batch_packed(build, &call, false, dests, data, results, scratch);
+            debug_assert!(routed.is_ok(), "a validated batch failed: {routed:?}");
             return;
         }
     }
 
     // Frame-at-a-time fallback: materialise each valid frame, route it
-    // through the ordinary RouteSpan dispatch (observer events, fault
-    // taps, scalar oracle — all per-frame semantics preserved), write the
-    // result back. `frame_buf` is taken out of the scratch so the span
-    // call can borrow the rest.
+    // through the ordinary RouteSpan dispatch in this call's build (the
+    // kernel with the frame as its only frame, or the scalar sweep — all
+    // per-frame semantics preserved), write the result back. `frame_buf`
+    // is taken out of the scratch so the span call can borrow the rest.
     let mut buf = std::mem::take(&mut scratch.frame_buf);
     for f in 0..frames {
         if outcome.results[f].is_err() {
             continue;
         }
         batch.read_frame_into(f, &mut buf);
-        match opts.run(net, &mut buf, 0, 0..net.m(), scratch) {
+        match opts.run_in(build, net, &mut buf, 0, 0..net.m(), scratch) {
             Ok(()) => batch.write_frame(f, &buf),
             // Failed frames keep their original contents (the copy in
             // `buf` absorbs the kernel's partial movement).
@@ -464,7 +471,6 @@ pub(crate) fn route_batch_body(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::WiringMode;
     use crate::stages::{validate_lines, Kernel};
 
     fn frame(n: usize, perm: &[usize], tag: u64) -> Vec<Record> {

@@ -1,53 +1,55 @@
-//! Word-parallel (bit-packed) stage-span routing: the fast path behind
-//! [`crate::stages::RouteSpan`] for no observer, or for one that takes
-//! stage totals instead of per-column events.
+//! Word-parallel (bit-packed) routing: the one fast kernel, behind both
+//! [`crate::stages::RouteSpan`] and [`crate::batch::route_batch`], for no
+//! observer or for one that takes stage totals instead of per-column
+//! events.
 //!
 //! The paper's arbiter (Definition 6) computes every switch setting from
 //! one-bit local information: XOR parities sweep *up* a binary tree and
 //! flags echo *down*. Because the per-line control state is exactly one
-//! bit, 64 adjacent lines pack into a `u64` and each sweep level becomes a
-//! handful of shift/XOR/mask operations:
+//! bit, 64 adjacent positions pack into a `u64` and each sweep level
+//! becomes a handful of shift/XOR/mask operations:
 //!
-//! - **Bit-planes** — each cell's `m` destination bits are extracted once
-//!   per span into per-stage `u64` planes (`plane[s]` bit `j` = paper bit
-//!   `s` of the record currently on line `j`) and kept in permuted order
-//!   as cells move through switches and wirings, replacing the per-column
-//!   `paper_bit` loop of the scalar path.
+//! - **Bit-planes** — a call routes a range of main stages over one or
+//!   more aligned frames; a span is a one-frame call. Each cell's
+//!   destination bits for the stages routed are extracted once into
+//!   per-stage planes over the concatenated frames: bit `f·n + P` of a
+//!   stage's plane is that stage's bit of the cell at position `P` of
+//!   frame `f`.
+//! - **Wirings** — no column moves a plane bit for its wiring. The kernel
+//!   renames positions instead ([`Relabel`]), so cells move only at
+//!   exchanges and each column reads its boxes through σ.
 //! - **Up-sweep** — level-`l` parities of every box in a column at once:
-//!   `lev[l] = (lev[l-1] ^ (lev[l-1] >> 2^(l-1))) & STRIDE[l]`.
+//!   lane folds `(x ^ x >> 2^σ(l-1)) & node` inside a word, word-pair
+//!   folds past it ([`Fold`]), so a box of any width is one tree.
 //! - **Down-sweep** — the flag echo as masked select/merge words: a node
 //!   with `zu = 1` forwards its descending `zd` to both children, a node
 //!   with `zu = 0` overrides with the constants (0 left, 1 right) — the
 //!   same rule [`crate::splitter::controls_into`] applies one node at a
-//!   time. Levels past the word fold word pairs instead of lanes
-//!   ([`Fold`]), so a box of any width is one tree. Both kernels run the
-//!   same column pass; the span kernel's boxes are contiguous (σ the
-//!   identity).
-//! - **Balance checks** — XOR-folds and `count_ones()` on masked words.
-//! - **Exchanges** — one packed flag word per 64 lines, consumed directly:
-//!   `trailing_zeros` iteration swaps the position permutation and a
-//!   masked pair-swap updates every live plane. Records move once, at the
-//!   end of the span, through a single gather.
-//! - **Wirings** — the span kernel rotates every live plane through a
-//!   delta-swap cascade. The batched kernel ([`route_batch_packed`])
-//!   moves no plane bit for a wiring: it renames positions instead
-//!   ([`Relabel`]), and its cells move only at exchanges.
+//!   time.
+//! - **Balance checks** — the up-sweep's root row holds every box's
+//!   parity, so a strict call that was not validated checks a column with
+//!   one OR over that row. Only a column that fails scans for the first
+//!   unbalanced box in line order.
+//! - **Exchanges** — one flag word per 64 positions; a masked pair swap
+//!   trades the flagged cells `2^σ(0)` apart on every live plane and
+//!   every index plane. Records move once, at the end of the call.
 //! - **Counts** — a column's exchanges are the popcount of its flag words
 //!   and its sweeps one per box, so a tallying observer gets each main
 //!   stage's totals ([`StageTotalsEvent`]) without a per-cell walk, equal
 //!   to what the scalar sweep's per-column events add up to — including
 //!   the partial stage before a splitter error.
-//! - **Builds** — [`Build`] names the instruction set a route runs in:
-//!   AVX-512, AVX2 (both with POPCNT) or portable. A batched route picks
-//!   one per call and runs its extraction, every column pass and its
-//!   delivery inside it; the span kernel picks one per span.
+//! - **Builds** — [`Build`] names the instruction set a call runs in:
+//!   AVX-512, AVX2 (both with POPCNT) or portable. Each call, a batch or
+//!   a span, picks one and runs its extraction, every column pass and its
+//!   delivery inside it.
 //!
 //! The kernel is byte-identical to the scalar path on success and returns
 //! identical error values on failure; only the (unspecified) contents of
-//! `lines` after an error may differ. Faulted columns fall back to the
-//! scalar per-box arbiter — reading bits from the planes, never
-//! re-deriving them — so fault semantics stay exactly those of
-//! [`FaultMap`]; healthy columns of a faulted route stay packed.
+//! `lines` after an error may differ. Faulted columns gather each box's
+//! bits through σ into line order and run the scalar per-box arbiter —
+//! reading bits from the planes, never re-deriving them — so fault
+//! semantics stay exactly those of [`FaultMap`]; healthy columns of a
+//! faulted route stay packed.
 
 use std::ops::Range;
 
@@ -58,34 +60,8 @@ use crate::batch::{route_batch_body, BatchOutcome, FrameBatch};
 use crate::error::RouteError;
 use crate::fault::FaultMap;
 use crate::network::{BnbNetwork, RoutePolicy, WiringMode};
-use crate::splitter::{check_balanced, controls_into, SplitterSite};
+use crate::splitter::{check_balanced, controls_into, unbalanced_output, SplitterSite};
 use crate::stages::{report_route_error, RouteSpan, StageScratch};
-
-/// Bits at even positions: the switch-control positions (`2t`).
-const EVEN: u64 = 0x5555_5555_5555_5555;
-
-/// `STRIDE[l]`: bits at positions that are multiples of `2^l` — where the
-/// level-`l` sweep nodes live.
-const STRIDE: [u64; 7] = [
-    !0,
-    0x5555_5555_5555_5555,
-    0x1111_1111_1111_1111,
-    0x0101_0101_0101_0101,
-    0x0001_0001_0001_0001,
-    0x0000_0001_0000_0001,
-    0x0000_0000_0000_0001,
-];
-
-/// Delta-swap masks for the in-word unshuffle cascade: step `j` (1-based)
-/// swaps the `2^(j-1)`-bit block at offset `2^(j-1)` of every
-/// `2^(j+1)`-bit field with the block beside it.
-const UNSHUFFLE_STEP: [u64; 5] = [
-    0x2222_2222_2222_2222,
-    0x0C0C_0C0C_0C0C_0C0C,
-    0x00F0_00F0_00F0_00F0,
-    0x0000_FF00_0000_FF00,
-    0x0000_0000_FFFF_0000,
-];
 
 /// Reusable buffers for the packed kernel, owned by
 /// [`StageScratch`]. Sized on first use, steady state allocates nothing.
@@ -93,67 +69,48 @@ const UNSHUFFLE_STEP: [u64; 5] = [
 pub(crate) struct PackedScratch {
     /// Destination bit-planes, flattened `[stage_rel][word]`.
     planes: Vec<u64>,
-    /// One exchange-flag word per 64-line window of the current column.
+    /// One exchange-flag word per 64 positions of the current column.
     flags: Vec<u64>,
-    /// Word scratch for multi-word block wiring.
-    tmp: Vec<u64>,
-    /// `perm[pos]` = line index (into the span) of the record currently
-    /// on line `pos`; records are gathered once at the end of the span.
-    perm: Vec<u32>,
-    /// Scatter scratch for wiring `perm`.
-    tmp_perm: Vec<u32>,
-    /// The span kernel's arbiter tree for its widest box, in physical
-    /// line order; a narrower box's tree is a prefix of it.
-    span_folds: Vec<Fold>,
-    /// Index bit-planes for the batched permissive path: bit `b` of each
-    /// cell's *original within-frame line*, carried through every exchange
-    /// exactly like `perm`, but word-parallel.
+    /// Index bit-planes for a call that leaves through the index gather:
+    /// bit `b` of each cell's *original within-frame line*, carried
+    /// through every exchange with the destination planes.
     iplanes: Vec<u64>,
     /// The arbiter's tile rows: up-sweep levels, then `zd`.
     levels: Vec<u64>,
-    /// The batched kernel's column schedule, for the network shape in
-    /// `schedule_for`: every column's folds in routing order. It depends
-    /// only on `m` and the wiring, so it is built once.
+    /// The column schedule for the call shape in `schedule_for`: every
+    /// column's folds in routing order. It depends only on `m`, the stage
+    /// range and the wiring, so it is built once per shape.
     schedule: Vec<Fold>,
-    schedule_for: Option<(usize, WiringMode)>,
+    schedule_for: Option<(usize, Range<usize>, WiringMode)>,
     /// σ after the schedule's last wiring: where each output line's cell
     /// ends up.
     schedule_end: Relabel,
-    /// Frame-sized staging for the batched kernel's final movement: one
-    /// frame's results land here and are copied back over the frame, so
-    /// no batch-sized second copy of the batch is kept.
+    /// Frame-sized staging for the final movement: one frame's results
+    /// land here and are copied back over the frame, so no call-sized
+    /// second copy of the cells is kept.
     stage_dests: Vec<u32>,
     /// See [`PackedScratch::stage_dests`].
     stage_data: Vec<u64>,
+    /// A span's cells as a one-frame batch: each cell's destination bits
+    /// for the stages routed, and its line as payload, so the routed
+    /// payload column names the source of every output line.
+    span_dests: Vec<u32>,
+    /// See [`PackedScratch::span_dests`].
+    span_lines: Vec<u64>,
 }
 
 impl PackedScratch {
-    fn ensure(&mut self, span: usize, words: usize, num_stages: usize) {
+    /// Sizes the buffers for `words` words of `n`-cell frames of `bits`
+    /// line bits, routing `planes` stages. The index planes are sized even
+    /// for a call that delivers without them, so that the partial spans
+    /// of a frame routed whole before allocate nothing.
+    fn ensure_frames(&mut self, n: usize, words: usize, planes: usize, bits: usize, tile: usize) {
         self.planes.clear();
-        self.planes.resize(num_stages * words, 0);
+        self.planes.resize(planes * words, 0);
+        self.iplanes.resize(bits * words, 0);
+        self.stage_dests.resize(n, 0);
         self.flags.resize(words, 0);
-        self.tmp.resize(words, 0);
-        self.perm.resize(span, 0);
-        self.tmp_perm.resize(span, 0);
-        let depth = span.trailing_zeros() as usize;
-        self.levels.resize((depth + 2) * words, 0);
-        if self.span_folds.len() != depth {
-            self.span_folds.clear();
-            push_folds(0..depth, &mut self.span_folds);
-        }
-    }
-
-    fn ensure_batch(&mut self, n: usize, words: usize, m: usize, tile: usize, index_planes: bool) {
-        self.planes.clear();
-        self.planes.resize(m * words, 0);
-        self.iplanes.clear();
-        if index_planes {
-            self.iplanes.resize(m * words, 0);
-            self.stage_dests.resize(n, 0);
-        }
-        self.flags.resize(words, 0);
-        self.tmp.resize(words, 0);
-        self.levels.resize((m + 2) * tile, 0);
+        self.levels.resize((bits + 2) * tile, 0);
         self.stage_data.resize(n, 0);
     }
 }
@@ -226,8 +183,8 @@ impl<'o> StageTally<'o> {
 }
 
 /// Bit `b` of a position's in-word index (`j & 63`), for `b < 6`: the
-/// initial contents of the batched kernel's low index planes, and the
-/// complements of its in-word node masks.
+/// initial contents of the kernel's low index planes, and the complements
+/// of its in-word node masks.
 const IBIT: [u64; 6] = [
     0xAAAA_AAAA_AAAA_AAAA,
     0xCCCC_CCCC_CCCC_CCCC,
@@ -237,141 +194,39 @@ const IBIT: [u64; 6] = [
     0xFFFF_FFFF_0000_0000,
 ];
 
-/// Applies one word of exchange flags to `items`: bit `2t` set means swap
-/// `items[2t]` and `items[2t + 1]`. Returns the number of exchanges.
-///
-/// This is the single pair-swap implementation shared by the packed
-/// kernel (on the position permutation) and the scalar path (which packs
-/// each box's `Vec<bool>` controls into flag words before applying).
-#[inline]
-pub(crate) fn apply_flag_word<T>(mut f: u64, items: &mut [T]) -> u64 {
-    let mut exchanges = 0;
-    while f != 0 {
-        let t = f.trailing_zeros() as usize;
-        items.swap(t, t + 1);
-        exchanges += 1;
-        f &= f - 1;
-    }
-    exchanges
+/// Bit `p` of a plane.
+fn bit(plane: &[u64], p: usize) -> bool {
+    plane[p >> 6] >> (p & 63) & 1 == 1
 }
 
-#[inline]
-fn delta_swap(x: u64, mask: u64, shift: u32) -> u64 {
-    let t = (x ^ (x >> shift)) & mask;
-    x ^ t ^ (t << shift)
-}
+/// Most line-index bits in one frame: σ keeps one entry per bit, and a
+/// cell's destination bits travel as a `u32`.
+const MAX_FRAME_BITS: usize = 32;
 
-/// Unshuffle of every `2^r`-bit field of `x` (`2 <= r <= 6`): even field
-/// positions to the low half, odd to the high half, order preserved —
-/// i.e. the low `r` index bits rotated right by one.
-#[inline]
-fn unshuffle_word(x: u64, r: usize) -> u64 {
-    let mut x = x;
-    for j in 1..r {
-        x = delta_swap(x, UNSHUFFLE_STEP[j - 1], 1 << (j - 1));
-    }
-    x
-}
-
-/// Inverse of [`unshuffle_word`]: the delta swaps are involutions, so the
-/// cascade runs backwards.
-#[inline]
-fn shuffle_word(x: u64, r: usize) -> u64 {
-    let mut x = x;
-    for j in (1..r).rev() {
-        x = delta_swap(x, UNSHUFFLE_STEP[j - 1], 1 << (j - 1));
-    }
-    x
-}
-
-/// Unshuffle of one multi-word block: per-word cascade packs each word's
-/// even bits into its low half, then a word-level merge interleaves the
-/// halves into the block's low and high word ranges.
-fn unshuffle_words(words: &mut [u64], tmp: &mut [u64]) {
-    const LO: u64 = 0xFFFF_FFFF;
-    for w in words.iter_mut() {
-        *w = unshuffle_word(*w, 6);
-    }
-    let half = words.len() / 2;
-    for i in 0..half {
-        let a = words[2 * i];
-        let b = words[2 * i + 1];
-        tmp[i] = (a & LO) | ((b & LO) << 32);
-        tmp[half + i] = (a >> 32) | (b & !LO);
-    }
-    words.copy_from_slice(&tmp[..words.len()]);
-}
-
-/// Inverse of [`unshuffle_words`].
-fn shuffle_words(words: &mut [u64], tmp: &mut [u64]) {
-    const LO: u64 = 0xFFFF_FFFF;
-    let half = words.len() / 2;
-    for i in 0..half {
-        let e = words[i];
-        let o = words[half + i];
-        tmp[2 * i] = (e & LO) | ((o & LO) << 32);
-        tmp[2 * i + 1] = (e >> 32) | (o & !LO);
-    }
-    words.copy_from_slice(&tmp[..words.len()]);
-    for w in words.iter_mut() {
-        *w = shuffle_word(*w, 6);
-    }
-}
-
-/// Applies the column wiring (rotate the low `r` index bits within every
-/// `2^r`-line block) to one plane.
-fn wire_plane(plane: &mut [u64], r: usize, wiring: WiringMode, tmp: &mut [u64]) {
-    if r < 2 || matches!(wiring, WiringMode::Identity) {
-        return; // rotating a 1-bit field is the identity
-    }
-    if r <= 6 {
-        for w in plane.iter_mut() {
-            *w = match wiring {
-                WiringMode::Unshuffle => unshuffle_word(*w, r),
-                WiringMode::Shuffle => shuffle_word(*w, r),
-                WiringMode::Identity => unreachable!(),
-            };
-        }
-    } else {
-        let block_words = 1usize << (r - 6);
-        for block in plane.chunks_mut(block_words) {
-            match wiring {
-                WiringMode::Unshuffle => unshuffle_words(block, tmp),
-                WiringMode::Shuffle => shuffle_words(block, tmp),
-                WiringMode::Identity => unreachable!(),
-            }
-        }
-    }
-}
-
-/// Most address bits the batched kernel routes: it keeps one plane per
-/// address bit and one relabeling entry per line-index bit. Larger `m`
-/// falls back to frame-at-a-time routing (a 16M-cell frame has no
-/// business batching).
-pub(crate) const MAX_BATCHED_M: usize = 24;
-
-/// The batched kernel's relabeling σ: logical line-index bit `l` of a
-/// cell is carried by physical position bit `sigma[l]` of the planes.
+/// The kernel's relabeling σ: logical line-index bit `l` of a cell is
+/// carried by physical position bit `sigma[l]` of the planes.
 ///
 /// Every column wiring rotates the low `r` line-index bits (DESIGN §13),
 /// and a fixed arrangement can be renamed instead of carried out: an
 /// Unshuffle rotates `sigma[..r]` left by one, a Shuffle rotates it right,
 /// Identity leaves it alone. Cells then move only at exchanges. Frame
-/// bits (`>= m`) are never renamed, so frames keep their aligned regions.
+/// bits (`>= bits`) are never renamed, so frames keep their aligned
+/// regions.
 #[derive(Debug, Clone, Copy, Default)]
 struct Relabel {
-    m: usize,
-    sigma: [u8; MAX_BATCHED_M],
+    /// Line-index bits of a frame.
+    bits: usize,
+    sigma: [u8; MAX_FRAME_BITS],
 }
 
 impl Relabel {
-    fn identity(m: usize) -> Self {
-        debug_assert!(m <= MAX_BATCHED_M);
-        let mut sigma = [0u8; MAX_BATCHED_M];
+    fn identity(bits: usize) -> Self {
+        debug_assert!(bits <= MAX_FRAME_BITS);
+        let mut sigma = [0u8; MAX_FRAME_BITS];
         for (l, s) in sigma.iter_mut().enumerate() {
             *s = l as u8;
         }
-        Relabel { m, sigma }
+        Relabel { bits, sigma }
     }
 
     /// Applies a column wiring that rotates the low `r` line-index bits
@@ -390,62 +245,74 @@ impl Relabel {
 
     /// Physical position, within its frame, of the cell on logical line `j`.
     fn position(&self, j: usize) -> usize {
-        self.sigma[..self.m]
+        self.sigma[..self.bits]
             .iter()
             .enumerate()
             .fold(0, |acc, (l, &s)| acc | ((j >> l) & 1) << s)
     }
 
-    /// `plane` in logical line order: bit `f·n + j` of `out` is the bit of
-    /// frame `f`'s logical line `j`. For the debug balance check, which
-    /// scans boxes as contiguous line ranges.
-    fn logical_plane(&self, plane: &[u64], cells: usize, out: &mut [u64]) {
-        let n = 1usize << self.m;
-        out.fill(0);
-        for g in 0..cells {
-            let p = (g & !(n - 1)) | self.position(g & (n - 1));
-            out[g >> 6] |= ((plane[p >> 6] >> (p & 63)) & 1) << (g & 63);
-        }
+    /// Physical positions, within their frame, of the cells on logical
+    /// lines `from..`, in line order: from one line to the next, the
+    /// logical bits that carry flip, and so do the position bits σ gives
+    /// them.
+    fn positions(&self, from: usize) -> impl Iterator<Item = usize> + '_ {
+        (from..1 << self.bits).scan(self.position(from), |p, j| {
+            let at = *p;
+            let carry = self.bits.min(j.trailing_ones() as usize + 1);
+            *p ^= self.sigma[..carry].iter().fold(0, |acc, &s| acc | 1 << s);
+            Some(at)
+        })
+    }
+
+    /// The first box of a column of `2^depth`-line boxes in the frame at
+    /// `base` that breaks Definition 3 (an odd count of ones, or not
+    /// exactly one for `sp(1)`), scanning the boxes in logical line order
+    /// as the scalar path does: its first line and its ones.
+    fn first_unbalanced(&self, plane: &[u64], base: usize, depth: usize) -> Option<(usize, usize)> {
+        let width = 1usize << depth;
+        let mut at = self.positions(0);
+        (0..1usize << self.bits).step_by(width).find_map(|start| {
+            let ones = (at.by_ref().take(width))
+                .filter(|&p| bit(plane, base + p))
+                .count();
+            let balanced = if width == 2 { ones == 1 } else { ones % 2 == 0 };
+            (!balanced).then_some((start, ones))
+        })
     }
 
     /// Appends the arbiter tree of a column of `2^depth`-line boxes, one
-    /// [`Fold`] per level, bottom up.
+    /// [`Fold`] per level, bottom up: level `l + 1` folds physical bit
+    /// σ(l).
     fn push_folds(&self, depth: usize, out: &mut Vec<Fold>) {
-        push_folds(self.sigma[..depth].iter().map(|&b| usize::from(b)), out);
+        let mut node = !0u64;
+        // Word bits already folded away: later word-pair levels index the
+        // compact rows, which drop them.
+        let mut folded = 0usize;
+        for &b in &self.sigma[..depth] {
+            let b = usize::from(b);
+            out.push(if b < 6 {
+                node &= !IBIT[b];
+                Fold::Lane {
+                    shift: 1 << b,
+                    node,
+                }
+            } else {
+                let c = b - 6;
+                let below = (folded & ((1 << c) - 1)).count_ones();
+                folded |= 1 << c;
+                Fold::Pair {
+                    stride: 1 << (c - below as usize),
+                    node,
+                }
+            });
+        }
     }
 }
 
-/// Appends the arbiter tree of a column whose level `l + 1` folds
-/// physical position bit `bits[l]`, one [`Fold`] per level, bottom up.
-/// The span kernel's boxes are contiguous, so its trees fold `0..depth`.
-fn push_folds(bits: impl IntoIterator<Item = usize>, out: &mut Vec<Fold>) {
-    let mut node = !0u64;
-    // Word bits already folded away: later word-pair levels index the
-    // compact rows, which drop them.
-    let mut folded = 0usize;
-    for b in bits {
-        out.push(if b < 6 {
-            node &= !IBIT[b];
-            Fold::Lane {
-                shift: 1 << b,
-                node,
-            }
-        } else {
-            let c = b - 6;
-            let below = (folded & ((1 << c) - 1)).count_ones();
-            folded |= 1 << c;
-            Fold::Pair {
-                stride: 1 << (c - below as usize),
-                node,
-            }
-        });
-    }
-}
-
-/// One level of a batched column's arbiter tree, bottom up: level `l + 1`
-/// folds physical bit σ(l). Each level's up-values live in a row of
-/// words; `node` marks the in-word positions of the level's nodes (every
-/// in-word bit among `σ(0..=l)` clear).
+/// One level of a column's arbiter tree, bottom up: level `l + 1` folds
+/// physical bit σ(l). Each level's up-values live in a row of words;
+/// `node` marks the in-word positions of the level's nodes (every in-word
+/// bit among `σ(0..=l)` clear).
 #[derive(Debug, Clone, Copy)]
 enum Fold {
     /// An in-word bit: the two children sit `shift` positions apart in
@@ -459,7 +326,7 @@ enum Fold {
     Pair { stride: usize, node: u64 },
 }
 
-/// One column of the batched kernel: its geometry and where it runs.
+/// One column of the kernel: its geometry and where it runs.
 struct ColumnPass<'a> {
     /// Words per plane.
     words: usize,
@@ -473,6 +340,10 @@ struct ColumnPass<'a> {
     last: bool,
     /// Count the column's exchanges: set only where a tally reads them.
     count: bool,
+    /// Strict detection: check every box's balance from the root row
+    /// before anything is exchanged, on these live lanes of the word.
+    /// `None` for a call validated as a strict Unshuffle batch.
+    detect: Option<u64>,
 }
 
 /// Words of a row processed together: two AVX-512 registers, four AVX2
@@ -664,9 +535,16 @@ fn exchange_pairs<const S: usize>(plane: &mut [u64], flags: &[u64], s: usize) {
 /// the switch whose left line sits at physical position `P` exchanges.
 /// `lev` holds `depth + 2` tile-sized rows: the up-sweep levels
 /// `1..=depth` (compact after word-pair levels), then two for the
-/// descending `zd`.
+/// descending `zd`. With `detect`, returns `false` without computing flags
+/// as soon as the root row shows an unbalanced box on a live lane.
 #[inline(always)]
-fn tile_flags(x: &[u64], f: &mut [u64], lev: &mut [u64], folds: &[Fold]) {
+fn tile_flags(
+    x: &[u64],
+    f: &mut [u64],
+    lev: &mut [u64],
+    folds: &[Fold],
+    detect: Option<u64>,
+) -> bool {
     let t = x.len();
     let p = folds.len();
     let (ups, zbuf) = lev.split_at_mut(p * t);
@@ -687,14 +565,25 @@ fn tile_flags(x: &[u64], f: &mut [u64], lev: &mut [u64], folds: &[Fold]) {
             }
         }
     }
+    // The root row holds every box's parity. Definition 3 wants it even,
+    // and 1 (exactly one 1) for sp(1)'s pairs.
+    let root = &ups[(p - 1) * t..(p - 1) * t + len];
+    if let Some(live) = detect {
+        let (Fold::Lane { node, .. } | Fold::Pair { node, .. }) = folds[p - 1];
+        let odd = if p == 1 { !0 } else { 0 };
+        if root.iter().fold(0, |acc, &r| acc | (r ^ odd)) & node & live != 0 {
+            return false;
+        }
+    }
     // `zd` at the root: its echo of its own up-value (Definition 6). sp(1)
     // has no arbiter: its `zd` is 0, so the control is the left line's bit.
     let (mut zd, mut spare) = zbuf.split_at_mut(t);
     if p == 1 {
         zd[..len].fill(0);
     } else {
-        zd[..len].copy_from_slice(&ups[(p - 1) * t..(p - 1) * t + len]);
+        zd[..len].copy_from_slice(root);
     }
+
     // Down-sweep to the children of level 2.
     for l in (2..=p).rev() {
         let zu = &ups[(l - 1) * t..(l - 1) * t + len];
@@ -721,6 +610,7 @@ fn tile_flags(x: &[u64], f: &mut [u64], lev: &mut [u64], folds: &[Fold]) {
         }
         Fold::Pair { stride, .. } => by_stride!(stride, pair_flags(x, zu, zd, f, stride)),
     }
+    true
 }
 
 /// Exchanges the flagged switches on every plane of `planes` (each
@@ -743,14 +633,16 @@ fn exchange_planes(planes: &mut [u64], flags: &[u64], pair: Fold) {
     }
 }
 
-/// Body of one batched column: the arbiter sweep of the current plane
+/// Body of one column: the arbiter sweep of the current plane
 /// (`live[..words]`) tile by tile into `flags`, then the exchange on every
-/// live plane and every index plane. With `pass.count` it returns the
-/// column's exchanges, the popcount of the flag words it wrote, counted
-/// tile by tile while they are in cache (0 without). `#[inline(always)]`
-/// so each build gets its own autovectorized copy: every pass is a
-/// lane-wise shift/mask loop over sequential words with a loop-invariant
-/// shift, and the popcount is one instruction where the build has one.
+/// live plane and every index plane. Returns the column's exchanges, the
+/// popcount of the flag words it wrote, counted tile by tile while they
+/// are in cache (0 without `pass.count`), or `None`, with nothing
+/// exchanged, when `pass.detect` finds an unbalanced box.
+/// `#[inline(always)]` so each build gets its own autovectorized copy:
+/// every pass is a lane-wise shift/mask loop over sequential words with a
+/// loop-invariant shift, and the popcount is one instruction where the
+/// build has one.
 #[inline(always)]
 fn column_pass_body(
     live: &mut [u64],
@@ -758,14 +650,16 @@ fn column_pass_body(
     flags: &mut [u64],
     lev: &mut [u64],
     pass: &ColumnPass,
-) -> u64 {
+) -> Option<u64> {
     let words = pass.words;
     let mut exchanges = 0;
     for (x, f) in live[..words]
         .chunks(pass.tile)
         .zip(flags[..words].chunks_mut(pass.tile))
     {
-        tile_flags(x, f, lev, pass.folds);
+        if !tile_flags(x, f, lev, pass.folds, pass.detect) {
+            return None;
+        }
         if pass.count {
             exchanges += f.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
         }
@@ -775,7 +669,7 @@ fn column_pass_body(
     let from = if pass.last { words } else { 0 };
     exchange_planes(&mut live[from..], flags, pair);
     exchange_planes(iplanes, flags, pair);
-    exchanges
+    Some(exchanges)
 }
 
 /// [`column_pass_body`] in the portable build.
@@ -786,7 +680,7 @@ fn column_pass_portable(
     flags: &mut [u64],
     lev: &mut [u64],
     pass: &ColumnPass,
-) -> u64 {
+) -> Option<u64> {
     column_pass_body(live, iplanes, flags, lev, pass)
 }
 
@@ -800,7 +694,7 @@ fn column_pass_avx512(
     flags: &mut [u64],
     lev: &mut [u64],
     pass: &ColumnPass,
-) -> u64 {
+) -> Option<u64> {
     column_pass_body(live, iplanes, flags, lev, pass)
 }
 
@@ -814,15 +708,14 @@ fn column_pass_avx2(
     flags: &mut [u64],
     lev: &mut [u64],
     pass: &ColumnPass,
-) -> u64 {
+) -> Option<u64> {
     column_pass_body(live, iplanes, flags, lev, pass)
 }
 
 /// Runs one column pass in `build`. Each build's pass is a function of
-/// its own, which keeps the kernels around it small enough for the
-/// inliner. In a batched route `build` is a constant of the caller's
-/// build and the match folds away; the span kernel, compiled once,
-/// dispatches per column.
+/// its own, which keeps the routes around it small enough for the
+/// inliner. Every caller runs inside one build's copy of a route, where
+/// `build` is a constant and the match folds away.
 #[inline(always)]
 fn column_pass(
     build: Build,
@@ -831,7 +724,7 @@ fn column_pass(
     flags: &mut [u64],
     lev: &mut [u64],
     pass: &ColumnPass,
-) -> u64 {
+) -> Option<u64> {
     match build.0 {
         // SAFETY: a SIMD build exists only where its features were
         // detected (see `Build`).
@@ -844,10 +737,10 @@ fn column_pass(
     }
 }
 
-/// The instruction set a word-parallel route runs in. The batched path
-/// ([`crate::batch::route_batch`]) picks one per call and runs
-/// validation, plane extraction, every column pass and the delivery
-/// inside it; the span kernel picks one per span.
+/// The instruction set a word-parallel route runs in. Each call of the
+/// kernel — a [`crate::batch::route_batch`] call or a
+/// [`RouteSpan::run`] — picks one and runs validation (for a batch),
+/// plane extraction, every column pass and the delivery inside it.
 ///
 /// Only [`Build::detect`] and, in tests, [`Build::available`] make a SIMD
 /// build, and every match that enters one is in this module, so a SIMD
@@ -955,39 +848,146 @@ fn route_batch_avx2(
     route_batch_body(Build(Isa::Avx2), net, batch, opts, scratch, outcome);
 }
 
-/// Fills plane words `w0..w1` from the destination column, one bit-plane
-/// row per destination bit: bit `j` of word `w` of plane `srel` receives
-/// destination bit `m - 1 - srel` of cell `64w + j`. Runs in `build`:
-/// the AVX-512 one peels planes with mask tests, every other build runs
-/// the portable loop compiled in it.
+/// [`RouteSpan::run`]'s word-parallel path in `build`: the span is the
+/// only frame of one call of the kernel.
+pub(crate) fn route_span_in(
+    build: Build,
+    call: &Call<'_>,
+    lines: &mut [Record],
+    scratch: &mut StageScratch,
+) -> Result<(), RouteError> {
+    match build.0 {
+        // SAFETY: a SIMD build exists only where its features were
+        // detected (see `Build`).
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { route_span_avx512(call, lines, scratch) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { route_span_avx2(call, lines, scratch) },
+        Isa::Portable => route_span_body(Build::PORTABLE, call, lines, scratch),
+    }
+}
+
+/// [`route_span_body`] in the AVX-512 build. Kept out of line, so that a
+/// batch routed frame by frame does not inline a second copy of the
+/// kernel into its own.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,popcnt")]
+#[inline(never)]
+fn route_span_avx512(
+    call: &Call<'_>,
+    lines: &mut [Record],
+    scratch: &mut StageScratch,
+) -> Result<(), RouteError> {
+    route_span_body(Build(Isa::Avx512), call, lines, scratch)
+}
+
+/// [`route_span_body`] in the AVX2 build, out of line like the AVX-512 one.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+#[inline(never)]
+fn route_span_avx2(
+    call: &Call<'_>,
+    lines: &mut [Record],
+    scratch: &mut StageScratch,
+) -> Result<(), RouteError> {
+    route_span_body(Build(Isa::Avx2), call, lines, scratch)
+}
+
+/// Routes `call.stages` over one aligned span, word-parallel: the span's
+/// cells become a one-frame batch whose payloads are their lines, the
+/// kernel routes it, and one gather moves every record to the line the
+/// routed payload column names. Same contract and error values as the
+/// scalar kernel; see the module docs. Strict spans are not validated, so
+/// they detect unbalanced splitters.
+#[inline(always)]
+fn route_span_body(
+    build: Build,
+    call: &Call<'_>,
+    lines: &mut [Record],
+    scratch: &mut StageScratch,
+) -> Result<(), RouteError> {
+    let stages = &call.stages;
+    if stages.is_empty() {
+        return Ok(());
+    }
+    let m = call.net.m();
+    let span = lines.len();
+    debug_assert!(stages.end <= m, "stage range {stages:?} exceeds m = {m}");
+    debug_assert_eq!(
+        span,
+        1usize << (m - stages.start),
+        "slice length must match the starting stage"
+    );
+    debug_assert_eq!(call.first_line % span, 0, "slice must be aligned");
+    // The destination bits of the stages routed, most significant first.
+    let shift = m - stages.end;
+    let mask = (1usize << stages.len()) - 1;
+    let mut dests = std::mem::take(&mut scratch.packed.span_dests);
+    let mut sources = std::mem::take(&mut scratch.packed.span_lines);
+    dests.clear();
+    dests.extend(lines.iter().map(|r| {
+        debug_assert!(r.dest() >> m == 0, "destination must fit in m bits");
+        ((r.dest() >> shift) & mask) as u32
+    }));
+    sources.clear();
+    sources.extend(0..span as u64);
+    let strict = matches!(call.net.policy(), RoutePolicy::Strict);
+    let routed = route_batch_packed(
+        build,
+        call,
+        strict,
+        &mut dests,
+        &mut sources,
+        &[Ok(())],
+        scratch,
+    );
+    if routed.is_ok() {
+        scratch.ensure(span);
+        let gather = &mut scratch.lines[..span];
+        for (dst, &src) in gather.iter_mut().zip(&sources) {
+            *dst = lines[src as usize];
+        }
+        lines.copy_from_slice(gather);
+    }
+    scratch.packed.span_dests = dests;
+    scratch.packed.span_lines = sources;
+    routed
+}
+
+/// Fills plane words `w0..w1` from a column of `bits`-bit destinations,
+/// one bit-plane row per destination bit: bit `j` of word `w` of plane
+/// `srel` receives destination bit `bits - 1 - srel` of cell `64w + j`.
+/// Runs in `build`: the AVX-512 one peels planes with mask tests, every
+/// other build runs the portable loop compiled in it.
 #[inline(always)]
 fn extract_planes_words(
     build: Build,
     dests: &[u32],
     planes: &mut [u64],
     words: usize,
-    m: usize,
+    bits: usize,
     w0: usize,
     w1: usize,
 ) {
-    assert!(dests.len() >= w1 << 6 && planes.len() >= m * words);
+    assert!(dests.len() >= w1 << 6 && planes.len() >= bits * words);
     match build.0 {
         // SAFETY: a SIMD build exists only where its features were
         // detected (see `Build`); the cells read were asserted above.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { extract_planes_avx512(dests, planes, words, m, w0, w1) },
+        Isa::Avx512 => unsafe { extract_planes_avx512(dests, planes, words, bits, w0, w1) },
         // The portable loop, compiled in the caller's build.
         _ => {
-            let mut acc = [0u64; MAX_BATCHED_M];
+            let mut acc = [0u64; MAX_FRAME_BITS];
             for w in w0..w1 {
-                acc[..m].fill(0);
+                acc[..bits].fill(0);
                 for (j, &d) in dests[w << 6..(w + 1) << 6].iter().enumerate() {
                     let d = u64::from(d);
-                    for (srel, a) in acc[..m].iter_mut().enumerate() {
-                        *a |= ((d >> (m - 1 - srel)) & 1) << j;
+                    for (srel, a) in acc[..bits].iter_mut().enumerate() {
+                        *a |= ((d >> (bits - 1 - srel)) & 1) << j;
                     }
                 }
-                for (srel, &a) in acc[..m].iter().enumerate() {
+                for (srel, &a) in acc[..bits].iter().enumerate() {
                     planes[srel * words + w] = a;
                 }
             }
@@ -1010,7 +1010,7 @@ unsafe fn extract_planes_avx512(
     dests: &[u32],
     planes: &mut [u64],
     words: usize,
-    m: usize,
+    bits: usize,
     w0: usize,
     w1: usize,
 ) {
@@ -1027,8 +1027,8 @@ unsafe fn extract_planes_avx512(
                 _mm512_loadu_si512(p.add(48).cast()),
             )
         };
-        for srel in 0..m {
-            let bit = _mm512_set1_epi32(1 << (m - 1 - srel));
+        for srel in 0..bits {
+            let bit = _mm512_set1_epi32(1 << (bits - 1 - srel));
             let m0 = _mm512_test_epi32_mask(v0, bit) as u64;
             let m1 = _mm512_test_epi32_mask(v1, bit) as u64;
             let m2 = _mm512_test_epi32_mask(v2, bit) as u64;
@@ -1038,105 +1038,101 @@ unsafe fn extract_planes_avx512(
     }
 }
 
-/// First unbalanced box of the column, as `(box_start, ones)`, scanning
-/// in line order — the same box the scalar path stops at. `None` when
-/// every box satisfies the Definition 3 input assumption (exactly one 1
-/// for `sp(1)`, an even count otherwise).
-fn first_unbalanced(plane: &[u64], span: usize, box_size: usize) -> Option<(usize, usize)> {
-    let span_mask = if span >= 64 {
-        !0u64
-    } else {
-        (1u64 << span) - 1
-    };
-    if box_size == 2 {
-        for (w, &x) in plane.iter().enumerate() {
-            // A pair is valid iff its parity is 1; the fold leaves each
-            // pair's parity on its even bit.
-            let bad = !(x ^ (x >> 1)) & EVEN & span_mask;
-            if bad != 0 {
-                let t = bad.trailing_zeros() as usize;
-                let ones = ((x >> t) & 3).count_ones() as usize;
-                return Some((w * 64 + t, ones));
-            }
-        }
-        return None;
-    }
-    if box_size <= 64 {
-        let p = box_size.trailing_zeros() as usize;
-        for (w, &x) in plane.iter().enumerate() {
-            let mut par = x;
-            let mut sh = 1;
-            while sh < box_size {
-                par ^= par >> sh;
-                sh <<= 1;
-            }
-            // Odd lane parity = odd number of ones = unbalanced.
-            let bad = par & STRIDE[p];
-            if bad != 0 {
-                let t = bad.trailing_zeros() as usize;
-                let lane_mask = if box_size == 64 {
-                    !0u64
-                } else {
-                    (1u64 << box_size) - 1
-                };
-                let ones = ((x >> t) & lane_mask).count_ones() as usize;
-                return Some((w * 64 + t, ones));
-            }
-        }
-        return None;
-    }
-    let box_words = box_size / 64;
-    for (b, block) in plane.chunks(box_words).enumerate() {
-        let ones: u32 = block.iter().map(|w| w.count_ones()).sum();
-        if !ones.is_multiple_of(2) {
-            return Some((b * box_size, ones as usize));
-        }
-    }
-    None
+/// One call of the kernel: main stages `stages` of `net` over frames of
+/// `2^(m - stages.start)` lines, the first at global line `first_line`.
+pub(crate) struct Call<'a> {
+    pub(crate) net: &'a BnbNetwork,
+    pub(crate) stages: Range<usize>,
+    pub(crate) first_line: usize,
+    /// A non-empty fault map: its columns run [`faulted_column`].
+    pub(crate) faults: Option<&'a FaultMap>,
+    /// The observer that takes the call's stage totals, if any.
+    pub(crate) tally: Option<&'a dyn Observer>,
 }
 
-/// Reads one box's true destination bits out of the current plane.
-fn bits_from_plane(plane: &[u64], start: usize, box_size: usize, bits: &mut Vec<bool>) {
-    bits.clear();
-    bits.extend((start..start + box_size).map(|j| plane[j >> 6] >> (j & 63) & 1 == 1));
-}
-
-/// Routes `stages` of `net` over one aligned slice, word-parallel. Same
-/// contract and error values as the scalar kernel; see the module docs.
-/// `tally` receives one [`StageTotalsEvent`] per main stage routed (or cut
-/// short by an error, followed by the error's event).
-pub(crate) fn route_span_packed(
-    net: &BnbNetwork,
-    lines: &mut [Record],
-    first_line: usize,
-    stages: Range<usize>,
+/// The kernel: routes `call` over every valid frame of the SoA columns
+/// `dests` (each cell's destination bits for the stages routed) and
+/// `data`, word-parallel over the *concatenated* frame-major planes: bit
+/// `f·n + P` of a stage's plane is that stage's bit of frame `f`'s cell at
+/// position `P`, so every `u64` word is fully occupied whatever the frame
+/// size, and the arbiter sweeps and exchanges run at full lane
+/// utilisation.
+///
+/// Wiring as relabeling: no column moves a plane bit for its wiring. The
+/// kernel keeps σ ([`Relabel`]), the physical position bit of each logical
+/// line-index bit, and applies each wiring to σ instead. A column's
+/// arbiter folds tree level `l + 1` at physical bit σ(l) and its switches
+/// pair cells `2^σ(0)` apart, so cells move only at exchanges.
+///
+/// Frames never interact: each occupies an aligned `n`-cell region, σ
+/// only renames the low position bits, so every box stays inside its
+/// frame, and frames marked `Err` in `valid` contribute all-zero plane
+/// regions — zero lanes produce zero exchange flags, so their (skipped)
+/// cells are never moved and never read back.
+///
+/// A call that can fail — a fault map, or strict `detect` — carries one
+/// frame and returns the first error in scan order, having reported the
+/// stage it cut short. Strict detection reads each healthy column's root
+/// row; faulted columns run [`faulted_column`]. A [`FrameBatch`] of
+/// validated frames (strict ones on the Unshuffle wiring, which cannot
+/// unbalance a splitter, Theorem 2) detects nothing and cannot fail.
+///
+/// `call.tally` receives one [`StageTotalsEvent`] per main stage summed
+/// over the valid frames: the per-frame column and sweep counts times the
+/// frame count, and the exchanges each column pass counts in its flag
+/// words (inert lanes of invalid frames contribute none). Runs in
+/// `build`: `#[inline(always)]`, so it is compiled into each build of the
+/// caller.
+///
+/// Output movement, one frame at a time through frame-sized staging:
+/// - **Delivery** (a strict call through the last stage on the Unshuffle
+///   wiring, every check passed): Theorem 2 puts the cell destined `d` on
+///   output line `d`, so the payloads scatter into the stage and back,
+///   and the identity ramp overwrites the destinations in place.
+///   Independent of where σ left the cells.
+/// - **Index gather** (permissive traffic, another wiring, or a span that
+///   stops before the last stage): index bit-planes ride through every
+///   exchange, and the gather reads each output line's source index at
+///   its physical position under σ.
+#[inline(always)]
+pub(crate) fn route_batch_packed(
+    build: Build,
+    call: &Call<'_>,
+    detect: bool,
+    dests: &mut [u32],
+    data: &mut [u64],
+    valid: &[Result<(), RouteError>],
     scratch: &mut StageScratch,
-    faults: Option<&FaultMap>,
-    tally: Option<&dyn Observer>,
 ) -> Result<(), RouteError> {
-    if stages.is_empty() {
-        return Ok(());
-    }
+    let net = call.net;
     let m = net.m();
-    let span = lines.len();
-    debug_assert!(stages.end <= m, "stage range {stages:?} exceeds m = {m}");
-    debug_assert_eq!(
-        span,
-        1usize << (m - stages.start),
-        "slice length must match the starting stage"
+    let stages = call.stages.clone();
+    let bits = m - stages.start;
+    let count = stages.len();
+    let n = 1usize << bits;
+    let frames = valid.len();
+    debug_assert_eq!(dests.len(), frames * n);
+    debug_assert!(
+        frames == 1 || !(detect || call.faults.is_some()),
+        "a call that can fail carries one frame"
     );
-    debug_assert_eq!(first_line % span, 0, "slice must be aligned");
-    assert!(span <= u32::MAX as usize, "span must fit the position perm");
-    let words = span.div_ceil(64);
-    let num_stages = stages.end - stages.start;
+    assert!(
+        bits <= MAX_FRAME_BITS,
+        "frames of 2^{bits} lines exceed the kernel's 2^{MAX_FRAME_BITS}"
+    );
+    let cells = frames * n;
+    let words = cells.div_ceil(64);
+    // Sweep tiles hold whole frames, so every box (and every word pair a
+    // cross-word level folds) lies inside one tile.
+    let tile_max = (n >> 6).max(64);
     let strict = matches!(net.policy(), RoutePolicy::Strict);
     let wiring = net.wiring();
-    let build = Build::detect();
-    scratch.ensure(span);
-    scratch.packed.ensure(span, words, num_stages);
+    let deliver = strict && matches!(wiring, WiringMode::Unshuffle) && stages.end == m;
+    scratch
+        .packed
+        .ensure_frames(n, words, count, bits, tile_max);
     let StageScratch {
-        lines: gather,
-        bits,
+        bits: box_bits,
         flags: box_flags,
         up,
         tapped,
@@ -1146,252 +1142,6 @@ pub(crate) fn route_span_packed(
     let PackedScratch {
         planes,
         flags,
-        tmp,
-        perm,
-        tmp_perm,
-        span_folds,
-        levels,
-        ..
-    } = packed;
-
-    // Frame cache: each record's address bits, extracted once per span.
-    for (srel, stage) in stages.clone().enumerate() {
-        let sh = m - 1 - stage;
-        for w in 0..words {
-            let base = w * 64;
-            let mut x = 0u64;
-            for (j, r) in lines[base..span.min(base + 64)].iter().enumerate() {
-                debug_assert!(r.dest() >> m == 0, "destination must fit in m bits");
-                x |= ((r.dest() as u64 >> sh) & 1) << j;
-            }
-            planes[srel * words + w] = x;
-        }
-    }
-    for (j, p) in perm.iter_mut().enumerate() {
-        *p = j as u32;
-    }
-
-    for (srel, main_stage) in stages.clone().enumerate() {
-        let k = m - main_stage;
-        let mut totals = StageTally::new(tally, main_stage, first_line, span, 1);
-        for internal in 0..k {
-            let box_size = 1usize << (k - internal);
-            let depth = k - internal;
-            let last_internal = internal + 1 == k;
-            let column_faults = faults.filter(|f| f.affects(main_stage, internal));
-            // Planes for already-routed stages are dead; the current
-            // stage's plane feeds the arbiter, later ones ride along, and
-            // after the stage's last column the current one dies too.
-            let live = &mut planes[srel * words..];
-            let cur = &live[..words];
-            let from = if last_internal { words } else { 0 };
-            if let Some(map) = column_faults {
-                // Faulted column: scalar per-box arbiter in line order so
-                // fault semantics (taps, overrides, audits) and error
-                // ordering match the scalar path exactly; bits come from
-                // the plane, never re-derived.
-                flags[..words].fill(0);
-                for start in (0..span).step_by(box_size) {
-                    bits_from_plane(cur, start, box_size, bits);
-                    if strict {
-                        let site = SplitterSite {
-                            main_stage,
-                            internal_stage: internal,
-                            first_line: first_line + start,
-                        };
-                        if let Err(err) = check_balanced(bits, site) {
-                            totals.swept((start / box_size) as u64, depth);
-                            return Err(totals.fail(err));
-                        }
-                    }
-                    tapped.clear();
-                    tapped.extend_from_slice(bits);
-                    map.tap_bits(main_stage, internal, first_line + start, tapped);
-                    controls_into(tapped, up, box_flags);
-                    map.override_flags(main_stage, internal, first_line + start, tapped, box_flags);
-                    for (t, &c) in box_flags.iter().enumerate() {
-                        if c {
-                            let pos = start + 2 * t;
-                            flags[pos >> 6] |= 1 << (pos & 63);
-                        }
-                    }
-                    // Post-swap audit from the pre-swap true bits and the
-                    // flags — the swap outcome is determined by both, so
-                    // nothing is re-derived from the records.
-                    if strict {
-                        let mut even_ones = 0usize;
-                        let mut odd_ones = 0usize;
-                        for (t, &c) in box_flags.iter().enumerate() {
-                            let (a, b) = (bits[2 * t], bits[2 * t + 1]);
-                            let (pe, po) = if c { (b, a) } else { (a, b) };
-                            even_ones += usize::from(pe);
-                            odd_ones += usize::from(po);
-                        }
-                        let balanced = if box_size == 2 {
-                            even_ones == 0 && odd_ones == 1
-                        } else {
-                            even_ones == odd_ones
-                        };
-                        if !balanced {
-                            // The failing box was swept before its audit.
-                            totals.swept((start / box_size + 1) as u64, depth);
-                            return Err(totals.fail(RouteError::HardwareFault {
-                                main_stage,
-                                internal_stage: internal,
-                                first_line: first_line + start,
-                                width: box_size,
-                                even_ones,
-                                odd_ones,
-                            }));
-                        }
-                    }
-                }
-                exchange_planes(&mut live[from..], &flags[..words], span_folds[0]);
-            } else {
-                if strict {
-                    if let Some((start, ones)) = first_unbalanced(cur, span, box_size) {
-                        totals.swept((start / box_size) as u64, depth);
-                        return Err(totals.fail(RouteError::UnbalancedSplitter {
-                            main_stage,
-                            internal_stage: internal,
-                            first_line: first_line + start,
-                            width: box_size,
-                            ones,
-                        }));
-                    }
-                }
-                // The batched kernel's column pass with σ the identity.
-                // Boxes are contiguous here, so a tile need only hold
-                // whole boxes, not a whole span.
-                let pass = ColumnPass {
-                    words,
-                    tile: words.min((box_size >> 6).max(64)),
-                    folds: &span_folds[..depth],
-                    last: last_internal,
-                    count: false,
-                };
-                column_pass(build, live, &mut [], flags, levels, &pass);
-            }
-            // The flag words drive the position permutation too; records
-            // move once, at the gather below.
-            let mut exchanges = 0;
-            for (w, &f) in flags[..words].iter().enumerate() {
-                if f != 0 {
-                    let base = w * 64;
-                    exchanges += apply_flag_word(f, &mut perm[base..span.min(base + 64)]);
-                }
-            }
-            totals.column((span / box_size) as u64, depth, exchanges);
-            // Wiring: rotate the low r index bits within each 2^r block
-            // (r = box width inside a stage, r = k for the main wiring).
-            let r = if !last_internal {
-                k - internal
-            } else if main_stage + 1 < m {
-                k
-            } else {
-                continue;
-            };
-            if !matches!(wiring, WiringMode::Identity) {
-                let bs = 1usize << r;
-                for (j, &p) in perm.iter().enumerate().take(span) {
-                    let base = j & !(bs - 1);
-                    let local = j & (bs - 1);
-                    let rl = match wiring {
-                        WiringMode::Unshuffle => (local >> 1) | ((local & 1) << (r - 1)),
-                        WiringMode::Shuffle => ((local << 1) & (bs - 1)) | (local >> (r - 1)),
-                        WiringMode::Identity => unreachable!(),
-                    };
-                    tmp_perm[base | rl] = p;
-                }
-                perm[..span].copy_from_slice(&tmp_perm[..span]);
-                for plane in live[from..].chunks_exact_mut(words) {
-                    wire_plane(plane, r, wiring, tmp);
-                }
-            }
-        }
-        totals.emit();
-    }
-    // One gather moves every record to its final line.
-    for (dst, &src) in gather[..span].iter_mut().zip(perm.iter()) {
-        *dst = lines[src as usize];
-    }
-    lines.copy_from_slice(&gather[..span]);
-    Ok(())
-}
-
-/// Routes every valid frame of a [`FrameBatch`] through all `m` stages at
-/// once, word-parallel over the *concatenated* frame-major planes: bit
-/// `f·n + j` of plane `s` is destination bit `s` of frame `f`'s cell `j`,
-/// so every `u64` word is fully occupied regardless of `m` and the
-/// arbiter sweeps and exchanges run at full lane utilisation.
-///
-/// Wiring as relabeling: no column moves a plane bit for its wiring. The
-/// kernel keeps σ ([`Relabel`]), the physical position bit of each logical
-/// line-index bit, and applies each wiring to σ instead. A column's
-/// arbiter folds tree level `l + 1` at physical bit σ(l) and its switches
-/// pair cells `2^σ(0)` apart, so cells move only at exchanges.
-///
-/// Frames never interact: each occupies an aligned `n`-cell region, σ
-/// only renames the low `m` position bits, so every box stays inside its
-/// frame, and frames marked `Err` in `valid` contribute all-zero plane
-/// regions — zero lanes produce zero exchange flags, so their (skipped)
-/// cells are never moved and never read back.
-///
-/// Output movement, one frame at a time through frame-sized staging:
-/// - **Strict** (frames are validated permutations): the sweeps carry the
-///   destination planes forward — each column's flags are computed from
-///   plane bits whose positions those same sweeps produced — and the final
-///   movement short-circuits through the delivery guarantee (Theorem 2:
-///   output line `d` holds the record destined `d`): the payloads scatter
-///   into the stage and back, and the identity ramp overwrites the
-///   destinations in place. Byte-identical to the scalar oracle by the
-///   same theorem, and independent of where σ left the cells.
-/// - **Permissive** (arbitrary traffic): `m` *index* bit-planes ride
-///   through every exchange — the word-parallel analogue of the
-///   single-frame kernel's position `perm` — and the final gather reads
-///   each output line's source index at its physical position under σ.
-///
-/// `tally` receives one [`StageTotalsEvent`] per main stage summed over
-/// the valid frames: the per-frame column and sweep counts times the
-/// frame count, and the exchanges each column pass counts in its flag
-/// words (inert lanes of invalid frames contribute none).
-///
-/// Infallible: validation happened in [`crate::batch::route_batch`], and
-/// validated strict traffic cannot unbalance a splitter (Theorem 2), which
-/// debug builds assert. Runs in `build`: `#[inline(always)]`, so it is
-/// compiled into each build of the caller.
-///
-/// [`FrameBatch`]: crate::batch::FrameBatch
-#[inline(always)]
-pub(crate) fn route_batch_packed(
-    build: Build,
-    net: &BnbNetwork,
-    batch: &mut FrameBatch,
-    valid: &[Result<(), RouteError>],
-    scratch: &mut StageScratch,
-    tally: Option<&dyn Observer>,
-) {
-    let m = net.m();
-    let n = 1usize << m;
-    let frames = batch.frames();
-    debug_assert_eq!(batch.width(), n);
-    debug_assert_eq!(valid.len(), frames);
-    assert!(
-        m <= MAX_BATCHED_M,
-        "batched kernel supports m <= {MAX_BATCHED_M}"
-    );
-    let cells = frames * n;
-    let words = cells.div_ceil(64);
-    // Sweep tiles hold whole frames, so every box (and every word pair a
-    // cross-word level folds) lies inside one tile.
-    let tile_max = (n >> 6).max(64);
-    let strict = matches!(net.policy(), RoutePolicy::Strict);
-    let wiring = net.wiring();
-    scratch.packed.ensure_batch(n, words, m, tile_max, !strict);
-    let PackedScratch {
-        planes,
-        flags,
-        tmp,
         levels,
         schedule,
         schedule_for,
@@ -1400,33 +1150,45 @@ pub(crate) fn route_batch_packed(
         stage_dests,
         stage_data,
         ..
-    } = &mut scratch.packed;
-    let (dests, data) = batch.soa_mut();
+    } = packed;
+    let iplanes = if deliver {
+        &mut iplanes[..0]
+    } else {
+        &mut iplanes[..]
+    };
 
-    // Extraction: one pass over each valid frame's destinations fills all
-    // m planes; invalid frames stay zero (inert lanes).
+    // Extraction: one pass over each valid frame's destinations fills
+    // every plane; invalid frames stay zero (inert lanes).
     for (f, res) in valid.iter().enumerate() {
         if res.is_err() {
             continue;
         }
         let base = f * n;
         if n >= 64 {
-            extract_planes_words(build, dests, planes, words, m, base >> 6, (base + n) >> 6);
+            extract_planes_words(
+                build,
+                dests,
+                planes,
+                words,
+                count,
+                base >> 6,
+                (base + n) >> 6,
+            );
         } else {
             for (j, &d) in dests[base..base + n].iter().enumerate() {
                 let g = base + j;
                 let d = d as u64;
-                for srel in 0..m {
-                    planes[srel * words + (g >> 6)] |= ((d >> (m - 1 - srel)) & 1) << (g & 63);
+                for srel in 0..count {
+                    planes[srel * words + (g >> 6)] |= ((d >> (count - 1 - srel)) & 1) << (g & 63);
                 }
             }
         }
     }
-    if !strict {
+    if !deliver {
         // Index planes: bit b of the within-frame line. Frame bases are
-        // multiples of n = 2^m, so for b < m this is bit b of the global
-        // position — a fixed per-word constant.
-        for b in 0..m {
+        // multiples of n = 2^bits, so for b < bits this is bit b of the
+        // global position — a fixed per-word constant.
+        for b in 0..bits {
             let row = &mut iplanes[b * words..(b + 1) * words];
             if b < 6 {
                 row.fill(IBIT[b]);
@@ -1439,37 +1201,39 @@ pub(crate) fn route_batch_packed(
     }
 
     let routed = valid.iter().filter(|r| r.is_ok()).count();
-    // The column schedule, like σ itself, depends only on m and the
-    // wiring: built on the first batch, then reused. σ is followed column
-    // by column only to build it, and in debug builds for the balance
-    // assert, which reads each column through σ.
-    let scheduled = *schedule_for == Some((m, wiring));
-    let follow = !scheduled || cfg!(debug_assertions);
-    let mut relabel = Relabel::identity(m);
+    // The column schedule, like σ itself, depends only on m, the stage
+    // range and the wiring: built on the first call of a shape, then
+    // reused. σ is followed column by column to build it, where a faulted
+    // column or a detected error reads through it, and in debug builds for
+    // the balance assert.
+    let shape = (m, stages.clone(), wiring);
+    let scheduled = schedule_for.as_ref() == Some(&shape);
+    let follow = !scheduled || detect || call.faults.is_some() || cfg!(debug_assertions);
+    let mut relabel = Relabel::identity(bits);
     if !scheduled {
         schedule.clear();
+        *schedule_for = None;
     }
+    // A frame narrower than a word leaves lanes that are not live.
+    let live_lanes = if cells < 64 { (1u64 << cells) - 1 } else { !0 };
     let mut next = 0;
-    for main_stage in 0..m {
+    for main_stage in stages.clone() {
         let k = m - main_stage;
-        let mut totals = StageTally::new(tally, main_stage, 0, n, routed as u64);
+        let srel = main_stage - stages.start;
+        let mut totals = StageTally::new(call.tally, main_stage, call.first_line, n, routed as u64);
         for internal in 0..k {
             let depth = k - internal;
-            let live = &mut planes[main_stage * words..m * words];
-            let last_internal = internal + 1 == k;
-            if follow && strict && routed == frames && cells.is_multiple_of(64) {
-                // Validated permutations satisfy Definition 3 at every
-                // splitter (Theorem 2); there is nothing to detect. (The
-                // check reads whole words, so it only applies when no
-                // trailing zero lanes pad the last word.)
-                debug_assert!(
-                    {
-                        relabel.logical_plane(&live[..words], cells, &mut tmp[..words]);
-                        first_unbalanced(&tmp[..words], cells, 1 << depth).is_none()
-                    },
-                    "validated strict batch unbalanced at stage {main_stage}.{internal}"
-                );
-            }
+            let live = &mut planes[srel * words..count * words];
+            // Validated strict permutations satisfy Definition 3 at every
+            // splitter (Theorem 2): there is nothing to detect.
+            debug_assert!(
+                !strict
+                    || detect
+                    || (valid.iter().enumerate()).all(|(f, r)| {
+                        r.is_err() || relabel.first_unbalanced(live, f * n, depth).is_none()
+                    }),
+                "validated strict batch unbalanced at stage {main_stage}.{internal}"
+            );
             if !scheduled {
                 relabel.push_folds(depth, schedule);
             }
@@ -1477,17 +1241,39 @@ pub(crate) fn route_batch_packed(
                 words,
                 tile: words.min(tile_max),
                 folds: &schedule[next..next + depth],
-                last: last_internal,
-                count: tally.is_some(),
+                last: internal + 1 == k,
+                count: call.tally.is_some(),
+                detect: detect.then_some(live_lanes),
             };
             next += depth;
-            let exchanges = column_pass(build, live, iplanes, flags, levels, &pass);
-            totals.column((n >> depth) as u64, depth, exchanges);
+            if let Some(map) = call.faults.filter(|f| f.affects(main_stage, internal)) {
+                let boxes = (&mut *box_bits, &mut *tapped, &mut *up, &mut *box_flags);
+                let column = (map, main_stage, internal);
+                faulted_column(
+                    call,
+                    column,
+                    &relabel,
+                    &pass,
+                    live,
+                    iplanes,
+                    flags,
+                    boxes,
+                    &mut totals,
+                )?;
+            } else {
+                match column_pass(build, live, iplanes, flags, levels, &pass) {
+                    Some(exchanges) => totals.column((n >> depth) as u64, depth, exchanges),
+                    None => {
+                        let site = (main_stage, internal);
+                        return Err(unbalanced(call, site, &relabel, live, &mut totals));
+                    }
+                }
+            }
             // Wiring: rotate the low r line-index bits (r = box width
             // inside a stage, r = k for the main wiring; the fabric's very
             // last column has none) — in σ, not in the planes.
             if follow {
-                let r = if !last_internal {
+                let r = if internal + 1 < k {
                     depth
                 } else if main_stage + 1 < m {
                     k
@@ -1500,7 +1286,7 @@ pub(crate) fn route_batch_packed(
         totals.emit();
     }
     if !scheduled {
-        *schedule_for = Some((m, wiring));
+        *schedule_for = Some(shape);
         *schedule_end = relabel;
     }
     // Final movement, one frame at a time (a frame's working set — n
@@ -1513,9 +1299,9 @@ pub(crate) fn route_batch_packed(
         let base = f * n;
         let frame_dests = &mut dests[base..base + n];
         let frame_data = &mut data[base..base + n];
-        if strict {
-            // Delivery scatter: output line d holds the record destined
-            // d — so only the payloads move, and the destination column
+        if deliver {
+            // Delivery scatter: output line d holds the cell destined d —
+            // so only the payloads move, and the destination column
             // becomes the identity ramp. The stage is a slice, whose
             // pointer and length stay in registers while the payloads
             // are stored.
@@ -1531,8 +1317,8 @@ pub(crate) fn route_batch_packed(
             // Index gather: output line j's cell sits at physical position
             // σ(j) of the frame, and its source line comes out of the
             // carried index planes there.
-            for j in 0..n {
-                let g = base + schedule_end.position(j);
+            for (j, p) in schedule_end.positions(0).enumerate() {
+                let g = base + p;
                 let (w, b) = (g >> 6, g & 63);
                 let mut idx = 0usize;
                 for (bb, plane) in iplanes.chunks_exact(words).enumerate() {
@@ -1545,24 +1331,139 @@ pub(crate) fn route_batch_packed(
             frame_data.copy_from_slice(&stage_data[..n]);
         }
     }
+    Ok(())
+}
+
+/// A box's true bits, their tapped view, the arbiter's up-values and the
+/// switch settings: the scalar per-box state of a faulted column.
+type BoxBuffers<'s> = (
+    &'s mut Vec<bool>,
+    &'s mut Vec<bool>,
+    &'s mut Vec<bool>,
+    &'s mut Vec<bool>,
+);
+
+/// A column with faults in `column = (map, main_stage, internal)`, out of
+/// the healthy loop: each box's bits are gathered through σ into line
+/// order — box `b`'s line `j` sits at position `σ(b·w + j)` — and run
+/// through the scalar per-box step in that order, so fault semantics
+/// (taps, overrides, the strict balance check and post-swap audit) and
+/// error ordering match the scalar path exactly. Each setting is flagged
+/// at the position of its switch's left line, and the exchange trades it
+/// with the cell `2^σ(0)` away, the right line. The tally counts box by
+/// box, so an error cuts it where the scalar sweep's events stop. One
+/// frame.
+#[cold]
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn faulted_column(
+    call: &Call<'_>,
+    (map, main_stage, internal): (&FaultMap, usize, usize),
+    relabel: &Relabel,
+    pass: &ColumnPass<'_>,
+    live: &mut [u64],
+    iplanes: &mut [u64],
+    flags: &mut [u64],
+    (bits, tapped, up, controls): BoxBuffers<'_>,
+    totals: &mut StageTally<'_>,
+) -> Result<(), RouteError> {
+    let strict = matches!(call.net.policy(), RoutePolicy::Strict);
+    let depth = pass.folds.len();
+    let width = 1usize << depth;
+    let words = pass.words;
+    let flags = &mut flags[..words];
+    flags.fill(0);
+    for start in (0..1usize << relabel.bits).step_by(width) {
+        let first_line = call.first_line + start;
+        let boxes_before = (start / width) as u64;
+        bits.clear();
+        bits.extend(relabel.positions(start).take(width).map(|p| bit(live, p)));
+        if strict {
+            let site = SplitterSite {
+                main_stage,
+                internal_stage: internal,
+                first_line,
+            };
+            if let Err(err) = check_balanced(bits, site) {
+                totals.swept(boxes_before, depth);
+                return Err(totals.fail(err));
+            }
+        }
+        tapped.clear();
+        tapped.extend_from_slice(bits);
+        map.tap_bits(main_stage, internal, first_line, tapped);
+        controls_into(tapped, up, controls);
+        map.override_flags(main_stage, internal, first_line, tapped, controls);
+        for (&c, p) in controls.iter().zip(relabel.positions(start).step_by(2)) {
+            if c {
+                flags[p >> 6] |= 1 << (p & 63);
+            }
+        }
+        if strict {
+            if let Some((even_ones, odd_ones)) = unbalanced_output(bits, controls) {
+                // The failing box was swept before its audit.
+                totals.swept(boxes_before + 1, depth);
+                return Err(totals.fail(RouteError::HardwareFault {
+                    main_stage,
+                    internal_stage: internal,
+                    first_line,
+                    width,
+                    even_ones,
+                    odd_ones,
+                }));
+            }
+        }
+    }
+    let from = if pass.last { words } else { 0 };
+    exchange_planes(&mut live[from..], flags, pass.folds[0]);
+    exchange_planes(iplanes, flags, pass.folds[0]);
+    let exchanges = flags.iter().map(|w| u64::from(w.count_ones())).sum();
+    totals.column((1u64 << relabel.bits) >> depth, depth, exchanges);
+    Ok(())
+}
+
+/// The error of a column whose root row showed an unbalanced box, out of
+/// the healthy loop: names the first unbalanced box in line order, as
+/// the scalar path does, after the boxes before it in the tally. One
+/// frame, its plane not yet exchanged.
+#[cold]
+#[inline(never)]
+fn unbalanced(
+    call: &Call<'_>,
+    (main_stage, internal): (usize, usize),
+    relabel: &Relabel,
+    plane: &[u64],
+    totals: &mut StageTally<'_>,
+) -> RouteError {
+    let depth = call.net.m() - main_stage - internal;
+    let (start, ones) = relabel
+        .first_unbalanced(plane, 0, depth)
+        .expect("the root row showed an unbalanced box");
+    totals.swept((start >> depth) as u64, depth);
+    totals.fail(RouteError::UnbalancedSplitter {
+        main_stage,
+        internal_stage: internal,
+        first_line: call.first_line + start,
+        width: 1 << depth,
+        ones,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::splitter::controls_into;
-    use bnb_topology::bitops::{shuffle, unshuffle};
+    use crate::fault::{FaultKind, FaultSite};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
-    /// The span kernel's arbiter, the column pass with σ the identity,
-    /// equals the scalar tree on every box: boxes inside a word, across
-    /// words, and past the 4096 lines whose word parities fill one word.
+    /// The column pass with σ the identity equals the scalar tree on
+    /// every box: boxes inside a word, across words, and past the 4096
+    /// lines whose word parities fill one word.
     #[test]
     fn identity_column_matches_scalar_tree() {
         let mut rng = StdRng::seed_from_u64(32);
         let mut folds = Vec::new();
-        push_folds(0..13, &mut folds);
+        Relabel::identity(13).push_folds(13, &mut folds);
         let (mut up, mut ctl) = (Vec::new(), Vec::new());
         for depth in 1..=13usize {
             let n = 1usize << depth;
@@ -1579,6 +1480,7 @@ mod tests {
                     folds: &folds[..depth],
                     last: false,
                     count: false,
+                    detect: None,
                 };
                 column_pass_body(&mut live, &mut [], &mut flags, &mut lev, &pass);
                 let bits: Vec<bool> = (0..words * 64).map(|j| bit(&before, j)).collect();
@@ -1595,60 +1497,26 @@ mod tests {
         }
     }
 
-    /// The delta-swap cascade is the index unshuffle, for every block
-    /// width in a word and across words.
-    #[test]
-    fn wiring_cascade_matches_index_transform() {
-        let mut rng = StdRng::seed_from_u64(33);
-        for r in 2..=9usize {
-            let bs = 1usize << r;
-            let words = bs.div_ceil(64).max(2);
-            let span = words * 64;
-            let src: Vec<bool> = (0..span).map(|_| rng.random_bool(0.5)).collect();
-            let mut plane: Vec<u64> = (0..words)
-                .map(|w| (0..64).fold(0u64, |acc, j| acc | (u64::from(src[w * 64 + j]) << j)))
-                .collect();
-            for mode in [WiringMode::Unshuffle, WiringMode::Shuffle] {
-                let mut got = plane.clone();
-                let mut tmp = vec![0u64; words];
-                wire_plane(&mut got, r, mode, &mut tmp);
-                for (j, &src_bit) in src.iter().enumerate().take(span) {
-                    let base = j & !(bs - 1);
-                    let local = j & (bs - 1);
-                    let dst = base
-                        | match mode {
-                            WiringMode::Unshuffle => unshuffle(r, r, local),
-                            WiringMode::Shuffle => shuffle(r, r, local),
-                            WiringMode::Identity => unreachable!(),
-                        };
-                    let got_bit = got[dst >> 6] >> (dst & 63) & 1 == 1;
-                    assert_eq!(got_bit, src_bit, "r = {r}, {mode:?}, j = {j}");
-                }
-            }
-            plane.rotate_left(1); // keep clippy quiet about unused mut
-        }
-    }
-
-    /// A random relabeling of `m` line bits: σ is a permutation of
-    /// `0..m`, as the column wirings leave it.
-    fn random_relabel(m: usize, rng: &mut StdRng) -> Relabel {
-        let mut relabel = Relabel::identity(m);
-        for l in (1..m).rev() {
+    /// A random relabeling of `bits` line bits: σ is a permutation of
+    /// `0..bits`, as the column wirings leave it.
+    fn random_relabel(bits: usize, rng: &mut StdRng) -> Relabel {
+        let mut relabel = Relabel::identity(bits);
+        for l in (1..bits).rev() {
             relabel.sigma.swap(l, rng.random_range(0..=l));
         }
         relabel
     }
 
-    /// Random planes for `frames` frames of `2^m` lines, one flag row,
+    /// Random planes for `frames` frames of `2^bits` lines, one flag row,
     /// and the column pass of `2^depth`-line boxes under `relabel`.
     fn random_column(
         rng: &mut StdRng,
     ) -> (Relabel, usize, usize, Vec<u64>, Vec<u64>, Vec<Fold>, usize) {
-        let m = rng.random_range(1..=10usize);
-        let relabel = random_relabel(m, rng);
-        let depth = rng.random_range(1..=m);
+        let bits = rng.random_range(1..=10usize);
+        let relabel = random_relabel(bits, rng);
+        let depth = rng.random_range(1..=bits);
         let frames = rng.random_range(1..=5usize);
-        let cells = frames << m;
+        let cells = frames << bits;
         let words = cells.div_ceil(64);
         // Lanes past the last frame are zero, as the kernel pads them.
         let tail = if cells % 64 == 0 {
@@ -1670,10 +1538,6 @@ mod tests {
         (relabel, depth, frames, live, iplanes, folds, words)
     }
 
-    fn bit(plane: &[u64], p: usize) -> bool {
-        plane[p >> 6] >> (p & 63) & 1 == 1
-    }
-
     /// The relabeled column pass equals the scalar arbiter run on each
     /// box in logical line order, for any σ — in-word and cross-word
     /// levels in every order, the non-contiguous orders a Shuffle wiring
@@ -1686,22 +1550,29 @@ mod tests {
         for _ in 0..400 {
             let (relabel, depth, frames, mut live, mut iplanes, folds, words) =
                 random_column(&mut rng);
-            let (m, n) = (relabel.m, 1usize << relabel.m);
+            let (bits, n) = (relabel.bits, 1usize << relabel.bits);
             let (before, ibefore) = (live.clone(), iplanes.clone());
             let tile = words.min((n >> 6).max(64));
             let mut flags = vec![0u64; words];
-            let mut lev = vec![0u64; (m + 2) * tile];
+            let mut lev = vec![0u64; (bits + 2) * tile];
             let pass = ColumnPass {
                 words,
                 tile,
                 folds: &folds,
                 last: false,
                 count: true,
+                detect: None,
             };
             let exchanges = column_pass_body(&mut live, &mut iplanes, &mut flags, &mut lev, &pass);
-            let ctx = format!(
-                "m = {m}, sigma = {:?}, depth = {depth}",
-                &relabel.sigma[..m]
+            let ctx = format!("sigma = {:?}, depth = {depth}", &relabel.sigma[..bits]);
+            let walked = (0..n).map(|j| relabel.positions(j).next());
+            assert!(
+                walked.eq((0..n).map(|j| Some(relabel.position(j)))),
+                "{ctx}"
+            );
+            assert!(
+                relabel.positions(0).eq((0..n).map(|j| relabel.position(j))),
+                "{ctx}"
             );
             let mut want_flags = vec![0u64; words];
             let box_size = 1usize << depth;
@@ -1727,108 +1598,385 @@ mod tests {
             }
             assert_eq!(flags, want_flags, "{ctx}: flags");
             let want_exchanges: u32 = want_flags.iter().map(|w| w.count_ones()).sum();
-            assert_eq!(exchanges, u64::from(want_exchanges), "{ctx}: exchanges");
+            assert_eq!(
+                exchanges,
+                Some(u64::from(want_exchanges)),
+                "{ctx}: exchanges"
+            );
         }
     }
 
     /// The portable build of the column pass against its SIMD builds, on
-    /// the same inputs: runners with and without AVX-512 check the same
-    /// code, and the relabeling oracle above holds the portable one. Each
-    /// build counts the exchanges it flags.
+    /// the same inputs, with and without detection: runners with and
+    /// without AVX-512 check the same code, and the relabeling oracle
+    /// above holds the portable one. Each build counts the exchanges it
+    /// flags.
     #[test]
     fn column_pass_builds_agree() {
         let mut rng = StdRng::seed_from_u64(36);
         for _ in 0..400 {
-            let (relabel, depth, _, live, iplanes, folds, words) = random_column(&mut rng);
-            let n = 1usize << relabel.m;
+            let (relabel, depth, frames, live, iplanes, folds, words) = random_column(&mut rng);
+            let n = 1usize << relabel.bits;
             let tile = words.min((n >> 6).max(64));
             let last = rng.random_bool(0.5);
+            let cells = frames * n;
+            let live_lanes = if cells < 64 { (1u64 << cells) - 1 } else { !0 };
             let pass = ColumnPass {
                 words,
                 tile,
                 folds: &folds,
                 last,
                 count: true,
+                detect: (frames == 1 && rng.random_bool(0.5)).then_some(live_lanes),
             };
             let run = |build: Build| {
                 let (mut live, mut iplanes) = (live.clone(), iplanes.clone());
                 let mut flags = vec![0u64; words];
-                let mut lev = vec![0u64; (relabel.m + 2) * tile];
+                let mut lev = vec![0u64; (relabel.bits + 2) * tile];
                 let exchanges =
                     column_pass(build, &mut live, &mut iplanes, &mut flags, &mut lev, &pass);
-                let flagged: u32 = flags.iter().map(|w| w.count_ones()).sum();
-                assert_eq!(exchanges, u64::from(flagged), "{build:?} exchanges");
-                (live, iplanes, flags)
+                if exchanges.is_some() {
+                    let flagged: u32 = flags.iter().map(|w| w.count_ones()).sum();
+                    assert_eq!(exchanges, Some(u64::from(flagged)), "{build:?} exchanges");
+                }
+                (live, iplanes, exchanges.map(|_| flags))
             };
             let portable = run(Build::PORTABLE);
-            let ctx = format!("sigma = {:?}, depth = {depth}", &relabel.sigma[..relabel.m]);
+            let ctx = format!(
+                "sigma = {:?}, depth = {depth}",
+                &relabel.sigma[..relabel.bits]
+            );
             for build in Build::available() {
                 assert_eq!(run(build), portable, "{build:?} build, {ctx}");
             }
         }
     }
 
+    /// Random destination bits for a frame of `2^bits` lines in logical
+    /// line order: every `2^depth`-line box balanced (an even count, one 1
+    /// per `sp(1)` pair), then, half the time, one to three lines flipped.
+    fn random_logical_bits(bits: usize, depth: usize, rng: &mut StdRng) -> Vec<bool> {
+        let (n, width) = (1usize << bits, 1usize << depth);
+        let mut line_bits: Vec<bool> = (0..n).map(|_| rng.random_bool(0.5)).collect();
+        for b in line_bits.chunks_mut(width) {
+            if width == 2 {
+                b[1] = !b[0];
+            } else if b.iter().filter(|&&x| x).count() % 2 == 1 {
+                b[0] = !b[0];
+            }
+        }
+        if rng.random_bool(0.5) {
+            for _ in 0..rng.random_range(1..=3) {
+                let j = rng.random_range(0..n);
+                line_bits[j] = !line_bits[j];
+            }
+        }
+        line_bits
+    }
+
+    /// `line_bits` (logical line order) as a one-frame plane under σ.
+    fn physical_plane(relabel: &Relabel, line_bits: &[bool]) -> Vec<u64> {
+        let mut plane = vec![0u64; line_bits.len().div_ceil(64)];
+        for (j, &b) in line_bits.iter().enumerate() {
+            let p = relabel.position(j);
+            plane[p >> 6] |= u64::from(b) << (p & 63);
+        }
+        plane
+    }
+
+    /// Strict detection from the root row, on one frame of 2 to 8192
+    /// lines (narrower than a word included) under a random σ, for box
+    /// depths 1..=13: it fires exactly when a scan of the boxes in
+    /// logical line order finds an unbalanced one, and the slow path
+    /// names that box and its ones, after the boxes before it in the
+    /// tally.
+    #[test]
+    fn root_row_detection_matches_logical_scan() {
+        let mut rng = StdRng::seed_from_u64(38);
+        let mut fired = [0usize; 2];
+        for _ in 0..600 {
+            let bits = rng.random_range(1..=13usize);
+            let depth = rng.random_range(1..=bits);
+            let (n, width) = (1usize << bits, 1usize << depth);
+            let relabel = random_relabel(bits, &mut rng);
+            let line_bits = random_logical_bits(bits, depth, &mut rng);
+            let plane = physical_plane(&relabel, &line_bits);
+            let words = plane.len();
+            let tile = words.min((n >> 6).max(64));
+            let mut folds = Vec::new();
+            relabel.push_folds(depth, &mut folds);
+            let pass = ColumnPass {
+                words,
+                tile,
+                folds: &folds,
+                last: false,
+                count: false,
+                detect: Some(if n < 64 { (1u64 << n) - 1 } else { !0 }),
+            };
+            let (mut live, mut flags) = (plane.clone(), vec![0u64; words]);
+            let mut lev = vec![0u64; (depth + 2) * tile];
+            let got = column_pass_body(&mut live, &mut [], &mut flags, &mut lev, &pass);
+            let want = (0..n).step_by(width).find_map(|start| {
+                let ones = line_bits[start..start + width]
+                    .iter()
+                    .filter(|&&b| b)
+                    .count();
+                let ok = if width == 2 { ones == 1 } else { ones % 2 == 0 };
+                (!ok).then_some((start, ones))
+            });
+            let ctx = format!("sigma = {:?}, depth = {depth}", &relabel.sigma[..bits]);
+            assert_eq!(got.is_none(), want.is_some(), "{ctx}: detection");
+            fired[usize::from(got.is_none())] += 1;
+            let Some((start, ones)) = want else {
+                continue;
+            };
+            assert_eq!(live, plane, "{ctx}: a detected column exchanged");
+            // The slow path, for column `internal` of main stage 0 of a
+            // network of `bits + 1` stages whose span starts at line n.
+            let (m, internal) = (bits + 1, bits - depth);
+            let net = BnbNetwork::new(m);
+            let call = Call {
+                net: &net,
+                stages: 1..m,
+                first_line: n,
+                faults: None,
+                tally: None,
+            };
+            let mut totals = StageTally::new(None, 1, n, n, 1);
+            let err = unbalanced(&call, (1, internal), &relabel, &plane, &mut totals);
+            let want_err = RouteError::UnbalancedSplitter {
+                main_stage: 1,
+                internal_stage: internal,
+                first_line: n + start,
+                width,
+                ones,
+            };
+            assert_eq!(err, want_err, "{ctx}");
+            assert_eq!(
+                totals.totals.sweeps,
+                (start / width) as u64,
+                "{ctx}: sweeps"
+            );
+        }
+        assert!(fired[0] > 100 && fired[1] > 100, "test premise: {fired:?}");
+    }
+
+    /// A faulted column read through a random σ, for every fault kind at
+    /// random sites: its flags, exchange and count, `HardwareFault`
+    /// values and tally cut equal the scalar per-box step run on each box
+    /// in logical line order, with each switch's setting at the position
+    /// of its left line.
+    #[test]
+    fn faulted_column_matches_scalar_boxes() {
+        let kinds = [
+            FaultKind::StuckStraight,
+            FaultKind::StuckExchange,
+            FaultKind::DeadArbiter,
+            FaultKind::BrokenLink,
+        ];
+        let mut rng = StdRng::seed_from_u64(39);
+        let (mut up, mut ctl, mut tapped) = (Vec::new(), Vec::new(), Vec::new());
+        let mut outcomes = [0usize; 3];
+        for _ in 0..1500 {
+            // A span of 2^bits lines starting at main stage `first` of an
+            // m-stage network, at a random aligned first line.
+            let bits = rng.random_range(1..=9usize);
+            let first = rng.random_range(0..=2usize);
+            let m = bits + first;
+            let n = 1usize << bits;
+            let first_line = rng.random_range(0..1usize << first) * n;
+            let main_stage = rng.random_range(first..m);
+            let internal = rng.random_range(0..m - main_stage);
+            let depth = m - main_stage - internal;
+            let width = 1usize << depth;
+            let strict = rng.random_bool(0.7);
+            let policy = if strict {
+                RoutePolicy::Strict
+            } else {
+                RoutePolicy::Permissive
+            };
+            let net = BnbNetwork::builder(m).policy(policy).build();
+            // One to three faults of random kinds in this column, mostly
+            // on elements inside the span.
+            let mut map = FaultMap::new();
+            for _ in 0..rng.random_range(1..=3) {
+                let kind = kinds[rng.random_range(0..kinds.len())];
+                let per = match kind {
+                    FaultKind::StuckStraight | FaultKind::StuckExchange => 2,
+                    FaultKind::DeadArbiter => width,
+                    _ => 1,
+                };
+                let element = if rng.random_bool(0.9) {
+                    (first_line + rng.random_range(0..n)) / per
+                } else {
+                    rng.random_range(0..kind.elements(m, main_stage, internal))
+                };
+                map.insert(FaultSite::new(main_stage, internal, element), kind);
+            }
+            let relabel = random_relabel(bits, &mut rng);
+            let line_bits = random_logical_bits(bits, depth, &mut rng);
+            let plane = physical_plane(&relabel, &line_bits);
+            let words = plane.len();
+            let rider: Vec<u64> = (0..words).map(|_| rng.random::<u64>()).collect();
+            let mut live: Vec<u64> = plane.iter().chain(&rider).copied().collect();
+            if n < 64 {
+                live[words - 1] &= (1u64 << n) - 1;
+                live[2 * words - 1] &= (1u64 << n) - 1;
+            }
+            let before = live.clone();
+            let mut iplanes = before[words..].to_vec();
+            let mut folds = Vec::new();
+            relabel.push_folds(depth, &mut folds);
+            let last = rng.random_bool(0.3);
+            let pass = ColumnPass {
+                words,
+                tile: words,
+                folds: &folds,
+                last,
+                count: true,
+                detect: None,
+            };
+            let call = Call {
+                net: &net,
+                stages: first..m,
+                first_line,
+                faults: Some(&map),
+                tally: None,
+            };
+            let mut flags = vec![0u64; words];
+            let mut totals = StageTally::new(None, main_stage, first_line, n, 1);
+            let mut buffers: [Vec<bool>; 4] = Default::default();
+            let [b0, b1, b2, b3] = &mut buffers;
+            let boxes = (b0, b1, b2, b3);
+            let got = faulted_column(
+                &call,
+                (&map, main_stage, internal),
+                &relabel,
+                &pass,
+                &mut live,
+                &mut iplanes,
+                &mut flags,
+                boxes,
+                &mut totals,
+            );
+            // The scalar step on each box in logical line order.
+            let mut want_flags = vec![0u64; words];
+            let mut want = Ok(());
+            let mut swept = (n / width) as u64;
+            for start in (0..n).step_by(width) {
+                let (site, box_bits) = (first_line + start, &line_bits[start..start + width]);
+                let ones = box_bits.iter().filter(|&&b| b).count();
+                if strict && !(if width == 2 { ones == 1 } else { ones % 2 == 0 }) {
+                    want = Err(RouteError::UnbalancedSplitter {
+                        main_stage,
+                        internal_stage: internal,
+                        first_line: site,
+                        width,
+                        ones,
+                    });
+                    swept = (start / width) as u64;
+                    break;
+                }
+                tapped.clear();
+                tapped.extend_from_slice(box_bits);
+                map.tap_bits(main_stage, internal, site, &mut tapped);
+                controls_into(&tapped, &mut up, &mut ctl);
+                map.override_flags(main_stage, internal, site, &tapped, &mut ctl);
+                let (mut even_ones, mut odd_ones) = (0, 0);
+                for (t, &c) in ctl.iter().enumerate() {
+                    let p = relabel.position(start + 2 * t);
+                    want_flags[p >> 6] |= u64::from(c) << (p & 63);
+                    let (a, b) = (box_bits[2 * t], box_bits[2 * t + 1]);
+                    even_ones += usize::from(if c { b } else { a });
+                    odd_ones += usize::from(if c { a } else { b });
+                }
+                let balanced = if width == 2 {
+                    (even_ones, odd_ones) == (0, 1)
+                } else {
+                    even_ones == odd_ones
+                };
+                if strict && !balanced {
+                    want = Err(RouteError::HardwareFault {
+                        main_stage,
+                        internal_stage: internal,
+                        first_line: site,
+                        width,
+                        even_ones,
+                        odd_ones,
+                    });
+                    swept = (start / width + 1) as u64;
+                    break;
+                }
+            }
+            let ctx = format!(
+                "sigma = {:?}, stage {main_stage}.{internal}, {map:?}",
+                &relabel.sigma[..bits]
+            );
+            assert_eq!(got, want, "{ctx}");
+            outcomes[match &got {
+                Ok(()) => 0,
+                Err(RouteError::HardwareFault { .. }) => 1,
+                Err(_) => 2,
+            }] += 1;
+            assert_eq!(totals.totals.sweeps, swept, "{ctx}: sweeps");
+            assert_eq!(totals.totals.max_depth, if swept > 0 { depth } else { 0 });
+            if got.is_err() {
+                assert_eq!(totals.totals.columns, 0, "{ctx}: a failed column counted");
+                continue;
+            }
+            assert_eq!(flags, want_flags, "{ctx}: flags");
+            let flagged: u32 = want_flags.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(
+                totals.totals.exchanges,
+                u64::from(flagged),
+                "{ctx}: exchanges"
+            );
+            assert_eq!(totals.totals.columns, 1);
+            // Each flagged switch traded its left and right lines on the
+            // rider planes, and on the current one unless it just died.
+            for j in (0..n).step_by(2) {
+                let (l, r) = (relabel.position(j), relabel.position(j + 1));
+                let c = bit(&want_flags, l);
+                let (l_from, r_from) = if c { (r, l) } else { (l, r) };
+                for (plane, old, exchanged) in [
+                    (&live[..words], &before[..words], !last),
+                    (&live[words..], &before[words..], true),
+                    (&iplanes[..], &before[words..], true),
+                ] {
+                    let (lf, rf) = if exchanged { (l_from, r_from) } else { (l, r) };
+                    assert_eq!(bit(plane, l), bit(old, lf), "{ctx}: line {j}");
+                    assert_eq!(bit(plane, r), bit(old, rf), "{ctx}: line {j}");
+                }
+            }
+        }
+        assert!(
+            outcomes.iter().all(|&c| c > 50),
+            "test premise: {outcomes:?}"
+        );
+    }
+
     /// Plane extraction in every build equals the bit-by-bit definition,
-    /// for every plane count the batched kernel takes.
+    /// for every destination width the kernel takes.
     #[test]
     fn extraction_builds_agree() {
         let mut rng = StdRng::seed_from_u64(37);
-        for m in 1..=MAX_BATCHED_M {
+        for bits in 1..=MAX_FRAME_BITS {
             let words = 3;
             let dests: Vec<u32> = (0..64 * words)
-                .map(|_| rng.random_range(0..1u32 << m))
+                .map(|_| rng.random::<u32>() >> (32 - bits))
                 .collect();
-            let mut want = vec![0u64; m * words];
+            let mut want = vec![0u64; bits * words];
             for (g, &d) in dests.iter().enumerate() {
-                for srel in 0..m {
-                    want[srel * words + g / 64] |= u64::from((d >> (m - 1 - srel)) & 1) << (g % 64);
+                for srel in 0..bits {
+                    want[srel * words + g / 64] |=
+                        u64::from((d >> (bits - 1 - srel)) & 1) << (g % 64);
                 }
             }
             for build in Build::available() {
-                let mut planes = vec![0u64; m * words];
-                extract_planes_words(build, &dests, &mut planes, words, m, 1, 3);
-                extract_planes_words(build, &dests, &mut planes, words, m, 0, 1);
-                assert_eq!(planes, want, "{build:?} build, m = {m}");
-            }
-        }
-    }
-
-    /// Balance scanning returns the same first box and ones count the
-    /// scalar `check_balanced` sweep finds.
-    #[test]
-    fn first_unbalanced_matches_scalar_scan() {
-        let mut rng = StdRng::seed_from_u64(34);
-        for (span, box_size) in [(64usize, 2usize), (64, 8), (64, 64), (256, 128), (32, 4)] {
-            let words = span.div_ceil(64);
-            for _ in 0..300 {
-                let plane: Vec<u64> = (0..words)
-                    .map(|w| {
-                        let x: u64 = rng.random();
-                        if span < 64 {
-                            x & ((1 << span) - 1)
-                        } else {
-                            let _ = w;
-                            x
-                        }
-                    })
-                    .collect();
-                let bits: Vec<bool> = (0..span)
-                    .map(|j| plane[j >> 6] >> (j & 63) & 1 == 1)
-                    .collect();
-                let want = (0..span).step_by(box_size).find_map(|start| {
-                    let ones = bits[start..start + box_size].iter().filter(|&&b| b).count();
-                    let ok = if box_size == 2 {
-                        ones == 1
-                    } else {
-                        ones % 2 == 0
-                    };
-                    (!ok).then_some((start, ones))
-                });
-                assert_eq!(
-                    first_unbalanced(&plane, span, box_size),
-                    want,
-                    "span = {span}, box = {box_size}"
-                );
+                let mut planes = vec![0u64; bits * words];
+                extract_planes_words(build, &dests, &mut planes, words, bits, 1, 3);
+                extract_planes_words(build, &dests, &mut planes, words, bits, 0, 1);
+                assert_eq!(planes, want, "{build:?} build, bits = {bits}");
             }
         }
     }

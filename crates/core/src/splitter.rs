@@ -62,6 +62,27 @@ pub fn check_balanced(bits: &[bool], site: SplitterSite) -> Result<(), RouteErro
     }
 }
 
+/// The output audit of a splitter in a faulted column: the ones its
+/// switches send to even and odd outputs, `(M_e, M_o)`, when they break
+/// Definition 3 (`M_e = M_o`; exactly `(0, 1)` for `sp(1)`), else `None`.
+/// Switch `t` emits input pair `t` swapped iff `flags[t]`, so the output
+/// follows from the true input bits and the settings actually applied.
+pub(crate) fn unbalanced_output(bits: &[bool], flags: &[bool]) -> Option<(usize, usize)> {
+    let (mut even_ones, mut odd_ones) = (0, 0);
+    for (t, &c) in flags.iter().enumerate() {
+        let (a, b) = (bits[2 * t], bits[2 * t + 1]);
+        let (even, odd) = if c { (b, a) } else { (a, b) };
+        even_ones += usize::from(even);
+        odd_ones += usize::from(odd);
+    }
+    let balanced = if bits.len() == 2 {
+        even_ones == 0 && odd_ones == 1
+    } else {
+        even_ones == odd_ones
+    };
+    (!balanced).then_some((even_ones, odd_ones))
+}
+
 /// Computes the switch controls of a splitter from its input bits, without
 /// routing anything. This is the arbiter plus the `s ⊕ f` XOR — the entire
 /// control plane of one splitter.

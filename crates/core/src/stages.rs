@@ -15,17 +15,19 @@
 //! routing performs no heap allocation.
 //!
 //! Two kernels share the entry points. The bit-packed word-parallel
-//! kernel (`crate::packed` — cached destination bit-planes, word-level
-//! arbiter sweeps and balance checks) routes every span whose observer,
-//! if any, declines per-column events ([`Observer::wants_columns`]): it
-//! counts columns, sweeps and exchanges as it routes and reports one
-//! [`StageTotalsEvent`] per main stage. An observer that wants per-column
-//! or per-hop events selects the scalar cell-at-a-time sweep, which emits
-//! them and doubles as the packed kernel's oracle via [`Kernel::Scalar`].
-//! Both produce byte-identical frames, identical error values, and the
-//! same counts. [`RouteSpan`] is the options struct that selects
-//! observer, fault map, and kernel; whole frames can also be routed many
-//! at a time through [`crate::batch::route_batch`].
+//! kernel (`crate::packed` — destination bit-planes, word-level arbiter
+//! sweeps and balance checks, wirings applied as relabelings) routes
+//! every span whose observer, if any, declines per-column events
+//! ([`Observer::wants_columns`]): the span is the only frame of one call
+//! of the kernel [`crate::batch::route_batch`] runs, which counts columns,
+//! sweeps and exchanges as it routes and reports one [`StageTotalsEvent`]
+//! per main stage. An observer that wants per-column or per-hop events
+//! selects the scalar cell-at-a-time sweep, which emits them and doubles
+//! as the packed kernel's oracle via [`Kernel::Scalar`]. Both produce
+//! byte-identical frames, identical error values, and the same counts.
+//! [`RouteSpan`] is the options struct that selects observer, fault map,
+//! and kernel; whole frames can also be routed many at a time through
+//! [`crate::batch::route_batch`].
 //!
 //! [`StageTotalsEvent`]: bnb_obs::StageTotalsEvent
 
@@ -40,7 +42,8 @@ use bnb_topology::record::Record;
 use crate::error::RouteError;
 use crate::fault::FaultMap;
 use crate::network::{BnbNetwork, RoutePolicy, WiringMode};
-use crate::splitter::{check_balanced, controls_into, SplitterSite};
+use crate::packed::{route_span_in, Build, Call};
+use crate::splitter::{check_balanced, controls_into, unbalanced_output, SplitterSite};
 
 /// Reusable buffers for [`RouteSpan::run`]. One per worker; capacity
 /// grows to the largest span routed and then stays put.
@@ -62,7 +65,7 @@ pub struct StageScratch {
     /// Per-frame staging buffer for the batch API's frame-at-a-time
     /// fallback paths (`lines` is the wiring buffer and cannot double up).
     pub(crate) frame_buf: Vec<Record>,
-    /// Word-parallel kernel state (planes, flag words, position perm).
+    /// Word-parallel kernel state (planes, flag words, column schedule).
     pub(crate) packed: crate::packed::PackedScratch,
 }
 
@@ -282,11 +285,32 @@ impl<'a> RouteSpan<'a> {
         stages: Range<usize>,
         scratch: &mut StageScratch,
     ) -> Result<(), RouteError> {
+        self.run_in(Build::detect(), net, lines, first_line, stages, scratch)
+    }
+
+    /// [`RouteSpan::run`] with the word-parallel kernel in `build`: a
+    /// caller already inside one build's copy of a route passes its own.
+    pub(crate) fn run_in(
+        &self,
+        build: Build,
+        net: &BnbNetwork,
+        lines: &mut [Record],
+        first_line: usize,
+        stages: Range<usize>,
+        scratch: &mut StageScratch,
+    ) -> Result<(), RouteError> {
         let (sweep, faults) = self.effective();
         match sweep {
-            Sweep::Packed(tally) => crate::packed::route_span_packed(
-                net, lines, first_line, stages, scratch, faults, tally,
-            ),
+            Sweep::Packed(tally) => {
+                let call = Call {
+                    net,
+                    stages,
+                    first_line,
+                    faults,
+                    tally,
+                };
+                route_span_in(build, &call, lines, scratch)
+            }
             // No observer folds onto the static noop path, keeping it
             // monomorphic (no virtual dispatch in the sweep loops).
             Sweep::Scalar(None) => route_span_scalar_inner(
@@ -306,10 +330,10 @@ impl<'a> RouteSpan<'a> {
 }
 
 /// Which kernel routes a span, with the enabled observer (if any) it
-/// reports to: stage totals from the packed kernels, per-column events
+/// reports to: stage totals from the packed kernel, per-column events
 /// from the scalar sweep.
 pub(crate) enum Sweep<'a> {
-    /// The word-parallel kernels.
+    /// The word-parallel kernel.
     Packed(Option<&'a dyn Observer>),
     /// The scalar cell-at-a-time sweep.
     Scalar(Option<&'a dyn Observer>),
@@ -317,7 +341,7 @@ pub(crate) enum Sweep<'a> {
 
 /// The routing rule for observers: an enabled observer that wants
 /// per-column or per-hop events needs the scalar sweep; every other
-/// observer routes exactly as no observer does, on the packed kernels.
+/// observer routes exactly as no observer does, on the packed kernel.
 pub(crate) fn needs_scalar_sweep<O: Observer + ?Sized>(observer: &O) -> bool {
     observer.enabled() && (observer.wants_columns() || observer.wants_hops())
 }
@@ -347,8 +371,14 @@ pub(crate) fn route_span_inner<O: Observer + ?Sized>(
     if needs_scalar_sweep(observer) {
         return route_span_scalar_inner(net, lines, first_line, stages, scratch, observer, faults);
     }
-    let tally = observer.enabled().then_some(&observer as &dyn Observer);
-    crate::packed::route_span_packed(net, lines, first_line, stages, scratch, faults, tally)
+    let call = Call {
+        net,
+        stages,
+        first_line,
+        faults: faults.filter(|f| !f.is_empty()),
+        tally: observer.enabled().then_some(&observer as &dyn Observer),
+    };
+    route_span_in(Build::detect(), &call, lines, scratch)
 }
 
 pub(crate) fn route_span_scalar_inner<O: Observer + ?Sized>(
@@ -467,20 +497,9 @@ pub(crate) fn route_span_scalar_inner<O: Observer + ?Sized>(
                 // emits its pair swapped iff flagged), so nothing is
                 // re-derived from the records.
                 if strict && column_faults.is_some() {
-                    let mut even_ones = 0usize;
-                    let mut odd_ones = 0usize;
-                    for (t, &c) in scratch.flags.iter().enumerate() {
-                        let (a, b) = (scratch.bits[2 * t], scratch.bits[2 * t + 1]);
-                        let (even, odd) = if c { (b, a) } else { (a, b) };
-                        even_ones += usize::from(even);
-                        odd_ones += usize::from(odd);
-                    }
-                    let balanced = if box_size == 2 {
-                        even_ones == 0 && odd_ones == 1
-                    } else {
-                        even_ones == odd_ones
-                    };
-                    if !balanced {
+                    if let Some((even_ones, odd_ones)) =
+                        unbalanced_output(&scratch.bits, &scratch.flags)
+                    {
                         let err = RouteError::HardwareFault {
                             main_stage,
                             internal_stage: internal,
@@ -587,20 +606,12 @@ pub(crate) fn report_route_error<O: Observer + ?Sized>(observer: &O, err: &Route
 }
 
 /// Applies one box's exchange flags to its window of lines and returns
-/// the exchange count. The bools are packed into flag words so that both
-/// routing paths funnel through the single pair-swap implementation in
-/// [`crate::packed::apply_flag_word`].
+/// the exchange count: switch `t` swaps lines `2t` and `2t + 1`.
 fn apply_box_flags(flags: &[bool], window: &mut [Record]) -> u64 {
     let mut exchanges = 0;
-    let mut t0 = 0usize;
-    while t0 < flags.len() {
-        let chunk = (flags.len() - t0).min(32); // 32 switches per 64-line word
-        let mut f = 0u64;
-        for (i, &c) in flags[t0..t0 + chunk].iter().enumerate() {
-            f |= u64::from(c) << (2 * i);
-        }
-        exchanges += crate::packed::apply_flag_word(f, &mut window[2 * t0..2 * (t0 + chunk)]);
-        t0 += chunk;
+    for (t, _) in flags.iter().enumerate().filter(|&(_, &c)| c) {
+        window.swap(2 * t, 2 * t + 1);
+        exchanges += 1;
     }
     exchanges
 }

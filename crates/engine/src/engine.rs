@@ -13,9 +13,9 @@
 //! the worker's own reusable [`StageScratch`] — zero per-batch allocation
 //! in steady state. With no observer attached (the default), or one that
 //! takes stage totals instead of per-column events (`bnb_obs::Counters`),
-//! every slice takes `bnb-core`'s bit-packed word-parallel kernel, so the
-//! engine's per-worker throughput is the packed kernel's, not the scalar
-//! sweep's.
+//! every slice is a one-frame call of `bnb-core`'s word-parallel kernel,
+//! the one served batches run, so the engine's per-worker throughput is
+//! that kernel's, not the scalar sweep's.
 //!
 //! Because BNB routing is oblivious data movement (every switch setting
 //! depends only on local destination bits), the parallel result is

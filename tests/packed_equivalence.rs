@@ -139,14 +139,23 @@ fn random_frames(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Healthy fabric, both policies, m = 2..=10: byte-identical frames.
+    /// Healthy fabric, both policies, every wiring, m = 1..=10:
+    /// byte-identical frames, and identical errors for the unvalidated
+    /// frames with a duplicated destination that strict spans detect.
     #[test]
-    fn packed_matches_scalar_healthy(m in 2usize..=10, seed in any::<u64>(), strict in any::<bool>()) {
+    fn packed_matches_scalar_healthy(
+        m in 1usize..=10,
+        seed in any::<u64>(),
+        strict in any::<bool>(),
+        wiring_idx in 0usize..3,
+        garble in any::<bool>(),
+    ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let policy = if strict { RoutePolicy::Strict } else { RoutePolicy::Permissive };
-        let net = build(m, policy);
-        let records = records_for_permutation(&Permutation::random(1 << m, &mut rng));
-        assert_kernels_agree(&net, &records, None, &format!("m={m} {policy:?}"));
+        let wiring = [WiringMode::Unshuffle, WiringMode::Shuffle, WiringMode::Identity][wiring_idx];
+        let net = BnbNetwork::builder(m).data_width(32).policy(policy).wiring(wiring).build();
+        let records = random_frames(1 << m, 1, garble, &mut rng).remove(0);
+        assert_kernels_agree(&net, &records, None, &format!("m={m} {policy:?} {wiring:?}"));
     }
 
     /// Fault campaigns, both policies: identical frames when both kernels
@@ -237,25 +246,28 @@ proptest! {
         );
     }
 
-    /// Batched fault campaigns (the per-frame fallback path): each
-    /// frame's result and contents must equal the scalar faulted oracle.
+    /// Batched fault campaigns (the per-frame fallback path), every
+    /// wiring: each frame's result and contents must equal the scalar
+    /// faulted oracle.
     #[test]
     fn batched_matches_scalar_under_faults(
         m in 2usize..=7,
         seed in any::<u64>(),
         strict in any::<bool>(),
         nfaults in 1usize..=3,
+        wiring_idx in 0usize..3,
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let policy = if strict { RoutePolicy::Strict } else { RoutePolicy::Permissive };
-        let net = build(m, policy);
+        let wiring = [WiringMode::Unshuffle, WiringMode::Shuffle, WiringMode::Identity][wiring_idx];
+        let net = BnbNetwork::builder(m).data_width(32).policy(policy).wiring(wiring).build();
         let frames = random_frames(1 << m, 7, false, &mut rng);
         let faults = random_faults(m, nfaults, &mut rng);
         let opts = RouteSpan::new().faults(&faults);
         let oracle = RouteSpan::new().kernel(Kernel::Scalar).faults(&faults);
         assert_batch_matches_scalar(
             &net, &frames, &opts, &oracle,
-            &format!("m={m} {policy:?} {faults:?}"),
+            &format!("m={m} {policy:?} {wiring:?} {faults:?}"),
         );
     }
 
@@ -339,10 +351,13 @@ fn exhaustive_small_m_byte_identity() {
         assert_eq!(routed, scalar, "m={m} batched mismatch: {records:?}");
     }
 
-    // All N! permutations for m <= 3 (2 + 24 + 40320 frames).
+    // All N! permutations for m <= 3 (2 + 24 + 40320 frames), and on the
+    // ablation wirings, where strict spans may fail, the same results.
     for m in 1usize..=3 {
         let n = 1usize << m;
         let net = build(m, RoutePolicy::Strict);
+        let ablations = [WiringMode::Shuffle, WiringMode::Identity]
+            .map(|wiring| BnbNetwork::builder(m).data_width(32).wiring(wiring).build());
         let mut dests: Vec<usize> = (0..n).collect();
         permute_all(&mut dests, 0, &mut |p| {
             let records: Vec<Record> = p
@@ -351,6 +366,9 @@ fn exhaustive_small_m_byte_identity() {
                 .map(|(i, &d)| Record::new(d, i as u64))
                 .collect();
             check(&net, &records);
+            for net in &ablations {
+                assert_kernels_agree(net, &records, None, &format!("{:?}", net.wiring()));
+            }
         });
     }
 

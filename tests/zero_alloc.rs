@@ -1,5 +1,5 @@
 //! Steady-state allocation audit: after warm-up, the reusable routing
-//! paths (`Router::route_in_place` and the stage-span kernel it wraps)
+//! paths (`Router::route_in_place` and the span routing it wraps)
 //! must not touch the heap at all — the property the concurrent engine
 //! relies on for allocation-free batch routing.
 
@@ -244,7 +244,7 @@ fn observed_routing_with_flight_recorder_stays_allocation_free() {
 #[test]
 fn packed_kernel_is_allocation_free_after_warmup() {
     // The bit-packed word-parallel fast path (taken by default whenever
-    // no observer is attached) sizes its plane/flag/permutation scratch
+    // no observer is attached) sizes its plane/flag/index-plane scratch
     // on first use and must never touch the heap again — at sub-word
     // spans (m = 5: one partial u64), multi-word spans (m = 8: four u64
     // words per plane), and on the faulted options whose broken columns
@@ -507,9 +507,9 @@ fn counters_observed_batched_kernel_is_allocation_free_after_warmup() {
 
 #[test]
 fn counters_observed_packed_span_is_allocation_free_after_warmup() {
-    // `Kernel::Packed` with `&Counters`: the word-parallel span kernel
-    // reports stage totals, over the engine's split-and-conquer pattern,
-    // without touching the heap after warm-up.
+    // `Kernel::Packed` with `&Counters`: the word-parallel kernel's
+    // one-frame calls report stage totals, over the engine's
+    // split-and-conquer pattern, without touching the heap after warm-up.
     use bnb::obs::Counters;
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(18);
