@@ -1,17 +1,16 @@
 //! Concurrent engine throughput: records/sec routed by `bnb-engine` as the
 //! worker pool grows, against the single-threaded `Router` baseline.
 //!
-//! Each iteration routes a burst of pre-generated permutation batches
+//! Each iteration routes a burst of pre-generated permutation frames
 //! through a running engine (submit all, drain all), so the measurement
-//! covers the full submit → shard → route → drain pipeline including queue
-//! backpressure. Look for records/sec scaling with workers at large N
-//! (m >= 7); at small N the per-batch coordination dominates and a single
-//! worker wins — which is exactly the sharding trade-off the engine's
-//! `ShardDepth::Auto` makes per batch, not per run.
+//! covers the full submit → route → drain pipeline including queue
+//! backpressure. Each worker routes whole frames it owns, so records/sec
+//! can grow with workers only up to the burst size and the host's cores;
+//! per-frame queue coordination is the price of each extra worker.
 
 use bnb_core::network::BnbNetwork;
 use bnb_core::router::Router;
-use bnb_engine::{Engine, EngineConfig, ShardDepth};
+use bnb_engine::{Engine, EngineConfig};
 use bnb_topology::perm::Permutation;
 use bnb_topology::record::{records_for_permutation, Record};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -79,7 +78,7 @@ fn bench(c: &mut Criterion) {
                 EngineConfig {
                     workers,
                     queue_capacity: 4,
-                    shard_depth: ShardDepth::Auto,
+                    ..EngineConfig::default()
                 },
             );
             g.bench_with_input(

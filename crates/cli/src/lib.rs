@@ -15,8 +15,8 @@
 //! bnb crossover
 //! bnb verilog --component bnb|batcher|splitter|bsn [--inputs 8]
 //!             [--data-width 0] [--optimize]
-//! bnb engine [--inputs 256] [--workers 4] [--batch 64] [--depth auto|D]
-//!            [--queue 4] [--seed 0] [--pretty] [--record FILE]
+//! bnb engine [--inputs 256] [--workers 4] [--batch 64] [--queue 4]
+//!            [--seed 0] [--pretty] [--record FILE]
 //!            [--metrics text|json|prom]
 //! bnb serve [--addr 127.0.0.1:0] [--inputs 64] [--workers 2] [--queue 8]
 //!           [--threads 0] [--window 32] [--tenant-keys FILE]
@@ -262,8 +262,8 @@ pub fn usage() -> String {
                   (--inputs N --dests a,b,c,...)\n\
        engine     route random batches through the concurrent engine and\n\
                   print JSON stats ([--inputs 256] [--workers 4] [--batch 64]\n\
-                  [--depth auto|D] [--queue 4] [--seed 0] [--pretty]\n\
-                  [--record FILE] [--metrics text|json|prom])\n\
+                  [--queue 4] [--seed 0] [--pretty] [--record FILE]\n\
+                  [--metrics text|json|prom])\n\
        faults     inject hardware faults and report detection coverage\n\
                   ([--inputs 8] [--faults M.I.E:kind,..] [--trials 200]\n\
                   [--seed 0] [--sweep 0,1,2,..] [--frames 50]\n\
@@ -768,7 +768,7 @@ fn drive_engine<O: bnb_obs::Observer>(
 }
 
 fn cmd_engine(flags: &Flags) -> Result<String, CliError> {
-    use bnb_engine::{Engine, EngineConfig, ShardDepth};
+    use bnb_engine::{Engine, EngineConfig};
     let n = flags.usize_or("--inputs", 256)?;
     if !n.is_power_of_two() || !(2..=1 << 20).contains(&n) {
         return Err(err("--inputs must be a power of two in 2..=1048576"));
@@ -785,13 +785,6 @@ fn cmd_engine(flags: &Flags) -> Result<String, CliError> {
     if queue == 0 {
         return Err(err("--queue must be >= 1"));
     }
-    let shard_depth = match flags.value("--depth") {
-        None | Some("auto") => ShardDepth::Auto,
-        Some(v) => ShardDepth::Fixed(
-            v.parse()
-                .map_err(|_| err(format!("--depth expects 'auto' or an integer, got {v}")))?,
-        ),
-    };
     let seed = flags.usize_or("--seed", 0)? as u64;
     let metrics = metrics_flag(flags)?;
     let record_path = flags.value("--record");
@@ -801,7 +794,7 @@ fn cmd_engine(flags: &Flags) -> Result<String, CliError> {
     let config = EngineConfig {
         workers,
         queue_capacity: queue,
-        shard_depth,
+        ..EngineConfig::default()
     };
     let counters = Counters::new();
     // Each engine worker lands in its own recorder lane, so the merged
@@ -1326,7 +1319,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_pretty_and_fixed_depth() {
+    fn engine_pretty() {
         let out = run_str(&[
             "engine",
             "--inputs",
@@ -1335,14 +1328,12 @@ mod tests {
             "1",
             "--batch",
             "3",
-            "--depth",
-            "2",
             "--pretty",
         ])
         .unwrap();
         assert!(out.contains("\n  \"workers\": 1"), "pretty JSON expected");
         let stats: bnb_engine::EngineStats = serde_json::from_str(out.trim()).unwrap();
-        assert_eq!(stats.shard_depth, 2);
+        assert_eq!(stats.batches, 3);
     }
 
     #[test]
@@ -1351,7 +1342,6 @@ mod tests {
         assert!(run_str(&["engine", "--workers", "0"]).is_err());
         assert!(run_str(&["engine", "--batch", "0"]).is_err());
         assert!(run_str(&["engine", "--queue", "0"]).is_err());
-        assert!(run_str(&["engine", "--depth", "fast"]).is_err());
     }
 
     #[test]

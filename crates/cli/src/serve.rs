@@ -482,7 +482,6 @@ mod tests {
             engine: EngineStatus {
                 queue_depth: 1,
                 queue_high_water: 4,
-                task_queue_high_water: 8,
                 batches: 10,
                 records: 160,
                 errors: 0,

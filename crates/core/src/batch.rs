@@ -229,13 +229,15 @@ impl FrameBatch {
     ///
     /// # Panics
     ///
-    /// Panics if `f >= self.frames()` or `frame.len()` differs from the
-    /// batch width.
+    /// Panics if `f >= self.frames()`, `frame.len()` differs from the
+    /// batch width, or any destination exceeds `u32::MAX`, as
+    /// [`push_frame`](Self::push_frame) does.
     pub fn write_frame(&mut self, f: usize, frame: &[Record]) {
         assert!(f < self.frames(), "frame index out of range");
         assert_eq!(frame.len(), self.n, "frame width mismatch");
         let base = f * self.n;
         for (j, r) in frame.iter().enumerate() {
+            assert!(r.dest() <= u32::MAX as usize, "destination exceeds u32");
             self.dests[base + j] = r.dest() as u32;
             self.data[base + j] = r.data();
         }
@@ -370,8 +372,8 @@ fn validate_frame(
 /// Frames that fail validation (and, under faults, frames whose routing
 /// errors) keep their original contents.
 ///
-/// Unlike the span entry points this routes whole frames only: engine
-/// workers splitting a span route the slices with [`RouteSpan::run`].
+/// Unlike the span entry points this routes whole frames only; a slice of
+/// a frame routes with [`RouteSpan::run`].
 ///
 /// The call checks the CPU's features once and runs validation, plane
 /// extraction, every column pass and the delivery in the widest build it
@@ -561,6 +563,17 @@ mod tests {
         assert_eq!(got, dup, "invalid frame must keep its contents");
         batch.read_frame_into(2, &mut got);
         assert!(got.iter().enumerate().all(|(d, r)| r.dest() == d));
+    }
+
+    /// A destination past `u32::MAX` would truncate into the
+    /// destination column, possibly into range: refused, as by
+    /// `push_frame`.
+    #[test]
+    #[should_panic(expected = "destination exceeds u32")]
+    fn write_frame_refuses_destinations_past_u32() {
+        let mut batch = FrameBatch::new(2);
+        batch.push_frame(&[Record::new(0, 0), Record::new(1, 1)]);
+        batch.write_frame(0, &[Record::new(1, 0), Record::new(1 << 32, 1)]);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! inside an aligned `2^(m-d)`-line slice. [`RouteSpan::run`] exploits that by
 //! routing any contiguous range of main stages over one such slice, so a
 //! frame can be routed head-first (`0..d`) and its `2^d` disjoint slices
-//! finished (`d..m`) by different workers — with byte-identical results to
-//! the sequential full-frame route, because BNB routing is oblivious data
-//! movement (switch settings depend only on local destination bits, never
-//! on who else is computing).
+//! finished (`d..m`) independently, in any order — with byte-identical
+//! results to the sequential full-frame route, because BNB routing is
+//! oblivious data movement (switch settings depend only on local
+//! destination bits).
 //!
 //! All buffers live in a caller-owned [`StageScratch`], so steady-state
 //! routing performs no heap allocation.

@@ -1,73 +1,66 @@
 //! The concurrent batched routing engine.
 //!
-//! # Sharding model
+//! # One job path
 //!
-//! A batch is one full frame of `N = 2^m` records. The owning worker
-//! validates it (same contract as [`bnb_core::router::Router`]), then
-//! routes main stage `0` and splits the frame into its two independent
-//! half-subnetworks — the GBN's unshuffle after stage `i` guarantees all
-//! later switching stays inside each aligned `2^(m-i-1)`-line half (see
-//! [`bnb_core::stages`]). One half is pushed to the hub for any idle
-//! worker; the owner recurses into the other. After `depth` splits the
-//! frame is `2^depth` disjoint slice tasks routing concurrently, each with
-//! the worker's own reusable [`StageScratch`] — zero per-batch allocation
-//! in steady state. With no observer attached (the default), or one that
-//! takes stage totals instead of per-column events (`bnb_obs::Counters`),
-//! every slice is a one-frame call of `bnb-core`'s word-parallel kernel,
-//! the one served batches run, so the engine's per-worker throughput is
-//! that kernel's, not the scalar sweep's.
+//! Every job a pool worker owns goes through one batch routine, the one
+//! [`EngineHandle::route_batch`] runs on a caller's thread: a
+//! [`FrameBatch`] job routes as it is, and a single frame becomes a
+//! one-frame batch in the worker's reusable scratch and is read back into
+//! its submitted `Vec`. The routine validates each frame (same contract
+//! as [`bnb_core::router::Router`]) and routes the batch through
+//! `bnb-core`'s word-parallel kernel ([`bnb_core::batch::route_batch`]),
+//! so the engine's per-worker throughput is that kernel's, not the
+//! scalar sweep's. Parallelism comes from workers owning different jobs:
+//! a frame is never split across workers.
 //!
 //! Because BNB routing is oblivious data movement (every switch setting
-//! depends only on local destination bits), the parallel result is
-//! byte-identical to the sequential route; debug builds assert this on
-//! every batch.
+//! depends only on local destination bits), frames never interact and the
+//! batched result is byte-identical to routing each frame alone through
+//! the scalar sweep; debug builds assert this on every fault-free job.
 //!
 //! # Observability
 //!
 //! The engine is generic over a [`bnb_obs::Observer`] (defaulting to the
-//! zero-cost [`NoopObserver`]). An attached observer sees batch
-//! submissions and completions ([`SubmitEvent`]/[`DrainEvent`]), slice
-//! hand-offs ([`ShardEvent`] on enqueue and on steal), and — through
-//! [`bnb_core::stages::RouteSpan`] — every routed column and arbiter
-//! sweep, or one stage-totals event per main stage for a sink that
-//! declines per-column events. Attach with [`Engine::with_observer`]; the
-//! noop path compiles to the same code as before the hooks existed.
+//! zero-cost [`NoopObserver`]). An attached observer sees job
+//! submissions and completions ([`SubmitEvent`]/[`DrainEvent`]), retries
+//! ([`RetryEvent`]), and — through [`bnb_core::stages::RouteSpan`] —
+//! every routed column and arbiter sweep, or one stage-totals event per
+//! main stage for a sink that declines per-column events. Attach with
+//! [`Engine::with_observer`]; the noop path compiles to the same code as
+//! before the hooks existed.
 //!
 //! # Batched submission
 //!
 //! [`EngineHandle::submit_batch`] feeds a whole
 //! [`bnb_core::batch::FrameBatch`] to one worker, which routes every
-//! frame in a single batched-kernel invocation
-//! ([`bnb_core::batch::route_batch`]) and publishes one in-order result
-//! per frame. This keeps every SWAR word of the routing kernel fully
-//! occupied regardless of network size, where per-frame submission leaves
-//! `64 - 2^m` of 64 lanes idle for small networks.
+//! frame in a single batched-kernel invocation and publishes one
+//! in-order result per frame. This keeps every SWAR word of the routing
+//! kernel fully occupied regardless of network size, where per-frame
+//! submission leaves `64 - 2^m` of 64 lanes idle for small networks.
 //!
 //! # Routing on the calling thread
 //!
 //! [`EngineHandle::route_batch`] routes a [`FrameBatch`] on the calling
-//! thread through the routine a pool worker runs for a batch job, without
-//! the queue: the serving layer routes every frame this way, on the
-//! reactor thread that decoded it.
+//! thread through the routine a pool worker runs, without the queue: the
+//! serving layer routes every frame this way, on the reactor thread that
+//! decoded it.
 //!
 //! # One worker path, with or without faults
 //!
 //! [`Engine::run`], [`Engine::run_faulted`] and [`Engine::run_scrubbed`]
 //! share one scope and one worker loop. Without a fault plan
 //! ([`Engine::run`]) a job never touches fault state. Under a plan, the
-//! owning worker picks a fabric shard with [`LiveFaultPlan`]'s health
+//! batch routine picks a fabric shard with [`LiveFaultPlan`]'s health
 //! steering and copies that shard's fault map, and the copy alone decides
 //! how the job routes:
 //!
-//! - a fault-free copy takes the healthy path above — slice splitting for
-//!   a single frame, one batched-kernel call for a batch;
-//! - a faulted copy routes the job sequentially — still one
-//!   `route_batch` call for a batch — and only the frames whose output
-//!   balance check trips (Theorem 3 makes every corrupted frame trip) are
-//!   retried, one by one, on another shard.
+//! - a fault-free copy takes the batched kernel;
+//! - a faulted copy routes the job's frames one at a time — still one
+//!   `route_batch` call — and only the frames whose output balance check
+//!   trips (Theorem 3 makes every corrupted frame trip) are retried, one
+//!   by one, on another shard.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -76,25 +69,24 @@ use bnb_core::error::RouteError;
 use bnb_core::fault::FaultMap;
 use bnb_core::network::BnbNetwork;
 use bnb_core::stages::{validate_lines, RouteSpan, StageScratch};
-use bnb_obs::{DrainEvent, NoopObserver, Observer, RetryEvent, ShardEvent, SubmitEvent};
+use bnb_obs::{DrainEvent, NoopObserver, Observer, RetryEvent, SubmitEvent};
 use bnb_topology::record::Record;
 
 use crate::error::EngineError;
-use crate::hub::{CloseGuard, Hub, JobLatch, JobPayload, SliceTask, Work};
+use crate::hub::{CloseGuard, Hub, JobPayload};
 use crate::live::{scrubber_loop, LiveFaultPlan};
 use crate::stats::{EngineStats, LatencySummary, WorkerMetrics};
 
 pub use crate::hub::{BatchSubmitError, RoutedBatch, SubmitError};
 
-/// How deep to split each batch into independent subnetwork slices.
+/// The value of [`EngineConfig::shard_depth`], which configures nothing:
+/// a job is never split across workers. It remains for callers that
+/// build an [`EngineConfig`] as a struct literal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardDepth {
-    /// `ceil(log2(workers))` splits — one slice per worker, no splitting
-    /// for a single worker.
+    /// The only value.
     #[default]
     Auto,
-    /// Exactly this many splits (`2^d` slices), clamped to `m`.
-    Fixed(usize),
 }
 
 /// Engine construction parameters.
@@ -105,7 +97,7 @@ pub struct EngineConfig {
     /// Bounded submission-queue capacity; `submit` blocks when this many
     /// batches are waiting (minimum 1).
     pub queue_capacity: usize,
-    /// Intra-batch sharding policy.
+    /// Configures nothing (see [`ShardDepth`]).
     pub shard_depth: ShardDepth,
 }
 
@@ -287,15 +279,6 @@ impl<O: Observer> Engine<O> {
         &self.config
     }
 
-    /// The split depth actually used per batch.
-    pub fn effective_depth(&self) -> usize {
-        let m = self.network.m();
-        match self.config.shard_depth {
-            ShardDepth::Auto => auto_depth(self.config.workers, m),
-            ShardDepth::Fixed(d) => d.min(m),
-        }
-    }
-
     /// Spawns the worker pool, runs `f` with a submit/drain handle, then
     /// drains remaining work and joins every worker.
     pub fn run<R>(&self, f: impl FnOnce(&EngineHandle<'_, O>) -> R) -> R {
@@ -314,18 +297,17 @@ impl<O: Observer> Engine<O> {
     /// The plan runs as a [`LiveFaultPlan`] that never changes and has
     /// no scrubber, so shard choice is health steering:
     ///
-    /// - A job lands on the first healthy shard counting from its
-    ///   worker's index (plus, for a [`FrameBatch`] job, the batches that
-    ///   worker routed before it), and a retry on the first healthy shard
-    ///   after that. A shard that trips is marked
+    /// - A job, a single frame or a [`FrameBatch`], lands on the first
+    ///   healthy shard counting from its worker's index plus the jobs
+    ///   that worker routed before it, and a retry on the first healthy
+    ///   shard after that. A shard that trips is marked
     ///   [`Suspect`](crate::ShardHealth::Suspect) and, with no scrubber
     ///   to clear it, skipped for the rest of the run. With no healthy
     ///   shard left, attempts fall back to plain round-robin.
     /// - A job whose shard is fault-free routes exactly as under
-    ///   [`Engine::run`], slice splitting included. On a faulted shard a
-    ///   single frame routes sequentially, and a [`FrameBatch`] job stays
-    ///   one batched call: only its tripping frames are retried, each
-    ///   under its own sequence number and completion token.
+    ///   [`Engine::run`]. On a faulted shard the job stays one batched
+    ///   call: only its tripping frames are retried, each under its own
+    ///   sequence number and completion token.
     pub fn run_faulted<R>(&self, plan: &FaultPlan, f: impl FnOnce(&EngineHandle<'_, O>) -> R) -> R {
         let live = LiveFaultPlan::healthy(plan.shards()).with_retry(plan.retry);
         for (i, faults) in plan.shards.iter().enumerate() {
@@ -382,7 +364,6 @@ impl<O: Observer> Engine<O> {
         f: impl FnOnce(&EngineHandle<'_, O>) -> R,
     ) -> R {
         let workers = self.config.workers.max(1);
-        let depth = self.effective_depth();
         let hub = Hub::new(self.config.queue_capacity);
         let counters: Vec<WorkerCounters> =
             (0..workers).map(|_| WorkerCounters::default()).collect();
@@ -399,7 +380,6 @@ impl<O: Observer> Engine<O> {
                 let worker = Worker {
                     hub: &hub,
                     fabric: &fabric,
-                    depth,
                     counters: slot,
                     index,
                 };
@@ -414,7 +394,6 @@ impl<O: Observer> Engine<O> {
                 fabric: &fabric,
                 counters: &counters,
                 workers,
-                depth,
                 started,
                 inline_seq: AtomicU64::new(INLINE_SEQ_BASE),
             };
@@ -447,7 +426,6 @@ pub struct EngineHandle<'a, O: Observer = NoopObserver> {
     fabric: &'a Fabric<'a, O>,
     counters: &'a [WorkerCounters],
     workers: usize,
-    depth: usize,
     started: Instant,
     /// Next sequence number for a frame routed on a caller's thread.
     inline_seq: AtomicU64,
@@ -595,10 +573,9 @@ impl<O: Observer> EngineHandle<'_, O> {
     ///
     /// The owning worker routes all frames through `bnb-core`'s batched
     /// word-parallel kernel ([`bnb_core::batch::route_batch`]) in one
-    /// invocation — full SWAR word occupancy regardless of `m` — instead
-    /// of sharding a single frame across workers. Per-frame validation
-    /// failures surface as per-frame [`EngineError`]s; valid frames in the
-    /// same batch still route.
+    /// invocation — full SWAR word occupancy regardless of `m`. Per-frame
+    /// validation failures surface as per-frame [`EngineError`]s; valid
+    /// frames in the same batch still route.
     ///
     /// # Panics
     ///
@@ -656,13 +633,11 @@ impl<O: Observer> EngineHandle<'_, O> {
                     busy_ns,
                     utilization: (busy_ns as f64 / elapsed_ns.max(1) as f64).min(1.0),
                     jobs_owned: c.jobs_owned.load(Ordering::Relaxed),
-                    tasks_stolen: c.tasks_stolen.load(Ordering::Relaxed),
                 }
             })
             .collect();
         self.hub.with_state(|st| EngineStats {
             workers: self.workers,
-            shard_depth: self.depth,
             batches: st.batches,
             records: st.records,
             errors: st.errors,
@@ -674,7 +649,6 @@ impl<O: Observer> EngineHandle<'_, O> {
             queue_depth: st.jobs.len(),
             queue_high_water: st.queue_high_water,
             wait_latency: LatencySummary::from_histogram(&st.wait_histogram),
-            task_queue_high_water: st.task_queue_high_water,
             worker_metrics,
         })
     }
@@ -686,7 +660,6 @@ impl<O: Observer> EngineHandle<'_, O> {
 struct WorkerCounters {
     busy_ns: AtomicU64,
     jobs_owned: AtomicU64,
-    tasks_stolen: AtomicU64,
 }
 
 /// Reusable routing state for [`EngineHandle::route_batch`], one per
@@ -727,24 +700,6 @@ impl RouteScratch {
     }
 }
 
-/// One-per-worker routing state, reused across every job and task the
-/// worker touches. The latch is rearmed for each job this worker owns, so
-/// even batch coordination allocates nothing in steady state.
-struct WorkerCtx {
-    route: RouteScratch,
-    seen: Vec<usize>,
-    latch: Arc<JobLatch>,
-}
-
-/// `ceil(log2(workers))`, clamped so slices never shrink below one line.
-fn auto_depth(workers: usize, m: usize) -> usize {
-    if workers <= 1 {
-        return 0;
-    }
-    let log = usize::BITS - (workers - 1).leading_zeros();
-    (log as usize).min(m)
-}
-
 /// What routing needs from a run, shared by the pool workers and by
 /// callers routing on their own thread: the network, the observer, and
 /// the fault plan jobs steer by (`None` under [`Engine::run`]).
@@ -755,23 +710,11 @@ struct Fabric<'a, O: Observer> {
 }
 
 impl<O: Observer> Fabric<'_, O> {
-    /// Under a plan, the shard a job starting from `base` lands on and a
-    /// point-in-time copy of its fault map; that copy alone decides how
-    /// the job routes.
-    fn land(&self, base: usize) -> Option<(usize, FaultMap)> {
-        self.plan.map(|plan| {
-            let shard = plan.pick_shard(base, 0);
-            (shard, plan.faults_snapshot(shard))
-        })
-    }
-
-    /// The one batch routine, behind pool batch jobs and
+    /// The one batch routine, behind every pool job and
     /// [`EngineHandle::route_batch`]: all frames through one
     /// [`route_batch`] call on the landing shard's fault map, then one
     /// result per frame in `scratch.results` (frame `f` is `seq + f`),
-    /// settling any tripped frame on the way. Batches are never sliced
-    /// across workers: the batched kernel's full word occupancy replaces
-    /// the intra-frame split.
+    /// settling any tripped frame on the way.
     fn route_batch(
         &self,
         scratch: &mut RouteScratch,
@@ -784,7 +727,15 @@ impl<O: Observer> Fabric<'_, O> {
         // shard, so a fault on any shard meets traffic.
         let base = lane.wrapping_add(scratch.routed);
         scratch.routed = scratch.routed.wrapping_add(1);
-        let (shard, faults) = self.land(base).unwrap_or_default();
+        // Under a plan, a point-in-time copy of the landing shard's fault
+        // map; that copy alone decides how the batch routes.
+        let (shard, faults) = self
+            .plan
+            .map(|plan| {
+                let shard = plan.pick_shard(base, 0);
+                (shard, plan.faults_snapshot(shard))
+            })
+            .unwrap_or_default();
         #[cfg(debug_assertions)]
         if faults.is_empty() {
             scratch.reference.0.clone_from(batch);
@@ -922,144 +873,60 @@ impl<O: Observer> Fabric<'_, O> {
 struct Worker<'a, O: Observer> {
     hub: &'a Hub,
     fabric: &'a Fabric<'a, O>,
-    depth: usize,
     counters: &'a WorkerCounters,
     index: usize,
 }
 
 impl<O: Observer> Worker<'_, O> {
-    /// The worker loop: slice tasks first, then owned jobs, until the hub
-    /// closes.
+    /// The worker loop: owned jobs, each through the batch routine, until
+    /// the hub closes.
     fn run(self) {
-        let mut ctx = WorkerCtx {
-            route: RouteScratch::with_capacity(self.fabric.net.inputs()),
-            seen: Vec::new(),
-            latch: Arc::new(JobLatch::new(0)),
-        };
-        while let Some(work) = self.hub.next_work() {
+        let n = self.fabric.net.inputs();
+        let mut scratch = RouteScratch::with_capacity(n);
+        // A frame job routes as the one frame of this batch.
+        let mut single = FrameBatch::with_capacity(n, 1);
+        while let Some(job) = self.hub.next_job() {
             let t0 = Instant::now();
-            match work {
-                Work::Task(task) => self.steal(task, &mut ctx),
-                Work::Job(job) => {
-                    self.counters.jobs_owned.fetch_add(1, Ordering::Relaxed);
-                    match job.payload {
-                        JobPayload::Frame(lines) => {
-                            self.route_frame(&mut ctx, job.seq, job.submitted_at, lines)
-                        }
-                        JobPayload::Batch(batch) => {
-                            self.route_batch(&mut ctx, job.seq, job.submitted_at, batch)
-                        }
+            self.counters.jobs_owned.fetch_add(1, Ordering::Relaxed);
+            match job.payload {
+                JobPayload::Frame(mut lines) => {
+                    // A frame a batch cannot hold (the wrong width, or a
+                    // destination out of range, which may not fit the
+                    // batch's u32 column) fails validation, which names
+                    // its first offending cell.
+                    let result = if lines.len() != n || lines.iter().any(|r| r.dest() >= n) {
+                        let e = validate_lines(&self.fabric.net, &lines, &mut Vec::new())
+                            .expect_err("an out-of-range frame fails validation");
+                        Err(EngineError::batch(job.seq, e))
+                    } else {
+                        single.clear();
+                        single.push_frame(&lines);
+                        self.fabric
+                            .route_batch(&mut scratch, self.index, job.seq, &mut single);
+                        let result = scratch.results.pop().expect("one result per frame");
+                        result.map(|()| {
+                            single.read_frame_into(0, &mut lines);
+                            lines
+                        })
+                    };
+                    self.finish(job.seq, job.submitted_at, result);
+                }
+                JobPayload::Batch(mut batch) => {
+                    self.fabric
+                        .route_batch(&mut scratch, self.index, job.seq, &mut batch);
+                    for (f, result) in scratch.results.drain(..).enumerate() {
+                        let result = result.map(|()| {
+                            let mut lines = Vec::with_capacity(n);
+                            batch.read_frame_into(f, &mut lines);
+                            lines
+                        });
+                        self.finish(job.seq + f as u64, job.submitted_at, result);
                     }
                 }
             }
             self.counters
                 .busy_ns
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Routes a slice task queued by another job's owner.
-    fn steal(&self, task: SliceTask, ctx: &mut WorkerCtx) {
-        self.counters.tasks_stolen.fetch_add(1, Ordering::Relaxed);
-        if self.fabric.observer.enabled() {
-            self.fabric.observer.shard_stolen(shard_event(&task));
-        }
-        self.run_task(task, ctx);
-    }
-
-    /// Routes one owned single-frame job: validate, then split it across
-    /// the pool on a fault-free landing, or route it sequentially and
-    /// retry a tripped fault on a faulted one.
-    fn route_frame(
-        &self,
-        ctx: &mut WorkerCtx,
-        seq: u64,
-        submitted_at: Instant,
-        mut lines: Vec<Record>,
-    ) {
-        let fabric = self.fabric;
-        let result = if let Err(e) = validate_lines(&fabric.net, &lines, &mut ctx.seen) {
-            Err(EngineError::batch(seq, e))
-        } else if let Some((shard, faults)) = fabric.land(self.index).filter(|(_, f)| !f.is_empty())
-        {
-            let first = fabric.attempt(&mut ctx.route, &faults, &mut lines);
-            fabric
-                .settle(&mut ctx.route, seq, &mut lines, self.index, shard, first)
-                .map(|()| lines)
-        } else {
-            self.route_sliced(ctx, lines)
-                .map_err(|e| EngineError::batch(seq, e))
-        };
-        self.finish(seq, submitted_at, result);
-    }
-
-    /// Routes a validated frame as its owner: split into `2^depth` slice
-    /// tasks, help until every slice lands.
-    fn route_sliced(
-        &self,
-        ctx: &mut WorkerCtx,
-        mut lines: Vec<Record>,
-    ) -> Result<Vec<Record>, RouteError> {
-        let net = self.fabric.net;
-        #[cfg(debug_assertions)]
-        let reference = net.route(&lines);
-
-        // The latch travels behind an `Arc` so the last helper's completion
-        // can never outlive it; this worker's latch is rearmed per owned job.
-        ctx.latch.reset(1);
-        let root = SliceTask {
-            net,
-            lines: lines.as_mut_ptr(),
-            len: lines.len(),
-            first_line: 0,
-            start_stage: 0,
-            split_until: self.depth.min(net.m()),
-            latch: Arc::clone(&ctx.latch),
-        };
-        self.run_task(root, ctx);
-        // Help with queued slice work (ours or anyone's) until our batch is
-        // fully routed.
-        while !ctx.latch.is_done() {
-            match self.hub.try_pop_task() {
-                Some(task) => self.steal(task, ctx),
-                None => ctx.latch.wait_brief(),
-            }
-        }
-        let result = match ctx.latch.take_error() {
-            Some(e) => Err(e),
-            None => Ok(lines),
-        };
-
-        // Error results are comparable too: `JobLatch::fail` keeps the
-        // earliest-scan-site error, which is the one the sequential route
-        // stops at.
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            result, reference,
-            "parallel routing diverged from the sequential reference"
-        );
-        result
-    }
-
-    /// Routes one owned [`JobPayload::Batch`] through the shared batch
-    /// routine, then publishes one result per reserved sequence number.
-    /// Parallelism comes from workers owning *different* batches.
-    fn route_batch(
-        &self,
-        ctx: &mut WorkerCtx,
-        seq: u64,
-        submitted_at: Instant,
-        mut batch: FrameBatch,
-    ) {
-        self.fabric
-            .route_batch(&mut ctx.route, self.index, seq, &mut batch);
-        for (f, result) in ctx.route.results.drain(..).enumerate() {
-            let result = result.map(|()| {
-                let mut lines = Vec::with_capacity(batch.width());
-                batch.read_frame_into(f, &mut lines);
-                lines
-            });
-            self.finish(seq + f as u64, submitted_at, result);
         }
     }
 
@@ -1081,68 +948,6 @@ impl<O: Observer> Worker<'_, O> {
             });
         }
     }
-
-    /// Routes a slice task: one main stage at a time while splitting is
-    /// still wanted (pushing the sibling half to the hub), then the
-    /// remaining stages sequentially.
-    fn run_task(&self, task: SliceTask, ctx: &mut WorkerCtx) {
-        let net = task.net;
-        let m = net.m();
-        let latch = &task.latch;
-        let observer = self.fabric.observer;
-        let opts = RouteSpan::new().observer(observer);
-        let scratch = &mut ctx.route.stage;
-        // SAFETY: the owning worker keeps the batch vector alive until the
-        // latch (which we complete below, after the last use) reports done,
-        // and sibling tasks cover disjoint ranges.
-        let mut lines = unsafe { std::slice::from_raw_parts_mut(task.lines, task.len) };
-        // Splits always keep the aligned low half, so our first line never
-        // moves.
-        let first_line = task.first_line;
-        let mut stage = task.start_stage;
-        loop {
-            if stage >= task.split_until || stage >= m || lines.len() < 2 {
-                match opts.run(&net, lines, first_line, stage..m, scratch) {
-                    Ok(()) => latch.complete_one(),
-                    Err(e) => latch.fail(e),
-                }
-                return;
-            }
-            // Route this main stage over the whole slice, then hand half of
-            // the now-independent subnetworks to any idle worker.
-            if let Err(e) = opts.run(&net, lines, first_line, stage..stage + 1, scratch) {
-                latch.fail(e);
-                return;
-            }
-            stage += 1;
-            let half = lines.len() / 2;
-            let (keep, give) = lines.split_at_mut(half);
-            let sibling = SliceTask {
-                net,
-                lines: give.as_mut_ptr(),
-                len: give.len(),
-                first_line: first_line + half,
-                start_stage: stage,
-                split_until: task.split_until,
-                latch: Arc::clone(&task.latch),
-            };
-            latch.add_one();
-            if observer.enabled() {
-                observer.shard_enqueued(shard_event(&sibling));
-            }
-            self.hub.push_task(sibling);
-            lines = keep;
-        }
-    }
-}
-
-/// The [`ShardEvent`] describing a queued slice task.
-fn shard_event(task: &SliceTask) -> ShardEvent {
-    ShardEvent {
-        first_line: task.first_line,
-        len: task.len,
-        start_stage: task.start_stage,
-    }
 }
 
 #[cfg(test)]
@@ -1155,16 +960,6 @@ mod tests {
     use bnb_topology::record::records_for_permutation;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
-
-    #[test]
-    fn auto_depth_tracks_worker_count() {
-        assert_eq!(auto_depth(1, 8), 0);
-        assert_eq!(auto_depth(2, 8), 1);
-        assert_eq!(auto_depth(3, 8), 2);
-        assert_eq!(auto_depth(4, 8), 2);
-        assert_eq!(auto_depth(8, 8), 3);
-        assert_eq!(auto_depth(64, 3), 3); // clamped to m
-    }
 
     #[test]
     fn engine_matches_sequential_route() {
@@ -1254,13 +1049,46 @@ mod tests {
         assert_eq!(stats.records, 4); // only the good batch counts
     }
 
+    /// A frame a one-frame batch cannot hold fails as validation names
+    /// it: a destination above `u32::MAX` is never truncated into range,
+    /// and a short frame is a width mismatch.
+    #[test]
+    fn unbatchable_frames_fail_validation_not_truncation() {
+        let net = BnbNetwork::new(2);
+        let engine = Engine::new(net, EngineConfig::with_workers(2));
+        // 1 << 32 truncates to destination 0, which would complete the
+        // permutation.
+        let huge = vec![
+            Record::new(3, 0),
+            Record::new(1, 1),
+            Record::new(2, 2),
+            Record::new(1 << 32, 3),
+        ];
+        let short = vec![Record::new(0, 0), Record::new(1, 1)];
+        let (huge_err, short_err) = engine.run(|h| {
+            h.submit(huge.clone());
+            h.submit(short.clone());
+            let err = || h.drain().unwrap().result.unwrap_err();
+            (err(), err())
+        });
+        let mut seen = Vec::new();
+        for (err, seq, frame) in [(huge_err, 0, &huge), (short_err, 1, &short)] {
+            let want = validate_lines(&net, frame, &mut seen).unwrap_err();
+            assert_eq!(err, EngineError::batch(seq, want));
+        }
+        assert!(matches!(
+            validate_lines(&net, &huge, &mut seen),
+            Err(RouteError::DestinationTooWide { dest, n: 4 }) if dest == 1 << 32
+        ));
+    }
+
     #[test]
     fn backpressure_bounds_the_queue() {
         let net = BnbNetwork::new(4);
         let config = EngineConfig {
             workers: 2,
             queue_capacity: 3,
-            shard_depth: ShardDepth::Auto,
+            ..EngineConfig::default()
         };
         let engine = Engine::new(net, config);
         let p = Permutation::random(16, &mut StdRng::seed_from_u64(5));
@@ -1286,14 +1114,7 @@ mod tests {
         let net = BnbNetwork::builder(5)
             .policy(RoutePolicy::Permissive)
             .build();
-        let engine = Engine::new(
-            net,
-            EngineConfig {
-                workers: 4,
-                queue_capacity: 4,
-                shard_depth: ShardDepth::Fixed(3),
-            },
-        );
+        let engine = Engine::new(net, EngineConfig::with_workers(4));
         let batches: Vec<Vec<Record>> = (0..6)
             .map(|_| {
                 (0..32)
@@ -1328,7 +1149,6 @@ mod tests {
             h.stats()
         });
         assert_eq!(stats.workers, 3);
-        assert_eq!(stats.shard_depth, 2);
         assert_eq!(stats.batches, 10);
         assert_eq!(stats.records, 320);
         assert_eq!(stats.errors, 0);
@@ -1347,73 +1167,25 @@ mod tests {
         assert_eq!(owned, 10, "every batch has exactly one owner");
     }
 
-    /// With a sharding engine, an attached `Counters` observer sees every
-    /// slice hand-off (each enqueued shard is eventually stolen) and one
-    /// submit/drain pair per batch.
+    /// An attached `Counters` observer sees one submit/drain pair and one
+    /// latency sample per batch.
     #[test]
     fn observer_sees_engine_events() {
         let counters = Counters::new();
         let net = BnbNetwork::new(4);
         let engine = Engine::with_observer(net, EngineConfig::with_workers(4), &counters);
         let p = Permutation::random(16, &mut StdRng::seed_from_u64(11));
-        let stats = engine.run(|h| {
+        engine.run(|h| {
             for _ in 0..5 {
                 h.submit(records_for_permutation(&p));
             }
             while h.drain().is_some() {}
-            h.stats()
         });
         let snap = counters.snapshot();
         assert_eq!(snap.batches_submitted, 5);
         assert_eq!(snap.batches_drained, 5);
         assert_eq!(snap.batch_errors, 0);
-        assert!(snap.shards_enqueued > 0, "depth 2 must split every batch");
-        assert_eq!(
-            snap.shards_enqueued, snap.shards_stolen,
-            "every queued shard is taken by exactly one worker"
-        );
-        let stolen: u64 = stats.worker_metrics.iter().map(|w| w.tasks_stolen).sum();
-        assert_eq!(stolen, snap.shards_stolen);
         assert_eq!(snap.histogram.count(), 5, "one latency sample per batch");
-        assert!(stats.task_queue_high_water >= 1);
-    }
-
-    /// Regression: `task_queue_high_water` must describe the current
-    /// submission wave. Before the per-wave reset, a reused (idle) engine
-    /// kept reporting the deepest wave it had ever run.
-    #[test]
-    fn task_queue_high_water_resets_between_waves() {
-        let net = BnbNetwork::new(4);
-        let engine = Engine::new(
-            net,
-            EngineConfig {
-                workers: 2,
-                queue_capacity: 4,
-                shard_depth: ShardDepth::Fixed(2),
-            },
-        );
-        let p = Permutation::random(16, &mut StdRng::seed_from_u64(21));
-        engine.run(|h| {
-            h.submit(records_for_permutation(&p));
-            assert!(h.drain().unwrap().result.is_ok());
-            assert!(
-                h.stats().task_queue_high_water >= 1,
-                "a depth-2 split publishes slice tasks"
-            );
-            // Second wave into the now-idle engine: this batch fails
-            // validation before any slice is published, so a per-wave
-            // high water reads 0 — a stale one would still show wave 1.
-            let dup: Vec<Record> = (0..16)
-                .map(|i| Record::new(if i == 1 { 0 } else { i }, i as u64))
-                .collect();
-            h.submit(dup);
-            assert!(h.drain().unwrap().result.is_err());
-            assert_eq!(
-                h.stats().task_queue_high_water,
-                0,
-                "high water must reset at the start of each wave"
-            );
-        });
     }
 
     /// A `FlightRecorder` attached to the engine captures every batch's
@@ -1444,11 +1216,6 @@ mod tests {
         let drains: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::Drain).collect();
         assert_eq!(drains.len(), 5, "one drain span per batch");
         assert!(drains.iter().all(|s| s.ok));
-        let shard_spans = spans
-            .iter()
-            .filter(|s| matches!(s.kind, SpanKind::Shard | SpanKind::Steal))
-            .count();
-        assert!(shard_spans > 0, "depth-2 sharding must be visible");
         // Submissions come from the driver thread; routing spans from
         // worker threads — at least two distinct lanes in the merge.
         let mut lanes: Vec<u32> = spans.iter().map(|s| s.lane).collect();
@@ -1499,11 +1266,10 @@ mod tests {
         assert!(!fault.ok);
     }
 
-    /// With no splitting (one worker, depth 0) the observed column count
-    /// is the closed form `m(m+1)/2` per batch — the engine adds no extra
-    /// span routing.
+    /// The observed column count is the closed form `m(m+1)/2` per batch
+    /// — the engine adds no extra span routing.
     #[test]
-    fn observer_column_counts_match_closed_form_without_splitting() {
+    fn observer_column_counts_match_closed_form() {
         let counters = Counters::new();
         let m = 4;
         let n = 1usize << m;
@@ -1520,7 +1286,6 @@ mod tests {
         assert_eq!(snap.columns, 3 * (m as u64 * (m as u64 + 1) / 2));
         let sweeps_per_route = (n * m - n + 1) as u64;
         assert_eq!(snap.arbiter_sweeps, 3 * sweeps_per_route);
-        assert_eq!(snap.shards_enqueued, 0, "depth 0 never splits");
     }
 
     /// Finds a permutation the given fault corrupts (strict route returns
@@ -1820,7 +1585,7 @@ mod tests {
             EngineConfig {
                 workers: 1,
                 queue_capacity: 1,
-                shard_depth: ShardDepth::Auto,
+                ..EngineConfig::default()
             },
         );
         let p = Permutation::try_from(vec![7, 6, 5, 4, 3, 2, 1, 0]).unwrap();

@@ -1,38 +1,27 @@
-//! The engine's shared work hub: a bounded batch queue, an unbounded
-//! slice-task queue, and the in-order completion buffer.
+//! The engine's shared work hub: a bounded job queue and the in-order
+//! completion buffer.
 //!
-//! Two kinds of work flow through the hub:
-//!
-//! - **Jobs** — whole submitted batches. The queue is bounded, so
-//!   [`Hub::submit`] blocks when full (backpressure). A worker that pops a
-//!   job becomes its *owner* and is responsible for publishing its result.
-//! - **Slice tasks** — disjoint subnetwork slices of an in-flight batch,
-//!   produced by the recursive split in [`crate::engine`]. The queue is
-//!   unbounded (at most `2^depth` tasks per in-flight job) and always
-//!   served before jobs, so helping never starves an in-flight batch.
-//!
-//! Owners waiting for their slices to land only ever *help with tasks*,
-//! never pop nested jobs — job processing therefore never recurses and the
-//! number of in-flight batches is bounded by `workers + queue capacity`.
+//! A job is one submitted frame or a whole [`FrameBatch`]. The queue is
+//! bounded, so [`Hub::submit`] blocks when full (backpressure). A worker
+//! that pops a job becomes its *owner*, routes it whole and publishes one
+//! result per frame, so the number of in-flight jobs is bounded by
+//! `workers + queue capacity`.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Condvar, Mutex};
+use std::time::Instant;
 
 use bnb_core::batch::FrameBatch;
-use bnb_core::error::RouteError;
-use bnb_core::network::BnbNetwork;
 use bnb_topology::record::Record;
 
 use crate::error::EngineError;
 use crate::stats::LatencyHistogram;
 
-/// What a submitted job carries: one frame (the classic path, sharded
-/// across workers by the recursive split) or a whole [`FrameBatch`]
-/// (routed by its owning worker through the batched kernel, one frame
-/// result per reserved sequence number).
+/// What a submitted job carries: one frame, or a whole [`FrameBatch`]
+/// with one frame result per reserved sequence number. Its owning worker
+/// routes either through the batched kernel, a frame as a one-frame
+/// batch.
 pub(crate) enum JobPayload {
     Frame(Vec<Record>),
     Batch(FrameBatch),
@@ -53,7 +42,7 @@ pub struct RoutedBatch {
     pub seq: u64,
     /// The routed lines, or the validation/routing failure for this batch
     /// (walk [`std::error::Error::source`] for the underlying
-    /// [`RouteError`]).
+    /// [`RouteError`](bnb_core::error::RouteError)).
     pub result: Result<Vec<Record>, EngineError>,
     /// Nanoseconds the batch sat in the bounded submission queue before a
     /// worker picked it up.
@@ -175,146 +164,9 @@ impl std::fmt::Display for BatchSubmitError {
 
 impl std::error::Error for BatchSubmitError {}
 
-/// Completion latch for one in-flight batch.
-///
-/// Shared behind an [`Arc`]: every [`SliceTask`] clones the handle, so the
-/// latch stays alive until the last helper has fully finished its
-/// `complete_one` — no matter how that final decrement races with the
-/// owner observing `is_done` and returning. (A stack-allocated latch would
-/// be freed by the returning owner while the last helper still touches the
-/// notify `Mutex`/`Condvar`.) Each worker keeps one latch and
-/// [`reset`](Self::reset)s it per owned job, so steady state allocates
-/// nothing per batch.
-pub(crate) struct JobLatch {
-    remaining: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
-    error: Mutex<Option<RouteError>>,
-}
-
-/// The position of a routing error in the sequential route's scan order:
-/// stage-span routing visits `(main_stage, internal_stage, first_line)`
-/// lexicographically, so the least-ranked error across all slices is
-/// exactly the one `BnbNetwork::route` reports.
-fn site_rank(e: &RouteError) -> (usize, usize, usize) {
-    match e {
-        RouteError::UnbalancedSplitter {
-            main_stage,
-            internal_stage,
-            first_line,
-            ..
-        }
-        | RouteError::HardwareFault {
-            main_stage,
-            internal_stage,
-            first_line,
-            ..
-        } => (*main_stage, *internal_stage, *first_line),
-        // Other variants are caught by validation before any slice runs;
-        // rank them first defensively.
-        _ => (0, 0, 0),
-    }
-}
-
-impl JobLatch {
-    /// A latch with `count` outstanding slices.
-    pub fn new(count: usize) -> Self {
-        JobLatch {
-            remaining: AtomicUsize::new(count),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-            error: Mutex::new(None),
-        }
-    }
-
-    /// Rearms a drained latch for the owner's next job. Only sound once
-    /// [`Self::is_done`] holds (stale helpers may still *drop* their
-    /// `Arc` clone, but never call methods after their `complete_one`).
-    pub fn reset(&self, count: usize) {
-        debug_assert!(self.is_done(), "resetting a latch with slices in flight");
-        self.remaining.store(count, Ordering::Relaxed);
-        *self.error.lock().unwrap() = None;
-    }
-
-    /// Registers one more outstanding slice (called before pushing a split
-    /// half to the hub).
-    pub fn add_one(&self) {
-        self.remaining.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Marks one slice complete. The `Release` ordering publishes the
-    /// slice's routed lines to the owner's `Acquire` load in
-    /// [`Self::is_done`].
-    pub fn complete_one(&self) {
-        if self.remaining.fetch_sub(1, Ordering::Release) == 1 {
-            let _guard = self.lock.lock().unwrap();
-            self.cv.notify_all();
-        }
-    }
-
-    /// Marks one slice complete with an error. The error at the earliest
-    /// sequential-scan site wins (not the first to *arrive*), so a failed
-    /// batch reports the same site as `BnbNetwork::route` regardless of
-    /// how slices were scheduled.
-    pub fn fail(&self, e: RouteError) {
-        let mut slot = self.error.lock().unwrap();
-        match slot.as_ref() {
-            Some(prev) if site_rank(prev) <= site_rank(&e) => {}
-            _ => *slot = Some(e),
-        }
-        drop(slot);
-        self.complete_one();
-    }
-
-    /// True once every outstanding slice has completed.
-    pub fn is_done(&self) -> bool {
-        self.remaining.load(Ordering::Acquire) == 0
-    }
-
-    /// Sleeps briefly unless the latch completes first. The short timeout
-    /// is insurance against the (benign) race between the done-check and
-    /// the notify.
-    pub fn wait_brief(&self) {
-        let guard = self.lock.lock().unwrap();
-        if !self.is_done() {
-            let _ = self
-                .cv
-                .wait_timeout(guard, Duration::from_micros(100))
-                .unwrap();
-        }
-    }
-
-    /// The first recorded slice error, if any.
-    pub fn take_error(&self) -> Option<RouteError> {
-        self.error.lock().unwrap().take()
-    }
-}
-
-/// A disjoint subnetwork slice of an in-flight batch.
-///
-/// The `lines` raw pointer is sound to send because (a) sibling tasks
-/// cover disjoint ranges produced by `split_at_mut`, (b) the owning worker
-/// keeps the batch vector alive until the latch reports every slice done,
-/// and (c) `complete_one` is the last touch of the pointer, with
-/// `Release`/`Acquire` ordering handing the written lines back to the
-/// owner. The latch itself needs no such argument: the `Arc` keeps it
-/// alive for as long as any task (or the owner) holds a handle.
-pub(crate) struct SliceTask {
-    pub net: BnbNetwork,
-    pub lines: *mut Record,
-    pub len: usize,
-    pub first_line: usize,
-    pub start_stage: usize,
-    pub split_until: usize,
-    pub latch: Arc<JobLatch>,
-}
-
-unsafe impl Send for SliceTask {}
-
 /// Everything guarded by the hub mutex.
 pub(crate) struct HubState {
     pub jobs: VecDeque<Job>,
-    pub tasks: VecDeque<SliceTask>,
     completed: BTreeMap<u64, RoutedBatch>,
     submitted: u64,
     next_drain: u64,
@@ -327,7 +179,6 @@ pub(crate) struct HubState {
     pub records: u64,
     pub errors: u64,
     pub queue_high_water: usize,
-    pub task_queue_high_water: usize,
     pub histogram: LatencyHistogram,
     /// Queue-wait latency (submit to worker pickup), one sample per job.
     pub wait_histogram: LatencyHistogram,
@@ -343,7 +194,7 @@ pub(crate) struct HubState {
 pub(crate) struct Hub {
     capacity: usize,
     state: Mutex<HubState>,
-    /// Workers wait here for jobs, tasks, or close.
+    /// Workers wait here for jobs or close.
     work_cv: Condvar,
     /// Submitters wait here for queue space.
     space_cv: Condvar,
@@ -357,7 +208,6 @@ impl Hub {
             capacity: capacity.max(1),
             state: Mutex::new(HubState {
                 jobs: VecDeque::new(),
-                tasks: VecDeque::new(),
                 completed: BTreeMap::new(),
                 submitted: 0,
                 next_drain: 0,
@@ -367,7 +217,6 @@ impl Hub {
                 records: 0,
                 errors: 0,
                 queue_high_water: 0,
-                task_queue_high_water: 0,
                 histogram: LatencyHistogram::new(),
                 wait_histogram: LatencyHistogram::new(),
                 meta: BTreeMap::new(),
@@ -479,13 +328,6 @@ impl Hub {
         payload: JobPayload,
         seqs: u64,
     ) -> u64 {
-        // A submit into a fully idle hub (everything previously submitted
-        // already drained) starts a fresh wave: reset the slice-task high
-        // water so `EngineStats` reports the current wave's depth, not a
-        // stale maximum from an earlier burst on a reused engine.
-        if st.next_drain == st.submitted {
-            st.task_queue_high_water = 0;
-        }
         let seq = st.submitted;
         st.submitted += seqs;
         st.jobs.push_back(Job {
@@ -557,7 +399,7 @@ impl Hub {
         }
         st.histogram.record(latency_ns);
         // Split the latency at the worker-pickup stamp taken in
-        // `next_work`. Batch jobs finish once per frame against one meta
+        // `next_job`. Batch jobs finish once per frame against one meta
         // entry keyed by the job's first seq, hence the range lookup.
         let (queue_ns, drained_meta) = match st.meta.range_mut(..=seq).next_back() {
             Some((&first, m)) if seq < first + m.frames => {
@@ -598,29 +440,11 @@ impl Hub {
         }
     }
 
-    /// Pushes slice tasks produced by a split and wakes helpers.
-    pub fn push_task(&self, task: SliceTask) {
-        let mut st = self.state.lock().unwrap();
-        st.tasks.push_back(task);
-        st.task_queue_high_water = st.task_queue_high_water.max(st.tasks.len());
-        drop(st);
-        self.work_cv.notify_one();
-    }
-
-    /// Pops a task if one is queued (used by owners helping while they
-    /// wait on their latch).
-    pub fn try_pop_task(&self) -> Option<SliceTask> {
-        self.state.lock().unwrap().tasks.pop_front()
-    }
-
-    /// Blocks until work (task preferred, then job) or close-with-empty-
-    /// queues. `None` means the worker should exit.
-    pub fn next_work(&self) -> Option<Work> {
+    /// Blocks until a job or close-with-empty-queue. `None` means the
+    /// worker should exit.
+    pub fn next_job(&self) -> Option<Job> {
         let mut st = self.state.lock().unwrap();
         loop {
-            if let Some(t) = st.tasks.pop_front() {
-                return Some(Work::Task(t));
-            }
             if let Some(j) = st.jobs.pop_front() {
                 // The job leaves the queue here: stamp its queue wait and
                 // park it in the meta table so `finish` can split the
@@ -645,7 +469,7 @@ impl Hub {
                 );
                 drop(st);
                 self.space_cv.notify_one();
-                return Some(Work::Job(j));
+                return Some(j);
             }
             if st.closed {
                 return None;
@@ -672,12 +496,6 @@ impl Hub {
     }
 }
 
-/// One unit of work handed to a worker.
-pub(crate) enum Work {
-    Task(SliceTask),
-    Job(Job),
-}
-
 /// Closes the hub on drop, so worker threads exit even if the user
 /// closure panics (otherwise the surrounding `thread::scope` would never
 /// join).
@@ -693,40 +511,17 @@ impl Drop for CloseGuard<'_> {
 mod tests {
     use super::*;
 
-    fn unbalanced_at(main_stage: usize, internal_stage: usize, first_line: usize) -> RouteError {
-        RouteError::UnbalancedSplitter {
-            main_stage,
-            internal_stage,
-            first_line,
-            width: 2,
-            ones: 2,
-        }
-    }
-
-    /// `fail` keeps the earliest sequential-scan site regardless of the
-    /// order slice errors arrive in.
-    #[test]
-    fn fail_keeps_lowest_ranked_site_not_first_arrival() {
-        let latch = JobLatch::new(4);
-        latch.fail(unbalanced_at(2, 0, 0));
-        latch.fail(unbalanced_at(1, 3, 12));
-        latch.fail(unbalanced_at(1, 3, 4));
-        latch.fail(unbalanced_at(1, 3, 4)); // tie: first stays
-        assert!(latch.is_done());
-        assert_eq!(latch.take_error(), Some(unbalanced_at(1, 3, 4)));
-    }
+    use std::time::Duration;
 
     /// `finish` splits the submit-to-publish latency at the worker-pickup
-    /// stamp taken in `next_work`, and the pickup records one queue-wait
+    /// stamp taken in `next_job`, and the pickup records one queue-wait
     /// sample.
     #[test]
     fn finish_splits_latency_at_worker_pickup() {
         let hub = Hub::new(4);
         let seq = hub.submit(Vec::new());
         std::thread::sleep(Duration::from_millis(2));
-        let Some(Work::Job(job)) = hub.next_work() else {
-            panic!("submitted job must be next");
-        };
+        let job = hub.next_job().expect("submitted job must be next");
         assert_eq!(job.seq, seq);
         std::thread::sleep(Duration::from_millis(1));
         hub.finish(job.seq, job.submitted_at, Ok(Vec::new()));
@@ -759,9 +554,7 @@ mod tests {
         batch.push_frame(&[Record::new(1, 0), Record::new(0, 1)]);
         let seq = hub.submit_batch(batch);
         std::thread::sleep(Duration::from_millis(2));
-        let Some(Work::Job(job)) = hub.next_work() else {
-            panic!("submitted batch must be next");
-        };
+        let job = hub.next_job().expect("submitted batch must be next");
         for f in 0..2 {
             hub.finish(seq + f, job.submitted_at, Ok(Vec::new()));
         }
@@ -773,22 +566,5 @@ mod tests {
             assert_eq!(st.wait_histogram.count(), 1, "one sample per job");
             assert!(st.meta.is_empty(), "meta drained with the last frame");
         });
-    }
-
-    /// A reset latch behaves like a fresh one (per-worker reuse).
-    #[test]
-    fn reset_rearms_a_drained_latch() {
-        let latch = JobLatch::new(1);
-        latch.fail(unbalanced_at(0, 0, 0));
-        assert!(latch.is_done());
-        latch.reset(2);
-        assert!(!latch.is_done());
-        assert_eq!(latch.take_error(), None, "reset clears the stored error");
-        latch.complete_one();
-        latch.add_one();
-        latch.complete_one();
-        assert!(!latch.is_done());
-        latch.complete_one();
-        assert!(latch.is_done());
     }
 }

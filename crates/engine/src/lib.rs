@@ -1,24 +1,25 @@
 //! bnb-engine: a concurrent batched routing engine for the BNB network.
 //!
 //! The paper's self-routing property makes the control plane *local*: every
-//! splitter sets its switches from its own inputs. This crate exploits the
-//! structural consequence — after main stage `i`, the GBN's unshuffle
-//! partitions the frame into independent subnetworks — to route disjoint
-//! slices of one batch on different workers, on top of a classic bounded
-//! submit/drain pipeline:
+//! splitter sets its switches from its own inputs, so frames never
+//! interact and many can share one call of the word-parallel kernel.
+//! This crate runs that kernel behind a classic bounded submit/drain
+//! pipeline:
 //!
 //! - [`Engine::run`] spawns a [`std::thread::scope`]d worker pool (no
 //!   external dependencies, no detached threads).
-//! - [`EngineHandle::submit`] enqueues a batch into a **bounded** queue and
-//!   blocks when it is full — backpressure, not unbounded buffering.
-//! - Each batch is recursively split into `2^depth` independent subnetwork
-//!   slices ([`ShardDepth`]), routed concurrently with per-worker reusable
-//!   scratch (zero per-batch allocation in steady state), byte-identical
-//!   to the sequential route.
+//! - [`EngineHandle::submit`] enqueues a frame into a **bounded** queue and
+//!   blocks when it is full — backpressure, not unbounded buffering;
+//!   [`EngineHandle::submit_batch`] enqueues a whole `FrameBatch` as one
+//!   job.
+//! - A worker routes every job it owns through one batch routine (a
+//!   single frame as a one-frame batch) with its own reusable scratch —
+//!   zero per-job allocation in steady state — byte-identical to the
+//!   sequential route.
 //! - [`EngineHandle::route_batch`] routes a whole `FrameBatch` on the
-//!   calling thread, through the routine a pool worker runs for a batch
-//!   job, without the queue or a thread hop: the serving layer's reactors
-//!   route every admitted frame this way.
+//!   calling thread, through that same routine, without the queue or a
+//!   thread hop: the serving layer's reactors route every admitted frame
+//!   this way.
 //! - [`EngineHandle::drain`] returns routed batches in submission order;
 //!   [`EngineHandle::stats`] snapshots throughput, a fixed-bucket latency
 //!   histogram, queue high-water marks, and per-worker activity
@@ -27,7 +28,7 @@
 //!   [`bnb_core::RouteError`].
 //! - The engine is generic over a [`bnb_obs::Observer`] (defaulting to the
 //!   zero-cost noop): [`Engine::with_observer`] streams submit/drain,
-//!   shard hand-off, and routing events to any sink — per column and
+//!   retry, and routing events to any sink — per column and
 //!   arbiter sweep for sinks that want them (the scalar sweep), per main
 //!   stage for aggregate sinks such as the lock-free `bnb_obs::Counters`,
 //!   whose jobs route on the same packed and batched kernels as
@@ -39,8 +40,8 @@
 //!   retries drain as [`EngineError::Quarantined`] with the fault site in
 //!   the `source()` chain. Workers steer jobs onto healthy shards
 //!   ([`ShardHealth`]); a job on a fault-free shard routes exactly as
-//!   under [`Engine::run`], and a `FrameBatch` job on a faulted shard
-//!   stays one batched call with only its tripping frames retried.
+//!   under [`Engine::run`], and a job on a faulted shard stays one
+//!   batched call with only its tripping frames retried.
 //! - [`Engine::run_scrubbed`] adds *live* repair on top: a
 //!   [`LiveFaultPlan`]'s fault maps may change while the engine routes,
 //!   and a background scrubber thread probes suspect shards between
@@ -52,8 +53,7 @@
 //! never change and whose scrubber is off, and fault handling is a
 //! per-frame retry, not a separate engine mode (`DESIGN.md` §11).
 //!
-//! See [`bnb_core::stages`] for the slice-independence argument and
-//! `DESIGN.md` for how this mirrors the paper's arbiter locality.
+//! See `DESIGN.md` §8 for how this mirrors the paper's arbiter locality.
 
 pub mod engine;
 pub mod error;

@@ -15,15 +15,12 @@ pub use bnb_obs::{LatencyHistogram, LatencySummary, HISTOGRAM_BUCKETS};
 pub struct WorkerMetrics {
     /// Worker index within the pool.
     pub worker: usize,
-    /// Time spent routing (task + batch processing), in ns.
+    /// Time spent routing owned jobs, in ns.
     pub busy_ns: u64,
     /// Busy fraction of the engine's wall-clock lifetime.
     pub utilization: f64,
-    /// Batches this worker owned end-to-end.
+    /// Jobs (single frames or whole frame batches) this worker routed.
     pub jobs_owned: u64,
-    /// Subnetwork slice tasks this worker took off the shared queue
-    /// (its own batches' or another owner's).
-    pub tasks_stolen: u64,
 }
 
 /// A snapshot of engine counters, taken by
@@ -32,9 +29,6 @@ pub struct WorkerMetrics {
 pub struct EngineStats {
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Subnetwork sharding depth actually used (`2^depth` slices per
-    /// batch).
-    pub shard_depth: usize,
     /// Batches fully routed (including failed ones).
     pub batches: u64,
     /// Records in successfully routed batches.
@@ -59,12 +53,8 @@ pub struct EngineStats {
     /// sample per job; subtracting it from [`Self::latency`] isolates
     /// routing proper.
     pub wait_latency: LatencySummary,
-    /// Deepest the shared slice-task queue got during the current
-    /// submission wave (reset when a batch is submitted into a fully
-    /// idle engine, so reused engines report per-wave depth).
-    pub task_queue_high_water: usize,
     /// Per-worker activity breakdown (busy time and busy fraction, jobs
-    /// owned, slice tasks taken from the shared queue).
+    /// owned).
     pub worker_metrics: Vec<WorkerMetrics>,
 }
 
@@ -90,7 +80,6 @@ mod tests {
             busy_ns: 12_345,
             utilization: 0.75,
             jobs_owned: 10,
-            tasks_stolen: 3,
         };
         let json = serde_json::to_string(&w).unwrap();
         let back: WorkerMetrics = serde_json::from_str(&json).unwrap();

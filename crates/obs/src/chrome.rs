@@ -28,8 +28,6 @@ fn kind_name(kind: SpanKind) -> &'static str {
         SpanKind::Sweep => "sweep",
         SpanKind::Conflict => "conflict",
         SpanKind::Hop => "hop",
-        SpanKind::Shard => "shard",
-        SpanKind::Steal => "steal",
         SpanKind::Submit => "submit",
         SpanKind::Drain => "drain",
         SpanKind::Round => "round",
@@ -44,7 +42,7 @@ fn kind_name(kind: SpanKind) -> &'static str {
 fn kind_category(kind: SpanKind) -> &'static str {
     match kind {
         SpanKind::Column | SpanKind::Sweep | SpanKind::Hop => "route",
-        SpanKind::Shard | SpanKind::Steal | SpanKind::Submit | SpanKind::Drain => "engine",
+        SpanKind::Submit | SpanKind::Drain => "engine",
         SpanKind::Round => "scheduler",
         SpanKind::Request => "serve",
         SpanKind::Conflict | SpanKind::Fault | SpanKind::Retry => "error",
@@ -208,8 +206,8 @@ mod tests {
     #[test]
     fn lanes_map_to_tids_with_names() {
         let json = render_chrome_trace(&[
-            span(SpanKind::Shard, 0, 0, 2),
-            span(SpanKind::Steal, 1, 0, 5),
+            span(SpanKind::Submit, 0, 0, 2),
+            span(SpanKind::Drain, 1, 0, 5),
         ]);
         assert!(json.contains("\"name\":\"process_name\""));
         assert!(json.contains("\"name\":\"lane 2\""));

@@ -11,7 +11,7 @@
 
 use crate::event::{
     ColumnEvent, ConflictEvent, DrainEvent, FaultEvent, RepairEvent, RetryEvent, RoundEvent,
-    ScrubEvent, ShardEvent, StageTotalsEvent, SubmitEvent, SweepEvent,
+    ScrubEvent, StageTotalsEvent, SubmitEvent, SweepEvent,
 };
 use crate::histogram::{AtomicHistogram, LatencyHistogram, LatencySummary};
 use crate::observer::Observer;
@@ -44,8 +44,6 @@ struct Shard {
     sweeps: AtomicU64,
     max_sweep_depth: AtomicU64,
     conflicts: AtomicU64,
-    shards_enqueued: AtomicU64,
-    shards_stolen: AtomicU64,
     batches_submitted: AtomicU64,
     batches_drained: AtomicU64,
     batch_errors: AtomicU64,
@@ -72,8 +70,6 @@ impl Shard {
             sweeps: AtomicU64::new(0),
             max_sweep_depth: AtomicU64::new(0),
             conflicts: AtomicU64::new(0),
-            shards_enqueued: AtomicU64::new(0),
-            shards_stolen: AtomicU64::new(0),
             batches_submitted: AtomicU64::new(0),
             batches_drained: AtomicU64::new(0),
             batch_errors: AtomicU64::new(0),
@@ -99,8 +95,6 @@ impl Shard {
             &self.sweeps,
             &self.max_sweep_depth,
             &self.conflicts,
-            &self.shards_enqueued,
-            &self.shards_stolen,
             &self.batches_submitted,
             &self.batches_drained,
             &self.batch_errors,
@@ -234,8 +228,6 @@ impl Counters {
             arbiter_sweeps: self.sum(|s| &s.sweeps),
             max_sweep_depth: self.max(|s| &s.max_sweep_depth),
             conflicts: self.sum(|s| &s.conflicts),
-            shards_enqueued: self.sum(|s| &s.shards_enqueued),
-            shards_stolen: self.sum(|s| &s.shards_stolen),
             batches_submitted: self.sum(|s| &s.batches_submitted),
             batches_drained: self.sum(|s| &s.batches_drained),
             batch_errors: self.sum(|s| &s.batch_errors),
@@ -304,16 +296,6 @@ impl Observer for Counters {
         let shard = self.shard();
         shard.conflicts.fetch_add(1, Ordering::Relaxed);
         shard.stage_conflicts[stage_slot(event.main_stage)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn shard_enqueued(&self, _event: ShardEvent) {
-        self.shard().shards_enqueued.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn shard_stolen(&self, _event: ShardEvent) {
-        self.shard().shards_stolen.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
@@ -399,10 +381,6 @@ pub struct MetricsSnapshot {
     pub max_sweep_depth: u64,
     /// Splitter balance violations observed.
     pub conflicts: u64,
-    /// Engine subnetwork slices published to the work queue.
-    pub shards_enqueued: u64,
-    /// Published slices taken off the queue by workers.
-    pub shards_stolen: u64,
     /// Batches submitted to the engine.
     pub batches_submitted: u64,
     /// Batches fully routed (including failed ones).

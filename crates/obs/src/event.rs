@@ -12,8 +12,9 @@ use serde::{Deserialize, Serialize};
 /// One switching column routed over a (slice of a) frame.
 ///
 /// A full-frame route of an `N = 2^m` network emits exactly
-/// `m(m+1)/2` of these (eq. (7)); a sharded engine route emits one per
-/// column *per slice*, which still sums to the same per-column totals.
+/// `m(m+1)/2` of these (eq. (7)); a route split into aligned slices emits
+/// one per column *per slice*, which still sums to the same per-column
+/// totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ColumnEvent {
     /// Main-network stage (`0..m`).
@@ -22,7 +23,7 @@ pub struct ColumnEvent {
     pub internal_stage: usize,
     /// Global line coordinate of the first line this event covers.
     pub first_line: usize,
-    /// Number of lines covered (the whole frame, or one engine slice).
+    /// Number of lines covered (the whole frame, or one span's slice).
     pub width: usize,
     /// 2×2 switches in this column that exchanged their pair.
     pub exchanges: u64,
@@ -60,7 +61,7 @@ pub struct StageTotalsEvent {
     pub main_stage: usize,
     /// Global line coordinate of the first line of each frame's span.
     pub first_line: usize,
-    /// Lines per frame covered (the whole frame, or one engine slice).
+    /// Lines per frame covered (the whole frame, or one span's slice).
     pub width: usize,
     /// Frames (or slices) the totals sum over.
     pub frames: u64,
@@ -87,18 +88,6 @@ pub struct ConflictEvent {
     pub width: usize,
     /// One-bits observed (odd for `width ≥ 4`, `≠ 1` for `width == 2`).
     pub ones: usize,
-}
-
-/// A subnetwork slice of an in-flight batch handed to the work queue
-/// (`shard_enqueued`) or taken from it by a worker (`shard_stolen`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardEvent {
-    /// Global line coordinate of the slice's first line.
-    pub first_line: usize,
-    /// Lines in the slice.
-    pub len: usize,
-    /// First main stage the slice still has to route.
-    pub start_stage: usize,
 }
 
 /// One cell crossing one switching column: the per-cell companion to
@@ -130,7 +119,7 @@ pub struct HopEvent {
     /// Whether the cell's 2×2 switch exchanged its pair.
     pub exchanged: bool,
     /// Arbiter-sweep ordinal: the splitter's index within its column
-    /// (`first_line / width`), identical however the frame is sharded.
+    /// (`first_line / width`), identical however the frame is sliced.
     pub sweep: usize,
 }
 
@@ -236,7 +225,6 @@ mod tests {
         assert_copy::<SweepEvent>();
         assert_copy::<StageTotalsEvent>();
         assert_copy::<ConflictEvent>();
-        assert_copy::<ShardEvent>();
         assert_copy::<SubmitEvent>();
         assert_copy::<DrainEvent>();
         assert_copy::<RoundEvent>();

@@ -33,8 +33,6 @@ pub fn render_text(snapshot: &MetricsSnapshot) -> String {
     line("arbiter_sweeps", snapshot.arbiter_sweeps);
     line("max_sweep_depth", snapshot.max_sweep_depth);
     line("conflicts", snapshot.conflicts);
-    line("shards_enqueued", snapshot.shards_enqueued);
-    line("shards_stolen", snapshot.shards_stolen);
     line("batches_submitted", snapshot.batches_submitted);
     line("batches_drained", snapshot.batches_drained);
     line("batch_errors", snapshot.batch_errors);
@@ -177,18 +175,6 @@ pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
         "counter",
         "Splitter balance violations observed.",
         snapshot.conflicts,
-    );
-    family(
-        "bnb_shards_enqueued_total",
-        "counter",
-        "Subnetwork slices published to the engine work queue.",
-        snapshot.shards_enqueued,
-    );
-    family(
-        "bnb_shards_stolen_total",
-        "counter",
-        "Queued slices taken by engine workers.",
-        snapshot.shards_stolen,
     );
     family(
         "bnb_batches_submitted_total",

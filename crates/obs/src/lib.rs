@@ -8,8 +8,8 @@
 //!
 //! - [`event`] — typed events for everything the routing layers can
 //!   report: a column routed, an arbiter sweep, a main stage's totals, a
-//!   splitter conflict, a subnetwork shard enqueued or stolen, a batch
-//!   submitted or completed, a scheduler round.
+//!   splitter conflict, a batch submitted or completed, a scheduler
+//!   round.
 //! - [`observer`] — the object-safe [`Observer`] trait the layers emit
 //!   events through, and the [`NoopObserver`] whose empty inlined methods
 //!   (plus `enabled() == false`) let the compiler erase every
@@ -80,7 +80,7 @@ pub use chrome::render_chrome_trace;
 pub use counters::{Counters, MetricsSnapshot, StageMetrics};
 pub use event::{
     ColumnEvent, ConflictEvent, DrainEvent, FaultEvent, HopEvent, RepairEvent, RetryEvent,
-    RoundEvent, ScrubEvent, ShardEvent, StageTotalsEvent, SubmitEvent, SweepEvent,
+    RoundEvent, ScrubEvent, StageTotalsEvent, SubmitEvent, SweepEvent,
 };
 pub use export::{
     render_json, render_json_pretty, render_prometheus, render_prometheus_telemetry, render_text,

@@ -3,7 +3,7 @@
 
 use crate::event::{
     ColumnEvent, ConflictEvent, DrainEvent, FaultEvent, HopEvent, RepairEvent, RetryEvent,
-    RoundEvent, ScrubEvent, ShardEvent, StageTotalsEvent, SubmitEvent, SweepEvent,
+    RoundEvent, ScrubEvent, StageTotalsEvent, SubmitEvent, SweepEvent,
 };
 
 /// Sink for routing-layer events.
@@ -100,18 +100,6 @@ pub trait Observer: Send + Sync {
     /// A splitter saw an unbalanced request pattern.
     #[inline]
     fn splitter_conflict(&self, event: ConflictEvent) {
-        let _ = event;
-    }
-
-    /// An engine worker published a subnetwork slice to the work queue.
-    #[inline]
-    fn shard_enqueued(&self, event: ShardEvent) {
-        let _ = event;
-    }
-
-    /// A worker took a published slice off the queue (possibly its own).
-    #[inline]
-    fn shard_stolen(&self, event: ShardEvent) {
         let _ = event;
     }
 
@@ -213,16 +201,6 @@ impl<O: Observer + ?Sized> Observer for &O {
     #[inline]
     fn splitter_conflict(&self, event: ConflictEvent) {
         (**self).splitter_conflict(event);
-    }
-
-    #[inline]
-    fn shard_enqueued(&self, event: ShardEvent) {
-        (**self).shard_enqueued(event);
-    }
-
-    #[inline]
-    fn shard_stolen(&self, event: ShardEvent) {
-        (**self).shard_stolen(event);
     }
 
     #[inline]
@@ -343,18 +321,6 @@ impl<A: Observer, B: Observer> Observer for Fanout<A, B> {
     fn splitter_conflict(&self, event: ConflictEvent) {
         self.a.splitter_conflict(event);
         self.b.splitter_conflict(event);
-    }
-
-    #[inline]
-    fn shard_enqueued(&self, event: ShardEvent) {
-        self.a.shard_enqueued(event);
-        self.b.shard_enqueued(event);
-    }
-
-    #[inline]
-    fn shard_stolen(&self, event: ShardEvent) {
-        self.a.shard_stolen(event);
-        self.b.shard_stolen(event);
     }
 
     #[inline]

@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::event::{
     ColumnEvent, ConflictEvent, DrainEvent, FaultEvent, HopEvent, RetryEvent, RoundEvent,
-    ShardEvent, SubmitEvent, SweepEvent,
+    SubmitEvent, SweepEvent,
 };
 use crate::observer::Observer;
 
@@ -65,10 +65,6 @@ pub enum SpanKind {
     Conflict,
     /// One cell crossing one column ([`HopEvent`]).
     Hop,
-    /// A subnetwork slice published to the work queue ([`ShardEvent`]).
-    Shard,
-    /// A queued slice taken by a worker ([`ShardEvent`]).
-    Steal,
     /// A batch entering the submission queue ([`SubmitEvent`]).
     Submit,
     /// A batch completed, successfully or not ([`DrainEvent`]).
@@ -93,13 +89,11 @@ impl SpanKind {
             1 => SpanKind::Sweep,
             2 => SpanKind::Conflict,
             3 => SpanKind::Hop,
-            4 => SpanKind::Shard,
-            5 => SpanKind::Steal,
-            6 => SpanKind::Submit,
-            7 => SpanKind::Drain,
-            8 => SpanKind::Round,
-            9 => SpanKind::Fault,
-            10 => SpanKind::Retry,
+            4 => SpanKind::Submit,
+            5 => SpanKind::Drain,
+            6 => SpanKind::Round,
+            7 => SpanKind::Fault,
+            8 => SpanKind::Retry,
             _ => SpanKind::Request,
         }
     }
@@ -110,14 +104,12 @@ impl SpanKind {
             SpanKind::Sweep => 1,
             SpanKind::Conflict => 2,
             SpanKind::Hop => 3,
-            SpanKind::Shard => 4,
-            SpanKind::Steal => 5,
-            SpanKind::Submit => 6,
-            SpanKind::Drain => 7,
-            SpanKind::Round => 8,
-            SpanKind::Fault => 9,
-            SpanKind::Retry => 10,
-            SpanKind::Request => 11,
+            SpanKind::Submit => 4,
+            SpanKind::Drain => 5,
+            SpanKind::Round => 6,
+            SpanKind::Fault => 7,
+            SpanKind::Retry => 8,
+            SpanKind::Request => 9,
         }
     }
 
@@ -552,32 +544,6 @@ impl Observer for FlightRecorder {
         );
     }
 
-    /// `a` = first line, `b` = slice length, `c` = start stage.
-    fn shard_enqueued(&self, e: ShardEvent) {
-        self.emit(
-            SpanKind::Shard,
-            0,
-            0,
-            true,
-            e.first_line as u64,
-            e.len as u64,
-            e.start_stage as u64,
-        );
-    }
-
-    /// `a` = first line, `b` = slice length, `c` = start stage.
-    fn shard_stolen(&self, e: ShardEvent) {
-        self.emit(
-            SpanKind::Steal,
-            0,
-            0,
-            true,
-            e.first_line as u64,
-            e.len as u64,
-            e.start_stage as u64,
-        );
-    }
-
     /// `seq` = batch seq, `a` = records.
     fn batch_submitted(&self, e: SubmitEvent) {
         self.emit(SpanKind::Submit, e.seq, 0, true, e.records as u64, 0, 0);
@@ -664,8 +630,6 @@ mod tests {
             SpanKind::Sweep,
             SpanKind::Conflict,
             SpanKind::Hop,
-            SpanKind::Shard,
-            SpanKind::Steal,
             SpanKind::Submit,
             SpanKind::Drain,
             SpanKind::Round,

@@ -363,8 +363,6 @@ pub struct EngineStatus {
     pub queue_depth: usize,
     /// Deepest the bounded submission queue ever got.
     pub queue_high_water: usize,
-    /// Deepest the shared slice-task queue got this submission wave.
-    pub task_queue_high_water: usize,
     /// Frames routed, each counted as one batch (including failed ones).
     pub batches: u64,
     /// Records in successfully routed frames.
@@ -433,7 +431,6 @@ pub(crate) fn build_status(ctx: &SessionCtx<'_>) -> StatusSnapshot {
         engine: EngineStatus {
             queue_depth: est.queue_depth,
             queue_high_water: est.queue_high_water,
-            task_queue_high_water: est.task_queue_high_water,
             batches: est.batches,
             records: est.records,
             errors: est.errors,

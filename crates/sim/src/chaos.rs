@@ -22,7 +22,7 @@
 
 use bnb_core::fault::{FaultKind, FaultSite};
 use bnb_core::network::BnbNetwork;
-use bnb_engine::{Engine, EngineConfig, EngineError, LiveFaultPlan, RetryPolicy, ShardDepth};
+use bnb_engine::{Engine, EngineConfig, EngineError, LiveFaultPlan, RetryPolicy};
 use bnb_obs::Observer;
 use bnb_topology::perm::Permutation;
 use bnb_topology::record::records_for_permutation;
@@ -192,7 +192,7 @@ pub fn chaos_engine_campaign<O: Observer>(
         EngineConfig {
             workers: workers.max(1),
             queue_capacity: 4,
-            shard_depth: ShardDepth::Auto,
+            ..EngineConfig::default()
         },
         observer,
     );

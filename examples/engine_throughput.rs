@@ -1,9 +1,7 @@
 //! A line-rate fabric scenario: a 256-port switch routes a stream of cell
-//! batches through the concurrent `bnb-engine` — bounded submission queue
-//! for backpressure, a scoped worker pool, and intra-batch subnetwork
-//! sharding that mirrors the paper's recursive GBN structure (after main
-//! stage `i`, the unshuffle splits the frame into independent subnetworks
-//! that different workers finish concurrently).
+//! frames through the concurrent `bnb-engine` — bounded submission queue
+//! for backpressure and a scoped worker pool in which each worker routes
+//! whole frames it owns through the word-parallel kernel.
 //!
 //! Prints a worker-scaling table plus the engine's own stats snapshot
 //! (latency histogram quantiles, queue high-water mark, utilization).
@@ -14,7 +12,7 @@ use std::time::Instant;
 
 use bnb::core::network::BnbNetwork;
 use bnb::core::router::Router;
-use bnb::engine::{Engine, EngineConfig, ShardDepth};
+use bnb::engine::{Engine, EngineConfig};
 use bnb::topology::perm::Permutation;
 use bnb::topology::record::{records_for_permutation, Record};
 use rand::rngs::StdRng;
@@ -44,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{n}-port fabric, {BATCHES} batches ({} records)",
         n * BATCHES
     );
-    println!("\n  workers  records/sec  speedup  shard-depth  queue-hwm");
+    println!("\n  workers  records/sec  speedup  queue-hwm");
     println!("  baseline {base_rate:>12.0}     1.00x  (sequential Router)");
 
     for workers in [1usize, 2, 4, 8] {
@@ -53,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             EngineConfig {
                 workers,
                 queue_capacity: 8,
-                shard_depth: ShardDepth::Auto,
+                ..EngineConfig::default()
             },
         );
         let stats = engine.run(|h| {
@@ -65,10 +63,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             h.stats()
         });
         println!(
-            "  {workers:>7}  {:>11.0}  {:>6.2}x  {:>11}  {:>9}",
+            "  {workers:>7}  {:>11.0}  {:>6.2}x  {:>9}",
             stats.records_per_sec,
             stats.records_per_sec / base_rate,
-            stats.shard_depth,
             stats.queue_high_water,
         );
     }

@@ -24,8 +24,8 @@
 //! - [`sim`] — cycle-level pipelined fabric simulation, classic
 //!   parallel-processing workloads, and fault injection.
 //! - [`engine`] — a concurrent batched routing engine: bounded submit/
-//!   drain queue, scoped worker pool, and intra-batch subnetwork sharding
-//!   that mirrors the paper's recursive GBN structure.
+//!   drain queue and a scoped worker pool, each worker routing the jobs
+//!   it owns through the word-parallel batched kernel.
 //! - [`obs`] — zero-cost-when-disabled observability: the [`obs::Observer`]
 //!   event hooks every routing layer emits through, lock-free
 //!   [`obs::Counters`], latency histograms, the bounded

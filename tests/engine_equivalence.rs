@@ -1,34 +1,25 @@
 //! Property-based equivalence: the concurrent engine's output must be
 //! byte-identical to the sequential `BnbNetwork::route` for every worker
-//! count and sharding depth — full permutations, partial traffic, and
-//! (under the permissive policy) arbitrary garbage destinations.
+//! count — full permutations, partial traffic, and (under the permissive
+//! policy) arbitrary garbage destinations.
 
 use bnb::core::network::{BnbNetwork, RoutePolicy};
 use bnb::core::partial::resolve_completed;
-use bnb::engine::{Engine, EngineConfig, ShardDepth};
+use bnb::engine::{Engine, EngineConfig};
 use bnb::topology::perm::Permutation;
 use bnb::topology::record::{records_for_permutation, Record};
 use proptest::prelude::*;
 use std::error::Error as _;
 
-fn engine_for(net: BnbNetwork, workers: usize, depth: ShardDepth) -> Engine {
+fn engine_for(net: BnbNetwork, workers: usize) -> Engine {
     Engine::new(
         net,
         EngineConfig {
             workers,
             queue_capacity: 3,
-            shard_depth: depth,
+            ..EngineConfig::default()
         },
     )
-}
-
-fn depths() -> [ShardDepth; 4] {
-    [
-        ShardDepth::Auto,
-        ShardDepth::Fixed(0),
-        ShardDepth::Fixed(2),
-        ShardDepth::Fixed(16), // clamped to m internally
-    ]
 }
 
 /// A batch hitting an all-shards-faulted fabric drains as
@@ -76,7 +67,7 @@ fn faulted_shard_quarantines_while_healthy_batches_match() {
         backoff: std::time::Duration::ZERO,
     });
     for workers in [1usize, 3] {
-        let engine = engine_for(net, workers, ShardDepth::Auto);
+        let engine = engine_for(net, workers);
         let routed = engine.run_faulted(&plan, |h| {
             for b in &batches {
                 h.submit(b.clone());
@@ -115,8 +106,8 @@ fn faulted_shard_quarantines_while_healthy_batches_match() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random permutations at every worker count 1..=8 and several shard
-    /// depths route identically to the sequential network.
+    /// Random permutations at every worker count 1..=8 route identically
+    /// to the sequential network.
     #[test]
     fn engine_matches_sequential_on_permutations(m in 1usize..=7, seed in any::<u64>()) {
         use rand::SeedableRng;
@@ -131,22 +122,20 @@ proptest! {
             .map(|b| net.route(b).unwrap())
             .collect();
         for workers in 1usize..=8 {
-            for depth in depths() {
-                let engine = engine_for(net, workers, depth);
-                let routed = engine.run(|h| {
-                    for b in &batches {
-                        h.submit(b.clone());
-                    }
-                    (0..batches.len()).map(|_| h.drain().unwrap()).collect::<Vec<_>>()
-                });
-                for (i, batch) in routed.iter().enumerate() {
-                    prop_assert_eq!(batch.seq, i as u64);
-                    prop_assert_eq!(
-                        batch.result.as_ref().unwrap(),
-                        &expected[i],
-                        "workers = {}, depth = {:?}", workers, depth
-                    );
+            let engine = engine_for(net, workers);
+            let routed = engine.run(|h| {
+                for b in &batches {
+                    h.submit(b.clone());
                 }
+                (0..batches.len()).map(|_| h.drain().unwrap()).collect::<Vec<_>>()
+            });
+            for (i, batch) in routed.iter().enumerate() {
+                prop_assert_eq!(batch.seq, i as u64);
+                prop_assert_eq!(
+                    batch.result.as_ref().unwrap(),
+                    &expected[i],
+                    "workers = {}", workers
+                );
             }
         }
     }
@@ -170,7 +159,7 @@ proptest! {
         let expected = net.route_partial(&slots).unwrap();
         let frame = net.completed_frame(&slots).unwrap();
         for workers in 1usize..=8 {
-            let engine = engine_for(net.index_sibling(), workers, ShardDepth::Auto);
+            let engine = engine_for(net.index_sibling(), workers);
             let routed = engine.run(|h| {
                 h.submit(frame.clone());
                 h.drain().unwrap()
@@ -182,7 +171,8 @@ proptest! {
 
     /// Permissive-policy garbage traffic (arbitrary destinations, possibly
     /// heavily duplicated) still routes byte-identically: BNB routing is
-    /// oblivious data movement, so sharding cannot change the outcome.
+    /// oblivious data movement, so the worker count cannot change the
+    /// outcome.
     #[test]
     fn engine_matches_sequential_on_garbage(m in 1usize..=6, seed in any::<u64>()) {
         use rand::{RngExt, SeedableRng};
@@ -194,18 +184,16 @@ proptest! {
             .collect();
         let expected = net.route(&batch).unwrap();
         for workers in 1usize..=8 {
-            for depth in depths() {
-                let engine = engine_for(net, workers, depth);
-                let routed = engine.run(|h| {
-                    h.submit(batch.clone());
-                    h.drain().unwrap()
-                });
-                prop_assert_eq!(
-                    routed.result.as_ref().unwrap(),
-                    &expected,
-                    "workers = {}, depth = {:?}", workers, depth
-                );
-            }
+            let engine = engine_for(net, workers);
+            let routed = engine.run(|h| {
+                h.submit(batch.clone());
+                h.drain().unwrap()
+            });
+            prop_assert_eq!(
+                routed.result.as_ref().unwrap(),
+                &expected,
+                "workers = {}", workers
+            );
         }
     }
 }

@@ -4,7 +4,7 @@
 //! live data rather than synthetic spans.
 
 use bnb::core::network::BnbNetwork;
-use bnb::engine::{Engine, EngineConfig, ShardDepth};
+use bnb::engine::{Engine, EngineConfig};
 use bnb::obs::{
     render_chrome_trace, render_prometheus, Counters, Fanout, FlightRecorder, SamplePolicy,
     SpanKind,
@@ -118,7 +118,7 @@ fn engine_traffic_round_trips_through_both_exporters() {
     let config = EngineConfig {
         workers: 2,
         queue_capacity: 2,
-        shard_depth: ShardDepth::Fixed(1),
+        ..EngineConfig::default()
     };
     let engine = Engine::with_observer(
         BnbNetwork::new(m),

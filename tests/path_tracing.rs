@@ -1,8 +1,8 @@
 //! End-to-end path tracing: the per-cell hop stream reconstructed by
 //! [`PathTracer`] must agree with the switch settings the router actually
 //! applied, for every destination of random permutations at several sizes
-//! — and the agreement must survive the concurrent engine's subnetwork
-//! sharding, where hops for one frame arrive from several worker threads.
+//! — and the agreement must survive routing on the concurrent engine's
+//! worker threads.
 //!
 //! The cross-check against `route_traced` pins hop records to ground
 //! truth: `route_traced` counts exchange settings at switch granularity
@@ -13,7 +13,7 @@
 
 use bnb::core::network::BnbNetwork;
 use bnb::core::tracer::PathTracer;
-use bnb::engine::{Engine, EngineConfig, ShardDepth};
+use bnb::engine::{Engine, EngineConfig};
 use bnb::obs::Counters;
 use bnb::topology::perm::Permutation;
 use bnb::topology::record::{all_delivered, records_for_permutation};
@@ -85,9 +85,9 @@ fn tracing_does_not_perturb_untraced_observers() {
 
 #[test]
 fn engine_routed_frames_trace_and_verify() {
-    // The engine splits each frame into 2^depth subnetwork slices routed
-    // by different workers; the hop stream reassembled by the shared
-    // tracer must still reconstruct and verify every destination's path.
+    // Engine workers route each frame through the batch routine; the hop
+    // stream the shared tracer collects from the worker threads must
+    // still reconstruct and verify every destination's path.
     let mut rng = StdRng::seed_from_u64(42);
     let m = 4usize;
     let n = 1usize << m;
@@ -96,7 +96,7 @@ fn engine_routed_frames_trace_and_verify() {
     let config = EngineConfig {
         workers: 3,
         queue_capacity: 2,
-        shard_depth: ShardDepth::Fixed(2),
+        ..EngineConfig::default()
     };
     let engine = Engine::with_observer(net, config, &tracer);
     for round in 0..5 {

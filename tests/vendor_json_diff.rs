@@ -198,7 +198,7 @@ fn engine_stats_json_is_real_json() {
     let json = serde_json::to_string(&stats).unwrap();
     let script = concat!(
         "import json, sys; v = json.load(sys.stdin); ",
-        "keys = ['workers', 'shard_depth', 'batches', 'records', 'errors', ",
+        "keys = ['workers', 'batches', 'records', 'errors', ",
         "'records_per_sec', 'latency', 'histogram', 'queue_high_water']; ",
         "missing = [k for k in keys if k not in v]; ",
         "assert not missing, f'missing {missing}'; ",
