@@ -1,6 +1,6 @@
 //! Head-to-head comparison of the routing kernels: the bit-packed
 //! word-parallel kernel called on a 64-frame [`FrameBatch`]
-//! ([`route_batch`]) and on one frame per call ([`Kernel::Packed`]), and
+//! ([`route_batch`]) and on one frame per call ([`Kernel::Auto`]), and
 //! the scalar sweep both are held against ([`Kernel::Scalar`], the
 //! correctness oracle).
 //!
@@ -36,13 +36,11 @@ fn bench(c: &mut Criterion) {
         let mut buf: Vec<Record> = recs.clone();
         g.throughput(Throughput::Elements(n as u64));
 
-        let packed = RouteSpan::new().kernel(Kernel::Packed);
+        let packed = RouteSpan::new();
         g.bench_with_input(BenchmarkId::new("packed", n), &recs, |b, recs| {
             b.iter(|| {
                 buf.copy_from_slice(recs);
-                packed
-                    .run(&net, &mut buf, 0, 0..m, &mut scratch)
-                    .expect("routes");
+                packed.run(&net, &mut buf, &mut scratch).expect("routes");
                 black_box(buf[0])
             });
         });
@@ -51,9 +49,7 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("scalar", n), &recs, |b, recs| {
             b.iter(|| {
                 buf.copy_from_slice(recs);
-                scalar
-                    .run(&net, &mut buf, 0, 0..m, &mut scratch)
-                    .expect("routes");
+                scalar.run(&net, &mut buf, &mut scratch).expect("routes");
                 black_box(buf[0])
             });
         });

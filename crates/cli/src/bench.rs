@@ -3,8 +3,8 @@
 //!
 //! Routes seeded random frames through the scalar oracle
 //! ([`Kernel::Scalar`]) and through the one word-parallel kernel, called
-//! two ways: one frame per [`RouteSpan::run`] call ([`Kernel::Packed`],
-//! the `packed` row: the path of the `Router`, engine slices and fault
+//! two ways: one frame per [`RouteSpan::run`] call ([`Kernel::Auto`],
+//! the `packed` row: the path of the `Router` and the engine's fault
 //! retries) and `--batch` frames per [`route_batch`] call over a
 //! [`FrameBatch`], both unobserved and observed by [`Counters`] (the
 //! server's configuration). It reports nanoseconds per frame and cells
@@ -79,12 +79,11 @@ fn time_kernel(
     kernel: Kernel,
     min_ns: u128,
 ) -> f64 {
-    let m = net.m();
     let span = RouteSpan::new().kernel(kernel);
     let pass = |scratch: &mut StageScratch, buf: &mut Vec<Record>| {
         for frame in frames {
             buf.copy_from_slice(frame);
-            span.run(net, buf, 0, 0..m, scratch).unwrap();
+            span.run(net, buf, scratch).unwrap();
             black_box(buf.last());
         }
     };
@@ -178,7 +177,7 @@ pub fn run_bench(
                 cells_per_s: n as f64 * 1e9 / ns,
             });
         };
-        let ns = time_kernel(&net, &batch, &mut scratch, &mut buf, Kernel::Packed, min_ns);
+        let ns = time_kernel(&net, &batch, &mut scratch, &mut buf, Kernel::Auto, min_ns);
         push("packed", 1, ns);
         if m <= scalar_max_m {
             let ns = time_kernel(&net, &batch, &mut scratch, &mut buf, Kernel::Scalar, min_ns);

@@ -58,7 +58,7 @@ use bnb_gates::netlist::{Net, Netlist};
 use bnb_gates::optimize::optimize;
 use bnb_obs::{Counters, Fanout, FlightRecorder, SamplePolicy};
 use bnb_topology::perm::Permutation;
-use bnb_topology::record::{all_delivered, records_for_permutation};
+use bnb_topology::record::{all_delivered, records_for_permutation, Record};
 
 pub mod bench;
 mod serve;
@@ -263,7 +263,8 @@ pub fn usage() -> String {
        engine     route random batches through the concurrent engine and\n\
                   print JSON stats ([--inputs 256] [--workers 4] [--batch 64]\n\
                   [--queue 4] [--seed 0] [--pretty] [--record FILE]\n\
-                  [--metrics text|json|prom])\n\
+                  [--metrics text|json|prom]; every frame is drawn before\n\
+                  the timed run, at most 2^24 records in all)\n\
        faults     inject hardware faults and report detection coverage\n\
                   ([--inputs 8] [--faults M.I.E:kind,..] [--trials 200]\n\
                   [--seed 0] [--sweep 0,1,2,..] [--frames 50]\n\
@@ -685,7 +686,6 @@ fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
 }
 
 fn cmd_diagnose(flags: &Flags) -> Result<String, CliError> {
-    use bnb_topology::record::Record;
     let n = flags.usize_or("--inputs", 8)?;
     if !n.is_power_of_two() || n < 2 {
         return Err(err("--inputs must be a power of two >= 2"));
@@ -744,20 +744,20 @@ fn cmd_diagnose(flags: &Flags) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Drives an engine for `cmd_engine`: submit `batches` random
-/// permutations, drain everything, snapshot stats. Generic so the same
-/// driver serves both the bare and the observed engine.
+/// Most records `bnb engine` draws before its run: 256 MiB of frames.
+const ENGINE_MAX_RECORDS: usize = 1 << 24;
+
+/// Drives an engine for `cmd_engine`: submit every frame, drain
+/// everything, snapshot stats. The frames are drawn beforehand, so the
+/// run times the engine, not the permutation generator. Generic so the
+/// same function serves both the bare and the observed engine.
 fn drive_engine<O: bnb_obs::Observer>(
     engine: &bnb_engine::Engine<O>,
-    n: usize,
-    batches: usize,
-    seed: u64,
+    frames: Vec<Vec<Record>>,
 ) -> bnb_engine::EngineStats {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     engine.run(|h| {
-        for _ in 0..batches {
-            h.submit(records_for_permutation(&Permutation::random(n, &mut rng)));
+        for frame in frames {
+            h.submit(frame);
             while let Some(batch) = h.try_drain() {
                 debug_assert!(batch.result.is_ok());
             }
@@ -781,6 +781,12 @@ fn cmd_engine(flags: &Flags) -> Result<String, CliError> {
     if batches == 0 || batches > 1_000_000 {
         return Err(err("--batch must be 1..=1000000"));
     }
+    if n * batches > ENGINE_MAX_RECORDS {
+        return Err(err(format!(
+            "--inputs x --batch must be at most {ENGINE_MAX_RECORDS} records \
+             (256 MiB of frames, all drawn before the run)"
+        )));
+    }
     let queue = flags.usize_or("--queue", 4)?;
     if queue == 0 {
         return Err(err("--queue must be >= 1"));
@@ -796,6 +802,13 @@ fn cmd_engine(flags: &Flags) -> Result<String, CliError> {
         queue_capacity: queue,
         ..EngineConfig::default()
     };
+    let frames = {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..batches)
+            .map(|_| records_for_permutation(&Permutation::random(n, &mut rng)))
+            .collect()
+    };
     let counters = Counters::new();
     // Each engine worker lands in its own recorder lane, so the merged
     // Chrome trace shows per-worker activity on separate tid rows.
@@ -807,19 +820,12 @@ fn cmd_engine(flags: &Flags) -> Result<String, CliError> {
         let stats = if record_path.is_some() {
             drive_engine(
                 &Engine::with_observer(net, config, Fanout::new(&counters, &recorder)),
-                n,
-                batches,
-                seed,
+                frames,
             )
         } else if metrics.is_some() {
-            drive_engine(
-                &Engine::with_observer(net, config, &counters),
-                n,
-                batches,
-                seed,
-            )
+            drive_engine(&Engine::with_observer(net, config, &counters), frames)
         } else {
-            drive_engine(&Engine::new(net, config), n, batches, seed)
+            drive_engine(&Engine::new(net, config), frames)
         };
         let json = if flags.present("--pretty") {
             serde_json::to_string_pretty(&stats)
@@ -1342,6 +1348,18 @@ mod tests {
         assert!(run_str(&["engine", "--workers", "0"]).is_err());
         assert!(run_str(&["engine", "--batch", "0"]).is_err());
         assert!(run_str(&["engine", "--queue", "0"]).is_err());
+    }
+
+    #[test]
+    fn engine_rejects_more_records_than_it_draws_ahead() {
+        for (inputs, batch) in [("1048576", "17"), ("1024", "16385")] {
+            let e = run_str(&["engine", "--inputs", inputs, "--batch", batch]).unwrap_err();
+            let msg = e.to_string();
+            assert!(
+                msg.contains("--inputs") && msg.contains("--batch"),
+                "the error names both flags: {msg}"
+            );
+        }
     }
 
     #[test]

@@ -372,9 +372,6 @@ fn validate_frame(
 /// Frames that fail validation (and, under faults, frames whose routing
 /// errors) keep their original contents.
 ///
-/// Unlike the span entry points this routes whole frames only; a slice of
-/// a frame routes with [`RouteSpan::run`].
-///
 /// The call checks the CPU's features once and runs validation, plane
 /// extraction, every column pass and the delivery in the widest build it
 /// has: AVX-512, AVX2 or portable.
@@ -437,8 +434,6 @@ pub(crate) fn route_batch_body(
         if !strict || matches!(net.wiring(), WiringMode::Unshuffle) {
             let call = Call {
                 net,
-                stages: 0..net.m(),
-                first_line: 0,
                 faults: None,
                 tally,
             };
@@ -460,7 +455,7 @@ pub(crate) fn route_batch_body(
             continue;
         }
         batch.read_frame_into(f, &mut buf);
-        match opts.run_in(build, net, &mut buf, 0, 0..net.m(), scratch) {
+        match opts.run_in(build, net, &mut buf, scratch) {
             Ok(()) => batch.write_frame(f, &buf),
             // Failed frames keep their original contents (the copy in
             // `buf` absorbs the kernel's partial movement).
@@ -491,7 +486,7 @@ mod tests {
         validate_lines(net, lines, &mut seen)?;
         RouteSpan::new()
             .kernel(Kernel::Scalar)
-            .run(net, lines, 0, 0..net.m(), &mut scratch)
+            .run(net, lines, &mut scratch)
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl PermutationNetwork for BnbNetwork {
         ROUTE_SCRATCH.with(|cell| {
             let (scratch, seen) = &mut *cell.borrow_mut();
             validate_lines(self, out, seen)?;
-            RouteSpan::new().run(self, out, 0, 0..self.m(), scratch)
+            RouteSpan::new().run(self, out, scratch)
         })
     }
 

@@ -52,7 +52,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::RouteError;
 use crate::network::BnbNetwork;
-use crate::stages::{route_span_inner, validate_lines, StageScratch};
+use crate::stages::{validate_lines, RouteSpan, StageScratch};
 
 /// The ways a switching element can be broken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -369,15 +369,10 @@ impl<O: Observer> FaultyFabric<O> {
     /// validation; they conserve the record multiset and may misdeliver.
     pub fn route_in_place(&mut self, lines: &mut [Record]) -> Result<(), RouteError> {
         validate_lines(&self.network, lines, &mut self.seen)?;
-        route_span_inner(
-            &self.network,
-            lines,
-            0,
-            0..self.network.m(),
-            &mut self.scratch,
-            &self.observer,
-            Some(&self.faults),
-        )
+        RouteSpan::new()
+            .observer(&self.observer)
+            .faults(&self.faults)
+            .run(&self.network, lines, &mut self.scratch)
     }
 
     /// Allocating convenience wrapper around [`route_in_place`].

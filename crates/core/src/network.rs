@@ -26,7 +26,7 @@ use crate::delay::PropagationDelay;
 use crate::error::RouteError;
 use crate::router::Router;
 use crate::splitter::{check_balanced, controls, SplitterSite};
-use crate::stages::{route_span_inner, validate_lines, StageScratch};
+use crate::stages::{validate_lines, RouteSpan, StageScratch};
 use crate::trace::{ColumnSnapshot, RouteTrace};
 
 /// How strictly input is validated before routing.
@@ -323,7 +323,9 @@ impl BnbNetwork {
         let mut seen = Vec::new();
         validate_lines(self, &lines, &mut seen)?;
         let mut scratch = StageScratch::with_capacity(lines.len());
-        route_span_inner(self, &mut lines, 0, 0..self.m, &mut scratch, observer, None)?;
+        RouteSpan::new()
+            .observer(observer)
+            .run(self, &mut lines, &mut scratch)?;
         Ok(lines)
     }
 

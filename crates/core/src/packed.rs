@@ -9,12 +9,11 @@
 //! bit, 64 adjacent positions pack into a `u64` and each sweep level
 //! becomes a handful of shift/XOR/mask operations:
 //!
-//! - **Bit-planes** — a call routes a range of main stages over one or
-//!   more aligned frames; a span is a one-frame call. Each cell's
-//!   destination bits for the stages routed are extracted once into
-//!   per-stage planes over the concatenated frames: bit `f·n + P` of a
-//!   stage's plane is that stage's bit of the cell at position `P` of
-//!   frame `f`.
+//! - **Bit-planes** — a call routes all `m` main stages over one or more
+//!   whole frames; a span is a one-frame call. Each cell's destination
+//!   bits are extracted once into per-stage planes over the concatenated
+//!   frames: bit `f·n + P` of a stage's plane is that stage's bit of the
+//!   cell at position `P` of frame `f`.
 //! - **Wirings** — no column moves a plane bit for its wiring. The kernel
 //!   renames positions instead ([`Relabel`]), so cells move only at
 //!   exchanges and each column reads its boxes through σ.
@@ -51,8 +50,6 @@
 //! semantics stay exactly those of [`FaultMap`]; healthy columns of a
 //! faulted route stay packed.
 
-use std::ops::Range;
-
 use bnb_obs::{Observer, StageTotalsEvent};
 use bnb_topology::record::Record;
 
@@ -77,11 +74,11 @@ pub(crate) struct PackedScratch {
     iplanes: Vec<u64>,
     /// The arbiter's tile rows: up-sweep levels, then `zd`.
     levels: Vec<u64>,
-    /// The column schedule for the call shape in `schedule_for`: every
-    /// column's folds in routing order. It depends only on `m`, the stage
-    /// range and the wiring, so it is built once per shape.
+    /// The column schedule for the network shape in `schedule_for`: every
+    /// column's folds in routing order. It depends only on `m` and the
+    /// wiring, so it is built once per shape.
     schedule: Vec<Fold>,
-    schedule_for: Option<(usize, Range<usize>, WiringMode)>,
+    schedule_for: Option<(usize, WiringMode)>,
     /// σ after the schedule's last wiring: where each output line's cell
     /// ends up.
     schedule_end: Relabel,
@@ -91,26 +88,25 @@ pub(crate) struct PackedScratch {
     stage_dests: Vec<u32>,
     /// See [`PackedScratch::stage_dests`].
     stage_data: Vec<u64>,
-    /// A span's cells as a one-frame batch: each cell's destination bits
-    /// for the stages routed, and its line as payload, so the routed
-    /// payload column names the source of every output line.
+    /// A span's cells as a one-frame batch: each cell's destination, and
+    /// its line as payload, so the routed payload column names the source
+    /// of every output line.
     span_dests: Vec<u32>,
     /// See [`PackedScratch::span_dests`].
     span_lines: Vec<u64>,
 }
 
 impl PackedScratch {
-    /// Sizes the buffers for `words` words of `n`-cell frames of `bits`
-    /// line bits, routing `planes` stages. The index planes are sized even
-    /// for a call that delivers without them, so that the partial spans
-    /// of a frame routed whole before allocate nothing.
-    fn ensure_frames(&mut self, n: usize, words: usize, planes: usize, bits: usize, tile: usize) {
+    /// Sizes the buffers for `words` words of `2^m`-cell frames. Only a
+    /// call that leaves through the index gather carries index planes.
+    fn ensure_frames(&mut self, m: usize, words: usize, gather: bool, tile: usize) {
+        let n = 1usize << m;
         self.planes.clear();
-        self.planes.resize(planes * words, 0);
-        self.iplanes.resize(bits * words, 0);
+        self.planes.resize(m * words, 0);
+        self.iplanes.resize(if gather { m * words } else { 0 }, 0);
         self.stage_dests.resize(n, 0);
         self.flags.resize(words, 0);
-        self.levels.resize((bits + 2) * tile, 0);
+        self.levels.resize((m + 2) * tile, 0);
         self.stage_data.resize(n, 0);
     }
 }
@@ -124,18 +120,11 @@ struct StageTally<'o> {
 }
 
 impl<'o> StageTally<'o> {
-    fn new(
-        sink: Option<&'o dyn Observer>,
-        main_stage: usize,
-        first_line: usize,
-        width: usize,
-        frames: u64,
-    ) -> Self {
+    fn new(sink: Option<&'o dyn Observer>, main_stage: usize, width: usize, frames: u64) -> Self {
         StageTally {
             sink,
             totals: StageTotalsEvent {
                 main_stage,
-                first_line,
                 width,
                 frames,
                 columns: 0,
@@ -894,12 +883,12 @@ fn route_span_avx2(
     route_span_body(Build(Isa::Avx2), call, lines, scratch)
 }
 
-/// Routes `call.stages` over one aligned span, word-parallel: the span's
-/// cells become a one-frame batch whose payloads are their lines, the
-/// kernel routes it, and one gather moves every record to the line the
-/// routed payload column names. Same contract and error values as the
-/// scalar kernel; see the module docs. Strict spans are not validated, so
-/// they detect unbalanced splitters.
+/// Routes one whole frame, word-parallel: its cells become a one-frame
+/// batch whose payloads are their lines, the kernel routes it, and one
+/// gather moves every record to the line the routed payload column
+/// names. Same contract and error values as the scalar kernel; see the
+/// module docs. Strict frames are not validated here, so they detect
+/// unbalanced splitters.
 #[inline(always)]
 fn route_span_body(
     build: Build,
@@ -907,31 +896,17 @@ fn route_span_body(
     lines: &mut [Record],
     scratch: &mut StageScratch,
 ) -> Result<(), RouteError> {
-    let stages = &call.stages;
-    if stages.is_empty() {
-        return Ok(());
-    }
     let m = call.net.m();
-    let span = lines.len();
-    debug_assert!(stages.end <= m, "stage range {stages:?} exceeds m = {m}");
-    debug_assert_eq!(
-        span,
-        1usize << (m - stages.start),
-        "slice length must match the starting stage"
-    );
-    debug_assert_eq!(call.first_line % span, 0, "slice must be aligned");
-    // The destination bits of the stages routed, most significant first.
-    let shift = m - stages.end;
-    let mask = (1usize << stages.len()) - 1;
+    let n = lines.len();
     let mut dests = std::mem::take(&mut scratch.packed.span_dests);
     let mut sources = std::mem::take(&mut scratch.packed.span_lines);
     dests.clear();
     dests.extend(lines.iter().map(|r| {
         debug_assert!(r.dest() >> m == 0, "destination must fit in m bits");
-        ((r.dest() >> shift) & mask) as u32
+        r.dest() as u32
     }));
     sources.clear();
-    sources.extend(0..span as u64);
+    sources.extend(0..n as u64);
     let strict = matches!(call.net.policy(), RoutePolicy::Strict);
     let routed = route_batch_packed(
         build,
@@ -943,8 +918,8 @@ fn route_span_body(
         scratch,
     );
     if routed.is_ok() {
-        scratch.ensure(span);
-        let gather = &mut scratch.lines[..span];
+        scratch.ensure(n);
+        let gather = &mut scratch.lines[..n];
         for (dst, &src) in gather.iter_mut().zip(&sources) {
             *dst = lines[src as usize];
         }
@@ -1038,12 +1013,9 @@ unsafe fn extract_planes_avx512(
     }
 }
 
-/// One call of the kernel: main stages `stages` of `net` over frames of
-/// `2^(m - stages.start)` lines, the first at global line `first_line`.
+/// One call of the kernel: all main stages of `net` over whole frames.
 pub(crate) struct Call<'a> {
     pub(crate) net: &'a BnbNetwork,
-    pub(crate) stages: Range<usize>,
-    pub(crate) first_line: usize,
     /// A non-empty fault map: its columns run [`faulted_column`].
     pub(crate) faults: Option<&'a FaultMap>,
     /// The observer that takes the call's stage totals, if any.
@@ -1051,12 +1023,11 @@ pub(crate) struct Call<'a> {
 }
 
 /// The kernel: routes `call` over every valid frame of the SoA columns
-/// `dests` (each cell's destination bits for the stages routed) and
-/// `data`, word-parallel over the *concatenated* frame-major planes: bit
-/// `f·n + P` of a stage's plane is that stage's bit of frame `f`'s cell at
-/// position `P`, so every `u64` word is fully occupied whatever the frame
-/// size, and the arbiter sweeps and exchanges run at full lane
-/// utilisation.
+/// `dests` (each cell's destination) and `data`, word-parallel over the
+/// *concatenated* frame-major planes: bit `f·n + P` of a stage's plane is
+/// that stage's bit of frame `f`'s cell at position `P`, so every `u64`
+/// word is fully occupied whatever the frame size, and the arbiter sweeps
+/// and exchanges run at full lane utilisation.
 ///
 /// Wiring as relabeling: no column moves a plane bit for its wiring. The
 /// kernel keeps σ ([`Relabel`]), the physical position bit of each logical
@@ -1085,15 +1056,14 @@ pub(crate) struct Call<'a> {
 /// caller.
 ///
 /// Output movement, one frame at a time through frame-sized staging:
-/// - **Delivery** (a strict call through the last stage on the Unshuffle
-///   wiring, every check passed): Theorem 2 puts the cell destined `d` on
-///   output line `d`, so the payloads scatter into the stage and back,
-///   and the identity ramp overwrites the destinations in place.
-///   Independent of where σ left the cells.
-/// - **Index gather** (permissive traffic, another wiring, or a span that
-///   stops before the last stage): index bit-planes ride through every
-///   exchange, and the gather reads each output line's source index at
-///   its physical position under σ.
+/// - **Delivery** (a strict call on the Unshuffle wiring, every check
+///   passed): Theorem 2 puts the cell destined `d` on output line `d`, so
+///   the payloads scatter into the stage and back, and the identity ramp
+///   overwrites the destinations in place. Independent of where σ left
+///   the cells.
+/// - **Index gather** (permissive traffic or another wiring): index
+///   bit-planes ride through every exchange, and the gather reads each
+///   output line's source index at its physical position under σ.
 #[inline(always)]
 pub(crate) fn route_batch_packed(
     build: Build,
@@ -1106,10 +1076,7 @@ pub(crate) fn route_batch_packed(
 ) -> Result<(), RouteError> {
     let net = call.net;
     let m = net.m();
-    let stages = call.stages.clone();
-    let bits = m - stages.start;
-    let count = stages.len();
-    let n = 1usize << bits;
+    let n = 1usize << m;
     let frames = valid.len();
     debug_assert_eq!(dests.len(), frames * n);
     debug_assert!(
@@ -1117,8 +1084,8 @@ pub(crate) fn route_batch_packed(
         "a call that can fail carries one frame"
     );
     assert!(
-        bits <= MAX_FRAME_BITS,
-        "frames of 2^{bits} lines exceed the kernel's 2^{MAX_FRAME_BITS}"
+        m <= MAX_FRAME_BITS,
+        "frames of 2^{m} lines exceed the kernel's 2^{MAX_FRAME_BITS}"
     );
     let cells = frames * n;
     let words = cells.div_ceil(64);
@@ -1127,10 +1094,8 @@ pub(crate) fn route_batch_packed(
     let tile_max = (n >> 6).max(64);
     let strict = matches!(net.policy(), RoutePolicy::Strict);
     let wiring = net.wiring();
-    let deliver = strict && matches!(wiring, WiringMode::Unshuffle) && stages.end == m;
-    scratch
-        .packed
-        .ensure_frames(n, words, count, bits, tile_max);
+    let deliver = strict && matches!(wiring, WiringMode::Unshuffle);
+    scratch.packed.ensure_frames(m, words, !deliver, tile_max);
     let StageScratch {
         bits: box_bits,
         flags: box_flags,
@@ -1151,11 +1116,6 @@ pub(crate) fn route_batch_packed(
         stage_data,
         ..
     } = packed;
-    let iplanes = if deliver {
-        &mut iplanes[..0]
-    } else {
-        &mut iplanes[..]
-    };
 
     // Extraction: one pass over each valid frame's destinations fills
     // every plane; invalid frames stay zero (inert lanes).
@@ -1165,30 +1125,22 @@ pub(crate) fn route_batch_packed(
         }
         let base = f * n;
         if n >= 64 {
-            extract_planes_words(
-                build,
-                dests,
-                planes,
-                words,
-                count,
-                base >> 6,
-                (base + n) >> 6,
-            );
+            extract_planes_words(build, dests, planes, words, m, base >> 6, (base + n) >> 6);
         } else {
             for (j, &d) in dests[base..base + n].iter().enumerate() {
                 let g = base + j;
                 let d = d as u64;
-                for srel in 0..count {
-                    planes[srel * words + (g >> 6)] |= ((d >> (count - 1 - srel)) & 1) << (g & 63);
+                for s in 0..m {
+                    planes[s * words + (g >> 6)] |= ((d >> (m - 1 - s)) & 1) << (g & 63);
                 }
             }
         }
     }
     if !deliver {
         // Index planes: bit b of the within-frame line. Frame bases are
-        // multiples of n = 2^bits, so for b < bits this is bit b of the
-        // global position — a fixed per-word constant.
-        for b in 0..bits {
+        // multiples of n = 2^m, so for b < m this is bit b of the global
+        // position — a fixed per-word constant.
+        for b in 0..m {
             let row = &mut iplanes[b * words..(b + 1) * words];
             if b < 6 {
                 row.fill(IBIT[b]);
@@ -1201,15 +1153,15 @@ pub(crate) fn route_batch_packed(
     }
 
     let routed = valid.iter().filter(|r| r.is_ok()).count();
-    // The column schedule, like σ itself, depends only on m, the stage
-    // range and the wiring: built on the first call of a shape, then
-    // reused. σ is followed column by column to build it, where a faulted
-    // column or a detected error reads through it, and in debug builds for
-    // the balance assert.
-    let shape = (m, stages.clone(), wiring);
-    let scheduled = schedule_for.as_ref() == Some(&shape);
+    // The column schedule, like σ itself, depends only on m and the
+    // wiring: built on the first call of a shape, then reused. σ is
+    // followed column by column to build it, where a faulted column or a
+    // detected error reads through it, and in debug builds for the balance
+    // assert.
+    let shape = (m, wiring);
+    let scheduled = *schedule_for == Some(shape);
     let follow = !scheduled || detect || call.faults.is_some() || cfg!(debug_assertions);
-    let mut relabel = Relabel::identity(bits);
+    let mut relabel = Relabel::identity(m);
     if !scheduled {
         schedule.clear();
         *schedule_for = None;
@@ -1217,13 +1169,12 @@ pub(crate) fn route_batch_packed(
     // A frame narrower than a word leaves lanes that are not live.
     let live_lanes = if cells < 64 { (1u64 << cells) - 1 } else { !0 };
     let mut next = 0;
-    for main_stage in stages.clone() {
+    for main_stage in 0..m {
         let k = m - main_stage;
-        let srel = main_stage - stages.start;
-        let mut totals = StageTally::new(call.tally, main_stage, call.first_line, n, routed as u64);
+        let mut totals = StageTally::new(call.tally, main_stage, n, routed as u64);
         for internal in 0..k {
             let depth = k - internal;
-            let live = &mut planes[srel * words..count * words];
+            let live = &mut planes[main_stage * words..];
             // Validated strict permutations satisfy Definition 3 at every
             // splitter (Theorem 2): there is nothing to detect.
             debug_assert!(
@@ -1374,7 +1325,6 @@ fn faulted_column(
     let flags = &mut flags[..words];
     flags.fill(0);
     for start in (0..1usize << relabel.bits).step_by(width) {
-        let first_line = call.first_line + start;
         let boxes_before = (start / width) as u64;
         bits.clear();
         bits.extend(relabel.positions(start).take(width).map(|p| bit(live, p)));
@@ -1382,7 +1332,7 @@ fn faulted_column(
             let site = SplitterSite {
                 main_stage,
                 internal_stage: internal,
-                first_line,
+                first_line: start,
             };
             if let Err(err) = check_balanced(bits, site) {
                 totals.swept(boxes_before, depth);
@@ -1391,9 +1341,9 @@ fn faulted_column(
         }
         tapped.clear();
         tapped.extend_from_slice(bits);
-        map.tap_bits(main_stage, internal, first_line, tapped);
+        map.tap_bits(main_stage, internal, start, tapped);
         controls_into(tapped, up, controls);
-        map.override_flags(main_stage, internal, first_line, tapped, controls);
+        map.override_flags(main_stage, internal, start, tapped, controls);
         for (&c, p) in controls.iter().zip(relabel.positions(start).step_by(2)) {
             if c {
                 flags[p >> 6] |= 1 << (p & 63);
@@ -1406,7 +1356,7 @@ fn faulted_column(
                 return Err(totals.fail(RouteError::HardwareFault {
                     main_stage,
                     internal_stage: internal,
-                    first_line,
+                    first_line: start,
                     width,
                     even_ones,
                     odd_ones,
@@ -1443,7 +1393,7 @@ fn unbalanced(
     totals.fail(RouteError::UnbalancedSplitter {
         main_stage,
         internal_stage: internal,
-        first_line: call.first_line + start,
+        first_line: start,
         width: 1 << depth,
         ones,
     })
@@ -1732,22 +1682,20 @@ mod tests {
             };
             assert_eq!(live, plane, "{ctx}: a detected column exchanged");
             // The slow path, for column `internal` of main stage 0 of a
-            // network of `bits + 1` stages whose span starts at line n.
-            let (m, internal) = (bits + 1, bits - depth);
-            let net = BnbNetwork::new(m);
+            // network of `bits` stages.
+            let internal = bits - depth;
+            let net = BnbNetwork::new(bits);
             let call = Call {
                 net: &net,
-                stages: 1..m,
-                first_line: n,
                 faults: None,
                 tally: None,
             };
-            let mut totals = StageTally::new(None, 1, n, n, 1);
-            let err = unbalanced(&call, (1, internal), &relabel, &plane, &mut totals);
+            let mut totals = StageTally::new(None, 0, n, 1);
+            let err = unbalanced(&call, (0, internal), &relabel, &plane, &mut totals);
             let want_err = RouteError::UnbalancedSplitter {
-                main_stage: 1,
+                main_stage: 0,
                 internal_stage: internal,
-                first_line: n + start,
+                first_line: start,
                 width,
                 ones,
             };
@@ -1778,14 +1726,10 @@ mod tests {
         let (mut up, mut ctl, mut tapped) = (Vec::new(), Vec::new(), Vec::new());
         let mut outcomes = [0usize; 3];
         for _ in 0..1500 {
-            // A span of 2^bits lines starting at main stage `first` of an
-            // m-stage network, at a random aligned first line.
-            let bits = rng.random_range(1..=9usize);
-            let first = rng.random_range(0..=2usize);
-            let m = bits + first;
-            let n = 1usize << bits;
-            let first_line = rng.random_range(0..1usize << first) * n;
-            let main_stage = rng.random_range(first..m);
+            // A column of a whole frame of 2^m lines.
+            let m = rng.random_range(1..=9usize);
+            let n = 1usize << m;
+            let main_stage = rng.random_range(0..m);
             let internal = rng.random_range(0..m - main_stage);
             let depth = m - main_stage - internal;
             let width = 1usize << depth;
@@ -1796,25 +1740,15 @@ mod tests {
                 RoutePolicy::Permissive
             };
             let net = BnbNetwork::builder(m).policy(policy).build();
-            // One to three faults of random kinds in this column, mostly
-            // on elements inside the span.
+            // One to three faults of random kinds in this column.
             let mut map = FaultMap::new();
             for _ in 0..rng.random_range(1..=3) {
                 let kind = kinds[rng.random_range(0..kinds.len())];
-                let per = match kind {
-                    FaultKind::StuckStraight | FaultKind::StuckExchange => 2,
-                    FaultKind::DeadArbiter => width,
-                    _ => 1,
-                };
-                let element = if rng.random_bool(0.9) {
-                    (first_line + rng.random_range(0..n)) / per
-                } else {
-                    rng.random_range(0..kind.elements(m, main_stage, internal))
-                };
+                let element = rng.random_range(0..kind.elements(m, main_stage, internal));
                 map.insert(FaultSite::new(main_stage, internal, element), kind);
             }
-            let relabel = random_relabel(bits, &mut rng);
-            let line_bits = random_logical_bits(bits, depth, &mut rng);
+            let relabel = random_relabel(m, &mut rng);
+            let line_bits = random_logical_bits(m, depth, &mut rng);
             let plane = physical_plane(&relabel, &line_bits);
             let words = plane.len();
             let rider: Vec<u64> = (0..words).map(|_| rng.random::<u64>()).collect();
@@ -1838,13 +1772,11 @@ mod tests {
             };
             let call = Call {
                 net: &net,
-                stages: first..m,
-                first_line,
                 faults: Some(&map),
                 tally: None,
             };
             let mut flags = vec![0u64; words];
-            let mut totals = StageTally::new(None, main_stage, first_line, n, 1);
+            let mut totals = StageTally::new(None, main_stage, n, 1);
             let mut buffers: [Vec<bool>; 4] = Default::default();
             let [b0, b1, b2, b3] = &mut buffers;
             let boxes = (b0, b1, b2, b3);
@@ -1864,7 +1796,7 @@ mod tests {
             let mut want = Ok(());
             let mut swept = (n / width) as u64;
             for start in (0..n).step_by(width) {
-                let (site, box_bits) = (first_line + start, &line_bits[start..start + width]);
+                let (site, box_bits) = (start, &line_bits[start..start + width]);
                 let ones = box_bits.iter().filter(|&&b| b).count();
                 if strict && !(if width == 2 { ones == 1 } else { ones % 2 == 0 }) {
                     want = Err(RouteError::UnbalancedSplitter {
@@ -1910,7 +1842,7 @@ mod tests {
             }
             let ctx = format!(
                 "sigma = {:?}, stage {main_stage}.{internal}, {map:?}",
-                &relabel.sigma[..bits]
+                &relabel.sigma[..m]
             );
             assert_eq!(got, want, "{ctx}");
             outcomes[match &got {
@@ -1951,6 +1883,89 @@ mod tests {
         }
         assert!(
             outcomes.iter().all(|&c| c > 50),
+            "test premise: {outcomes:?}"
+        );
+    }
+
+    /// Every build of a one-frame span call against the portable build,
+    /// under a `Counters` tally, on the paths that fail or gather: strict
+    /// frames with a repeated destination (root-row detection, then
+    /// `unbalanced`), one fault of each kind on a permutation
+    /// (`faulted_column`), and permissive garbage (the index gather). The
+    /// lines, the result and the snapshot must match.
+    #[test]
+    fn span_builds_agree() {
+        use bnb_obs::Counters;
+        use bnb_topology::perm::Permutation;
+        use bnb_topology::record::records_for_permutation;
+        let kinds = [
+            FaultKind::StuckStraight,
+            FaultKind::StuckExchange,
+            FaultKind::DeadArbiter,
+            FaultKind::BrokenLink,
+        ];
+        let mut rng = StdRng::seed_from_u64(40);
+        let mut outcomes = [0usize; 3];
+        for m in 1..=10usize {
+            let n = 1usize << m;
+            for case in 0..36 {
+                let mut frame = records_for_permutation(&Permutation::random(n, &mut rng));
+                let mut faults = None;
+                let policy = match case % 6 {
+                    0 => {
+                        let j = rng.random_range(1..n);
+                        let d = frame[rng.random_range(0..j)].dest();
+                        frame[j] = Record::new(d, frame[j].data());
+                        RoutePolicy::Strict
+                    }
+                    5 => {
+                        for r in &mut frame {
+                            *r = Record::new(rng.random_range(0..n), r.data());
+                        }
+                        RoutePolicy::Permissive
+                    }
+                    kind => {
+                        let kind = kinds[kind - 1];
+                        let main = rng.random_range(0..m);
+                        let internal = rng.random_range(0..m - main);
+                        let element = rng.random_range(0..kind.elements(m, main, internal));
+                        faults = Some(FaultMap::single(
+                            FaultSite::new(main, internal, element),
+                            kind,
+                        ));
+                        RoutePolicy::Strict
+                    }
+                };
+                let net = BnbNetwork::builder(m).policy(policy).build();
+                let run = |build: Build| {
+                    let counters = Counters::new();
+                    let call = Call {
+                        net: &net,
+                        faults: faults.as_ref(),
+                        tally: Some(&counters as &dyn Observer),
+                    };
+                    let mut lines = frame.clone();
+                    let mut scratch = StageScratch::default();
+                    let result = route_span_in(build, &call, &mut lines, &mut scratch);
+                    (lines, result, counters.snapshot())
+                };
+                let portable = run(Build::PORTABLE);
+                outcomes[match &portable.1 {
+                    Ok(()) => 0,
+                    Err(RouteError::HardwareFault { .. }) => 1,
+                    Err(_) => 2,
+                }] += 1;
+                for build in Build::available() {
+                    assert_eq!(
+                        run(build),
+                        portable,
+                        "{build:?} build, m = {m}, case {case}, {faults:?}"
+                    );
+                }
+            }
+        }
+        assert!(
+            outcomes.iter().all(|&c| c > 20),
             "test premise: {outcomes:?}"
         );
     }

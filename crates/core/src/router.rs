@@ -11,7 +11,7 @@ use bnb_topology::record::Record;
 
 use crate::error::RouteError;
 use crate::network::BnbNetwork;
-use crate::stages::{route_span_inner, validate_lines, StageScratch};
+use crate::stages::{validate_lines, RouteSpan, StageScratch};
 
 /// A reusable router bound to one network configuration.
 ///
@@ -101,15 +101,9 @@ impl<O: Observer> Router<O> {
     /// Identical contract to [`BnbNetwork::route`].
     pub fn route_in_place(&mut self, lines: &mut [Record]) -> Result<(), RouteError> {
         validate_lines(&self.network, lines, &mut self.seen)?;
-        route_span_inner(
-            &self.network,
-            lines,
-            0,
-            0..self.network.m(),
-            &mut self.scratch,
-            &self.observer,
-            None,
-        )
+        RouteSpan::new()
+            .observer(&self.observer)
+            .run(&self.network, lines, &mut self.scratch)
     }
 }
 

@@ -1,24 +1,17 @@
-//! Stage-span routing: the reusable kernel behind [`crate::router::Router`]
-//! and the concurrent engine.
+//! Whole-frame routing: the per-frame entry point behind
+//! [`crate::router::Router`], [`crate::fault::FaultyFabric`],
+//! [`crate::network::BnbNetwork::route_observed`] and the engine's fault
+//! retries.
 //!
-//! The GBN's main unshuffle after stage `i` partitions traffic into
-//! independent subnetworks: every operation at main stages `>= d` stays
-//! inside an aligned `2^(m-d)`-line slice. [`RouteSpan::run`] exploits that by
-//! routing any contiguous range of main stages over one such slice, so a
-//! frame can be routed head-first (`0..d`) and its `2^d` disjoint slices
-//! finished (`d..m`) independently, in any order — with byte-identical
-//! results to the sequential full-frame route, because BNB routing is
-//! oblivious data movement (switch settings depend only on local
-//! destination bits).
+//! [`RouteSpan::run`] routes one whole `N = 2^m`-line frame through all
+//! `m` main stages, in place. All buffers live in a caller-owned
+//! [`StageScratch`], so steady-state routing performs no heap allocation.
 //!
-//! All buffers live in a caller-owned [`StageScratch`], so steady-state
-//! routing performs no heap allocation.
-//!
-//! Two kernels share the entry points. The bit-packed word-parallel
+//! Two kernels share the entry point. The bit-packed word-parallel
 //! kernel (`crate::packed` — destination bit-planes, word-level arbiter
 //! sweeps and balance checks, wirings applied as relabelings) routes
-//! every span whose observer, if any, declines per-column events
-//! ([`Observer::wants_columns`]): the span is the only frame of one call
+//! every frame whose observer, if any, declines per-column events
+//! ([`Observer::wants_columns`]): the frame is the only frame of one call
 //! of the kernel [`crate::batch::route_batch`] runs, which counts columns,
 //! sweeps and exchanges as it routes and reports one [`StageTotalsEvent`]
 //! per main stage. An observer that wants per-column or per-hop events
@@ -31,12 +24,10 @@
 //!
 //! [`StageTotalsEvent`]: bnb_obs::StageTotalsEvent
 
-use std::ops::Range;
-
 use bnb_obs::{
     ColumnEvent, ConflictEvent, FaultEvent, HopEvent, NoopObserver, Observer, SweepEvent,
 };
-use bnb_topology::bitops::paper_bit;
+use bnb_topology::bitops::{paper_bit, shuffle, unshuffle};
 use bnb_topology::record::Record;
 
 use crate::error::RouteError;
@@ -46,7 +37,7 @@ use crate::packed::{route_span_in, Build, Call};
 use crate::splitter::{check_balanced, controls_into, unbalanced_output, SplitterSite};
 
 /// Reusable buffers for [`RouteSpan::run`]. One per worker; capacity
-/// grows to the largest span routed and then stays put.
+/// grows to the largest frame routed and then stays put.
 #[derive(Debug, Clone, Default)]
 pub struct StageScratch {
     pub(crate) lines: Vec<Record>,
@@ -57,8 +48,8 @@ pub struct StageScratch {
     /// `bits` so the post-swap audit never re-derives them).
     pub(crate) tapped: Vec<bool>,
     /// Duplicate-destination scratch for [`crate::batch::route_batch`]'s
-    /// per-frame validation (the span entry points take caller-owned
-    /// `seen`, see [`validate_lines`]).
+    /// per-frame validation ([`RouteSpan::run`] does not validate; its
+    /// callers pass their own `seen` to [`validate_lines`]).
     pub(crate) seen: Vec<usize>,
     /// The byte map behind that validation's uniqueness check.
     pub(crate) marks: Vec<u8>,
@@ -70,7 +61,7 @@ pub struct StageScratch {
 }
 
 impl StageScratch {
-    /// Scratch pre-sized for spans up to `n` lines.
+    /// Scratch pre-sized for frames up to `n` lines.
     pub fn with_capacity(n: usize) -> Self {
         StageScratch {
             lines: vec![Record::new(0, 0); n],
@@ -137,7 +128,7 @@ pub fn validate_lines(
 }
 
 /// Kernel selection for [`RouteSpan`]: which sweep implementation routes
-/// the span.
+/// the frame.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Kernel {
@@ -147,20 +138,15 @@ pub enum Kernel {
     /// every other observer and for none.
     #[default]
     Auto,
-    /// Force the word-parallel kernel. An attached observer receives
-    /// stage totals, conflict and fault events — never per-column or
-    /// per-hop events; use [`Kernel::Scalar`] (or `Auto`) when those
-    /// matter.
-    Packed,
     /// Force the scalar cell-at-a-time sweep — the oracle the packed
     /// equivalence suites and `bitpacked_vs_scalar` benchmark hold the
     /// word-parallel kernel against.
     Scalar,
 }
 
-/// Options struct for stage-span routing: observer, fault map, and kernel
-/// selection behind one builder, the single entry point for routing a
-/// span of main stages over one aligned subnetwork slice.
+/// Options struct for whole-frame routing: observer, fault map, and
+/// kernel selection behind one builder, the single entry point for
+/// routing one frame.
 ///
 /// ```
 /// use bnb_core::network::BnbNetwork;
@@ -173,7 +159,7 @@ pub enum Kernel {
 /// let mut seen = Vec::new();
 /// let mut lines = records_for_permutation(&Permutation::identity(8));
 /// validate_lines(&net, &lines, &mut seen)?;
-/// RouteSpan::new().run(&net, &mut lines, 0, 0..3, &mut scratch)?;
+/// RouteSpan::new().run(&net, &mut lines, &mut scratch)?;
 /// # Ok::<(), bnb_core::RouteError>(())
 /// ```
 ///
@@ -206,7 +192,7 @@ impl<'a> RouteSpan<'a> {
     /// An observer that declines per-column events
     /// ([`Observer::wants_columns`]) gets one
     /// [`StageTotalsEvent`](bnb_obs::StageTotalsEvent) per main stage in
-    /// their place, and its spans route exactly as unobserved ones do.
+    /// their place, and its frames route exactly as unobserved ones do.
     /// The granularity queries are hoisted out of the stage loops.
     pub fn observer(mut self, observer: &'a dyn Observer) -> Self {
         self.observer = Some(observer);
@@ -239,53 +225,45 @@ impl<'a> RouteSpan<'a> {
     /// a disabled observer and an empty fault map count as absent. The one
     /// dispatch [`RouteSpan::run`] and [`crate::batch::route_batch`]
     /// share, so the batched fast path is taken exactly when per-frame
-    /// routing would take the packed kernel.
+    /// routing would take the packed kernel. An enabled observer that
+    /// wants per-column or per-hop events needs the scalar sweep; every
+    /// other observer routes exactly as no observer does.
     pub(crate) fn effective(&self) -> (Sweep<'a>, Option<&'a FaultMap>) {
         let observer = self.observer.filter(|o| o.enabled());
+        let per_column = observer.is_some_and(|o| o.wants_columns() || o.wants_hops());
         let sweep = match self.kernel {
-            Kernel::Scalar => Sweep::Scalar(observer),
-            Kernel::Packed => Sweep::Packed(observer),
-            Kernel::Auto if observer.is_some_and(needs_scalar_sweep) => Sweep::Scalar(observer),
-            Kernel::Auto => Sweep::Packed(observer),
+            Kernel::Auto if !per_column => Sweep::Packed(observer),
+            Kernel::Auto | Kernel::Scalar => Sweep::Scalar(observer),
         };
         (sweep, self.faults.filter(|f| !f.is_empty()))
     }
 
-    /// Routes main stages `stages` of `net` over one aligned subnetwork
-    /// slice with these options.
-    ///
-    /// `lines` must be the slice of `2^(m - stages.start)` lines beginning
-    /// at global line `first_line` (a multiple of the slice length; pass
-    /// `0` with a full frame for the whole network). After main stage `i`
-    /// completes, every aligned `2^(m - i - 1)`-line half routes
-    /// independently, so a caller may split the slice and continue each
-    /// half concurrently.
+    /// Routes one whole frame of `net` through all `m` main stages, in
+    /// place, with these options: on success `lines[j]` is the record
+    /// delivered to output `j`.
     ///
     /// No validation is performed here — see [`validate_lines`]. For
-    /// whole-frame multi-frame routing use
-    /// [`route_batch`](crate::batch::route_batch), which validates.
+    /// multi-frame routing use [`route_batch`](crate::batch::route_batch),
+    /// which validates.
     ///
     /// # Errors
     ///
     /// [`RouteError::UnbalancedSplitter`] under [`RoutePolicy::Strict`]
-    /// when the traffic does not form a permutation (sites in global line
-    /// coordinates, identical to the sequential route), plus
+    /// when the traffic does not form a permutation, plus
     /// [`RouteError::HardwareFault`] when a fault map is attached (see
     /// [`faults`](RouteSpan::faults)).
     ///
     /// # Panics
     ///
-    /// In debug builds, panics if the slice length or alignment does not
-    /// match `stages.start`, or if `stages.end > m`.
+    /// In debug builds, panics if `lines` is not one frame of
+    /// `net.inputs()` lines.
     pub fn run(
         &self,
         net: &BnbNetwork,
         lines: &mut [Record],
-        first_line: usize,
-        stages: Range<usize>,
         scratch: &mut StageScratch,
     ) -> Result<(), RouteError> {
-        self.run_in(Build::detect(), net, lines, first_line, stages, scratch)
+        self.run_in(Build::detect(), net, lines, scratch)
     }
 
     /// [`RouteSpan::run`] with the word-parallel kernel in `build`: a
@@ -295,41 +273,26 @@ impl<'a> RouteSpan<'a> {
         build: Build,
         net: &BnbNetwork,
         lines: &mut [Record],
-        first_line: usize,
-        stages: Range<usize>,
         scratch: &mut StageScratch,
     ) -> Result<(), RouteError> {
+        debug_assert_eq!(lines.len(), net.inputs(), "one whole frame");
         let (sweep, faults) = self.effective();
         match sweep {
             Sweep::Packed(tally) => {
-                let call = Call {
-                    net,
-                    stages,
-                    first_line,
-                    faults,
-                    tally,
-                };
+                let call = Call { net, faults, tally };
                 route_span_in(build, &call, lines, scratch)
             }
             // No observer folds onto the static noop path, keeping it
             // monomorphic (no virtual dispatch in the sweep loops).
-            Sweep::Scalar(None) => route_span_scalar_inner(
-                net,
-                lines,
-                first_line,
-                stages,
-                scratch,
-                &NoopObserver,
-                faults,
-            ),
-            Sweep::Scalar(Some(o)) => {
-                route_span_scalar_inner(net, lines, first_line, stages, scratch, &o, faults)
+            Sweep::Scalar(None) => {
+                route_span_scalar_inner(net, lines, scratch, &NoopObserver, faults)
             }
+            Sweep::Scalar(Some(o)) => route_span_scalar_inner(net, lines, scratch, o, faults),
         }
     }
 }
 
-/// Which kernel routes a span, with the enabled observer (if any) it
+/// Which kernel routes a frame, with the enabled observer (if any) it
 /// reports to: stage totals from the packed kernel, per-column events
 /// from the scalar sweep.
 pub(crate) enum Sweep<'a> {
@@ -337,13 +300,6 @@ pub(crate) enum Sweep<'a> {
     Packed(Option<&'a dyn Observer>),
     /// The scalar cell-at-a-time sweep.
     Scalar(Option<&'a dyn Observer>),
-}
-
-/// The routing rule for observers: an enabled observer that wants
-/// per-column or per-hop events needs the scalar sweep; every other
-/// observer routes exactly as no observer does, on the packed kernel.
-pub(crate) fn needs_scalar_sweep<O: Observer + ?Sized>(observer: &O) -> bool {
-    observer.enabled() && (observer.wants_columns() || observer.wants_hops())
 }
 
 impl std::fmt::Debug for RouteSpan<'_> {
@@ -356,36 +312,12 @@ impl std::fmt::Debug for RouteSpan<'_> {
     }
 }
 
-/// Routes a span for a statically typed observer, by the same rule as
-/// [`RouteSpan::run`] under [`Kernel::Auto`] (see [`needs_scalar_sweep`]);
-/// the scalar path stays monomorphic in `O`.
-pub(crate) fn route_span_inner<O: Observer + ?Sized>(
+/// The scalar cell-at-a-time sweep over one whole frame: the oracle the
+/// packed kernel is held against, and the kernel for observers that want
+/// per-column or per-hop events.
+fn route_span_scalar_inner<O: Observer + ?Sized>(
     net: &BnbNetwork,
     lines: &mut [Record],
-    first_line: usize,
-    stages: Range<usize>,
-    scratch: &mut StageScratch,
-    observer: &O,
-    faults: Option<&FaultMap>,
-) -> Result<(), RouteError> {
-    if needs_scalar_sweep(observer) {
-        return route_span_scalar_inner(net, lines, first_line, stages, scratch, observer, faults);
-    }
-    let call = Call {
-        net,
-        stages,
-        first_line,
-        faults: faults.filter(|f| !f.is_empty()),
-        tally: observer.enabled().then_some(&observer as &dyn Observer),
-    };
-    route_span_in(Build::detect(), &call, lines, scratch)
-}
-
-pub(crate) fn route_span_scalar_inner<O: Observer + ?Sized>(
-    net: &BnbNetwork,
-    lines: &mut [Record],
-    first_line: usize,
-    stages: Range<usize>,
     scratch: &mut StageScratch,
     observer: &O,
     faults: Option<&FaultMap>,
@@ -393,24 +325,16 @@ pub(crate) fn route_span_scalar_inner<O: Observer + ?Sized>(
     let observing = observer.enabled();
     let tracing = observing && observer.wants_hops();
     let m = net.m();
-    let span = lines.len();
-    debug_assert!(stages.end <= m, "stage range {stages:?} exceeds m = {m}");
-    debug_assert_eq!(
-        span,
-        1usize << (m - stages.start),
-        "slice length must match the starting stage"
-    );
-    debug_assert_eq!(first_line % span, 0, "slice must be aligned");
-    let span_log = span.trailing_zeros() as usize;
+    let n = lines.len();
     let strict = matches!(net.policy(), RoutePolicy::Strict);
-    scratch.ensure(span);
-    for main_stage in stages {
+    scratch.ensure(n);
+    for main_stage in 0..m {
         let k = m - main_stage;
         for internal in 0..k {
             let box_size = 1usize << (k - internal);
             let mut exchanges = 0u64;
             let column_faults = faults.filter(|f| f.affects(main_stage, internal));
-            for start in (0..span).step_by(box_size) {
+            for start in (0..n).step_by(box_size) {
                 scratch.bits.clear();
                 scratch.bits.extend(
                     lines[start..start + box_size]
@@ -423,7 +347,7 @@ pub(crate) fn route_span_scalar_inner<O: Observer + ?Sized>(
                         SplitterSite {
                             main_stage,
                             internal_stage: internal,
-                            first_line: first_line + start,
+                            first_line: start,
                         },
                     ) {
                         if observing {
@@ -438,42 +362,30 @@ pub(crate) fn route_span_scalar_inner<O: Observer + ?Sized>(
                 let ctl_bits: &[bool] = if let Some(map) = column_faults {
                     scratch.tapped.clear();
                     scratch.tapped.extend_from_slice(&scratch.bits);
-                    map.tap_bits(
-                        main_stage,
-                        internal,
-                        first_line + start,
-                        &mut scratch.tapped,
-                    );
+                    map.tap_bits(main_stage, internal, start, &mut scratch.tapped);
                     &scratch.tapped
                 } else {
                     &scratch.bits
                 };
                 controls_into(ctl_bits, &mut scratch.up, &mut scratch.flags);
                 if let Some(map) = column_faults {
-                    map.override_flags(
-                        main_stage,
-                        internal,
-                        first_line + start,
-                        ctl_bits,
-                        &mut scratch.flags,
-                    );
+                    map.override_flags(main_stage, internal, start, ctl_bits, &mut scratch.flags);
                 }
                 if tracing {
                     // Hops are captured *before* the swap so `port` is the
                     // line each cell occupied entering the column, with the
                     // setting (post fault-override) actually applied to it.
-                    let site = first_line + start;
                     for (t, &c) in scratch.flags.iter().enumerate() {
                         for off in 0..2 {
-                            let idx = start + 2 * t + off;
+                            let port = start + 2 * t + off;
                             observer.cell_hop(HopEvent {
-                                dest: lines[idx].dest(),
+                                dest: lines[port].dest(),
                                 main_stage,
                                 internal_stage: internal,
-                                first_line: site,
-                                port: first_line + idx,
+                                first_line: start,
+                                port,
                                 exchanged: c,
-                                sweep: site / box_size,
+                                sweep: start / box_size,
                             });
                         }
                     }
@@ -483,7 +395,7 @@ pub(crate) fn route_span_scalar_inner<O: Observer + ?Sized>(
                     observer.arbiter_sweep(SweepEvent {
                         main_stage,
                         internal_stage: internal,
-                        first_line: first_line + start,
+                        first_line: start,
                         width: box_size,
                         depth: k - internal,
                     });
@@ -503,7 +415,7 @@ pub(crate) fn route_span_scalar_inner<O: Observer + ?Sized>(
                         let err = RouteError::HardwareFault {
                             main_stage,
                             internal_stage: internal,
-                            first_line: first_line + start,
+                            first_line: start,
                             width: box_size,
                             even_ones,
                             odd_ones,
@@ -519,49 +431,31 @@ pub(crate) fn route_span_scalar_inner<O: Observer + ?Sized>(
                 observer.column_routed(ColumnEvent {
                     main_stage,
                     internal_stage: internal,
-                    first_line,
-                    width: span,
+                    width: n,
                     exchanges,
                 });
             }
-            // Wiring into the scratch buffer, then copy back (the swap is
-            // logical: scratch is reused every column).
-            let last_internal = internal + 1 == k;
-            if !last_internal {
-                let box_log = box_size.trailing_zeros() as usize;
-                #[allow(clippy::needless_range_loop)] // index j is the wiring domain
-                for j in 0..span {
-                    let base = j & !(box_size - 1);
-                    let local = j & (box_size - 1);
-                    let dst = base
-                        | match net.wiring() {
-                            WiringMode::Unshuffle => {
-                                bnb_topology::bitops::unshuffle(box_log, box_log, local)
-                            }
-                            WiringMode::Identity => local,
-                            WiringMode::Shuffle => {
-                                bnb_topology::bitops::shuffle(box_log, box_log, local)
-                            }
-                        };
-                    scratch.lines[dst] = lines[j];
-                }
-                lines.copy_from_slice(&scratch.lines[..span]);
+            // Wiring: rotate the low r line-index bits (r = the box width's
+            // bits inside a stage, r = k for the main wiring; the fabric's
+            // very last column has none), into the scratch buffer and back
+            // (scratch is reused every column).
+            let r = if internal + 1 < k {
+                k - internal
             } else if main_stage + 1 < m {
-                // The main unshuffle rotates only the low k index bits, and
-                // k <= span_log for every stage in range, so the aligned
-                // slice is closed under it: the global wiring restricted to
-                // this slice is exactly the local one.
-                #[allow(clippy::needless_range_loop)] // index j is the wiring domain
-                for j in 0..span {
-                    let dst = match net.wiring() {
-                        WiringMode::Unshuffle => bnb_topology::bitops::unshuffle(k, span_log, j),
-                        WiringMode::Identity => j,
-                        WiringMode::Shuffle => bnb_topology::bitops::shuffle(k, span_log, j),
-                    };
-                    scratch.lines[dst] = lines[j];
-                }
-                lines.copy_from_slice(&scratch.lines[..span]);
+                k
+            } else {
+                continue;
+            };
+            #[allow(clippy::needless_range_loop)] // index j is the wiring domain
+            for j in 0..n {
+                let dst = match net.wiring() {
+                    WiringMode::Unshuffle => unshuffle(r, m, j),
+                    WiringMode::Identity => j,
+                    WiringMode::Shuffle => shuffle(r, m, j),
+                };
+                scratch.lines[dst] = lines[j];
             }
+            lines.copy_from_slice(&scratch.lines[..n]);
         }
     }
     Ok(())
@@ -624,10 +518,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Routing head stages then each aligned slice independently must be
-    /// byte-identical to the sequential full route, for every split depth.
+    /// Both kernels route a whole frame byte-identically to the
+    /// allocating reference route.
     #[test]
-    fn split_routing_matches_sequential_at_every_depth() {
+    fn span_matches_sequential_route() {
         let mut rng = StdRng::seed_from_u64(7);
         for m in 1usize..=8 {
             let n = 1usize << m;
@@ -636,18 +530,13 @@ mod tests {
             for _ in 0..10 {
                 let records = records_for_permutation(&Permutation::random(n, &mut rng));
                 let expected = net.route(&records).unwrap();
-                for depth in 0..=m {
+                for kernel in [Kernel::Auto, Kernel::Scalar] {
                     let mut lines = records.clone();
                     RouteSpan::new()
-                        .run(&net, &mut lines, 0, 0..depth, &mut scratch)
+                        .kernel(kernel)
+                        .run(&net, &mut lines, &mut scratch)
                         .unwrap();
-                    let sub = n >> depth;
-                    for (slice_idx, chunk) in lines.chunks_mut(sub).enumerate() {
-                        RouteSpan::new()
-                            .run(&net, chunk, slice_idx * sub, depth..m, &mut scratch)
-                            .unwrap();
-                    }
-                    assert_eq!(lines, expected, "m = {m}, depth = {depth}");
+                    assert_eq!(lines, expected, "m = {m}, {kernel:?}");
                 }
             }
         }
@@ -656,7 +545,7 @@ mod tests {
     /// The same holds under Permissive policy for arbitrary (garbage)
     /// destination patterns: routing is oblivious data movement.
     #[test]
-    fn split_routing_matches_sequential_for_garbage_traffic() {
+    fn span_matches_sequential_route_for_garbage_traffic() {
         use crate::network::RoutePolicy;
         use bnb_topology::record::Record;
         use rand::RngExt;
@@ -672,49 +561,15 @@ mod tests {
                     .map(|i| Record::new(rng.random_range(0..n), i as u64))
                     .collect();
                 let expected = net.route(&records).unwrap();
-                for depth in [0, 1, m / 2, m] {
+                for kernel in [Kernel::Auto, Kernel::Scalar] {
                     let mut lines = records.clone();
                     RouteSpan::new()
-                        .run(&net, &mut lines, 0, 0..depth, &mut scratch)
+                        .kernel(kernel)
+                        .run(&net, &mut lines, &mut scratch)
                         .unwrap();
-                    let sub = n >> depth;
-                    for (slice_idx, chunk) in lines.chunks_mut(sub).enumerate() {
-                        RouteSpan::new()
-                            .run(&net, chunk, slice_idx * sub, depth..m, &mut scratch)
-                            .unwrap();
-                    }
-                    assert_eq!(lines, expected, "m = {m}, depth = {depth}");
+                    assert_eq!(lines, expected, "m = {m}, {kernel:?}");
                 }
             }
-        }
-    }
-
-    /// Strict-policy splitter errors report sites in *global* line
-    /// coordinates even when raised from a non-initial slice.
-    #[test]
-    fn split_routing_reports_global_splitter_sites() {
-        use bnb_topology::record::Record;
-        let net = BnbNetwork::new(3);
-        let mut scratch = StageScratch::with_capacity(8);
-        // An all-zero destination slice sails through the 4-wide box (zero
-        // ones is even) and unbalances the first elementary splitter; route
-        // it as the second depth-1 slice (lines 4..8).
-        let mut slice: Vec<_> = (0..4).map(|i| Record::new(0, i as u64)).collect();
-        let err = RouteSpan::new()
-            .run(&net, &mut slice, 4, 1..3, &mut scratch)
-            .unwrap_err();
-        match err {
-            RouteError::UnbalancedSplitter {
-                main_stage,
-                internal_stage,
-                first_line,
-                ..
-            } => {
-                assert_eq!(main_stage, 1);
-                assert_eq!(internal_stage, 1);
-                assert_eq!(first_line, 4, "site must be globally addressed");
-            }
-            other => panic!("expected unbalanced splitter, got {other:?}"),
         }
     }
 

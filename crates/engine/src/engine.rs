@@ -73,7 +73,7 @@ use bnb_obs::{DrainEvent, NoopObserver, Observer, RetryEvent, SubmitEvent};
 use bnb_topology::record::Record;
 
 use crate::error::EngineError;
-use crate::hub::{CloseGuard, Hub, JobPayload};
+use crate::hub::{CloseGuard, FailGuard, Hub, JobPayload};
 use crate::live::{scrubber_loop, LiveFaultPlan};
 use crate::stats::{EngineStats, LatencySummary, WorkerMetrics};
 
@@ -856,13 +856,7 @@ impl<O: Observer> Fabric<'_, O> {
         RouteSpan::new()
             .observer(self.observer)
             .faults(faults)
-            .run(
-                &self.net,
-                &mut scratch.attempt,
-                0,
-                0..self.net.m(),
-                &mut scratch.stage,
-            )?;
+            .run(&self.net, &mut scratch.attempt, &mut scratch.stage)?;
         lines.copy_from_slice(&scratch.attempt);
         Ok(())
     }
@@ -881,6 +875,7 @@ impl<O: Observer> Worker<'_, O> {
     /// The worker loop: owned jobs, each through the batch routine, until
     /// the hub closes.
     fn run(self) {
+        let _fail = FailGuard(self.hub);
         let n = self.fabric.net.inputs();
         let mut scratch = RouteScratch::with_capacity(n);
         // A frame job routes as the one frame of this batch.
@@ -1656,5 +1651,58 @@ mod tests {
             assert!(h.try_drain().is_none());
             assert!(h.drain().is_none());
         });
+    }
+
+    /// A worker that panics mid-job fails the run instead of hanging it:
+    /// the blocked `submit` or `drain` panics, the scope joins, and the
+    /// panic reaches the caller. The run happens on its own thread, so a
+    /// hang fails the test at the timeout instead of stalling the suite.
+    #[test]
+    fn worker_panic_propagates_instead_of_hanging() {
+        use bnb_obs::StageTotalsEvent;
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        struct Exploding;
+        impl Observer for Exploding {
+            fn wants_columns(&self) -> bool {
+                false
+            }
+            fn stage_routed(&self, _event: StageTotalsEvent) {
+                panic!("observer exploded mid-route");
+            }
+        }
+
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let config = EngineConfig {
+                workers: 1,
+                queue_capacity: 1,
+                ..EngineConfig::default()
+            };
+            let engine = Engine::with_observer(BnbNetwork::new(3), config, Exploding);
+            let frame = records_for_permutation(&Permutation::identity(8));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.run(|h| {
+                    for _ in 0..3 {
+                        h.submit(frame.clone());
+                    }
+                    h.drain()
+                })
+            }));
+            let message = outcome.err().map(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default()
+            });
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the run hung after its worker panicked");
+        let message = message.expect("the worker's panic reached the caller");
+        assert!(message.contains("worker panicked"), "{message}");
     }
 }

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use bnb_core::batch::FrameBatch;
@@ -52,9 +52,12 @@ pub struct RoutedBatch {
     /// recorded in the engine histogram.
     pub route_ns: u64,
     /// Opaque caller token attached at submission (see
-    /// [`Hub::try_submit_tagged`] / [`Hub::try_submit_batch`]), for a
-    /// caller that routes completions by it; plain submissions carry
-    /// `0`.
+    /// [`EngineHandle::try_submit_tagged`] /
+    /// [`EngineHandle::try_submit_batch`]), for a caller that routes
+    /// completions by it; plain submissions carry `0`.
+    ///
+    /// [`EngineHandle::try_submit_tagged`]: crate::engine::EngineHandle::try_submit_tagged
+    /// [`EngineHandle::try_submit_batch`]: crate::engine::EngineHandle::try_submit_batch
     pub token: u64,
 }
 
@@ -74,9 +77,9 @@ struct JobMeta {
 pub enum SubmitError {
     /// The bounded queue is full right now; re-offer later.
     Full(Vec<Record>),
-    /// The engine is past [`drain_and_close`]
-    /// (`crate::engine::EngineHandle::drain_and_close`) and accepts
-    /// nothing more.
+    /// The engine is past
+    /// [`drain_and_close`](crate::engine::EngineHandle::drain_and_close)
+    /// and accepts nothing more.
     Closed(Vec<Record>),
 }
 
@@ -116,10 +119,11 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Why [`Hub::try_submit_batch`] refused a whole [`FrameBatch`]. The
-/// rejected batch rides back inside the variant, mirroring
-/// [`SubmitError`], so callers keep the SoA allocation for a later
-/// re-offer or per-frame RETRY fan-out.
+/// Why
+/// [`EngineHandle::try_submit_batch`](crate::engine::EngineHandle::try_submit_batch)
+/// refused a whole [`FrameBatch`]. The rejected batch rides back inside
+/// the variant, mirroring [`SubmitError`], so callers keep the SoA
+/// allocation for a later re-offer or per-frame RETRY fan-out.
 #[derive(Debug)]
 pub enum BatchSubmitError {
     /// The bounded queue is full right now; re-offer later.
@@ -164,6 +168,18 @@ impl std::fmt::Display for BatchSubmitError {
 
 impl std::error::Error for BatchSubmitError {}
 
+/// Hands the locked state back to a caller about to wait for a worker,
+/// or, once a worker has panicked ([`Hub::fail`]), releases the lock and
+/// panics: the jobs that worker owned will never complete. Releasing
+/// first keeps the lock unpoisoned for the guards that close the hub.
+fn unless_failed(st: MutexGuard<'_, HubState>) -> MutexGuard<'_, HubState> {
+    if st.failed {
+        drop(st);
+        panic!("an engine worker panicked; its jobs will never complete");
+    }
+    st
+}
+
 /// Everything guarded by the hub mutex.
 pub(crate) struct HubState {
     pub jobs: VecDeque<Job>,
@@ -174,6 +190,9 @@ pub(crate) struct HubState {
     /// Cleared by [`Hub::stop_accepting`]: new submissions are rejected
     /// while in-flight batches keep draining (graceful shutdown).
     accepting: bool,
+    /// Set by [`Hub::fail`]: a worker panicked, so waiting for its jobs
+    /// would block forever.
+    failed: bool,
     // Stats counters (updated at batch completion).
     pub batches: u64,
     pub records: u64,
@@ -213,6 +232,7 @@ impl Hub {
                 next_drain: 0,
                 closed: false,
                 accepting: true,
+                failed: false,
                 batches: 0,
                 records: 0,
                 errors: 0,
@@ -259,7 +279,7 @@ impl Hub {
         let mut st = self.state.lock().unwrap();
         assert!(st.accepting, "submit after drain_and_close");
         while st.jobs.len() >= self.capacity {
-            st = self.space_cv.wait(st).unwrap();
+            st = self.space_cv.wait(unless_failed(st)).unwrap();
             assert!(st.accepting, "submit after drain_and_close");
         }
         self.enqueue_locked(st, payload, seqs)
@@ -324,7 +344,7 @@ impl Hub {
 
     fn enqueue_locked(
         &self,
-        mut st: std::sync::MutexGuard<'_, HubState>,
+        mut st: MutexGuard<'_, HubState>,
         payload: JobPayload,
         seqs: u64,
     ) -> u64 {
@@ -354,6 +374,10 @@ impl Hub {
     /// Pops the next routed batch in submission order, blocking while one
     /// is outstanding. Returns `None` when every submitted batch has been
     /// drained.
+    ///
+    /// # Panics
+    ///
+    /// Panics instead of blocking once a worker has panicked.
     pub fn drain(&self) -> Option<RoutedBatch> {
         let mut st = self.state.lock().unwrap();
         loop {
@@ -365,7 +389,7 @@ impl Hub {
             if st.next_drain == st.submitted {
                 return None;
             }
-            st = self.done_cv.wait(st).unwrap();
+            st = self.done_cv.wait(unless_failed(st)).unwrap();
         }
     }
 
@@ -480,12 +504,25 @@ impl Hub {
 
     /// Closes the hub: workers drain all queued work, then exit. Blocked
     /// submitters are not expected (close happens after the user closure
-    /// returns).
+    /// returns). Called while unwinding too, so it takes the lock even if
+    /// a panic poisoned it.
     pub fn close(&self) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.closed = true;
         drop(st);
         self.work_cv.notify_all();
+        self.space_cv.notify_all();
+        self.done_cv.notify_all();
+    }
+
+    /// Marks the hub failed after a worker panicked, and wakes every
+    /// drainer and blocked submitter so they panic instead of waiting for
+    /// jobs that will never complete. Called while unwinding, so it
+    /// takes the lock even if the panic poisoned it.
+    pub fn fail(&self) {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.failed = true;
+        drop(st);
         self.space_cv.notify_all();
         self.done_cv.notify_all();
     }
@@ -504,6 +541,19 @@ pub(crate) struct CloseGuard<'a>(pub &'a Hub);
 impl Drop for CloseGuard<'_> {
     fn drop(&mut self) {
         self.0.close();
+    }
+}
+
+/// Held by each worker: marks the hub failed ([`Hub::fail`]) if the
+/// worker unwinds, so the user closure panics instead of waiting forever
+/// and the surrounding `thread::scope` joins.
+pub(crate) struct FailGuard<'a>(pub &'a Hub);
+
+impl Drop for FailGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.fail();
+        }
     }
 }
 

@@ -419,7 +419,6 @@ mod tests {
         ColumnEvent {
             main_stage,
             internal_stage: 0,
-            first_line: 0,
             width: 8,
             exchanges,
         }
@@ -476,7 +475,6 @@ mod tests {
         assert!(!by_stage.wants_columns());
         by_stage.stage_routed(StageTotalsEvent {
             main_stage: 1,
-            first_line: 0,
             width: 8,
             frames: 1,
             columns: 2,

@@ -9,21 +9,17 @@
 
 use serde::{Deserialize, Serialize};
 
-/// One switching column routed over a (slice of a) frame.
+/// One switching column routed over a frame.
 ///
-/// A full-frame route of an `N = 2^m` network emits exactly
-/// `m(m+1)/2` of these (eq. (7)); a route split into aligned slices emits
-/// one per column *per slice*, which still sums to the same per-column
-/// totals.
+/// A route of an `N = 2^m` network emits exactly `m(m+1)/2` of these
+/// (eq. (7)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ColumnEvent {
     /// Main-network stage (`0..m`).
     pub main_stage: usize,
     /// Column within the stage's nested networks (`0..m - main_stage`).
     pub internal_stage: usize,
-    /// Global line coordinate of the first line this event covers.
-    pub first_line: usize,
-    /// Number of lines covered (the whole frame, or one span's slice).
+    /// Lines covered: the whole frame.
     pub width: usize,
     /// 2×2 switches in this column that exchanged their pair.
     pub exchanges: u64,
@@ -45,7 +41,7 @@ pub struct SweepEvent {
     pub depth: usize,
 }
 
-/// One main stage's totals over one routed span: what the stage's
+/// One main stage's totals over one routing call: what the stage's
 /// [`ColumnEvent`]s and [`SweepEvent`]s would have added up to. Emitted
 /// instead of them to observers that decline per-column events
 /// ([`Observer::wants_columns`](crate::Observer::wants_columns)), so the
@@ -59,11 +55,9 @@ pub struct SweepEvent {
 pub struct StageTotalsEvent {
     /// Main-network stage (`0..m`).
     pub main_stage: usize,
-    /// Global line coordinate of the first line of each frame's span.
-    pub first_line: usize,
-    /// Lines per frame covered (the whole frame, or one span's slice).
+    /// Lines per frame.
     pub width: usize,
-    /// Frames (or slices) the totals sum over.
+    /// Frames the totals sum over.
     pub frames: u64,
     /// Switching columns completed, one per column per frame.
     pub columns: u64,
@@ -119,7 +113,7 @@ pub struct HopEvent {
     /// Whether the cell's 2×2 switch exchanged its pair.
     pub exchanged: bool,
     /// Arbiter-sweep ordinal: the splitter's index within its column
-    /// (`first_line / width`), identical however the frame is sliced.
+    /// (`first_line / width`).
     pub sweep: usize,
 }
 
@@ -240,7 +234,6 @@ mod tests {
         let e = ColumnEvent {
             main_stage: 1,
             internal_stage: 2,
-            first_line: 8,
             width: 4,
             exchanges: 2,
         };

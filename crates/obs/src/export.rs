@@ -15,7 +15,6 @@ use std::fmt::Write as _;
 /// counters.column_routed(ColumnEvent {
 ///     main_stage: 0,
 ///     internal_stage: 0,
-///     first_line: 0,
 ///     width: 4,
 ///     exchanges: 1,
 /// });
@@ -131,7 +130,6 @@ pub fn render_text(snapshot: &MetricsSnapshot) -> String {
 /// counters.column_routed(ColumnEvent {
 ///     main_stage: 0,
 ///     internal_stage: 0,
-///     first_line: 0,
 ///     width: 4,
 ///     exchanges: 1,
 /// });
@@ -446,7 +444,6 @@ mod tests {
         c.column_routed(ColumnEvent {
             main_stage: 0,
             internal_stage: 0,
-            first_line: 0,
             width: 8,
             exchanges: 3,
         });

@@ -56,7 +56,6 @@
 //! counters.column_routed(ColumnEvent {
 //!     main_stage: 0,
 //!     internal_stage: 0,
-//!     first_line: 0,
 //!     width: 8,
 //!     exchanges: 3,
 //! });

@@ -23,7 +23,6 @@ use crate::event::{
 ///         obs.column_routed(ColumnEvent {
 ///             main_stage: 0,
 ///             internal_stage: 0,
-///             first_line: 0,
 ///             width: 8,
 ///             exchanges: 3,
 ///         });
@@ -257,7 +256,6 @@ impl<O: Observer + ?Sized> Observer for &O {
 /// both.column_routed(ColumnEvent {
 ///     main_stage: 0,
 ///     internal_stage: 0,
-///     first_line: 0,
 ///     width: 4,
 ///     exchanges: 1,
 /// });
@@ -417,7 +415,6 @@ mod tests {
         obs.column_routed(ColumnEvent {
             main_stage: 0,
             internal_stage: 0,
-            first_line: 0,
             width: 2,
             exchanges: 0,
         });
@@ -441,7 +438,6 @@ mod tests {
         assert!(Fanout::new(&a, &NoopObserver).wants_columns());
         Fanout::new(&a, &b).stage_routed(StageTotalsEvent {
             main_stage: 0,
-            first_line: 0,
             width: 8,
             frames: 1,
             columns: 3,
@@ -468,7 +464,6 @@ mod tests {
         by_ref.column_routed(ColumnEvent {
             main_stage: 0,
             internal_stage: 0,
-            first_line: 0,
             width: 2,
             exchanges: 1,
         });

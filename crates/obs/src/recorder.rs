@@ -713,7 +713,6 @@ mod tests {
         rec.column_routed(ColumnEvent {
             main_stage: 1,
             internal_stage: 2,
-            first_line: 0,
             width: 8,
             exchanges: 3,
         });

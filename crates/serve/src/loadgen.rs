@@ -258,6 +258,12 @@ struct OutFrame {
     attempts: u32,
 }
 
+/// Open loop: one connection's fresh frames per second, `qps` shared
+/// evenly across the connections.
+fn open_rate(cfg: &LoadgenConfig, qps: f64) -> f64 {
+    (qps / cfg.effective_connections() as f64).max(1e-3)
+}
+
 /// One connection's client: it paces submissions and settles replies, and
 /// never touches a socket or reads a clock — the caller feeds it bytes and
 /// `now` and writes out `out` — so it runs over any transport.
@@ -273,7 +279,8 @@ struct ClientConn<'a> {
     replies: FrameAssembler,
     /// Encoded requests not yet written.
     out: Vec<u8>,
-    /// Open loop: fresh frame `k` is due at `start + k / rate`.
+    /// Open loop: fresh frame `k` is due at `start + k / rate`, with
+    /// connection `i` starting `i` slots of the aggregate rate late.
     start: Instant,
     /// When a request was last queued or reply bytes last arrived.
     last_activity: Instant,
@@ -283,6 +290,15 @@ struct ClientConn<'a> {
 
 impl<'a> ClientConn<'a> {
     fn new(cfg: &'a LoadgenConfig, index: usize, now: Instant) -> Self {
+        // Staggered, the connections' open-loop schedules interleave into
+        // one stream paced evenly at the aggregate rate.
+        let start = match cfg.mode {
+            LoadMode::Open { qps } => {
+                let slots = open_rate(cfg, qps) * cfg.effective_connections() as f64;
+                now + Duration::from_secs_f64(index as f64 / slots)
+            }
+            LoadMode::Closed { .. } => now,
+        };
         ClientConn {
             cfg,
             tenant: (index % usize::from(cfg.tenants.max(1))) as u16,
@@ -292,7 +308,7 @@ impl<'a> ClientConn<'a> {
             resends: Vec::new(),
             replies: FrameAssembler::new(),
             out: Vec::new(),
-            start: now,
+            start,
             last_activity: now,
             closed: false,
         }
@@ -309,7 +325,7 @@ impl<'a> ClientConn<'a> {
                 (self.outstanding.len() < inflight.max(1)).then_some(self.start)
             }
             LoadMode::Open { qps } => {
-                let rate = (qps / self.cfg.effective_connections() as f64).max(1e-3);
+                let rate = open_rate(self.cfg, qps);
                 Some(self.start + Duration::from_secs_f64(self.next_id as f64 / rate))
             }
         }
@@ -752,6 +768,40 @@ mod tests {
             sources[d as usize] = i as u32;
         }
         sources
+    }
+
+    /// Open loop: connection `i` starts `i / qps` late, so the merged
+    /// due times of every connection's fresh frames are evenly spaced
+    /// `1 / qps` apart.
+    #[test]
+    fn open_loop_connections_interleave_into_one_even_schedule() {
+        let qps = 1000.0;
+        let cfg = LoadgenConfig {
+            tenants: 4,
+            connections: 4,
+            frames: 5,
+            inputs: 8,
+            mode: LoadMode::Open { qps },
+            ..LoadgenConfig::default()
+        };
+        let t0 = Instant::now();
+        let mut due = Vec::new();
+        for index in 0..4 {
+            let mut conn = ClientConn::new(&cfg, index, t0);
+            while let Some(at) = conn.next_fresh() {
+                due.push(at - t0);
+                conn.next_id += 1;
+            }
+        }
+        due.sort();
+        assert_eq!(due.len(), 20);
+        for (k, at) in due.iter().enumerate() {
+            let want = Duration::from_secs_f64(k as f64 / qps);
+            assert!(
+                at.abs_diff(want) < Duration::from_micros(1),
+                "slot {k}: due at {at:?}, want {want:?}"
+            );
+        }
     }
 
     #[test]

@@ -162,7 +162,7 @@ mod tallied_counts {
     //! per main stage. Its snapshot must equal, field by field, the one the
     //! scalar sweep's per-column events produce — on healthy and faulted
     //! fabrics, for valid, duplicate-destination and mid-route-unbalanced
-    //! traffic, whole frames in batches and engine-style split spans.
+    //! traffic, whole frames in batches and one frame per span call.
 
     use bnb::core::batch::{route_batch, BatchOutcome, FrameBatch};
     use bnb::core::network::{BnbNetwork, RoutePolicy, WiringMode};
@@ -260,46 +260,35 @@ mod tallied_counts {
         assert_eq!(tallied.snapshot(), scalar.snapshot(), "snapshots ({ctx})");
     }
 
-    /// The engine's slicing pattern: head stages `0..depth` over the whole
-    /// frame, then every aligned slice through `depth..m`, at every split
-    /// depth, unvalidated (so duplicate destinations reach the splitters).
+    /// One frame routed by a span call with the tallied options and with
+    /// the scalar oracle, unvalidated (so duplicate destinations reach the
+    /// splitters).
     fn assert_span_counts_agree(net: &BnbNetwork, frame: &[Record], faults: &FaultMap, ctx: &str) {
-        let m = net.m();
-        let n = net.inputs();
-        let mut scratch = StageScratch::with_capacity(n);
-        for depth in 0..=m {
-            let (tallied, scalar) = (Counters::new(), Counters::new());
-            let mut runs = Vec::new();
-            for (counters, kernel) in [(&tallied, Kernel::Auto), (&scalar, Kernel::Scalar)] {
-                let opts = RouteSpan::new()
-                    .kernel(kernel)
-                    .observer(counters)
-                    .faults(faults);
-                let mut lines = frame.to_vec();
-                let mut results = vec![opts.run(net, &mut lines, 0, 0..depth, &mut scratch)];
-                if results[0].is_ok() {
-                    let sub = n >> depth;
-                    for (i, chunk) in lines.chunks_mut(sub).enumerate() {
-                        results.push(opts.run(net, chunk, i * sub, depth..m, &mut scratch));
-                    }
-                }
-                runs.push((results, lines));
-            }
-            let ((got, got_lines), (want, want_lines)) = (&runs[0], &runs[1]);
-            let ctx = format!("{ctx} depth={depth}");
-            assert_eq!(got, want, "slice results ({ctx})");
-            if want.iter().all(Result::is_ok) {
-                assert_eq!(got_lines, want_lines, "routed lines ({ctx})");
-            }
-            assert_eq!(tallied.snapshot(), scalar.snapshot(), "snapshots ({ctx})");
+        let mut scratch = StageScratch::with_capacity(net.inputs());
+        let (tallied, scalar) = (Counters::new(), Counters::new());
+        let mut runs = Vec::new();
+        for (counters, kernel) in [(&tallied, Kernel::Auto), (&scalar, Kernel::Scalar)] {
+            let opts = RouteSpan::new()
+                .kernel(kernel)
+                .observer(counters)
+                .faults(faults);
+            let mut lines = frame.to_vec();
+            let result = opts.run(net, &mut lines, &mut scratch);
+            runs.push((result, lines));
         }
+        let ((got, got_lines), (want, want_lines)) = (&runs[0], &runs[1]);
+        assert_eq!(got, want, "span results ({ctx})");
+        if want.is_ok() {
+            assert_eq!(got_lines, want_lines, "routed lines ({ctx})");
+        }
+        assert_eq!(tallied.snapshot(), scalar.snapshot(), "snapshots ({ctx})");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(160))]
 
         /// Batches of 1, 7 and 64 frames (64 only up to m = 8, to keep
-        /// debug runs short) and single split spans, m = 1..=10, over
+        /// debug runs short) and one-frame span calls, m = 1..=10, over
         /// both policies, every wiring, and an empty or single-fault map
         /// of every kind.
         #[test]

@@ -1,8 +1,8 @@
 //! Kernel equivalence: the bit-packed word-parallel fast path and the
 //! frame-batched SoA kernel in `bnb_core` must be byte-identical to the
 //! scalar sweep they replaced — same final frames on success, same error
-//! values on failure — across sizes, policies, fault campaigns, batch
-//! shapes, and the split-and-conquer span pattern the engine uses.
+//! values on failure — across sizes, policies, fault campaigns and batch
+//! shapes.
 //!
 //! The scalar sweep stays selectable as [`Kernel::Scalar`] precisely so
 //! this suite can hold the kernels against each other forever.
@@ -29,9 +29,8 @@ fn assert_kernels_agree(
     faults: Option<&FaultMap>,
     ctx: &str,
 ) {
-    let m = net.m();
     let mut scratch = StageScratch::with_capacity(records.len());
-    let mut packed_span = RouteSpan::new().kernel(Kernel::Packed);
+    let mut packed_span = RouteSpan::new();
     let mut scalar_span = RouteSpan::new().kernel(Kernel::Scalar);
     if let Some(map) = faults {
         packed_span = packed_span.faults(map);
@@ -39,8 +38,8 @@ fn assert_kernels_agree(
     }
     let mut packed = records.to_vec();
     let mut scalar = records.to_vec();
-    let got = packed_span.run(net, &mut packed, 0, 0..m, &mut scratch);
-    let want = scalar_span.run(net, &mut scalar, 0, 0..m, &mut scratch);
+    let got = packed_span.run(net, &mut packed, &mut scratch);
+    let want = scalar_span.run(net, &mut scalar, &mut scratch);
     assert_eq!(got, want, "result mismatch ({ctx})");
     if got.is_ok() {
         // Post-error line state is unspecified (the engine compares
@@ -64,7 +63,6 @@ fn assert_batch_matches_scalar(
 ) {
     use bnb::core::stages::validate_lines;
     let n = net.inputs();
-    let m = net.m();
     let mut scratch = StageScratch::with_capacity(n);
     let mut seen = Vec::new();
     let mut batch = FrameBatch::with_capacity(n, frames.len());
@@ -78,7 +76,7 @@ fn assert_batch_matches_scalar(
     for (f, frame) in frames.iter().enumerate() {
         let mut scalar = frame.clone();
         let want = validate_lines(net, &scalar, &mut seen)
-            .and_then(|()| oracle.run(net, &mut scalar, 0, 0..m, &mut scratch));
+            .and_then(|()| oracle.run(net, &mut scalar, &mut scratch));
         assert_eq!(
             outcome.results()[f],
             want,
@@ -184,36 +182,6 @@ proptest! {
         let records = records_for_permutation(&Permutation::random(1 << m, &mut rng));
         let empty = FaultMap::new();
         assert_kernels_agree(&net, &records, Some(&empty), &format!("m={m} empty-map"));
-    }
-
-    /// The engine's split-and-conquer pattern: head stages on the full
-    /// frame, then each aligned slice routed separately. Every split
-    /// depth must agree with the scalar kernel routed the same way.
-    #[test]
-    fn packed_matches_scalar_split_spans(m in 3usize..=9, seed in any::<u64>(), depth in 1usize..=3) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let depth = depth.min(m - 1);
-        let n = 1usize << m;
-        let net = build(m, RoutePolicy::Strict);
-        let records = records_for_permutation(&Permutation::random(n, &mut rng));
-        let mut scratch = StageScratch::with_capacity(n);
-        let packed_span = RouteSpan::new().kernel(Kernel::Packed);
-        let scalar_span = RouteSpan::new().kernel(Kernel::Scalar);
-
-        let mut packed = records.clone();
-        packed_span.run(&net, &mut packed, 0, 0..depth, &mut scratch).unwrap();
-        let span = n >> depth;
-        for (idx, chunk) in packed.chunks_mut(span).enumerate() {
-            packed_span.run(&net, chunk, idx * span, depth..m, &mut scratch).unwrap();
-        }
-
-        let mut scalar = records.clone();
-        scalar_span.run(&net, &mut scalar, 0, 0..depth, &mut scratch).unwrap();
-        for (idx, chunk) in scalar.chunks_mut(span).enumerate() {
-            scalar_span.run(&net, chunk, idx * span, depth..m, &mut scratch).unwrap();
-        }
-
-        prop_assert_eq!(&packed, &scalar, "split mismatch m={} depth={}", m, depth);
     }
 
     /// The batched kernel against the scalar oracle: batch sizes 1, 7,
@@ -326,12 +294,11 @@ fn exhaustive_small_m_byte_identity() {
         let mut packed = records.to_vec();
         let mut scalar = records.to_vec();
         RouteSpan::new()
-            .kernel(Kernel::Packed)
-            .run(net, &mut packed, 0, 0..m, &mut scratch)
+            .run(net, &mut packed, &mut scratch)
             .unwrap();
         RouteSpan::new()
             .kernel(Kernel::Scalar)
-            .run(net, &mut scalar, 0, 0..m, &mut scratch)
+            .run(net, &mut scalar, &mut scratch)
             .unwrap();
         assert_eq!(packed, scalar, "m={m} records={records:?}");
 

@@ -8,7 +8,7 @@ use std::cell::Cell;
 
 use bnb::core::network::BnbNetwork;
 use bnb::core::router::Router;
-use bnb::core::stages::{validate_lines, Kernel, RouteSpan, StageScratch};
+use bnb::core::stages::{validate_lines, RouteSpan, StageScratch};
 use bnb::topology::perm::Permutation;
 use bnb::topology::record::{records_for_permutation, Record};
 
@@ -262,19 +262,15 @@ fn packed_kernel_is_allocation_free_after_warmup() {
         let records = records_for_permutation(&Permutation::random(n, &mut rng));
         let mut lines = records.clone();
         // Warm-up sizes the packed planes and the fault tap scratch.
-        healthy
-            .run(&net, &mut lines, 0, 0..m, &mut scratch)
-            .unwrap();
+        healthy.run(&net, &mut lines, &mut scratch).unwrap();
         lines.copy_from_slice(&records);
-        let _ = faulted.run(&net, &mut lines, 0, 0..m, &mut scratch);
+        let _ = faulted.run(&net, &mut lines, &mut scratch);
         let allocs = allocations_during(|| {
             for _ in 0..10 {
                 lines.copy_from_slice(&records);
-                healthy
-                    .run(&net, &mut lines, 0, 0..m, &mut scratch)
-                    .unwrap();
+                healthy.run(&net, &mut lines, &mut scratch).unwrap();
                 lines.copy_from_slice(&records);
-                let _ = faulted.run(&net, &mut lines, 0, 0..m, &mut scratch);
+                let _ = faulted.run(&net, &mut lines, &mut scratch);
             }
         });
         assert_eq!(
@@ -418,29 +414,17 @@ fn stage_span_kernel_is_allocation_free_after_warmup() {
     let net = BnbNetwork::new(m);
     let mut scratch = StageScratch::with_capacity(n);
     let mut seen = Vec::new();
-    let span_opts = RouteSpan::new().kernel(Kernel::Packed);
+    let span_opts = RouteSpan::new();
     let records = records_for_permutation(&Permutation::random(n, &mut rng));
     let mut lines = records.clone();
     // Warm-up (sizes the validation scratch).
     validate_lines(&net, &lines, &mut seen).unwrap();
-    span_opts
-        .run(&net, &mut lines, 0, 0..m, &mut scratch)
-        .unwrap();
-    // Steady state, including the split-and-conquer pattern the engine
-    // uses: head stages, then each aligned slice separately.
+    span_opts.run(&net, &mut lines, &mut scratch).unwrap();
     let allocs = allocations_during(|| {
-        for depth in [0usize, 1, 2] {
+        for _ in 0..3 {
             lines.copy_from_slice(&records);
             validate_lines(&net, &lines, &mut seen).unwrap();
-            span_opts
-                .run(&net, &mut lines, 0, 0..depth, &mut scratch)
-                .unwrap();
-            let span = n >> depth;
-            for (idx, chunk) in lines.chunks_mut(span).enumerate() {
-                span_opts
-                    .run(&net, chunk, idx * span, depth..m, &mut scratch)
-                    .unwrap();
-            }
+            span_opts.run(&net, &mut lines, &mut scratch).unwrap();
         }
     });
     assert_eq!(allocs, 0, "stage kernel allocated in steady state");
@@ -507,9 +491,8 @@ fn counters_observed_batched_kernel_is_allocation_free_after_warmup() {
 
 #[test]
 fn counters_observed_packed_span_is_allocation_free_after_warmup() {
-    // `Kernel::Packed` with `&Counters`: the word-parallel kernel's
-    // one-frame calls report stage totals, over the engine's
-    // split-and-conquer pattern, without touching the heap after warm-up.
+    // `&Counters` on one-frame span calls: the word-parallel kernel reports
+    // stage totals without touching the heap after warm-up.
     use bnb::obs::Counters;
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(18);
@@ -517,25 +500,15 @@ fn counters_observed_packed_span_is_allocation_free_after_warmup() {
     let n = 1usize << m;
     let net = BnbNetwork::new(m);
     let counters = Counters::new();
-    let span_opts = RouteSpan::new().kernel(Kernel::Packed).observer(&counters);
+    let span_opts = RouteSpan::new().observer(&counters);
     let mut scratch = StageScratch::with_capacity(n);
     let records = records_for_permutation(&Permutation::random(n, &mut rng));
     let mut lines = records.clone();
-    span_opts
-        .run(&net, &mut lines, 0, 0..m, &mut scratch)
-        .unwrap();
+    span_opts.run(&net, &mut lines, &mut scratch).unwrap();
     let allocs = allocations_during(|| {
-        for depth in [0usize, 1, 2] {
+        for _ in 0..3 {
             lines.copy_from_slice(&records);
-            span_opts
-                .run(&net, &mut lines, 0, 0..depth, &mut scratch)
-                .unwrap();
-            let span = n >> depth;
-            for (idx, chunk) in lines.chunks_mut(span).enumerate() {
-                span_opts
-                    .run(&net, chunk, idx * span, depth..m, &mut scratch)
-                    .unwrap();
-            }
+            span_opts.run(&net, &mut lines, &mut scratch).unwrap();
         }
     });
     assert_eq!(
