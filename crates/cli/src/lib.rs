@@ -18,9 +18,9 @@
 //! bnb engine [--inputs 256] [--workers 4] [--batch 64] [--queue 4]
 //!            [--seed 0] [--pretty] [--record FILE]
 //!            [--metrics text|json|prom]
-//! bnb serve [--addr 127.0.0.1:0] [--inputs 64] [--workers 2] [--queue 8]
+//! bnb serve [--addr 127.0.0.1:0] [--inputs 64] [--queue 8]
 //!           [--threads 0] [--window 32] [--tenant-keys FILE]
-//!           [--tenant-quota 4] [--max-conns 64] [--read-timeout-ms 100]
+//!           [--tenant-quota 4] [--max-conns 64]
 //!           [--slow-ms 0] [--record FILE] [--chaos] [--shards 2]
 //!           [--chaos-ops 16] [--chaos-interval-ms 50] [--seed ..]
 //!           [--chaos-out FILE] [--pretty]
@@ -284,14 +284,13 @@ pub fn usage() -> String {
        serve      run the long-lived routing service until SIGTERM/SIGINT\n\
                   or a wire SHUTDOWN; prints 'listening on ADDR' at bind\n\
                   and the session report JSON after the graceful drain\n\
-                  ([--addr 127.0.0.1:0] [--inputs 64] [--workers 2\n\
-                  (kept for compatibility; sizes nothing)] [--queue 8\n\
+                  ([--addr 127.0.0.1:0] [--inputs 64] [--queue 8\n\
                   in-flight cap] [--threads 0 (= cores) reactor threads]\n\
                   [--window 32 per-conn pipeline] [--tenant-keys FILE]\n\
-                  [--tenant-quota 4] [--max-conns 64]\n\
-                  [--read-timeout-ms 100] [--pretty]); HTTP GET /metrics\n\
-                  on the same port serves Prometheus metrics with\n\
-                  per-stage/per-tenant telemetry, GET /status a JSON\n\
+                  [--tenant-quota 4] [--max-conns 64] [--pretty]);\n\
+                  HTTP GET /metrics on the same port serves Prometheus\n\
+                  metrics with per-stage/per-tenant telemetry and the\n\
+                  frame ledger, GET /status a JSON\n\
                   status snapshot; --slow-ms N samples requests slower\n\
                   than N ms into the --record FILE flight recording;\n\
                   with --chaos, a seeded fault-injection thread damages\n\
@@ -1778,7 +1777,6 @@ mod tests {
         assert!(run_str(&["serve", "--inputs", "12"]).is_err());
         assert!(run_str(&["serve", "--inputs", "1"]).is_err());
         assert!(run_str(&["serve", "--queue", "many"]).is_err());
-        assert!(run_str(&["serve", "--read-timeout-ms", "soon"]).is_err());
         assert!(run_str(&["serve", "--shards", "0"]).is_err());
         assert!(run_str(&["serve", "--chaos-ops", "99999"]).is_err());
         assert!(run_str(&["serve", "--chaos-interval-ms", "soon"]).is_err());

@@ -14,8 +14,7 @@
 //!
 //! `top` polls a running server's `/status` endpoint and renders a
 //! refreshing terminal dashboard — per-stage latency, tenant windows,
-//! engine queue depths, and fabric health — like `top(1)` for the
-//! routing service.
+//! and fabric health — like `top(1)` for the routing service.
 
 use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
@@ -77,14 +76,13 @@ pub(crate) fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
     let addr = flags.value("--addr").unwrap_or("127.0.0.1:0");
     let config = ServeConfig {
         inputs: require_power_of_two(flags, "--inputs", 64)?,
-        workers: flags.usize_or("--workers", 2)?.max(1),
         queue_capacity: flags.usize_or("--queue", 8)?.max(1),
         tenant_quota: flags.usize_or("--tenant-quota", 4)?.max(1),
         max_connections: flags.usize_or("--max-conns", 64)?.max(1),
-        read_timeout: Duration::from_millis(u64_or(flags, "--read-timeout-ms", 100)?.max(1)),
         slow_ms: u64_or(flags, "--slow-ms", 0)?,
         reactor_threads: flags.usize_or("--threads", 0)?,
         window: flags.usize_or("--window", 32)?.max(1),
+        ..ServeConfig::default()
     };
     let tenant_keys = tenant_keys_flag(flags)?;
     let record_path = flags.value("--record");
@@ -137,10 +135,10 @@ pub(crate) fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
                 .map_err(|e| CliError::caused_by("serving session failed", e))?
         }
         Some(schedule) => {
-            // The chaos driver and the serving engine share one live
-            // plan: the driver damages and heals shards on a fixed
-            // cadence while the engine's scrubber routes around the
-            // damage. After the script ends every shard is cleared, so
+            // The chaos driver and the server share one live plan: the
+            // driver damages and heals shards on a fixed cadence while
+            // the reactors route around the damage and the plan's
+            // scrubber repairs it. After the script ends every shard is cleared, so
             // a session that outlives its schedule converges back to
             // full capacity.
             let plan = LiveFaultPlan::healthy(shards).with_probe_seed(seed);
@@ -357,17 +355,8 @@ pub(crate) fn render_top(addr: &str, s: &StatusSnapshot) -> String {
         if s.draining { "DRAINING" } else { "serving" }
     ));
     out.push_str(&format!(
-        "conns {}  reactors {}  inflight {}  window {}/{}  engine queue {}/{} hw  batches {}  records {}  errors {}\n",
-        s.connections,
-        s.reactors,
-        s.inflight,
-        s.window.max_depth,
-        s.window.limit,
-        s.engine.queue_depth,
-        s.engine.queue_high_water,
-        s.engine.batches,
-        s.engine.records,
-        s.engine.errors,
+        "conns {}  reactors {}  inflight {}  window {}/{}\n",
+        s.connections, s.reactors, s.inflight, s.window.max_depth, s.window.limit,
     ));
     out.push_str(&format!(
         "slow {} (threshold {})\n",
@@ -480,13 +469,7 @@ mod tests {
                 }],
             },
             engine: EngineStatus {
-                queue_depth: 1,
-                queue_high_water: 4,
-                batches: 10,
-                records: 160,
-                errors: 0,
-                wait_latency: Default::default(),
-                latency: Default::default(),
+                queue_high_water: 0,
             },
             fabric: None,
         }
@@ -500,14 +483,14 @@ mod tests {
     }
 
     #[test]
-    fn render_top_shows_stages_tenants_and_engine_state() {
+    fn render_top_shows_stages_tenants_and_session_state() {
         let out = render_top("127.0.0.1:9500", &sample_status());
         assert!(out.contains("bnb top — 127.0.0.1:9500"), "{out}");
         assert!(out.contains("serving"), "{out}");
         assert!(out.contains("decode"), "{out}");
         assert!(out.contains("wire"), "{out}");
-        assert!(out.contains("engine queue 1/4"), "{out}");
-        assert!(out.contains("reactors 2"), "{out}");
+        assert!(out.contains("conns 2  reactors 2  inflight 3"), "{out}");
+        assert!(!out.contains("engine"), "no engine line: {out}");
         assert!(out.contains("window 5/32"), "{out}");
         // Tenant row: id, window count, retries.
         assert!(out.contains('7'), "{out}");

@@ -1,22 +1,23 @@
 //! The concurrent batched routing engine.
 //!
-//! # One job path
+//! # One batch routine
 //!
-//! Every job a pool worker owns goes through one batch routine, the one
-//! [`EngineHandle::route_batch`] runs on a caller's thread: a
-//! [`FrameBatch`] job routes as it is, and a single frame becomes a
-//! one-frame batch in the worker's reusable scratch and is read back into
-//! its submitted `Vec`. The routine validates each frame (same contract
-//! as [`bnb_core::router::Router`]) and routes the batch through
-//! `bnb-core`'s word-parallel kernel ([`bnb_core::batch::route_batch`]),
-//! so the engine's per-worker throughput is that kernel's, not the
-//! scalar sweep's. Parallelism comes from workers owning different jobs:
-//! a frame is never split across workers.
+//! [`Fabric::route_batch`] routes a [`FrameBatch`] on the calling thread:
+//! it validates each frame (same contract as
+//! [`bnb_core::router::Router`]) and routes the batch through `bnb-core`'s
+//! word-parallel kernel ([`bnb_core::batch::route_batch`]), so a caller's
+//! throughput is that kernel's, not the scalar sweep's. Every job a pool
+//! worker owns goes through it: a [`FrameBatch`] job routes as it is, and
+//! a single frame becomes a one-frame batch in the worker's reusable
+//! scratch and is read back into its submitted `Vec`. The serving layer's
+//! reactors call it directly, with no engine around it. Parallelism comes
+//! from workers owning different jobs: a frame is never split across
+//! workers.
 //!
 //! Because BNB routing is oblivious data movement (every switch setting
 //! depends only on local destination bits), frames never interact and the
 //! batched result is byte-identical to routing each frame alone through
-//! the scalar sweep; debug builds assert this on every fault-free job.
+//! the scalar sweep; debug builds assert this on every fault-free batch.
 //!
 //! # Observability
 //!
@@ -27,7 +28,8 @@
 //! every routed column and arbiter sweep, or one stage-totals event per
 //! main stage for a sink that declines per-column events. Attach with
 //! [`Engine::with_observer`]; the noop path compiles to the same code as
-//! before the hooks existed.
+//! before the hooks existed. A [`Fabric`] used on its own reports only
+//! routing and retry events: its batches are not jobs.
 //!
 //! # Batched submission
 //!
@@ -37,13 +39,6 @@
 //! in-order result per frame. This keeps every SWAR word of the routing
 //! kernel fully occupied regardless of network size, where per-frame
 //! submission leaves `64 - 2^m` of 64 lanes idle for small networks.
-//!
-//! # Routing on the calling thread
-//!
-//! [`EngineHandle::route_batch`] routes a [`FrameBatch`] on the calling
-//! thread through the routine a pool worker runs, without the queue: the
-//! serving layer routes every frame this way, on the reactor thread that
-//! decoded it.
 //!
 //! # One worker path, with or without faults
 //!
@@ -60,7 +55,7 @@
 //!   trips (Theorem 3 makes every corrupted frame trip) are retried, one
 //!   by one, on another shard.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -74,7 +69,7 @@ use bnb_topology::record::Record;
 
 use crate::error::EngineError;
 use crate::hub::{CloseGuard, FailGuard, Hub, JobPayload};
-use crate::live::{scrubber_loop, LiveFaultPlan};
+use crate::live::LiveFaultPlan;
 use crate::stats::{EngineStats, LatencySummary, WorkerMetrics};
 
 pub use crate::hub::{BatchSubmitError, RoutedBatch, SubmitError};
@@ -131,7 +126,7 @@ pub struct RetryPolicy {
     /// Base backoff slept before retry `k` is `backoff * 2^(k-1)`
     /// (exponential; `Duration::ZERO` disables sleeping). The thread
     /// routing the frame sleeps it: a pool worker, or the caller of
-    /// [`EngineHandle::route_batch`].
+    /// [`Fabric::route_batch`].
     pub backoff: Duration,
 }
 
@@ -368,146 +363,56 @@ impl<O: Observer> Engine<O> {
         let counters: Vec<WorkerCounters> =
             (0..workers).map(|_| WorkerCounters::default()).collect();
         let started = Instant::now();
-        let stop = AtomicBool::new(false);
-        let observer = &self.observer;
-        let fabric = Fabric {
-            net: self.network,
-            observer,
-            plan,
-        };
-        thread::scope(|s| {
-            for (index, slot) in counters.iter().enumerate() {
-                let worker = Worker {
+        let fabric = Fabric::new(self.network, &self.observer, plan);
+        let pool = || {
+            thread::scope(|s| {
+                for (index, slot) in counters.iter().enumerate() {
+                    let worker = Worker {
+                        hub: &hub,
+                        fabric: &fabric,
+                        counters: slot,
+                        index,
+                    };
+                    s.spawn(move || worker.run());
+                }
+                let handle = EngineHandle {
                     hub: &hub,
-                    fabric: &fabric,
-                    counters: slot,
-                    index,
+                    observer: &self.observer,
+                    counters: &counters,
+                    workers,
+                    started,
                 };
-                s.spawn(move || worker.run());
-            }
-            if let Some(plan) = plan.filter(|_| scrub) {
-                let (stop, net) = (&stop, self.network);
-                s.spawn(move || scrubber_loop(stop, net, plan, observer));
-            }
-            let handle = EngineHandle {
-                hub: &hub,
-                fabric: &fabric,
-                counters: &counters,
-                workers,
-                started,
-                inline_seq: AtomicU64::new(INLINE_SEQ_BASE),
-            };
-            // Drop order is reverse of declaration: the hub closes first
-            // (workers drain and exit), then the scrubber is stopped —
-            // both fire even if `f` panics, so the scope always joins.
-            let _stop_scrubber = StopGuard(&stop);
-            let _guard = CloseGuard(&hub);
-            f(&handle)
-        })
+                // The hub closes even if `f` panics, so the workers
+                // drain and exit and the scope joins.
+                let _guard = CloseGuard(&hub);
+                f(&handle)
+            })
+        };
+        // The scrubber stops once the pool has joined, also on a panic.
+        match plan.filter(|_| scrub) {
+            Some(plan) => plan.scrub_while(self.network, &self.observer, pool),
+            None => pool(),
+        }
     }
 }
-
-/// Sets the scrubber's stop flag on drop (see [`Engine::run_scrubbed`]).
-struct StopGuard<'a>(&'a AtomicBool);
-
-impl Drop for StopGuard<'_> {
-    fn drop(&mut self) {
-        self.0.store(true, Ordering::Release);
-    }
-}
-
-/// Frames routed by [`EngineHandle::route_batch`] number from here, apart
-/// from queued jobs' numbers, so the in-order drain never waits for one.
-const INLINE_SEQ_BASE: u64 = 1 << 63;
 
 /// Submit/drain interface handed to the [`Engine::run`] closure.
 pub struct EngineHandle<'a, O: Observer = NoopObserver> {
     hub: &'a Hub,
-    fabric: &'a Fabric<'a, O>,
+    observer: &'a O,
     counters: &'a [WorkerCounters],
     workers: usize,
     started: Instant,
-    /// Next sequence number for a frame routed on a caller's thread.
-    inline_seq: AtomicU64,
 }
 
 impl<O: Observer> EngineHandle<'_, O> {
-    /// Routes every frame of `batch` in place on the calling thread, as a
-    /// pool worker routes a [`Self::submit_batch`] job, and returns one
-    /// result per frame (a failed frame keeps its submitted contents).
-    /// Under a fault plan the landing shard rotates with every batch
-    /// routed with `scratch`, starting from shard `lane`, and a retry's
-    /// backoff sleeps on this thread. Each frame takes its own sequence
-    /// number and counts as one batch and one latency sample in
-    /// [`EngineStats`] (one stats lock per call) with one submit and one
-    /// drain event; none enters the queue, so [`Self::drain`] never sees
-    /// it. With `&Counters` and no plan, steady state allocates nothing.
-    pub fn route_batch<'s>(
-        &self,
-        lane: usize,
-        batch: &mut FrameBatch,
-        scratch: &'s mut RouteScratch,
-    ) -> &'s [Result<(), EngineError>] {
-        let frames = batch.frames() as u64;
-        let seq = self.inline_seq.fetch_add(frames, Ordering::Relaxed);
-        let started = Instant::now();
-        self.submitted(seq, frames, batch.width());
-        self.fabric.route_batch(scratch, lane, seq, batch);
-        self.account(seq, batch.width(), &scratch.results, started);
-        &scratch.results
-    }
-
-    /// Accounts a frame of `width` records, which cannot join a batch of
-    /// the network's width, as routing it would have: it fails with
-    /// [`RouteError::WidthMismatch`] under its own sequence number.
-    pub fn reject_width(&self, width: usize) -> EngineError {
-        let seq = self.inline_seq.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        self.submitted(seq, 1, width);
-        let mismatch = RouteError::WidthMismatch {
-            expected: self.fabric.net.inputs(),
-            actual: width,
-        };
-        let err = EngineError::batch(seq, mismatch);
-        self.account(seq, width, std::slice::from_ref(&Err(err.clone())), started);
-        err
-    }
-
     /// Emits the submit events of `frames` frames numbered from `seq`.
     fn submitted(&self, seq: u64, frames: u64, records: usize) {
-        if self.fabric.observer.enabled() {
+        if self.observer.enabled() {
             for f in 0..frames {
-                self.fabric.observer.batch_submitted(SubmitEvent {
+                self.observer.batch_submitted(SubmitEvent {
                     seq: seq + f,
                     records,
-                });
-            }
-        }
-    }
-
-    /// Counts the frames of one call routed on the caller's thread, under
-    /// one stats lock, and emits their drain events.
-    fn account(
-        &self,
-        seq: u64,
-        width: usize,
-        results: &[Result<(), EngineError>],
-        started: Instant,
-    ) {
-        if results.is_empty() {
-            return;
-        }
-        let latency_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let ok = results.iter().filter(|r| r.is_ok()).count() as u64;
-        self.hub
-            .count_routed(results.len() as u64, ok, width as u64, latency_ns);
-        if self.fabric.observer.enabled() {
-            for (f, result) in results.iter().enumerate() {
-                self.fabric.observer.batch_drained(DrainEvent {
-                    seq: seq + f as u64,
-                    records: if result.is_ok() { width } else { 0 },
-                    latency_ns,
-                    ok: result.is_ok(),
                 });
             }
         }
@@ -662,9 +567,9 @@ struct WorkerCounters {
     jobs_owned: AtomicU64,
 }
 
-/// Reusable routing state for [`EngineHandle::route_batch`], one per
-/// routing thread (pool workers keep one too). It grows on first use and
-/// then stays put.
+/// Reusable routing state for [`Fabric::route_batch`], one per routing
+/// thread (each pool worker keeps one). It grows on first use and then
+/// stays put.
 #[derive(Debug)]
 pub struct RouteScratch {
     stage: StageScratch,
@@ -700,28 +605,71 @@ impl RouteScratch {
     }
 }
 
-/// What routing needs from a run, shared by the pool workers and by
-/// callers routing on their own thread: the network, the observer, and
-/// the fault plan jobs steer by (`None` under [`Engine::run`]).
-struct Fabric<'a, O: Observer> {
+/// A network, the observer its routing reports to, and the fault plan
+/// batches steer by (`None`: no fault state): what routing a batch needs,
+/// and nothing else. [`Fabric::route_batch`] is the one batch routine,
+/// shared by every thread that routes: an [`Engine`]'s pool workers and
+/// the serving layer's reactors.
+///
+/// # Example
+///
+/// ```
+/// use bnb_core::batch::FrameBatch;
+/// use bnb_core::network::BnbNetwork;
+/// use bnb_engine::{Fabric, RouteScratch};
+/// use bnb_obs::Counters;
+/// use bnb_topology::perm::Permutation;
+/// use bnb_topology::record::records_for_permutation;
+///
+/// let net = BnbNetwork::builder_for(16)?.build();
+/// let counters = Counters::new();
+/// let fabric = Fabric::new(net, &counters, None);
+/// let perm = Permutation::try_from((0..16).rev().collect::<Vec<_>>())?;
+/// let frame = records_for_permutation(&perm);
+/// let mut batch = FrameBatch::new(16);
+/// batch.push_frame(&frame);
+/// let mut scratch = RouteScratch::with_capacity(16);
+/// let results = fabric.route_batch(&mut scratch, 0, 0, &mut batch);
+/// assert!(results[0].is_ok());
+/// assert_eq!(batch.to_frames()[0], net.route(&frame)?);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub struct Fabric<'a, O: Observer = NoopObserver> {
     net: BnbNetwork,
     observer: &'a O,
     plan: Option<&'a LiveFaultPlan>,
 }
 
-impl<O: Observer> Fabric<'_, O> {
-    /// The one batch routine, behind every pool job and
-    /// [`EngineHandle::route_batch`]: all frames through one
-    /// [`route_batch`] call on the landing shard's fault map, then one
-    /// result per frame in `scratch.results` (frame `f` is `seq + f`),
-    /// settling any tripped frame on the way.
-    fn route_batch(
+impl<'a, O: Observer> Fabric<'a, O> {
+    /// A fabric routing on `net`, reporting to `observer` (`&Counters`,
+    /// say), and steering by `plan` when there is one.
+    pub fn new(net: BnbNetwork, observer: &'a O, plan: Option<&'a LiveFaultPlan>) -> Self {
+        Fabric {
+            net,
+            observer,
+            plan,
+        }
+    }
+
+    /// Routes every frame of `batch` in place on the calling thread and
+    /// returns one result per frame; a failed frame keeps its submitted
+    /// contents. All frames go through one [`route_batch`] call on the
+    /// landing shard's fault map, and a frame that trips a hardware fault
+    /// is settled alone: retried on another shard, with its backoff slept
+    /// on this thread, until it lands or its budget runs out.
+    ///
+    /// Under a plan the landing rotates with every batch routed with
+    /// `scratch`, starting from shard `lane`. `seq` is the trace id of
+    /// frame 0 (frame `f` is `seq + f`): it numbers the frames' retry
+    /// events and errors. Unobserved or with `&Counters`, steady state
+    /// allocates nothing, with or without a healthy plan.
+    pub fn route_batch<'s>(
         &self,
-        scratch: &mut RouteScratch,
+        scratch: &'s mut RouteScratch,
         lane: usize,
         seq: u64,
         batch: &mut FrameBatch,
-    ) {
+    ) -> &'s [Result<(), EngineError>] {
         // Rotate the landing with every batch: a caller that always
         // passes one lane still spreads its batches over every healthy
         // shard, so a fault on any shard meets traffic.
@@ -791,6 +739,7 @@ impl<O: Observer> Fabric<'_, O> {
                 "batched routing diverged from the sequential reference"
             );
         }
+        &scratch.results
     }
 
     /// The one fault-retry routine. `first` is frame `seq`'s attempt on
@@ -1532,11 +1481,10 @@ mod tests {
         assert!(matches!(err, EngineError::Quarantined { attempts: 3, .. }));
     }
 
-    /// Routing on the caller's thread rotates the landing shard with
-    /// every batch, so a caller that always passes one lane still meets
-    /// a fault on any shard. Landing every batch at the lane's own shard
-    /// would route both frames on healthy shard 1 and never trip shard
-    /// 0's fault.
+    /// A fabric rotates the landing shard with every batch, so a caller
+    /// that always passes one lane still meets a fault on any shard.
+    /// Landing every batch at the lane's own shard would route both
+    /// frames on healthy shard 1 and never trip shard 0's fault.
     #[test]
     fn inline_batches_rotate_their_landing_shard() {
         use bnb_core::fault::{FaultKind, FaultSite, FaultyFabric};
@@ -1549,22 +1497,20 @@ mod tests {
             "test premise: the frame trips the fault"
         );
         let expected = net.route(&bad).unwrap();
-        let engine = Engine::new(net, EngineConfig::with_workers(1));
         let plan = LiveFaultPlan::healthy(2).with_retry(RetryPolicy {
             max_attempts: 3,
             backoff: Duration::ZERO,
         });
         plan.set_faults(0, dead);
-        engine.run_scrubbed(&plan, |h| {
-            let mut scratch = RouteScratch::with_capacity(net.inputs());
-            for _ in 0..2 {
-                let mut batch = FrameBatch::new(net.inputs());
-                batch.push_frame(&bad);
-                let results = h.route_batch(1, &mut batch, &mut scratch);
-                assert!(results[0].is_ok(), "{results:?}");
-                assert_eq!(batch.to_frames()[0], expected);
-            }
-        });
+        let fabric = Fabric::new(net, &NoopObserver, Some(&plan));
+        let mut scratch = RouteScratch::with_capacity(net.inputs());
+        for _ in 0..2 {
+            let mut batch = FrameBatch::new(net.inputs());
+            batch.push_frame(&bad);
+            let results = fabric.route_batch(&mut scratch, 1, 0, &mut batch);
+            assert!(results[0].is_ok(), "{results:?}");
+            assert_eq!(batch.to_frames()[0], expected);
+        }
         assert_ne!(
             plan.health(0),
             ShardHealth::Healthy,

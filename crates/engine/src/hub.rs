@@ -451,19 +451,6 @@ impl Hub {
         self.done_cv.notify_all();
     }
 
-    /// Counts `frames` frames routed outside the queue on a caller's
-    /// thread, `ok` of them successfully, `width` records each: one batch
-    /// and one latency sample per frame, under one lock.
-    pub fn count_routed(&self, frames: u64, ok: u64, width: u64, latency_ns: u64) {
-        let mut st = self.state.lock().unwrap();
-        st.batches += frames;
-        st.records += ok * width;
-        st.errors += frames - ok;
-        for _ in 0..frames {
-            st.histogram.record(latency_ns);
-        }
-    }
-
     /// Blocks until a job or close-with-empty-queue. `None` means the
     /// worker should exit.
     pub fn next_job(&self) -> Option<Job> {

@@ -3,23 +3,24 @@
 //! The paper's self-routing property makes the control plane *local*: every
 //! splitter sets its switches from its own inputs, so frames never
 //! interact and many can share one call of the word-parallel kernel.
-//! This crate runs that kernel behind a classic bounded submit/drain
-//! pipeline:
+//! This crate runs that kernel on the caller's thread, or behind a
+//! classic bounded submit/drain pipeline:
 //!
+//! - [`Fabric::route_batch`] is the one batch routine: it routes a whole
+//!   `FrameBatch` on the calling thread, on a fault plan's healthy shards
+//!   when there is one, with each frame that trips a hardware fault
+//!   retried alone. The serving layer's reactors call it directly, each
+//!   on the frames it decoded, with no engine, queue or thread hop.
 //! - [`Engine::run`] spawns a [`std::thread::scope`]d worker pool (no
 //!   external dependencies, no detached threads).
 //! - [`EngineHandle::submit`] enqueues a frame into a **bounded** queue and
 //!   blocks when it is full — backpressure, not unbounded buffering;
 //!   [`EngineHandle::submit_batch`] enqueues a whole `FrameBatch` as one
 //!   job.
-//! - A worker routes every job it owns through one batch routine (a
+//! - A worker routes every job it owns through that batch routine (a
 //!   single frame as a one-frame batch) with its own reusable scratch —
 //!   zero per-job allocation in steady state — byte-identical to the
 //!   sequential route.
-//! - [`EngineHandle::route_batch`] routes a whole `FrameBatch` on the
-//!   calling thread, through that same routine, without the queue or a
-//!   thread hop: the serving layer's reactors route every admitted frame
-//!   this way.
 //! - [`EngineHandle::drain`] returns routed batches in submission order;
 //!   [`EngineHandle::stats`] snapshots throughput, a fixed-bucket latency
 //!   histogram, queue high-water marks, and per-worker activity
@@ -44,9 +45,11 @@
 //!   batched call with only its tripping frames retried.
 //! - [`Engine::run_scrubbed`] adds *live* repair on top: a
 //!   [`LiveFaultPlan`]'s fault maps may change while the engine routes,
-//!   and a background scrubber thread probes suspect shards between
-//!   drains — quarantining confirmed faults and restoring capacity when
-//!   transients clear — without pausing submit/drain.
+//!   and a background scrubber thread ([`LiveFaultPlan::scrub_while`])
+//!   probes suspect shards beside the workers — quarantining confirmed
+//!   faults and restoring capacity when transients clear — without
+//!   pausing submit/drain. A serving session runs the same scrubber
+//!   beside its reactors.
 //!
 //! All three run modes share one scope and one worker loop:
 //! `run_faulted` runs its static plan as a [`LiveFaultPlan`] whose maps
@@ -62,8 +65,8 @@ pub mod live;
 pub mod stats;
 
 pub use engine::{
-    BatchSubmitError, Engine, EngineConfig, EngineHandle, FaultPlan, RetryPolicy, RouteScratch,
-    RoutedBatch, ShardDepth, SubmitError,
+    BatchSubmitError, Engine, EngineConfig, EngineHandle, Fabric, FaultPlan, RetryPolicy,
+    RouteScratch, RoutedBatch, ShardDepth, SubmitError,
 };
 pub use error::EngineError;
 pub use live::{LiveFaultPlan, PlanStatus, ShardHealth, ShardStatus};

@@ -1,23 +1,26 @@
 //! Live fabric repair: mutable per-shard fault state and the background
-//! scrubber behind [`Engine::run_scrubbed`](crate::Engine::run_scrubbed).
+//! scrubber ([`LiveFaultPlan::scrub_while`]) behind
+//! [`Engine::run_scrubbed`](crate::Engine::run_scrubbed) and a serving
+//! session's reactors.
 //!
 //! A [`LiveFaultPlan`] is the fault state every faulted run steers by:
 //! each fabric shard owns a [`FaultMap`] behind a lock plus a
-//! [`ShardHealth`] word, and faults can be injected or cleared *while the
-//! engine is routing* — the chaos campaign's core primitive.
+//! [`ShardHealth`] word, and faults can be injected or cleared *while
+//! traffic routes* — the chaos campaign's core primitive.
 //! [`Engine::run_faulted`](crate::Engine::run_faulted) runs its static
 //! [`FaultPlan`](crate::FaultPlan) as a live plan whose maps never change
-//! and whose scrubber is off. Workers prefer healthy shards, demote a
-//! shard to [`ShardHealth::Suspect`] the moment a frame trips its output
-//! balance check (Theorem 3's built-in detector), and fall back to
-//! round-robin when no healthy shard remains so submit/drain never
+//! and whose scrubber is off. Routing threads prefer healthy shards,
+//! demote a shard to [`ShardHealth::Suspect`] the moment a frame trips
+//! its output balance check (Theorem 3's built-in detector), and fall
+//! back to round-robin when no healthy shard remains so traffic never
 //! pauses.
 //!
-//! The scrubber thread probes every non-healthy shard between drains with
-//! seeded test permutations: a dirty probe confirms the fault and
-//! quarantines the shard ([`RepairEvent`] with `restored: false`); enough
-//! consecutive clean probes (a cleared transient) restore it to service
-//! ([`RepairEvent`] with `restored: true`). Every probe emits a
+//! The scrubber thread probes every non-healthy shard, beside the threads
+//! that route, with seeded test permutations: a dirty probe confirms the
+//! fault and quarantines the shard ([`RepairEvent`] with
+//! `restored: false`); enough consecutive clean probes (a cleared
+//! transient) restore it to service ([`RepairEvent`] with
+//! `restored: true`). Every probe emits a
 //! [`ScrubEvent`], so counters and flight recorders see the repair loop
 //! breathing. All probe permutations derive from the plan's seed — a
 //! campaign re-run with the same seed probes identically.
@@ -259,6 +262,26 @@ impl LiveFaultPlan {
         }
     }
 
+    /// Runs `f` on this thread while a scrubber thread probes this plan's
+    /// non-healthy shards on `net`, reporting to `observer`. The scrubber
+    /// stops and joins when `f` returns or panics.
+    /// [`Engine::run_scrubbed`](crate::Engine::run_scrubbed) scrubs beside
+    /// its worker pool this way, and a serving session beside its
+    /// reactors.
+    pub fn scrub_while<R>(
+        &self,
+        net: BnbNetwork,
+        observer: &impl Observer,
+        f: impl FnOnce() -> R,
+    ) -> R {
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| scrubber_loop(&stop, net, self, observer));
+            let _stop = StopGuard(&stop);
+            f()
+        })
+    }
+
     /// The shard attempt `attempt` of a frame owned by `worker` routes
     /// on: the first healthy shard in round-robin order from
     /// `worker + attempt`, or plain round-robin when nothing is healthy
@@ -346,11 +369,22 @@ pub struct PlanStatus {
     pub shards: Vec<ShardStatus>,
 }
 
+/// Sets the scrubber's stop flag on drop (see
+/// [`LiveFaultPlan::scrub_while`]).
+struct StopGuard<'a>(&'a AtomicBool);
+
+impl Drop for StopGuard<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
 /// The scrubber: sweeps every non-healthy shard, probing it with seeded
 /// test permutations on a private [`FaultyFabric`] (probes never touch
 /// the traffic path and their detections do not count as traffic faults).
-/// Runs until `stop` is set by the engine scope winding down.
-pub(crate) fn scrubber_loop<O: Observer>(
+/// Runs until `stop` is set by [`LiveFaultPlan::scrub_while`]'s scope
+/// winding down.
+fn scrubber_loop<O: Observer>(
     stop: &AtomicBool,
     net: BnbNetwork,
     plan: &LiveFaultPlan,
@@ -521,9 +555,7 @@ mod tests {
         let (site, kind) = stuck((0, 0, 0));
         plan.inject(1, site, kind);
         plan.mark_suspect(1);
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| scrubber_loop(&stop, net, &plan, &counters));
+        plan.scrub_while(net, &counters, || {
             // Quarantine must come first, then the clear must restore.
             let deadline = std::time::Instant::now() + Duration::from_secs(10);
             while plan.health(1) != ShardHealth::Quarantined {
@@ -541,7 +573,6 @@ mod tests {
                 assert!(std::time::Instant::now() < deadline, "no restore");
                 std::thread::yield_now();
             }
-            stop.store(true, Ordering::Release);
         });
         let snap = counters.snapshot();
         assert!(snap.scrub_probes >= 2, "probes were emitted");

@@ -30,6 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bnb_core::error::RouteError;
 use bnb_engine::EngineError;
 use bnb_obs::{Span, SpanKind, Stage, TenantWindow};
 
@@ -313,7 +314,7 @@ impl Conn {
                 };
                 self.meta_queue.push_back((self.appended_total, meta));
             }
-            Err(e) => self.refuse_route(ctx, frame.tenant, frame.request_id, e),
+            Err(e) => self.refuse_route(ctx, frame.tenant, frame.request_id, route_refusal(e)),
         }
     }
 
@@ -510,18 +511,12 @@ impl Conn {
         self.queue_error(tenant, request_id, ErrorCode::Auth, why.to_string());
     }
 
-    /// Answers a frame that failed to route with `ERROR(Route)` and the
-    /// error's full cause chain; ledger entry under `frames_errored`.
-    fn refuse_route(
-        &mut self,
-        ctx: &SessionCtx<'_>,
-        tenant: u16,
-        request_id: u64,
-        err: &EngineError,
-    ) {
+    /// Answers a frame that failed to route with `ERROR(Route)` saying
+    /// `why`; ledger entry under `frames_errored`.
+    fn refuse_route(&mut self, ctx: &SessionCtx<'_>, tenant: u16, request_id: u64, why: String) {
         SessionStats::bump(&ctx.stats.frames_errored);
         ctx.telemetry.record_error_in(self.window(ctx, tenant));
-        self.queue_error(tenant, request_id, ErrorCode::Route, error_chain(err));
+        self.queue_error(tenant, request_id, ErrorCode::Route, why);
     }
 
     /// `tenant`'s telemetry window, from the connection's cache.
@@ -573,12 +568,15 @@ impl Conn {
             return;
         }
         if view.records() != ctx.cfg.inputs {
-            // A frame of another width cannot join the batch; the engine
-            // counts it failed, as routing it would have.
+            // A frame of another width cannot join the batch: it fails as
+            // routing it would have.
             ctx.admission.inflight.fetch_sub(1, Ordering::AcqRel);
             tenant_slot.fetch_sub(1, Ordering::AcqRel);
-            let err = ctx.engine.reject_width(view.records());
-            self.refuse_route(ctx, tenant, request_id, &err);
+            let mismatch = RouteError::WidthMismatch {
+                expected: ctx.cfg.inputs,
+                actual: view.records(),
+            };
+            self.refuse_route(ctx, tenant, request_id, error_chain(&mismatch));
             return;
         }
 
@@ -627,6 +625,19 @@ fn cached<T>(
         *cache = Some((tenant, fetch()));
     }
     &cache.as_ref().expect("just filled").1
+}
+
+/// The message of a served frame's `ERROR(Route)`: the route error's
+/// cause chain, after the attempt count when its retries ran out. A
+/// served frame has no engine sequence number, so the message names none.
+fn route_refusal(err: &EngineError) -> String {
+    let chain = error_chain(err.route_error());
+    match err {
+        EngineError::Quarantined { attempts, .. } => {
+            format!("quarantined after {attempts} attempts on faulted fabric: {chain}")
+        }
+        _ => chain,
+    }
 }
 
 /// Renders an error with its full `source()` chain.

@@ -3,7 +3,7 @@
 //! The paper's self-routing property makes the network a natural shared
 //! fabric: a frame's route is determined entirely by its own destination
 //! tags, so frames from unrelated clients can be multiplexed onto one
-//! engine with no cross-frame coordination. This crate builds that
+//! fabric with no cross-frame coordination. This crate builds that
 //! service on `std::net` alone — no async runtime:
 //!
 //! - [`protocol`]: a length-prefixed binary wire format (version byte,
@@ -12,21 +12,19 @@
 //!   [`protocol::WireError`], never a panic. See DESIGN.md §14.
 //! - [`server`]: epoll reactor threads multiplexing many connections,
 //!   each routing the frames it admits on its own thread through one
-//!   [`bnb_engine::Engine`]'s batch routine — no dispatcher — with
+//!   [`bnb_engine::Fabric`] — no dispatcher, no engine — with
 //!   per-connection windows, per-tenant in-flight quotas and a global
 //!   in-flight cap. Overload is answered with explicit `RETRY` responses
 //!   — the server never buffers beyond its declared bounds.
 //!   SIGTERM/SIGINT (or a wire `SHUTDOWN`) triggers a graceful drain:
 //!   admitted frames are answered, threads join deterministically, and
-//!   the session's [`server::ServeReport`] balances its frame ledger. The
-//!   same
-//!   listener doubles as the operator surface: HTTP `GET /metrics`
-//!   answers with the Prometheus exposition of the shared
+//!   the session's [`server::ServeReport`] balances its frame ledger.
+//!   The same listener doubles as the operator surface: HTTP
+//!   `GET /metrics` answers with the Prometheus exposition of the shared
 //!   [`bnb_obs::Counters`] (routing), the session's serve ledger, and
-//!   per-stage/per-tenant request telemetry,
-//!   `GET /status` (and the wire `STATUS` opcode) with a JSON
-//!   [`server::StatusSnapshot`] covering uptime, tenant windows, engine
-//!   queue depths, and live fabric health.
+//!   per-stage/per-tenant request telemetry, `GET /status` (and the wire
+//!   `STATUS` opcode) with a JSON [`server::StatusSnapshot`] covering
+//!   uptime, tenant windows, and live fabric health.
 //! - [`loadgen`]: an open/closed-loop load generator that drives every
 //!   connection from one thread through per-connection state machines,
 //!   verifies every routed frame against the submitted permutation,

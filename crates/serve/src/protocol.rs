@@ -51,7 +51,7 @@ pub const OP_SUBMIT_TAGGED: u8 = 0x08;
 /// Why a frame was pushed back with [`Message::Retry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RetryReason {
-    /// The engine's bounded submission queue is full.
+    /// The server's global in-flight cap is reached.
     QueueFull,
     /// The tenant is at its in-flight quota.
     TenantQuota,
@@ -87,7 +87,7 @@ impl RetryReason {
 /// What kind of failure an [`Message::Error`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorCode {
-    /// The frame failed validation or routing inside the engine.
+    /// The frame failed validation or routing.
     Route,
     /// The connection violated the wire protocol.
     Protocol,

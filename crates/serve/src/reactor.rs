@@ -11,9 +11,9 @@
 //! 2. **Registrations** — the acceptor hands fresh sockets to lanes
 //!    round-robin through a mutexed mailbox plus a wake-pipe nudge.
 //! 3. **Routing** — the lane routes the inbox on its own thread and
-//!    scratch, through the engine's batch routine
-//!    ([`bnb_engine::EngineHandle::route_batch`]), and encodes each
-//!    ROUTED reply straight from the batch's payload column into its
+//!    scratch, through the session's fabric
+//!    ([`bnb_engine::Fabric::route_batch`]), and encodes each ROUTED
+//!    reply straight from the batch's payload column into its
 //!    connection's write buffer. Then it flushes every connection that
 //!    made progress; frames admitted by reads that a flush resumes are
 //!    routed before the turn ends.
@@ -304,9 +304,11 @@ fn route_inbox(
         return;
     }
     let route_start = Instant::now();
+    // A served frame has no sequence number: 0 is only the trace id its
+    // retry events carry, and no reply shows it.
     let results = ctx
-        .engine
-        .route_batch(lane, &mut inbox.batch, &mut inbox.scratch);
+        .fabric
+        .route_batch(&mut inbox.scratch, lane, 0, &mut inbox.batch);
     let route = route_start..Instant::now();
     for (f, (frame, result)) in inbox.frames.drain(..).zip(results).enumerate() {
         frame.tenant_slot.fetch_sub(1, Ordering::AcqRel);

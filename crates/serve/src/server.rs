@@ -18,11 +18,13 @@
 //! response — the server never buffers beyond its declared bounds. The
 //! frames a reactor admits during one poll turn form one [`FrameBatch`],
 //! which it routes at the end of the turn on its own thread through the
-//! engine's batch routine ([`EngineHandle::route_batch`]: the batched
-//! kernel, plus shard steering and fault retry under a
-//! [`LiveFaultPlan`]), encoding each reply straight into its connection's
-//! write buffer. The paper's thesis applied to serving: every frame is
-//! routed where it was decoded, with no global dispatcher.
+//! session's [`Fabric`] ([`Fabric::route_batch`]: the batched kernel,
+//! plus shard steering and fault retry under a [`LiveFaultPlan`]),
+//! encoding each reply straight into its connection's write buffer. The
+//! paper's thesis applied to serving: every frame is routed where it was
+//! decoded, with no global dispatcher and no engine. The session's
+//! threads are the acceptor, the reactors and, under a fault plan, the
+//! plan's scrubber ([`LiveFaultPlan::scrub_while`]).
 //!
 //! On shutdown (SIGTERM/SIGINT via [`install_signal_handlers`], a wire
 //! `SHUTDOWN` message, or [`ServerControl::trigger_shutdown`]) the
@@ -35,8 +37,9 @@
 //! returns a JSON [`StatusSnapshot`], any other path the
 //! `text/plain; version=0.0.4` Prometheus exposition: the routing
 //! families of the shared [`Counters`], the serve families of the
-//! session ledger, and the request-lifecycle [`Telemetry`] families. The sniff is nonblocking: a client that dribbles its GET
-//! line byte-at-a-time stalls only its own connection.
+//! session ledger, and the request-lifecycle [`Telemetry`] families. The
+//! sniff is nonblocking: a client that dribbles its GET line
+//! byte-at-a-time stalls only its own connection.
 //!
 //! With `--tenant-keys` ([`Server::with_tenant_keys`]) the server runs
 //! keyed: SUBMITs must arrive as `SUBMIT_TAGGED` with a valid
@@ -68,10 +71,10 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use bnb_core::network::BnbNetwork;
-use bnb_engine::{Engine, EngineConfig, EngineHandle, LiveFaultPlan, PlanStatus};
+use bnb_engine::{Fabric, LiveFaultPlan, PlanStatus};
 use bnb_obs::{
-    render_prometheus, render_prometheus_telemetry, Counters, FlightRecorder, LatencySummary,
-    Telemetry, TelemetrySnapshot,
+    render_prometheus, render_prometheus_telemetry, Counters, FlightRecorder, Telemetry,
+    TelemetrySnapshot,
 };
 use serde::{Deserialize, Serialize};
 
@@ -209,10 +212,6 @@ pub struct ServeReport {
     pub graceful: bool,
     /// Session wall-clock duration.
     pub elapsed_ms: u64,
-    /// Batches the engine completed (served + errored).
-    pub engine_batches: u64,
-    /// Records in successfully routed batches.
-    pub engine_records: u64,
     /// Served requests that crossed the [`ServeConfig::slow_ms`]
     /// threshold.
     pub slow_requests: u64,
@@ -266,6 +265,12 @@ impl SessionStats {
                 &self.connections_accepted,
             ),
             (
+                "bnb_frames_submitted_total",
+                "counter",
+                "SUBMIT frames received.",
+                &self.frames_submitted,
+            ),
+            (
                 "bnb_frames_served_total",
                 "counter",
                 "Frames routed and delivered back to clients.",
@@ -276,6 +281,18 @@ impl SessionStats {
                 "counter",
                 "Frames pushed back with an explicit RETRY response.",
                 &self.retries_issued,
+            ),
+            (
+                "bnb_frames_errored_total",
+                "counter",
+                "Frames answered with an explicit ERROR (routing or authentication).",
+                &self.frames_errored,
+            ),
+            (
+                "bnb_responses_dropped_total",
+                "counter",
+                "Routed frames whose connection was gone by delivery time.",
+                &self.responses_dropped,
             ),
             (
                 "bnb_auth_failures_total",
@@ -339,41 +356,27 @@ pub(crate) struct SessionCtx<'s> {
     pub control: &'s ServerControl,
     pub admission: &'s Admission,
     pub stats: &'s SessionStats,
-    /// The engine observer; source of the routing families only.
+    /// The fabric's observer; source of the routing families only.
     pub counters: &'s Counters,
     pub telemetry: &'s Telemetry,
     pub recorder: Option<&'s FlightRecorder>,
     pub plan: Option<&'s LiveFaultPlan>,
     pub active_conns: &'s AtomicUsize,
-    /// The engine every reactor routes through, on its own thread.
-    pub engine: &'s EngineHandle<'s, &'s Counters>,
+    /// The fabric every reactor routes through, on its own thread.
+    pub fabric: &'s Fabric<'s, Counters>,
     /// Tenant auth keys; `None` = open mode.
     pub keys: Option<&'s TenantKeys>,
     /// How many reactor lanes the session runs.
     pub reactors: usize,
 }
 
-/// Engine-side counts and latency in a [`StatusSnapshot`]. Served frames
-/// are routed on the reactor threads and never enter the engine's
-/// bounded queue, so the queue fields stay at 0 for them; they are kept
-/// because status consumers deserialize them.
+/// The `engine` object of a [`StatusSnapshot`]. Served frames are
+/// routed on the reactor threads and enter no queue, so its one field is
+/// always 0; it is kept because status consumers still read it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineStatus {
-    /// Batches sitting in the bounded submission queue right now.
-    pub queue_depth: usize,
-    /// Deepest the bounded submission queue ever got.
+    /// Always 0: no served frame waits in a queue.
     pub queue_high_water: usize,
-    /// Frames routed, each counted as one batch (including failed ones).
-    pub batches: u64,
-    /// Records in successfully routed frames.
-    pub records: u64,
-    /// Frames that failed validation or routing.
-    pub errors: u64,
-    /// Queue-wait latency quantiles (submit to worker pickup).
-    pub wait_latency: LatencySummary,
-    /// Per-frame routing latency quantiles: the route call that carried
-    /// the frame.
-    pub latency: LatencySummary,
 }
 
 /// Per-connection pipelining-window state in a [`StatusSnapshot`].
@@ -388,9 +391,8 @@ pub struct WindowStatus {
 }
 
 /// What the `/status` endpoint and the wire `STATUS` opcode report: one
-/// JSON document with the session's uptime, request telemetry, engine
-/// queue state, and — when a [`LiveFaultPlan`] is live — per-shard
-/// health and fault maps.
+/// JSON document with the session's uptime, request telemetry, and —
+/// when a [`LiveFaultPlan`] is live — per-shard health and fault maps.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatusSnapshot {
     /// Milliseconds since the serving session started.
@@ -408,7 +410,7 @@ pub struct StatusSnapshot {
     pub window: WindowStatus,
     /// Per-stage and per-tenant request telemetry.
     pub telemetry: TelemetrySnapshot,
-    /// Engine queue depths and latency quantiles.
+    /// A constant (see [`EngineStatus`]).
     pub engine: EngineStatus,
     /// Live fabric health, when the session runs under a fault plan.
     pub fabric: Option<PlanStatus>,
@@ -416,7 +418,6 @@ pub struct StatusSnapshot {
 
 /// Builds the [`StatusSnapshot`] both operator surfaces serve.
 pub(crate) fn build_status(ctx: &SessionCtx<'_>) -> StatusSnapshot {
-    let est = ctx.engine.stats();
     StatusSnapshot {
         uptime_ms: ctx.telemetry.uptime_ms(),
         inflight: ctx.admission.inflight.load(Ordering::Acquire),
@@ -429,13 +430,7 @@ pub(crate) fn build_status(ctx: &SessionCtx<'_>) -> StatusSnapshot {
         },
         telemetry: ctx.telemetry.snapshot(),
         engine: EngineStatus {
-            queue_depth: est.queue_depth,
-            queue_high_water: est.queue_high_water,
-            batches: est.batches,
-            records: est.records,
-            errors: est.errors,
-            wait_latency: est.wait_latency,
-            latency: est.latency,
+            queue_high_water: 0,
         },
         fabric: ctx.plan.map(|p| p.status()),
     }
@@ -451,7 +446,7 @@ pub struct Server<'a> {
 }
 
 impl<'a> Server<'a> {
-    /// A server whose engine reports routing metrics into `counters`.
+    /// A server whose routing reports its metrics into `counters`.
     pub fn new(config: ServeConfig, counters: &'a Counters) -> Self {
         Server {
             config,
@@ -478,14 +473,15 @@ impl<'a> Server<'a> {
         self
     }
 
-    /// A server whose engine routes through live fault state: traffic
-    /// runs under [`bnb_engine::Engine::run_scrubbed`] against `plan`, so
-    /// faults can be injected and cleared *while the session serves* — a
-    /// chaos driver holds the same `&plan` and mutates it concurrently.
-    /// Detected faults are retried onto healthy fabric shards, the
-    /// background scrubber quarantines and restores shards, and clients
-    /// only ever see correct frames, explicit `RETRY`s, or explicit
-    /// `ERROR`s — never a silently misdelivered frame.
+    /// A server whose reactors route through live fault state: every
+    /// route call steers by `plan`, and the plan's scrubber runs beside
+    /// the reactors ([`LiveFaultPlan::scrub_while`]), so faults can be
+    /// injected and cleared *while the session serves* — a chaos driver
+    /// holds the same `&plan` and mutates it concurrently. Detected
+    /// faults are retried onto healthy fabric shards, the scrubber
+    /// quarantines and restores shards, and clients only ever see correct
+    /// frames, explicit `RETRY`s, or explicit `ERROR`s — never a silently
+    /// misdelivered frame.
     pub fn with_fault_plan(
         config: ServeConfig,
         counters: &'a Counters,
@@ -513,10 +509,6 @@ impl<'a> Server<'a> {
         let network = BnbNetwork::builder_for(cfg.inputs)
             .map_err(|e| ServeError::Config(format!("bad network size {}: {e}", cfg.inputs)))?
             .build();
-        // The reactors route every frame themselves. The engine scope
-        // supplies the handle they route through, the stats, and under a
-        // fault plan the scrubber; its one pool worker never gets a job.
-        let engine = Engine::with_observer(network, EngineConfig::with_workers(1), self.counters);
         listener
             .set_nonblocking(true)
             .map_err(ServeError::Listener)?;
@@ -549,27 +541,27 @@ impl<'a> Server<'a> {
         let started = Instant::now();
         let graceful = AtomicBool::new(true);
         let active_conns = AtomicUsize::new(0);
+        let fabric = Fabric::new(network, self.counters, self.fault_plan);
+        let ctx = SessionCtx {
+            cfg,
+            control,
+            admission: &admission,
+            stats: &stats,
+            counters: self.counters,
+            telemetry: &telemetry,
+            recorder: self.recorder,
+            plan: self.fault_plan,
+            active_conns: &active_conns,
+            fabric: &fabric,
+            keys: self.tenant_keys.as_ref(),
+            reactors,
+        };
 
-        let session = |handle: &EngineHandle<'_, &Counters>| {
-            let ctx = SessionCtx {
-                cfg,
-                control,
-                admission: &admission,
-                stats: &stats,
-                counters: self.counters,
-                telemetry: &telemetry,
-                recorder: self.recorder,
-                plan: self.fault_plan,
-                active_conns: &active_conns,
-                engine: handle,
-                keys: self.tenant_keys.as_ref(),
-                reactors,
-            };
-            let shared_ref = &shared;
+        let session = || {
             thread::scope(|s| {
-                let ctx_ref = &ctx;
-                for (lane_idx, poller) in pollers.drain(..).enumerate() {
-                    s.spawn(move || run_reactor(lane_idx, shared_ref, ctx_ref, poller));
+                let (ctx, shared) = (&ctx, &shared);
+                for (lane_idx, poller) in pollers.into_iter().enumerate() {
+                    s.spawn(move || run_reactor(lane_idx, shared, ctx, poller));
                 }
 
                 // Accept loop, run inline on this thread. Fresh sockets
@@ -607,16 +599,15 @@ impl<'a> Server<'a> {
                         }
                     }
                 }
-            });
-            // Every reactor has joined, each after routing everything it
-            // admitted.
-            let est = handle.stats();
-            (est.batches, est.records)
+            })
         };
-        let (engine_batches, engine_records) = match self.fault_plan {
-            Some(plan) => engine.run_scrubbed(plan, session),
-            None => engine.run(session),
-        };
+        // Under a fault plan its scrubber runs beside the reactors and
+        // stops once every reactor has joined, each after routing
+        // everything it admitted.
+        match self.fault_plan {
+            Some(plan) => plan.scrub_while(network, self.counters, session),
+            None => session(),
+        }
 
         let report = ServeReport {
             connections_accepted: stats.connections_accepted.load(Ordering::Relaxed),
@@ -629,8 +620,6 @@ impl<'a> Server<'a> {
             auth_failures: stats.auth_failures.load(Ordering::Relaxed),
             graceful: graceful.load(Ordering::SeqCst),
             elapsed_ms: started.elapsed().as_millis().min(u128::from(u64::MAX)) as u64,
-            engine_batches,
-            engine_records,
             slow_requests: telemetry.snapshot().slow_captured,
         };
         debug_assert!(

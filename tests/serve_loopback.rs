@@ -13,7 +13,9 @@ use std::time::Duration;
 
 use bnb::obs::Counters;
 use bnb::serve::loadgen::{run_loadgen, run_sweep, LoadMode, LoadgenConfig, TenantLoad};
+use bnb::serve::protocol::read_message;
 use bnb::serve::server::{ServeConfig, ServeReport, Server, ServerControl, StatusSnapshot};
+use bnb::serve::{ErrorCode, Message};
 
 /// Runs its closure on drop, also while a failed assertion unwinds: the
 /// tests use it to stop the server (and any traffic driver) so that
@@ -239,16 +241,22 @@ fn metrics_endpoint_speaks_prometheus_and_balances_the_ledger() {
         );
     }
 
-    // The scraped counters account for every submitted frame.
+    // The scraped counters account for every submitted frame, from the
+    // scrape alone.
+    let submitted = prom_counter(&metrics, "frames_submitted_total");
     let served = prom_counter(&metrics, "frames_served_total");
     let retried = prom_counter(&metrics, "retries_issued_total");
-    assert_eq!(served, load.served);
-    assert_eq!(retried, load.retried);
+    let errored = prom_counter(&metrics, "frames_errored_total");
+    let dropped = prom_counter(&metrics, "responses_dropped_total");
     assert_eq!(
-        served + retried,
-        load.submitted,
+        submitted,
+        served + retried + errored + dropped,
         "scraped ledger must balance:\n{metrics}"
     );
+    assert_eq!(submitted, load.submitted);
+    assert_eq!(served, load.served);
+    assert_eq!(retried, load.retried);
+    assert_eq!(errored + dropped, 0, "{metrics}");
     assert!(prom_counter(&metrics, "connections_accepted_total") >= 2);
 
     assert_eq!(load.misdelivered, 0);
@@ -412,9 +420,6 @@ fn status_endpoint_reconciles_stage_sums_with_wire_latency() {
     let window_bytes: u64 = t.tenants.iter().map(|w| w.bytes).sum();
     assert_eq!(window_bytes, load.served * 8 * 4, "{t:?}");
 
-    // The engine view is live: the batches it routed are the frames served.
-    assert_eq!(status.engine.batches, load.served + load.errored);
-    assert_eq!(status.engine.records, load.served * 8);
     assert_eq!(status.inflight, 0, "drained before the scrape");
 }
 
@@ -678,8 +683,11 @@ fn serve_families_come_from_one_ledger_and_latency_counts_each_frame_once() {
 
     for (family, kind) in [
         ("bnb_connections_accepted_total", "counter"),
+        ("bnb_frames_submitted_total", "counter"),
         ("bnb_frames_served_total", "counter"),
         ("bnb_retries_issued_total", "counter"),
+        ("bnb_frames_errored_total", "counter"),
+        ("bnb_responses_dropped_total", "counter"),
         ("bnb_auth_failures_total", "counter"),
         ("bnb_reactor_wakeups_total", "counter"),
         ("bnb_max_window_depth", "gauge"),
@@ -696,15 +704,88 @@ fn serve_families_come_from_one_ledger_and_latency_counts_each_frame_once() {
     assert!(max_depth >= 1, "{metrics}");
     assert!(prom_counter(&metrics, "reactor_wakeups_total") > 0);
 
-    // The latency histogram holds engine submit-to-drain samples only:
-    // one per routed frame, none added at delivery.
+    // The serve ledger is the one count of served frames: they are not
+    // engine jobs, so the pool's batch families and its submit-to-drain
+    // histogram stay at 0 while the routing families count the work.
     let snapshot = counters.snapshot();
-    assert_eq!(snapshot.batches_drained, report.frames_served);
-    assert_eq!(
-        snapshot.histogram.count(),
-        snapshot.batches_drained,
-        "one latency sample per drained frame"
-    );
+    assert_eq!(snapshot.batches_submitted, 0, "{snapshot:?}");
+    assert_eq!(snapshot.batches_drained, 0, "{snapshot:?}");
+    assert_eq!(snapshot.histogram.count(), 0, "{snapshot:?}");
+    assert!(snapshot.columns > 0, "{snapshot:?}");
+    assert_eq!(prom_counter(&metrics, "batches_drained_total"), 0);
+}
+
+/// A SUBMIT that fails to route is answered `ERROR(Route)` under its
+/// request id, naming the route error and no engine sequence number (a
+/// served frame has none); the valid SUBMIT after it on the same
+/// connection is served, and the ledger counts three errored frames.
+#[test]
+fn served_route_errors_name_the_route_error_without_a_sequence_number() {
+    let config = ServeConfig {
+        inputs: 8,
+        reactor_threads: 1,
+        ..ServeConfig::default()
+    };
+    let submits: [(u64, Vec<u32>); 4] = [
+        (1, vec![3, 2, 1, 0]),
+        (2, vec![0, 1, 2, 3, 4, 5, 6, 8]),
+        (3, vec![0, 1, 2, 3, 4, 5, 6, 6]),
+        (4, vec![7, 5, 3, 1, 6, 4, 2, 0]),
+    ];
+    let (report, replies) = serve_scope(config, |addr, _control| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut wire = Vec::new();
+        for (request_id, dests) in &submits {
+            Message::Submit {
+                tenant: 1,
+                request_id: *request_id,
+                dests: dests.clone(),
+            }
+            .encode(&mut wire);
+        }
+        stream.write_all(&wire).unwrap();
+        let mut replies: Vec<Message> = (0..submits.len())
+            .map(|_| {
+                read_message(&mut stream)
+                    .unwrap()
+                    .expect("a reply per SUBMIT")
+            })
+            .collect();
+        replies.sort_by_key(Message::request_id);
+        replies
+    });
+    let ids: Vec<u64> = replies.iter().map(Message::request_id).collect();
+    assert_eq!(ids, [1, 2, 3, 4], "{replies:?}");
+    for (reply, names) in replies.iter().zip([
+        "network has 8 inputs but 4 records were provided",
+        "destination 8 does not fit a 8-output network",
+        "inputs 6 and 7 both target destination 6: not a permutation",
+    ]) {
+        let Message::Error {
+            tenant: 1,
+            code: ErrorCode::Route,
+            message,
+            ..
+        } = reply
+        else {
+            panic!("expected ERROR(Route) for tenant 1, got {reply:?}");
+        };
+        assert_eq!(message, names, "the route error's own text");
+        assert!(!message.contains("batch"), "{message}");
+    }
+    let Message::Routed { sources, .. } = &replies[3] else {
+        panic!("expected ROUTED, got {:?}", replies[3]);
+    };
+    for (j, &src) in sources.iter().enumerate() {
+        assert_eq!(submits[3].1[src as usize] as usize, j, "misdelivered");
+    }
+    assert_eq!(report.frames_submitted, 4, "{report:?}");
+    assert_eq!(report.frames_errored, 3, "{report:?}");
+    assert_eq!(report.frames_served, 1, "{report:?}");
+    assert!(report.accounted(), "{report:?}");
 }
 
 #[test]

@@ -525,37 +525,40 @@ fn counters_observed_packed_span_is_allocation_free_after_warmup() {
 fn served_frames_allocate_nothing_after_warmup() {
     // A reactor turn's frame path: SUBMIT bytes fed to a FrameAssembler
     // and read in place into a FrameBatch, the batch routed on this thread
-    // through `EngineHandle::route_batch` with `&Counters`, and the ROUTED
+    // through `Fabric::route_batch` with `&Counters`, and the ROUTED
     // replies encoded from its payload column into a reused buffer. After
-    // warm-up none of it may touch the heap, for one frame or several.
+    // warm-up none of it may touch the heap, for one frame or several,
+    // with no fault plan or under a healthy one (as `bnb serve --chaos`
+    // routes between faults).
     use bnb::core::batch::FrameBatch;
-    use bnb::engine::{Engine, EngineConfig, RouteScratch};
+    use bnb::engine::{Fabric, LiveFaultPlan, RouteScratch};
     use bnb::obs::Counters;
     use bnb::serve::protocol::{decode_submit, encode_routed, FrameAssembler, Message};
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+    let healthy = LiveFaultPlan::healthy(2);
     for m in [5usize, 8] {
         let n = 1usize << m;
         let net = BnbNetwork::new(m);
         let counters = Counters::new();
-        let engine = Engine::with_observer(net, EngineConfig::with_workers(1), &counters);
-        for frames in [1usize, 7] {
-            let perms: Vec<Vec<u32>> = (0..frames)
-                .map(|_| {
-                    let p = Permutation::random(n, &mut rng);
-                    (0..n).map(|i| p.apply(i) as u32).collect()
-                })
-                .collect();
-            let mut wire = Vec::new();
-            for (id, dests) in perms.iter().enumerate() {
-                Message::Submit {
-                    tenant: 3,
-                    request_id: id as u64,
-                    dests: dests.clone(),
+        for plan in [None, Some(&healthy)] {
+            let fabric = Fabric::new(net, &counters, plan);
+            for frames in [1usize, 7] {
+                let perms: Vec<Vec<u32>> = (0..frames)
+                    .map(|_| {
+                        let p = Permutation::random(n, &mut rng);
+                        (0..n).map(|i| p.apply(i) as u32).collect()
+                    })
+                    .collect();
+                let mut wire = Vec::new();
+                for (id, dests) in perms.iter().enumerate() {
+                    Message::Submit {
+                        tenant: 3,
+                        request_id: id as u64,
+                        dests: dests.clone(),
+                    }
+                    .encode(&mut wire);
                 }
-                .encode(&mut wire);
-            }
-            engine.run(|h| {
                 let mut asm = FrameAssembler::new();
                 let mut batch = FrameBatch::new(n);
                 let mut scratch = RouteScratch::with_capacity(n);
@@ -571,7 +574,7 @@ fn served_frames_allocate_nothing_after_warmup() {
                         heads.push((view.tenant, view.request_id));
                         batch.push_indexed_with(|dests| view.dests_into(dests));
                     }
-                    let results = h.route_batch(0, &mut batch, &mut scratch);
+                    let results = fabric.route_batch(&mut scratch, 0, 0, &mut batch);
                     assert!(results.iter().all(Result::is_ok), "{results:?}");
                     for (f, &(tenant, id)) in heads.iter().enumerate() {
                         encode_routed(&mut out, tenant, id, batch.frame_data(f));
@@ -585,9 +588,10 @@ fn served_frames_allocate_nothing_after_warmup() {
                         turn();
                     }
                 });
+                let planned = plan.is_some();
                 assert_eq!(
                     allocs, 0,
-                    "m = {m}, {frames} frames: the served path allocated in steady state"
+                    "m = {m}, {frames} frames, plan {planned}: the served path allocated in steady state"
                 );
                 // The replies deliver: output j names the input bound for j.
                 let mut replies = FrameAssembler::new();
@@ -601,7 +605,7 @@ fn served_frames_allocate_nothing_after_warmup() {
                         assert_eq!(dests[src as usize] as usize, j, "m = {m}: misdelivered");
                     }
                 }
-            });
+            }
         }
     }
 }
