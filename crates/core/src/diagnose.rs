@@ -39,10 +39,11 @@ impl Diagnosis {
 }
 
 impl BnbNetwork {
-    /// Routes with hardware semantics while detecting every violated
-    /// splitter assumption — what a deployment would wire to the arbiters'
-    /// spare flags. Never fails on unbalanced traffic; structural input
-    /// problems are still rejected.
+    /// Routes with hardware semantics, through the network's own
+    /// [`WiringMode`](crate::network::WiringMode), while detecting every
+    /// violated splitter assumption — what a deployment would wire to the
+    /// arbiters' spare flags. Never fails on unbalanced traffic;
+    /// structural input problems are still rejected.
     ///
     /// # Errors
     ///
@@ -121,23 +122,21 @@ impl BnbNetwork {
                         }
                     }
                 }
-                let last_internal = internal + 1 == k;
-                let mut wired = vec![Record::new(0, 0); n];
-                if !last_internal {
-                    for (j, &r) in lines.iter().enumerate() {
-                        let base = j & !(box_size - 1);
-                        let local = j & (box_size - 1);
-                        let span_log = box_size.trailing_zeros() as usize;
-                        wired[base | bnb_topology::bitops::unshuffle(span_log, span_log, local)] =
-                            r;
-                    }
-                    lines = wired;
+                // The network's own wiring on the low r line-index bits:
+                // the box width's inside a stage, k for the main wiring
+                // (the fabric's very last column has none).
+                let r = if internal + 1 < k {
+                    k - internal
                 } else if main_stage + 1 < m {
-                    for (j, &r) in lines.iter().enumerate() {
-                        wired[bnb_topology::bitops::unshuffle(k, m, j)] = r;
-                    }
-                    lines = wired;
+                    k
+                } else {
+                    continue;
+                };
+                let mut wired = vec![Record::new(0, 0); n];
+                for (j, &rec) in lines.iter().enumerate() {
+                    wired[self.wiring().wire(r, m, j)] = rec;
                 }
+                lines = wired;
             }
         }
         let misdelivered = lines
@@ -193,22 +192,36 @@ mod tests {
         assert_eq!(data, (0..8).collect::<Vec<u64>>());
     }
 
+    /// On every wiring, ablations included, the diagnosed route is the
+    /// permissive route, and its misdelivery list is read off that route.
     #[test]
     fn diagnosis_matches_permissive_routing() {
-        use crate::network::RoutePolicy;
-        let mut rng = StdRng::seed_from_u64(71);
-        let strictless = BnbNetwork::builder(3)
-            .data_width(8)
-            .policy(RoutePolicy::Permissive)
-            .build();
-        let net = BnbNetwork::builder(3).data_width(8).build();
-        for _ in 0..30 {
-            let recs: Vec<Record> = (0..8)
-                .map(|_| Record::new(rng.random_range(0..8), rng.random_range(0..256)))
-                .collect();
-            let d = net.route_diagnosed(&recs).unwrap();
-            let p = strictless.route(&recs).unwrap();
-            assert_eq!(d.outputs, p, "diagnosed route must equal permissive route");
+        use crate::network::{RoutePolicy, WiringMode};
+        for wiring in [
+            WiringMode::Unshuffle,
+            WiringMode::Identity,
+            WiringMode::Shuffle,
+        ] {
+            let mut rng = StdRng::seed_from_u64(71);
+            let strictless = BnbNetwork::builder(3)
+                .data_width(8)
+                .wiring(wiring)
+                .policy(RoutePolicy::Permissive)
+                .build();
+            let net = BnbNetwork::builder(3).data_width(8).wiring(wiring).build();
+            for _ in 0..30 {
+                let recs: Vec<Record> = (0..8)
+                    .map(|_| Record::new(rng.random_range(0..8), rng.random_range(0..256)))
+                    .collect();
+                let d = net.route_diagnosed(&recs).unwrap();
+                let p = strictless.route(&recs).unwrap();
+                assert_eq!(
+                    d.outputs, p,
+                    "{wiring:?}: diagnosed route must equal permissive route"
+                );
+                let wrong: Vec<usize> = (0..8).filter(|&j| p[j].dest() != j).collect();
+                assert_eq!(d.misdelivered, wrong, "{wiring:?}");
+            }
         }
     }
 

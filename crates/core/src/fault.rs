@@ -140,7 +140,7 @@ impl HardwareFault {
 }
 
 /// A set of injected hardware faults, applied by [`FaultyFabric`] (or
-/// per-shard by the engine's `FaultPlan`).
+/// per fabric shard by the engine's `LiveFaultPlan`).
 ///
 /// An empty map is the healthy fabric: routing takes exactly the
 /// fault-free code path and stays allocation-free (covered by the

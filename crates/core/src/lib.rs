@@ -38,13 +38,12 @@
 //! - [`router`] — allocation-free batch routing with reusable buffers,
 //!   generic over a `bnb_obs::Observer` (defaulting to the zero-cost
 //!   `NoopObserver`) for stage-level metrics.
-//! - [`stages`] — the stage-span routing kernel behind the [`RouteSpan`]
-//!   options struct: routes any contiguous range of main stages over an
-//!   aligned subnetwork slice, enabling split-and-conquer parallel
-//!   routing. Spans with no observer, or one that takes stage totals
+//! - [`stages`] — whole-frame routing behind the [`RouteSpan`] options
+//!   struct: routes one `2^m`-line frame through all `m` main stages, in
+//!   place. Frames with no observer, or one that takes stage totals
 //!   instead of per-column events (such as `bnb_obs::Counters`), take a
 //!   bit-packed word-parallel fast path (`packed`, crate-internal):
-//!   destination bits are cached once per span in per-stage `u64`
+//!   destination bits are cached once per frame in per-stage `u64`
 //!   bit-planes and every arbiter sweep, balance check and exchange runs
 //!   as word operations, byte-identical to the scalar sweep
 //!   ([`Kernel::Scalar`], the retained oracle, and the path for

@@ -53,6 +53,20 @@ pub enum WiringMode {
     Shuffle,
 }
 
+impl WiringMode {
+    /// Where line `line` of a `width_log`-bit index space goes through
+    /// this wiring acting on its low `bits` bits: the rule the scalar
+    /// sweep, the path tracer and [`BnbNetwork::route_diagnosed`] apply
+    /// after each column.
+    pub(crate) fn wire(self, bits: usize, width_log: usize, line: usize) -> usize {
+        match self {
+            WiringMode::Unshuffle => unshuffle(bits, width_log, line),
+            WiringMode::Identity => line,
+            WiringMode::Shuffle => shuffle(bits, width_log, line),
+        }
+    }
+}
+
 /// Builder for [`BnbNetwork`] and observed [`Router`]s — the one entry
 /// point for every configuration knob (width, data bits, policy, wiring,
 /// observer).

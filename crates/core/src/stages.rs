@@ -27,12 +27,12 @@
 use bnb_obs::{
     ColumnEvent, ConflictEvent, FaultEvent, HopEvent, NoopObserver, Observer, SweepEvent,
 };
-use bnb_topology::bitops::{paper_bit, shuffle, unshuffle};
+use bnb_topology::bitops::paper_bit;
 use bnb_topology::record::Record;
 
 use crate::error::RouteError;
 use crate::fault::FaultMap;
-use crate::network::{BnbNetwork, RoutePolicy, WiringMode};
+use crate::network::{BnbNetwork, RoutePolicy};
 use crate::packed::{route_span_in, Build, Call};
 use crate::splitter::{check_balanced, controls_into, unbalanced_output, SplitterSite};
 
@@ -446,14 +446,10 @@ fn route_span_scalar_inner<O: Observer + ?Sized>(
             } else {
                 continue;
             };
+            let wiring = net.wiring();
             #[allow(clippy::needless_range_loop)] // index j is the wiring domain
             for j in 0..n {
-                let dst = match net.wiring() {
-                    WiringMode::Unshuffle => unshuffle(r, m, j),
-                    WiringMode::Identity => j,
-                    WiringMode::Shuffle => shuffle(r, m, j),
-                };
-                scratch.lines[dst] = lines[j];
+                scratch.lines[wiring.wire(r, m, j)] = lines[j];
             }
             lines.copy_from_slice(&scratch.lines[..n]);
         }

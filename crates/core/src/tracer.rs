@@ -27,9 +27,9 @@
 use std::sync::Mutex;
 
 use bnb_obs::{HopEvent, Observer};
-use bnb_topology::bitops::{paper_bit, shuffle, unshuffle};
+use bnb_topology::bitops::paper_bit;
 
-use crate::network::{BnbNetwork, WiringMode};
+use crate::network::BnbNetwork;
 
 /// A recorded path that contradicts the network topology, the radix-sort
 /// invariant, or the delivery contract.
@@ -146,18 +146,6 @@ impl std::fmt::Display for PathError {
 }
 
 impl std::error::Error for PathError {}
-
-/// Where one hop's exit wires to, mirroring the stage kernel's wiring
-/// arms: inside a stage the per-box wiring over the low `bits` index
-/// bits, after a stage the main wiring over the low `k` bits of the
-/// global line.
-fn wire(mode: WiringMode, bits: usize, width_log: usize, line: usize) -> usize {
-    match mode {
-        WiringMode::Unshuffle => unshuffle(bits, width_log, line),
-        WiringMode::Identity => line,
-        WiringMode::Shuffle => shuffle(bits, width_log, line),
-    }
-}
 
 /// An [`Observer`] that records every hop, grouped by destination
 /// address, and reconstructs + verifies full routes. See the
@@ -301,13 +289,13 @@ impl PathTracer {
                             });
                         }
                         port = if main_stage + 1 < m {
-                            wire(mode, k, m, exit)
+                            mode.wire(k, m, exit)
                         } else {
                             exit
                         };
                     } else {
                         let box_log = k - internal;
-                        port = site | wire(mode, box_log, box_log, exit & (box_size - 1));
+                        port = site | mode.wire(box_log, box_log, exit & (box_size - 1));
                     }
                     index += 1;
                 }

@@ -23,10 +23,12 @@
 //!
 //! The engine is generic over a [`bnb_obs::Observer`] (defaulting to the
 //! zero-cost [`NoopObserver`]). An attached observer sees job
-//! submissions and completions ([`SubmitEvent`]/[`DrainEvent`]), retries
-//! ([`RetryEvent`]), and — through [`bnb_core::stages::RouteSpan`] —
-//! every routed column and arbiter sweep, or one stage-totals event per
-//! main stage for a sink that declines per-column events. Attach with
+//! submissions and completions ([`SubmitEvent`]/[`DrainEvent`], the
+//! latter with the same latency sample the engine's own histogram
+//! records), retries ([`RetryEvent`]), and — through
+//! [`bnb_core::stages::RouteSpan`] — every routed column and arbiter
+//! sweep, or one stage-totals event per main stage for a sink that
+//! declines per-column events. Attach with
 //! [`Engine::with_observer`]; the noop path compiles to the same code as
 //! before the hooks existed. A [`Fabric`] used on its own reports only
 //! routing and retry events: its batches are not jobs.
@@ -39,11 +41,16 @@
 //! in-order result per frame. This keeps every SWAR word of the routing
 //! kernel fully occupied regardless of network size, where per-frame
 //! submission leaves `64 - 2^m` of 64 lanes idle for small networks.
+//! [`EngineHandle::try_submit_batch`] is the one non-blocking submit,
+//! and the one place a caller attaches completion tokens. The queue
+//! closes when the run closure returns: drain until `None` before then
+//! to collect every frame.
 //!
 //! # One worker path, with or without faults
 //!
-//! [`Engine::run`], [`Engine::run_faulted`] and [`Engine::run_scrubbed`]
-//! share one scope and one worker loop. Without a fault plan
+//! [`Engine::run`] and [`Engine::run_faulted`] share one scope and one
+//! worker loop, and [`Engine::run_scrubbed`] is [`Engine::run_faulted`]
+//! inside [`LiveFaultPlan::scrub_while`]. Without a fault plan
 //! ([`Engine::run`]) a job never touches fault state. Under a plan, the
 //! batch routine picks a fabric shard with [`LiveFaultPlan`]'s health
 //! steering and copies that shard's fault map, and the copy alone decides
@@ -72,7 +79,7 @@ use crate::hub::{CloseGuard, FailGuard, Hub, JobPayload};
 use crate::live::LiveFaultPlan;
 use crate::stats::{EngineStats, LatencySummary, WorkerMetrics};
 
-pub use crate::hub::{BatchSubmitError, RoutedBatch, SubmitError};
+pub use crate::hub::{BatchSubmitError, RoutedBatch};
 
 /// The value of [`EngineConfig::shard_depth`], which configures nothing:
 /// a job is never split across workers. It remains for callers that
@@ -139,74 +146,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// A fixed per-fabric-shard fault assignment for [`Engine::run_faulted`]:
-/// shard `i` routes through `FaultMap` `i` for the whole run, and a frame
-/// that detects a hardware fault is retried on another shard under the
-/// [`RetryPolicy`].
-///
-/// The engine runs it as a [`LiveFaultPlan`] whose maps never change and
-/// whose scrubber is off, so shard choice follows the live plan's health
-/// steering (see [`Engine::run_faulted`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultPlan {
-    shards: Vec<FaultMap>,
-    retry: RetryPolicy,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan::healthy(1)
-    }
-}
-
-impl FaultPlan {
-    /// A plan with one fault map per fabric shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty.
-    pub fn new(shards: Vec<FaultMap>, retry: RetryPolicy) -> Self {
-        assert!(!shards.is_empty(), "a fault plan needs at least one shard");
-        FaultPlan { shards, retry }
-    }
-
-    /// Every shard healthy (routing is then identical to [`Engine::run`]).
-    pub fn healthy(shards: usize) -> Self {
-        FaultPlan::new(vec![FaultMap::new(); shards.max(1)], RetryPolicy::default())
-    }
-
-    /// The same faults on every shard (no healthy shard to retry onto).
-    pub fn uniform(faults: FaultMap, shards: usize) -> Self {
-        FaultPlan::new(vec![faults; shards.max(1)], RetryPolicy::default())
-    }
-
-    /// Replaces the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Number of fabric shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Shard `i`'s fault map (wrapping).
-    pub fn shard(&self, i: usize) -> &FaultMap {
-        &self.shards[i % self.shards.len()]
-    }
-
-    /// The retry policy.
-    pub fn retry(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
-    /// Whether every shard is fault-free.
-    pub fn is_healthy(&self) -> bool {
-        self.shards.iter().all(FaultMap::is_empty)
-    }
-}
-
 /// A concurrent batched router for one network configuration.
 ///
 /// The engine owns no threads between runs: [`Engine::run`] opens a
@@ -264,20 +203,11 @@ impl<O: Observer> Engine<O> {
         }
     }
 
-    /// The bound network.
-    pub fn network(&self) -> &BnbNetwork {
-        &self.network
-    }
-
-    /// The configuration this engine runs with.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// Spawns the worker pool, runs `f` with a submit/drain handle, then
-    /// drains remaining work and joins every worker.
+    /// closes the queue, lets the workers finish what remains, and joins
+    /// every worker.
     pub fn run<R>(&self, f: impl FnOnce(&EngineHandle<'_, O>) -> R) -> R {
-        self.run_with(None, false, f)
+        self.run_with(None, f)
     }
 
     /// [`Engine::run`] over damaged hardware: fabric shard `i` routes
@@ -289,36 +219,38 @@ impl<O: Observer> Engine<O> {
     /// healthy (or harmlessly faulted) shard route byte-identically to
     /// the sequential route.
     ///
-    /// The plan runs as a [`LiveFaultPlan`] that never changes and has
-    /// no scrubber, so shard choice is health steering:
+    /// Shard choice is health steering:
     ///
     /// - A job, a single frame or a [`FrameBatch`], lands on the first
     ///   healthy shard counting from its worker's index plus the jobs
     ///   that worker routed before it, and a retry on the first healthy
     ///   shard after that. A shard that trips is marked
-    ///   [`Suspect`](crate::ShardHealth::Suspect) and, with no scrubber
-    ///   to clear it, skipped for the rest of the run. With no healthy
-    ///   shard left, attempts fall back to plain round-robin.
+    ///   [`Suspect`](crate::ShardHealth::Suspect) and skipped until a
+    ///   scrubber restores it ([`Engine::run_scrubbed`]); with none, for
+    ///   as long as the plan lives. With no healthy shard left, attempts
+    ///   fall back to plain round-robin.
     /// - A job whose shard is fault-free routes exactly as under
     ///   [`Engine::run`]. On a faulted shard the job stays one batched
     ///   call: only its tripping frames are retried, each under its own
     ///   sequence number and completion token.
-    pub fn run_faulted<R>(&self, plan: &FaultPlan, f: impl FnOnce(&EngineHandle<'_, O>) -> R) -> R {
-        let live = LiveFaultPlan::healthy(plan.shards()).with_retry(plan.retry);
-        for (i, faults) in plan.shards.iter().enumerate() {
-            live.set_faults(i, faults.clone());
-        }
-        self.run_with(Some(&live), false, f)
+    ///
+    /// The plan's fault maps may change while the engine routes (a chaos
+    /// driver injecting and clearing faults): each job routes on a
+    /// point-in-time copy of its landing shard's map.
+    pub fn run_faulted<R>(
+        &self,
+        plan: &LiveFaultPlan,
+        f: impl FnOnce(&EngineHandle<'_, O>) -> R,
+    ) -> R {
+        self.run_with(Some(plan), f)
     }
 
-    /// [`Engine::run_faulted`] with *live* repair: the fault maps in
-    /// `plan` may change while the engine routes (a chaos driver
-    /// injecting and clearing faults concurrently), workers steer jobs
-    /// onto healthy fabric shards exactly as under
-    /// [`Engine::run_faulted`], and a background scrubber thread probes
-    /// suspect shards between drains — quarantining confirmed faults and
-    /// restoring capacity when transients clear — without ever pausing
-    /// submit/drain.
+    /// [`Engine::run_faulted`] with *live* repair: the same run inside
+    /// [`LiveFaultPlan::scrub_while`], whose scrubber thread probes
+    /// suspect shards beside the workers — quarantining confirmed faults
+    /// and restoring capacity when transients clear — without ever
+    /// pausing submit/drain. The scrubber stops once the pool has joined,
+    /// also on a panic.
     ///
     /// The repair loop:
     ///
@@ -335,10 +267,9 @@ impl<O: Observer> Engine<O> {
     ///   emits a [`bnb_obs::ScrubEvent`].
     ///
     /// Frames that exhaust the retry budget drain as
-    /// [`EngineError::Quarantined`], exactly like [`Engine::run_faulted`];
-    /// delivered frames are always correct — the balance check makes
-    /// misdelivery detectable, so a fault either surfaces as an error or
-    /// the frame routed cleanly (Theorem 3).
+    /// [`EngineError::Quarantined`]; delivered frames are always correct —
+    /// the balance check makes misdelivery detectable, so a fault either
+    /// surfaces as an error or the frame routed cleanly (Theorem 3).
     ///
     /// [`ShardHealth::Suspect`]: crate::ShardHealth::Suspect
     pub fn run_scrubbed<R>(
@@ -346,16 +277,15 @@ impl<O: Observer> Engine<O> {
         plan: &LiveFaultPlan,
         f: impl FnOnce(&EngineHandle<'_, O>) -> R,
     ) -> R {
-        self.run_with(Some(plan), true, f)
+        plan.scrub_while(self.network, &self.observer, || self.run_faulted(plan, f))
     }
 
     /// The one scope behind every run mode: spawns the worker pool
-    /// (steering by `plan` when there is one) and, if `scrub` is set, the
-    /// scrubber over `plan`; runs `f`; joins everything.
+    /// (steering by `plan` when there is one), runs `f`, closes the hub
+    /// and joins the workers.
     fn run_with<R>(
         &self,
         plan: Option<&LiveFaultPlan>,
-        scrub: bool,
         f: impl FnOnce(&EngineHandle<'_, O>) -> R,
     ) -> R {
         let workers = self.config.workers.max(1);
@@ -364,35 +294,28 @@ impl<O: Observer> Engine<O> {
             (0..workers).map(|_| WorkerCounters::default()).collect();
         let started = Instant::now();
         let fabric = Fabric::new(self.network, &self.observer, plan);
-        let pool = || {
-            thread::scope(|s| {
-                for (index, slot) in counters.iter().enumerate() {
-                    let worker = Worker {
-                        hub: &hub,
-                        fabric: &fabric,
-                        counters: slot,
-                        index,
-                    };
-                    s.spawn(move || worker.run());
-                }
-                let handle = EngineHandle {
+        thread::scope(|s| {
+            for (index, slot) in counters.iter().enumerate() {
+                let worker = Worker {
                     hub: &hub,
-                    observer: &self.observer,
-                    counters: &counters,
-                    workers,
-                    started,
+                    fabric: &fabric,
+                    counters: slot,
+                    index,
                 };
-                // The hub closes even if `f` panics, so the workers
-                // drain and exit and the scope joins.
-                let _guard = CloseGuard(&hub);
-                f(&handle)
-            })
-        };
-        // The scrubber stops once the pool has joined, also on a panic.
-        match plan.filter(|_| scrub) {
-            Some(plan) => plan.scrub_while(self.network, &self.observer, pool),
-            None => pool(),
-        }
+                s.spawn(move || worker.run());
+            }
+            let handle = EngineHandle {
+                hub: &hub,
+                observer: &self.observer,
+                counters: &counters,
+                workers,
+                started,
+            };
+            // The hub closes even if `f` panics, so the workers drain and
+            // exit and the scope joins.
+            let _guard = CloseGuard(&hub);
+            f(&handle)
+        })
     }
 }
 
@@ -428,33 +351,13 @@ impl<O: Observer> EngineHandle<'_, O> {
         seq
     }
 
-    /// Non-blocking [`Self::submit`]: rejects the batch instead of
-    /// waiting when the bounded queue is full
-    /// ([`SubmitError::Full`]) or the engine is past
-    /// [`Self::drain_and_close`] ([`SubmitError::Closed`]), handing the
-    /// records back inside the error. This is the admission-control
-    /// primitive: a front door that checks occupancy before offering can
-    /// turn `Full` into an explicit `RETRY` instead of blocking its
-    /// caller.
-    pub fn try_submit(&self, lines: Vec<Record>) -> Result<u64, SubmitError> {
-        self.try_submit_tagged(lines, 0)
-    }
-
-    /// [`Self::try_submit`] with a caller completion-routing token: the
-    /// frame's [`RoutedBatch`] carries `token` back verbatim, so a caller
-    /// can route completions without a side table. `0` = untagged.
-    pub fn try_submit_tagged(&self, lines: Vec<Record>, token: u64) -> Result<u64, SubmitError> {
-        let records = lines.len();
-        let seq = self.hub.try_submit_tagged(lines, token)?;
-        self.submitted(seq, 1, records);
-        Ok(seq)
-    }
-
     /// Non-blocking [`Self::submit_batch`] with per-frame completion
-    /// tokens (`tokens[f]` rides back on frame `f`'s [`RoutedBatch`]):
-    /// rejects instead of waiting when the bounded queue is full or the
-    /// engine is closed, handing the whole batch back inside the error.
-    /// `tokens` must be empty or exactly `batch.frames()` long.
+    /// tokens (`tokens[f]` rides back on frame `f`'s [`RoutedBatch`], so
+    /// a caller can route completions without a side table; `0` means
+    /// untagged): rejects instead of waiting when the bounded queue is
+    /// full, handing the whole batch back inside the error. `tokens` must
+    /// be empty or exactly `batch.frames()` long. A single frame goes as
+    /// a one-frame batch.
     ///
     /// # Panics
     ///
@@ -484,32 +387,13 @@ impl<O: Observer> EngineHandle<'_, O> {
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty or the engine is past
-    /// [`Self::drain_and_close`].
+    /// Panics if the batch is empty.
     pub fn submit_batch(&self, batch: FrameBatch) -> u64 {
         let frames = batch.frames() as u64;
         let records = batch.width();
         let seq = self.hub.submit_batch(batch);
         self.submitted(seq, frames, records);
         seq
-    }
-
-    /// Graceful shutdown: rejects every submission from this point on
-    /// (blocking [`Self::submit`] calls panic, [`Self::try_submit`]
-    /// returns [`SubmitError::Closed`]), drains every in-flight batch,
-    /// and returns them in submission order. After it returns the hub is
-    /// empty, so the worker pool joins deterministically as soon as the
-    /// [`Engine::run`] closure does — no frame is lost (everything
-    /// submitted before the close is in the returned tail or was drained
-    /// earlier) and none is double-delivered (each seq drains exactly
-    /// once, here or before).
-    pub fn drain_and_close(&self) -> Vec<RoutedBatch> {
-        self.hub.stop_accepting();
-        let mut tail = Vec::new();
-        while let Some(batch) = self.hub.drain() {
-            tail.push(batch);
-        }
-        tail
     }
 
     /// Blocks for the next routed batch in submission order; `None` once
@@ -875,15 +759,15 @@ impl<O: Observer> Worker<'_, O> {
     }
 
     /// Publishes a frame's result and, when observing, emits the matching
-    /// [`DrainEvent`] (the event carries submit-to-publish latency,
-    /// measured here because `drain` itself never learns it).
+    /// [`DrainEvent`]. The event carries the submit-to-publish latency the
+    /// hub recorded, so the engine's histogram and the observer's hold
+    /// the same sample.
     fn finish(&self, seq: u64, submitted_at: Instant, result: Result<Vec<Record>, EngineError>) {
         let ok = result.is_ok();
         let records = result.as_ref().map_or(0, Vec::len);
-        self.hub.finish(seq, submitted_at, result);
+        let latency_ns = self.hub.finish(seq, submitted_at, result);
         let observer = self.fabric.observer;
         if observer.enabled() {
-            let latency_ns = submitted_at.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
             observer.batch_drained(DrainEvent {
                 seq,
                 records,
@@ -942,10 +826,9 @@ mod tests {
         let engine = Engine::new(net, EngineConfig::with_workers(2));
         let perms: Vec<_> = (0..5).map(|_| Permutation::random(n, &mut rng)).collect();
         let drained = engine.run(|h| {
-            // One tagged single, then a 4-frame batch with distinct
+            // One plain single, then a 4-frame batch with distinct
             // per-frame tokens.
-            h.try_submit_tagged(records_for_permutation(&perms[0]), 0xAA)
-                .unwrap();
+            h.submit(records_for_permutation(&perms[0]));
             let mut batch = bnb_core::batch::FrameBatch::with_capacity(n, 4);
             for p in &perms[1..] {
                 batch.push_frame(&records_for_permutation(p));
@@ -957,7 +840,7 @@ mod tests {
         });
         let mut by_seq: Vec<_> = drained;
         by_seq.sort_by_key(|b| b.seq);
-        let want_tokens = [0xAAu64, 0x10, 0x20, 0x30, 0x40];
+        let want_tokens = [0u64, 0x10, 0x20, 0x30, 0x40];
         for (i, batch) in by_seq.iter().enumerate() {
             assert_eq!(batch.seq, i as u64);
             assert_eq!(batch.token, want_tokens[i], "frame {i} token");
@@ -1132,6 +1015,29 @@ mod tests {
         assert_eq!(snap.histogram.count(), 5, "one latency sample per batch");
     }
 
+    /// The engine's latency histogram and an attached `Counters`' hold
+    /// the same sample for each drained frame: one clock reading, two
+    /// sinks.
+    #[test]
+    fn engine_and_observer_latency_histograms_agree() {
+        let counters = Counters::new();
+        let net = BnbNetwork::new(4);
+        let engine = Engine::with_observer(net, EngineConfig::with_workers(2), &counters);
+        let mut rng = StdRng::seed_from_u64(13);
+        let stats = engine.run(|h| {
+            for _ in 0..32 {
+                h.submit(records_for_permutation(&Permutation::random(16, &mut rng)));
+            }
+            while h.drain().is_some() {}
+            h.stats()
+        });
+        // Read after the pool joined: a worker emits its drain event
+        // after publishing the frame.
+        let observed = counters.snapshot().histogram;
+        assert_eq!(stats.histogram.count(), 32);
+        assert_eq!(stats.histogram, observed);
+    }
+
     /// A `FlightRecorder` attached to the engine captures every batch's
     /// submit and drain as spans carrying the batch seq as trace id, with
     /// worker activity spread across per-thread recorder lanes.
@@ -1179,7 +1085,7 @@ mod tests {
         let map = stuck_map();
         let (bad, _) = fault_sensitive_perms(net, &map, 43);
         let engine = Engine::with_observer(net, EngineConfig::with_workers(1), &recorder);
-        let plan = FaultPlan::new(
+        let plan = plan_of(
             vec![map, FaultMap::new()],
             RetryPolicy {
                 max_attempts: 2,
@@ -1270,6 +1176,15 @@ mod tests {
         FaultMap::single(FaultSite::new(0, 0, 0), FaultKind::StuckExchange)
     }
 
+    /// A plan whose shard `i` routes through `maps[i]`.
+    fn plan_of(maps: Vec<FaultMap>, retry: RetryPolicy) -> LiveFaultPlan {
+        let plan = LiveFaultPlan::healthy(maps.len()).with_retry(retry);
+        for (i, map) in maps.into_iter().enumerate() {
+            plan.set_faults(i, map);
+        }
+        plan
+    }
+
     /// A healthy plan is exactly `run`: byte-identical results.
     #[test]
     fn healthy_plan_matches_run() {
@@ -1277,7 +1192,7 @@ mod tests {
         let engine = Engine::new(net, EngineConfig::with_workers(2));
         let p = Permutation::try_from(vec![7, 6, 5, 4, 3, 2, 1, 0]).unwrap();
         let expected = net.route(&records_for_permutation(&p)).unwrap();
-        let plan = FaultPlan::healthy(2);
+        let plan = LiveFaultPlan::healthy(2);
         let routed = engine.run_faulted(&plan, |h| {
             h.submit(records_for_permutation(&p));
             h.drain().unwrap()
@@ -1296,10 +1211,13 @@ mod tests {
         let (bad, good) = fault_sensitive_perms(net, &map, 40);
         let expected_good = net.route(&good).unwrap();
         let engine = Engine::new(net, EngineConfig::with_workers(2));
-        let plan = FaultPlan::uniform(map, 2).with_retry(RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::from_micros(1),
-        });
+        let plan = plan_of(
+            vec![map.clone(), map],
+            RetryPolicy {
+                max_attempts: 3,
+                backoff: Duration::from_micros(1),
+            },
+        );
         let (first, second) = engine.run_faulted(&plan, |h| {
             h.submit(bad.clone());
             h.submit(good.clone());
@@ -1329,7 +1247,7 @@ mod tests {
         let (bad, _) = fault_sensitive_perms(net, &map, 41);
         let expected = net.route(&bad).unwrap();
         let engine = Engine::with_observer(net, EngineConfig::with_workers(1), &counters);
-        let plan = FaultPlan::new(
+        let plan = plan_of(
             vec![map, FaultMap::new()],
             RetryPolicy {
                 max_attempts: 2,
@@ -1355,7 +1273,7 @@ mod tests {
         let counters = Counters::new();
         let net = BnbNetwork::new(2);
         let engine = Engine::with_observer(net, EngineConfig::with_workers(1), &counters);
-        let plan = FaultPlan::uniform(stuck_map(), 2);
+        let plan = plan_of(vec![stuck_map(), stuck_map()], RetryPolicy::default());
         let dup = vec![
             Record::new(1, 0),
             Record::new(1, 1),
@@ -1530,21 +1448,23 @@ mod tests {
             },
         );
         let p = Permutation::try_from(vec![7, 6, 5, 4, 3, 2, 1, 0]).unwrap();
+        let mut one = FrameBatch::new(8);
+        one.push_frame(&records_for_permutation(&p));
         engine.run(|h| {
-            // Saturate: keep try_submitting until the bounded queue
-            // pushes back (the single worker may drain a couple first).
+            // Saturate: keep offering one-frame batches until the bounded
+            // queue pushes back (the single worker may drain a couple
+            // first).
             let mut accepted = 0u64;
             let rejected = loop {
-                match h.try_submit(records_for_permutation(&p)) {
+                match h.try_submit_batch(one.clone(), &[]) {
                     Ok(_) => accepted += 1,
                     Err(e) => break e,
                 }
             };
-            assert!(matches!(rejected, SubmitError::Full(_)));
-            assert!(!rejected.is_closed());
+            assert!(matches!(rejected, BatchSubmitError::Full(_)));
             assert_eq!(
-                rejected.into_lines(),
-                records_for_permutation(&p),
+                rejected.into_batch(),
+                one,
                 "the rejected batch rides back unrouted"
             );
             let mut drained = 0u64;
@@ -1552,31 +1472,6 @@ mod tests {
                 drained += 1;
             }
             assert_eq!(drained, accepted, "accepted batches all drain");
-        });
-    }
-
-    #[test]
-    fn drain_and_close_delivers_every_inflight_batch_once() {
-        let net = BnbNetwork::new(4);
-        let engine = Engine::new(net, EngineConfig::with_workers(2));
-        let p = Permutation::random(16, &mut StdRng::seed_from_u64(31));
-        engine.run(|h| {
-            let mut seqs = Vec::new();
-            for _ in 0..6 {
-                seqs.push(h.submit(records_for_permutation(&p)));
-            }
-            // Drain a prefix interactively, then close over the rest.
-            let head = h.drain().unwrap();
-            assert_eq!(head.seq, seqs[0]);
-            let tail = h.drain_and_close();
-            let tail_seqs: Vec<u64> = tail.iter().map(|b| b.seq).collect();
-            assert_eq!(tail_seqs, seqs[1..], "tail drains in order, exactly once");
-            assert!(tail.iter().all(|b| b.result.is_ok()));
-            // Closed for good: rejections are typed, nothing enqueues.
-            let refused = h.try_submit(records_for_permutation(&p)).unwrap_err();
-            assert!(refused.is_closed());
-            assert!(h.drain().is_none(), "nothing left after the close");
-            assert_eq!(h.stats().batches, 6);
         });
     }
 

@@ -52,11 +52,9 @@ pub struct RoutedBatch {
     /// recorded in the engine histogram.
     pub route_ns: u64,
     /// Opaque caller token attached at submission (see
-    /// [`EngineHandle::try_submit_tagged`] /
     /// [`EngineHandle::try_submit_batch`]), for a caller that routes
-    /// completions by it; plain submissions carry `0`.
+    /// completions by it; other submissions carry `0`.
     ///
-    /// [`EngineHandle::try_submit_tagged`]: crate::engine::EngineHandle::try_submit_tagged
     /// [`EngineHandle::try_submit_batch`]: crate::engine::EngineHandle::try_submit_batch
     pub token: u64,
 }
@@ -70,96 +68,32 @@ struct JobMeta {
     remaining: u64,
 }
 
-/// Why [`crate::engine::EngineHandle::try_submit`] refused a batch. The
-/// rejected records ride back inside the variant so callers (admission
-/// layers issuing `RETRY`, queues re-offering later) keep the allocation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SubmitError {
-    /// The bounded queue is full right now; re-offer later.
-    Full(Vec<Record>),
-    /// The engine is past
-    /// [`drain_and_close`](crate::engine::EngineHandle::drain_and_close)
-    /// and accepts nothing more.
-    Closed(Vec<Record>),
-}
-
-impl SubmitError {
-    /// The rejected batch, returned to the caller unrouted.
-    pub fn into_lines(self) -> Vec<Record> {
-        match self {
-            SubmitError::Full(lines) | SubmitError::Closed(lines) => lines,
-        }
-    }
-
-    /// Whether the rejection is permanent (engine closed) rather than
-    /// transient backpressure.
-    pub fn is_closed(&self) -> bool {
-        matches!(self, SubmitError::Closed(_))
-    }
-}
-
-impl std::fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::Full(lines) => {
-                write!(
-                    f,
-                    "submission queue full ({} records rejected)",
-                    lines.len()
-                )
-            }
-            SubmitError::Closed(lines) => write!(
-                f,
-                "engine closed to new submissions ({} records rejected)",
-                lines.len()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SubmitError {}
-
 /// Why
 /// [`EngineHandle::try_submit_batch`](crate::engine::EngineHandle::try_submit_batch)
 /// refused a whole [`FrameBatch`]. The rejected batch rides back inside
-/// the variant, mirroring [`SubmitError`], so callers keep the SoA
-/// allocation for a later re-offer or per-frame RETRY fan-out.
+/// the variant, so callers keep the SoA allocation for a later re-offer
+/// or per-frame RETRY fan-out.
 #[derive(Debug)]
 pub enum BatchSubmitError {
     /// The bounded queue is full right now; re-offer later.
     Full(FrameBatch),
-    /// The engine is past `drain_and_close` and accepts nothing more.
-    Closed(FrameBatch),
 }
 
 impl BatchSubmitError {
     /// The rejected batch, returned to the caller unrouted.
     pub fn into_batch(self) -> FrameBatch {
         match self {
-            BatchSubmitError::Full(batch) | BatchSubmitError::Closed(batch) => batch,
+            BatchSubmitError::Full(batch) => batch,
         }
-    }
-
-    /// Whether the rejection is permanent (engine closed) rather than
-    /// transient backpressure.
-    pub fn is_closed(&self) -> bool {
-        matches!(self, BatchSubmitError::Closed(_))
     }
 }
 
 impl std::fmt::Display for BatchSubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BatchSubmitError::Full(batch) => {
-                write!(
-                    f,
-                    "submission queue full ({} frames rejected)",
-                    batch.frames()
-                )
-            }
-            BatchSubmitError::Closed(batch) => write!(
+            BatchSubmitError::Full(batch) => write!(
                 f,
-                "engine closed to new submissions ({} frames rejected)",
+                "submission queue full ({} frames rejected)",
                 batch.frames()
             ),
         }
@@ -187,9 +121,6 @@ pub(crate) struct HubState {
     submitted: u64,
     next_drain: u64,
     closed: bool,
-    /// Cleared by [`Hub::stop_accepting`]: new submissions are rejected
-    /// while in-flight batches keep draining (graceful shutdown).
-    accepting: bool,
     /// Set by [`Hub::fail`]: a worker panicked, so waiting for its jobs
     /// would block forever.
     failed: bool,
@@ -231,7 +162,6 @@ impl Hub {
                 submitted: 0,
                 next_drain: 0,
                 closed: false,
-                accepting: true,
                 failed: false,
                 batches: 0,
                 records: 0,
@@ -250,11 +180,6 @@ impl Hub {
 
     /// Enqueues a batch, blocking while the bounded queue is full.
     /// Returns the batch's sequence number.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hub is past [`Hub::stop_accepting`]; callers that
-    /// may race a shutdown must use [`Hub::try_submit_tagged`].
     pub fn submit(&self, lines: Vec<Record>) -> u64 {
         self.submit_waiting(JobPayload::Frame(lines), 1)
     }
@@ -265,8 +190,7 @@ impl Hub {
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty or the hub is past
-    /// [`Hub::stop_accepting`].
+    /// Panics if the batch is empty.
     pub fn submit_batch(&self, batch: FrameBatch) -> u64 {
         assert!(!batch.is_empty(), "cannot submit an empty batch");
         let frames = batch.frames() as u64;
@@ -277,34 +201,10 @@ impl Hub {
     /// bounded queue is full.
     fn submit_waiting(&self, payload: JobPayload, seqs: u64) -> u64 {
         let mut st = self.state.lock().unwrap();
-        assert!(st.accepting, "submit after drain_and_close");
         while st.jobs.len() >= self.capacity {
             st = self.space_cv.wait(unless_failed(st)).unwrap();
-            assert!(st.accepting, "submit after drain_and_close");
         }
         self.enqueue_locked(st, payload, seqs)
-    }
-
-    /// Non-blocking [`Hub::submit`]: rejects instead of waiting when the
-    /// queue is full or the hub no longer accepts submissions, handing
-    /// the batch back inside the error.
-    ///
-    /// The frame's [`RoutedBatch`] carries `token` back verbatim, so a
-    /// caller can route the completion without a side table. `0` means
-    /// "untagged".
-    pub fn try_submit_tagged(&self, lines: Vec<Record>, token: u64) -> Result<u64, SubmitError> {
-        let mut st = self.state.lock().unwrap();
-        if !st.accepting {
-            return Err(SubmitError::Closed(lines));
-        }
-        if st.jobs.len() >= self.capacity {
-            return Err(SubmitError::Full(lines));
-        }
-        let seq = st.submitted;
-        if token != 0 {
-            st.tokens.insert(seq, token);
-        }
-        Ok(self.enqueue_locked(st, JobPayload::Frame(lines), 1))
     }
 
     /// Non-blocking [`Hub::submit_batch`] with per-frame completion
@@ -327,9 +227,6 @@ impl Hub {
         );
         let frames = batch.frames() as u64;
         let mut st = self.state.lock().unwrap();
-        if !st.accepting {
-            return Err(BatchSubmitError::Closed(batch));
-        }
         if st.jobs.len() >= self.capacity {
             return Err(BatchSubmitError::Full(batch));
         }
@@ -359,16 +256,6 @@ impl Hub {
         drop(st);
         self.work_cv.notify_one();
         seq
-    }
-
-    /// Rejects all future submissions while letting in-flight work drain.
-    /// Wakes any submitter blocked on queue space (it will hit the
-    /// `submit` contract panic rather than deadlock).
-    pub fn stop_accepting(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.accepting = false;
-        drop(st);
-        self.space_cv.notify_all();
     }
 
     /// Pops the next routed batch in submission order, blocking while one
@@ -403,9 +290,10 @@ impl Hub {
         Some(batch)
     }
 
-    /// Publishes a finished batch and updates the counters. The caller
-    /// wraps routing failures into the appropriate [`EngineError`]
-    /// variant ([`EngineError::batch`] on the normal path,
+    /// Publishes a finished batch, updates the counters, and returns the
+    /// submit-to-publish latency it recorded. The caller wraps routing
+    /// failures into the appropriate [`EngineError`] variant
+    /// ([`EngineError::batch`] on the normal path,
     /// [`EngineError::quarantined`] on the faulted-retry path), so the
     /// drained batch carries the full batch-level cause chain.
     pub fn finish(
@@ -413,7 +301,7 @@ impl Hub {
         seq: u64,
         submitted_at: Instant,
         result: Result<Vec<Record>, EngineError>,
-    ) {
+    ) -> u64 {
         let latency_ns = submitted_at.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         let mut st = self.state.lock().unwrap();
         st.batches += 1;
@@ -449,6 +337,7 @@ impl Hub {
         );
         drop(st);
         self.done_cv.notify_all();
+        latency_ns
     }
 
     /// Blocks until a job or close-with-empty-queue. `None` means the

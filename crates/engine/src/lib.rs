@@ -35,26 +35,27 @@
 //!   whose jobs route on the same packed and batched kernels as
 //!   unobserved ones.
 //! - [`Engine::run_faulted`] routes through damaged hardware: a
-//!   [`FaultPlan`] assigns a `bnb_core::fault::FaultMap` to each fabric
-//!   shard, frames hitting a detected fault are retried on another
+//!   [`LiveFaultPlan`] assigns a `bnb_core::fault::FaultMap` to each
+//!   fabric shard, frames hitting a detected fault are retried on another
 //!   shard with exponential backoff ([`RetryPolicy`]), and exhausted
 //!   retries drain as [`EngineError::Quarantined`] with the fault site in
 //!   the `source()` chain. Workers steer jobs onto healthy shards
 //!   ([`ShardHealth`]); a job on a fault-free shard routes exactly as
 //!   under [`Engine::run`], and a job on a faulted shard stays one
-//!   batched call with only its tripping frames retried.
-//! - [`Engine::run_scrubbed`] adds *live* repair on top: a
-//!   [`LiveFaultPlan`]'s fault maps may change while the engine routes,
-//!   and a background scrubber thread ([`LiveFaultPlan::scrub_while`])
-//!   probes suspect shards beside the workers — quarantining confirmed
-//!   faults and restoring capacity when transients clear — without
-//!   pausing submit/drain. A serving session runs the same scrubber
-//!   beside its reactors.
+//!   batched call with only its tripping frames retried. The plan's maps
+//!   may change while the engine routes.
+//! - [`Engine::run_scrubbed`] is that run inside
+//!   [`LiveFaultPlan::scrub_while`]: a background scrubber thread probes
+//!   suspect shards beside the workers — quarantining confirmed faults
+//!   and restoring capacity when transients clear — without pausing
+//!   submit/drain. A serving session runs the same scrubber beside its
+//!   reactors.
 //!
-//! All three run modes share one scope and one worker loop:
-//! `run_faulted` runs its static plan as a [`LiveFaultPlan`] whose maps
-//! never change and whose scrubber is off, and fault handling is a
-//! per-frame retry, not a separate engine mode (`DESIGN.md` §11).
+//! There is one fault state ([`LiveFaultPlan`]), one scope and one worker
+//! loop: fault handling is a per-frame retry, not a separate engine mode
+//! (`DESIGN.md` §11). The pool closes its queue when the [`Engine::run`]
+//! closure returns, and [`EngineHandle::try_submit_batch`] is its one
+//! non-blocking submit.
 //!
 //! See `DESIGN.md` §8 for how this mirrors the paper's arbiter locality.
 
@@ -65,8 +66,8 @@ pub mod live;
 pub mod stats;
 
 pub use engine::{
-    BatchSubmitError, Engine, EngineConfig, EngineHandle, Fabric, FaultPlan, RetryPolicy,
-    RouteScratch, RoutedBatch, ShardDepth, SubmitError,
+    BatchSubmitError, Engine, EngineConfig, EngineHandle, Fabric, RetryPolicy, RouteScratch,
+    RoutedBatch, ShardDepth,
 };
 pub use error::EngineError;
 pub use live::{LiveFaultPlan, PlanStatus, ShardHealth, ShardStatus};

@@ -3,17 +3,16 @@
 //! [`Engine::run_scrubbed`](crate::Engine::run_scrubbed) and a serving
 //! session's reactors.
 //!
-//! A [`LiveFaultPlan`] is the fault state every faulted run steers by:
-//! each fabric shard owns a [`FaultMap`] behind a lock plus a
-//! [`ShardHealth`] word, and faults can be injected or cleared *while
-//! traffic routes* — the chaos campaign's core primitive.
-//! [`Engine::run_faulted`](crate::Engine::run_faulted) runs its static
-//! [`FaultPlan`](crate::FaultPlan) as a live plan whose maps never change
-//! and whose scrubber is off. Routing threads prefer healthy shards,
-//! demote a shard to [`ShardHealth::Suspect`] the moment a frame trips
-//! its output balance check (Theorem 3's built-in detector), and fall
-//! back to round-robin when no healthy shard remains so traffic never
-//! pauses.
+//! A [`LiveFaultPlan`] is the one fault state every faulted run steers
+//! by, scrubbed or not: each fabric shard owns a [`FaultMap`] behind a
+//! lock plus a [`ShardHealth`] word, and faults can be injected or
+//! cleared *while traffic routes* — the chaos campaign's core primitive.
+//! A fixed assignment is a plan whose maps are set once
+//! ([`LiveFaultPlan::set_faults`]) and never changed. Routing threads
+//! prefer healthy shards, demote a shard to [`ShardHealth::Suspect`] the
+//! moment a frame trips its output balance check (Theorem 3's built-in
+//! detector), and fall back to round-robin when no healthy shard remains
+//! so traffic never pauses.
 //!
 //! The scrubber thread probes every non-healthy shard, beside the threads
 //! that route, with seeded test permutations: a dirty probe confirms the
@@ -101,9 +100,9 @@ impl ShardState {
 }
 
 /// Mutable per-shard fault assignment for
-/// [`Engine::run_scrubbed`](crate::Engine::run_scrubbed), and the form
-/// [`Engine::run_faulted`](crate::Engine::run_faulted) runs a fixed
-/// [`FaultPlan`](crate::FaultPlan) in.
+/// [`Engine::run_faulted`](crate::Engine::run_faulted),
+/// [`Engine::run_scrubbed`](crate::Engine::run_scrubbed) and a serving
+/// session.
 ///
 /// A `LiveFaultPlan` is shared by reference between the routing threads,
 /// the scrubber thread, and any chaos driver injecting or clearing
@@ -265,9 +264,9 @@ impl LiveFaultPlan {
     /// Runs `f` on this thread while a scrubber thread probes this plan's
     /// non-healthy shards on `net`, reporting to `observer`. The scrubber
     /// stops and joins when `f` returns or panics.
-    /// [`Engine::run_scrubbed`](crate::Engine::run_scrubbed) scrubs beside
-    /// its worker pool this way, and a serving session beside its
-    /// reactors.
+    /// [`Engine::run_scrubbed`](crate::Engine::run_scrubbed) is
+    /// [`Engine::run_faulted`](crate::Engine::run_faulted) inside it, and
+    /// a serving session runs its reactors inside it.
     pub fn scrub_while<R>(
         &self,
         net: BnbNetwork,

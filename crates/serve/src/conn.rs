@@ -14,9 +14,11 @@
 //! HTTP client works on a nonblocking socket.
 //!
 //! Admission control runs here, in the owning reactor thread: tenant
-//! auth (keyed servers), the draining check, the per-connection window,
-//! the per-tenant quota, then the global in-flight cap. Every refusal is
-//! an explicit wire answer. A SUBMIT body is read in place
+//! auth (keyed servers), the width check (a SUBMIT whose record count is
+//! not the network's is answered `ERROR(Route)` at once and takes no
+//! slot), the draining check, the per-connection window, the per-tenant
+//! quota, then the global in-flight cap. Every refusal is an explicit
+//! wire answer. A SUBMIT body is read in place
 //! ([`crate::protocol::decode_submit`]): an admitted frame's
 //! destinations go straight from the read buffer into the reactor's
 //! [`Inbox`], and its ROUTED reply is encoded straight from the routed
@@ -526,10 +528,10 @@ impl Conn {
         })
     }
 
-    /// Admission control for one SUBMIT: draining check, per-connection
-    /// window, per-tenant quota, then the global in-flight cap. An
-    /// admitted frame joins `inbox`, its destinations copied straight
-    /// from the wire.
+    /// Admission control for one SUBMIT: width check, draining check,
+    /// per-connection window, per-tenant quota, then the global in-flight
+    /// cap. An admitted frame joins `inbox`, its destinations copied
+    /// straight from the wire.
     fn admit(
         &mut self,
         ctx: &SessionCtx<'_>,
@@ -545,6 +547,17 @@ impl Conn {
             .checked_sub(Duration::from_nanos(decode_ns))
             .unwrap_or(received_at);
 
+        if view.records() != ctx.cfg.inputs {
+            // A frame of another width can never route: it fails as
+            // routing it would have, before it takes any slot, so no
+            // RETRY invites the client to resend it.
+            let mismatch = RouteError::WidthMismatch {
+                expected: ctx.cfg.inputs,
+                actual: view.records(),
+            };
+            self.refuse_route(ctx, tenant, request_id, error_chain(&mismatch));
+            return;
+        }
         if ctx.control.shutdown_requested() {
             self.refuse(ctx, tenant, request_id, RetryReason::Draining);
             return;
@@ -565,18 +578,6 @@ impl Conn {
             ctx.admission.inflight.fetch_sub(1, Ordering::AcqRel);
             tenant_slot.fetch_sub(1, Ordering::AcqRel);
             self.refuse(ctx, tenant, request_id, RetryReason::QueueFull);
-            return;
-        }
-        if view.records() != ctx.cfg.inputs {
-            // A frame of another width cannot join the batch: it fails as
-            // routing it would have.
-            ctx.admission.inflight.fetch_sub(1, Ordering::AcqRel);
-            tenant_slot.fetch_sub(1, Ordering::AcqRel);
-            let mismatch = RouteError::WidthMismatch {
-                expected: ctx.cfg.inputs,
-                actual: view.records(),
-            };
-            self.refuse_route(ctx, tenant, request_id, error_chain(&mismatch));
             return;
         }
 

@@ -705,20 +705,10 @@ fn fill(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, RecvError> {
 /// frames (retry after checking shutdown flags). The length prefix is
 /// validated against [`MAX_BODY`] before any body allocation.
 pub fn read_message(r: &mut impl Read) -> Result<Option<Message>, RecvError> {
-    Ok(read_message_timed(r)?.map(|(msg, _)| msg))
-}
-
-/// [`read_message`], also reporting how long receiving and decoding the
-/// frame took in nanoseconds. The clock starts *after* the length prefix
-/// arrives, so idle time between frames is not charged — what remains is
-/// the body read plus [`decode_body`], the decode stage of the request
-/// lifecycle.
-pub fn read_message_timed(r: &mut impl Read) -> Result<Option<(Message, u64)>, RecvError> {
     let mut len_buf = [0u8; 4];
     if !fill(r, &mut len_buf)? {
         return Ok(None);
     }
-    let started = Instant::now();
     let len = u32::from_be_bytes(len_buf) as usize;
     if len > MAX_BODY {
         return Err(WireError::Oversized {
@@ -734,8 +724,7 @@ pub fn read_message_timed(r: &mut impl Read) -> Result<Option<(Message, u64)>, R
             "stream closed between length and body",
         )));
     }
-    let msg = decode_body(&body)?;
-    Ok(Some((msg, elapsed_ns(started))))
+    Ok(Some(decode_body(&body)?))
 }
 
 /// Writes one framed message.
@@ -754,9 +743,9 @@ pub fn write_message(w: &mut impl Write, msg: &Message) -> io::Result<()> {
 /// soon as it is visible, so buffered memory per connection stays
 /// bounded.
 ///
-/// The per-frame decode clock matches [`read_message_timed`]: it starts
-/// when the frame's 4-byte length prefix is fully buffered and stops
-/// when the body parses, so idle time between frames is not charged.
+/// The per-frame decode clock starts when the frame's 4-byte length
+/// prefix is fully buffered and stops when the body parses, so idle time
+/// between frames is not charged.
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
     /// Storage: bytes `start..end` are buffered and unconsumed. The bytes
@@ -1067,22 +1056,6 @@ mod tests {
             request_id: 0,
             json: String::new(),
         });
-    }
-
-    #[test]
-    fn timed_reads_report_decode_time_and_match_untimed() {
-        let msg = Message::Submit {
-            tenant: 2,
-            request_id: 9,
-            dests: vec![1, 0],
-        };
-        let bytes = msg.to_bytes();
-        let mut cursor = io::Cursor::new(&bytes);
-        let (got, decode_ns) = read_message_timed(&mut cursor).unwrap().unwrap();
-        assert_eq!(got, msg);
-        assert!(decode_ns > 0, "decode time is stamped");
-        let mut empty = io::Cursor::new(Vec::new());
-        assert!(matches!(read_message_timed(&mut empty), Ok(None)));
     }
 
     /// The bulk SUBMIT decode against the word iterator, and the ROUTED

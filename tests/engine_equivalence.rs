@@ -30,7 +30,7 @@ fn engine_for(net: BnbNetwork, workers: usize) -> Engine {
 #[test]
 fn faulted_shard_quarantines_while_healthy_batches_match() {
     use bnb::core::{FaultKind, FaultMap, FaultSite, FaultyFabric};
-    use bnb::engine::{EngineError, FaultPlan, RetryPolicy};
+    use bnb::engine::{EngineError, LiveFaultPlan, RetryPolicy};
     use rand::SeedableRng;
     let m = 4usize;
     let n = 1usize << m;
@@ -62,11 +62,14 @@ fn faulted_shard_quarantines_while_healthy_batches_match() {
     ];
     let expected: Vec<Vec<Record>> = batches.iter().map(|b| net.route(b).unwrap()).collect();
 
-    let plan = FaultPlan::uniform(map, 2).with_retry(RetryPolicy {
-        max_attempts: 2,
-        backoff: std::time::Duration::ZERO,
-    });
     for workers in [1usize, 3] {
+        // Every shard carries the fault; each run starts from a fresh plan.
+        let plan = LiveFaultPlan::healthy(2).with_retry(RetryPolicy {
+            max_attempts: 2,
+            backoff: std::time::Duration::ZERO,
+        });
+        plan.set_faults(0, map.clone());
+        plan.set_faults(1, map.clone());
         let engine = engine_for(net, workers);
         let routed = engine.run_faulted(&plan, |h| {
             for b in &batches {

@@ -1,12 +1,14 @@
-//! Engine shutdown hardening: `drain_and_close` must deliver every
-//! in-flight batch exactly once, in submission order, and reject all
-//! later submissions — under concurrent submitters, not just the
-//! single-threaded unit tests in `bnb-engine`.
+//! Engine shutdown hardening: with concurrent submitters racing a
+//! shallow queue through the non-blocking `try_submit_batch`, every
+//! accepted frame drains exactly once, in submission order, before the
+//! `Engine::run` closure returns and its close takes effect — not just
+//! the single-threaded unit tests in `bnb-engine`.
 
 use std::collections::BTreeMap;
 use std::thread;
 use std::time::Duration;
 
+use bnb::core::batch::FrameBatch;
 use bnb::core::network::BnbNetwork;
 use bnb::engine::{Engine, EngineConfig, ShardDepth};
 use bnb::topology::perm::Permutation;
@@ -15,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 #[test]
-fn no_frame_is_lost_or_doubled_across_drain_and_close() {
+fn no_frame_is_lost_or_doubled_when_submitters_race() {
     let m = 4;
     let net = BnbNetwork::new(m);
     let engine = Engine::new(
@@ -29,9 +31,8 @@ fn no_frame_is_lost_or_doubled_across_drain_and_close() {
 
     let (accepted_per_thread, early, tail) = engine.run(|handle| {
         thread::scope(|s| {
-            // Four submitters racing the close: each tries to push 10
-            // frames, retrying on a full queue, stopping early if the
-            // close wins the race.
+            // Four submitters racing one 2-deep queue: each pushes 10
+            // one-frame batches, retrying whenever the queue is full.
             let submitters: Vec<_> = (0..4)
                 .map(|t| {
                     let handle = &handle;
@@ -40,9 +41,10 @@ fn no_frame_is_lost_or_doubled_across_drain_and_close() {
                         let mut accepted = Vec::new();
                         while accepted.len() < 10 {
                             let perm = Permutation::random(1 << m, &mut rng);
-                            match handle.try_submit(records_for_permutation(&perm)) {
+                            let mut one = FrameBatch::new(1 << m);
+                            one.push_frame(&records_for_permutation(&perm));
+                            match handle.try_submit_batch(one, &[]) {
                                 Ok(seq) => accepted.push(seq),
-                                Err(e) if e.is_closed() => break,
                                 Err(_) => thread::sleep(Duration::from_micros(50)),
                             }
                         }
@@ -51,16 +53,17 @@ fn no_frame_is_lost_or_doubled_across_drain_and_close() {
                 })
                 .collect();
 
-            // A draining consumer pulls half the traffic *before* the
-            // close so the test covers frames delivered on both sides of
-            // it. `drain()` returns None when nothing is outstanding at
-            // that instant (submitters may be mid-retry), so poll.
+            // A draining consumer pulls half the traffic while the
+            // submitters race, so the test covers frames delivered on
+            // both sides of their join. `drain()` returns None when
+            // nothing is outstanding at that instant (submitters may be
+            // mid-retry), so poll.
             let deadline = std::time::Instant::now() + Duration::from_secs(30);
             let mut early = Vec::new();
             while early.len() < 20 {
                 match handle.drain() {
                     Some(batch) => {
-                        assert!(batch.result.is_ok(), "pre-close batch failed");
+                        assert!(batch.result.is_ok(), "racing batch failed");
                         early.push(batch.seq);
                     }
                     None => {
@@ -74,33 +77,36 @@ fn no_frame_is_lost_or_doubled_across_drain_and_close() {
                 }
             }
 
-            let tail = handle.drain_and_close();
             let accepted: Vec<Vec<u64>> =
                 submitters.into_iter().map(|h| h.join().unwrap()).collect();
+            // Every submitter is done: drain the rest before the closure
+            // returns and the engine closes its queue.
+            let mut tail = Vec::new();
+            while let Some(batch) = handle.drain() {
+                tail.push(batch);
+            }
             (accepted, early, tail)
         })
     });
 
-    // Ledger: every accepted seq appears exactly once across the early
-    // drains and the close-time tail — nothing lost, nothing doubled.
+    // Ledger: every accepted seq appears exactly once across the racing
+    // drains and the tail, in submission order — nothing lost, nothing
+    // doubled.
     let mut seen: BTreeMap<u64, usize> = BTreeMap::new();
-    for &seq in early.iter() {
-        *seen.entry(seq).or_default() += 1;
-    }
-    let mut last_tail_seq = None;
+    let mut order = early.clone();
     for batch in &tail {
         assert!(batch.result.is_ok(), "tail batch {} failed", batch.seq);
-        if let Some(prev) = last_tail_seq {
-            assert!(batch.seq > prev, "tail must stay in submission order");
-        }
-        last_tail_seq = Some(batch.seq);
-        *seen.entry(batch.seq).or_default() += 1;
+        order.push(batch.seq);
+    }
+    for &seq in &order {
+        *seen.entry(seq).or_default() += 1;
     }
     let accepted_total: usize = accepted_per_thread.iter().map(Vec::len).sum();
+    assert_eq!(accepted_total, 40, "every submitter lands its 10 frames");
     assert_eq!(
-        seen.len(),
-        accepted_total,
-        "every accepted batch drains exactly once"
+        order,
+        (0..40).collect::<Vec<u64>>(),
+        "the 40 accepted frames drain in submission order"
     );
     for (seq, count) in &seen {
         assert_eq!(*count, 1, "batch {seq} drained {count} times");
@@ -110,29 +116,4 @@ fn no_frame_is_lost_or_doubled_across_drain_and_close() {
             assert!(seen.contains_key(seq), "accepted batch {seq} never drained");
         }
     }
-    assert!(
-        accepted_total >= 20,
-        "the race must actually exercise the queue (got {accepted_total})"
-    );
-}
-
-#[test]
-fn submissions_after_close_return_the_batch_intact() {
-    let m = 3;
-    let net = BnbNetwork::new(m);
-    let engine = Engine::new(net, EngineConfig::with_workers(2));
-    engine.run(|handle| {
-        let perm = Permutation::try_from(vec![1, 0, 3, 2, 5, 4, 7, 6]).unwrap();
-        handle.submit(records_for_permutation(&perm));
-        let tail = handle.drain_and_close();
-        assert_eq!(tail.len(), 1);
-
-        let lines = records_for_permutation(&perm);
-        let err = handle.try_submit(lines.clone()).unwrap_err();
-        assert!(err.is_closed());
-        // The refused batch comes back untouched — callers can re-offer
-        // it elsewhere instead of losing the frame.
-        assert_eq!(err.into_lines(), lines);
-        assert!(handle.drain().is_none(), "closed queue yields no batches");
-    });
 }

@@ -10,7 +10,7 @@ use std::time::Duration;
 use bnb::core::batch::FrameBatch;
 use bnb::core::network::BnbNetwork;
 use bnb::core::{FaultKind, FaultMap, FaultSite, FaultyFabric, RouteError};
-use bnb::engine::{Engine, EngineConfig, EngineError, FaultPlan, RetryPolicy, RoutedBatch};
+use bnb::engine::{Engine, EngineConfig, EngineError, LiveFaultPlan, RetryPolicy, RoutedBatch};
 use bnb::obs::Counters;
 use bnb::topology::perm::Permutation;
 use bnb::topology::record::{records_for_permutation, Record};
@@ -54,6 +54,15 @@ fn alternating_frames(net: BnbNetwork, faults: &FaultMap, seed: u64) -> Vec<Vec<
         .collect()
 }
 
+/// A plan whose shard `i` routes through `maps[i]`.
+fn plan_of(maps: Vec<FaultMap>, retry: RetryPolicy) -> LiveFaultPlan {
+    let plan = LiveFaultPlan::healthy(maps.len()).with_retry(retry);
+    for (i, map) in maps.into_iter().enumerate() {
+        plan.set_faults(i, map);
+    }
+    plan
+}
+
 fn token(f: usize) -> u64 {
     0xC0DE_0000 + f as u64
 }
@@ -62,7 +71,7 @@ fn token(f: usize) -> u64 {
 /// drains every frame; returns the batch's first seq and the drains.
 fn run_batch(
     engine: &Engine<&Counters>,
-    plan: &FaultPlan,
+    plan: &LiveFaultPlan,
     frames: &[Vec<Record>],
 ) -> (u64, Vec<RoutedBatch>) {
     let mut batch = FrameBatch::with_capacity(frames[0].len(), frames.len());
@@ -86,7 +95,7 @@ fn tripping_frames_of_a_batch_retry_onto_the_healthy_shard() {
     let frames = alternating_frames(net, &map, 5);
     let counters = Counters::new();
     let engine = Engine::with_observer(net, EngineConfig::with_workers(1), &counters);
-    let plan = FaultPlan::new(
+    let plan = plan_of(
         vec![map, FaultMap::new()],
         RetryPolicy {
             max_attempts: 2,
@@ -120,10 +129,13 @@ fn uniform_faults_quarantine_exactly_the_tripping_frames_of_a_batch() {
     let frames = alternating_frames(net, &map, 6);
     let counters = Counters::new();
     let engine = Engine::with_observer(net, EngineConfig::with_workers(1), &counters);
-    let plan = FaultPlan::uniform(map, 2).with_retry(RetryPolicy {
-        max_attempts: 3,
-        backoff: Duration::ZERO,
-    });
+    let plan = plan_of(
+        vec![map.clone(), map],
+        RetryPolicy {
+            max_attempts: 3,
+            backoff: Duration::ZERO,
+        },
+    );
     let (base, drained) = run_batch(&engine, &plan, &frames);
     for (f, routed) in drained.iter().enumerate() {
         assert_eq!(routed.seq, base + f as u64, "frame {f} keeps its seq");

@@ -788,6 +788,65 @@ fn served_route_errors_name_the_route_error_without_a_sequence_number() {
     assert!(report.accounted(), "{report:?}");
 }
 
+/// A wrong-width SUBMIT is answered `ERROR(Route)` even while the
+/// connection's window is full: it can never route, so a RETRY would
+/// only invite the client to resend it. At window 1, one write carries a
+/// valid frame (which takes the slot) and then a 4-record one.
+#[test]
+fn wrong_width_submits_are_route_errors_even_with_a_full_window() {
+    let config = ServeConfig {
+        inputs: 8,
+        reactor_threads: 1,
+        window: 1,
+        ..ServeConfig::default()
+    };
+    let valid = vec![7, 5, 3, 1, 6, 4, 2, 0];
+    let (report, replies) = serve_scope(config, |addr, _control| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut wire = Vec::new();
+        for (request_id, dests) in [(1u64, valid.clone()), (2, vec![3, 2, 1, 0])] {
+            Message::Submit {
+                tenant: 1,
+                request_id,
+                dests,
+            }
+            .encode(&mut wire);
+        }
+        stream.write_all(&wire).unwrap();
+        let mut replies: Vec<Message> = (0..2)
+            .map(|_| {
+                read_message(&mut stream)
+                    .unwrap()
+                    .expect("a reply per SUBMIT")
+            })
+            .collect();
+        replies.sort_by_key(Message::request_id);
+        replies
+    });
+    let Message::Routed { sources, .. } = &replies[0] else {
+        panic!("expected ROUTED for the valid frame, got {:?}", replies[0]);
+    };
+    for (j, &src) in sources.iter().enumerate() {
+        assert_eq!(valid[src as usize] as usize, j, "misdelivered");
+    }
+    let Message::Error {
+        request_id: 2,
+        code: ErrorCode::Route,
+        message,
+        ..
+    } = &replies[1]
+    else {
+        panic!("expected ERROR(Route) for the 4-record frame, got {replies:?}");
+    };
+    assert_eq!(message, "network has 8 inputs but 4 records were provided");
+    assert_eq!(report.retries_issued, 0, "{report:?}");
+    assert_eq!(report.frames_errored, 1, "{report:?}");
+    assert!(report.accounted(), "{report:?}");
+}
+
 #[test]
 fn a_silent_server_ends_in_unanswered_not_a_hang() {
     // A listener that accepts and reads, but never answers.
