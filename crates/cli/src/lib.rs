@@ -135,7 +135,7 @@ fn render_metrics(format: MetricsFormat, counters: &Counters) -> Result<String, 
     let snapshot = counters.snapshot();
     match format {
         MetricsFormat::Text => Ok(bnb_obs::render_text(&snapshot)),
-        MetricsFormat::Json => bnb_obs::render_json(&snapshot)
+        MetricsFormat::Json => serde_json::to_string(&snapshot)
             .map(|json| format!("{json}\n"))
             .map_err(|e| CliError::caused_by("metrics serialization failed", e)),
         MetricsFormat::Prom => Ok(bnb_obs::render_prometheus(&snapshot)),
@@ -1062,7 +1062,7 @@ fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
             Some(MetricsFormat::Json) => {
                 let report_json = serde_json::to_string(&report)
                     .map_err(|e| CliError::caused_by("fault report serialization failed", e))?;
-                let metrics_json = bnb_obs::render_json(&counters.snapshot())
+                let metrics_json = serde_json::to_string(&counters.snapshot())
                     .map_err(|e| CliError::caused_by("metrics serialization failed", e))?;
                 out.push_str(&format!("{report_json}\n{metrics_json}\n"));
             }

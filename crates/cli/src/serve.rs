@@ -17,7 +17,7 @@
 //! and fabric health — like `top(1)` for the routing service.
 
 use std::io::{Read as _, Write as _};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -111,7 +111,7 @@ pub(crate) fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
             .map_err(|e| CliError::caused_by(format!("cannot write {path}"), e))?;
     }
 
-    let listener = TcpListener::bind(addr)
+    let listener = bnb_serve::server::bind(addr, config.max_connections)
         .map_err(|e| CliError::caused_by(format!("cannot bind {addr}"), e))?;
     let local = listener
         .local_addr()
@@ -142,8 +142,9 @@ pub(crate) fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
             // a session that outlives its schedule converges back to
             // full capacity.
             let plan = LiveFaultPlan::healthy(shards).with_probe_seed(seed);
-            let mut server =
-                Server::with_fault_plan(config, &counters, &plan).with_recorder(&recorder);
+            let mut server = Server::new(config, &counters)
+                .with_fault_plan(&plan)
+                .with_recorder(&recorder);
             if let Some(keys) = tenant_keys.clone() {
                 server = server.with_tenant_keys(keys);
             }

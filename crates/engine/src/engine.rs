@@ -71,13 +71,13 @@ use bnb_core::error::RouteError;
 use bnb_core::fault::FaultMap;
 use bnb_core::network::BnbNetwork;
 use bnb_core::stages::{validate_lines, RouteSpan, StageScratch};
-use bnb_obs::{DrainEvent, NoopObserver, Observer, RetryEvent, SubmitEvent};
+use bnb_obs::{DrainEvent, LatencySummary, NoopObserver, Observer, RetryEvent, SubmitEvent};
 use bnb_topology::record::Record;
 
 use crate::error::EngineError;
 use crate::hub::{CloseGuard, FailGuard, Hub, JobPayload};
 use crate::live::LiveFaultPlan;
-use crate::stats::{EngineStats, LatencySummary, WorkerMetrics};
+use crate::stats::{EngineStats, WorkerMetrics};
 
 pub use crate::hub::{BatchSubmitError, RoutedBatch};
 

@@ -13,10 +13,10 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use bnb_core::batch::FrameBatch;
+use bnb_obs::LatencyHistogram;
 use bnb_topology::record::Record;
 
 use crate::error::EngineError;
-use crate::stats::LatencyHistogram;
 
 /// What a submitted job carries: one frame, or a whole [`FrameBatch`]
 /// with one frame result per reserved sequence number. Its owning worker

@@ -71,4 +71,4 @@ pub use engine::{
 };
 pub use error::EngineError;
 pub use live::{LiveFaultPlan, PlanStatus, ShardHealth, ShardStatus};
-pub use stats::{EngineStats, LatencyHistogram, LatencySummary, WorkerMetrics, HISTOGRAM_BUCKETS};
+pub use stats::{EngineStats, WorkerMetrics};

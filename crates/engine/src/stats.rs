@@ -1,14 +1,12 @@
 //! Engine throughput and latency accounting.
 //!
-//! The latency histogram types live in `bnb-obs` (shared with the
-//! observability sinks) and are re-exported here for compatibility:
-//! latency is tracked in a fixed array of 64 power-of-two nanosecond
-//! buckets — constant memory, no per-sample allocation, and quantiles in
-//! one pass.
+//! Latency is tracked in `bnb-obs`'s [`LatencyHistogram`], the layout the
+//! observability sinks share: a fixed array of 64 power-of-two
+//! nanosecond buckets — constant memory, no per-sample allocation, and
+//! quantiles in one pass.
 
+use bnb_obs::{LatencyHistogram, LatencySummary};
 use serde::{Deserialize, Serialize};
-
-pub use bnb_obs::{LatencyHistogram, LatencySummary, HISTOGRAM_BUCKETS};
 
 /// Per-worker activity counters, one entry per pool thread.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -61,17 +59,6 @@ pub struct EngineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_types_are_the_obs_types() {
-        // The re-export must stay pointed at bnb-obs so engine stats and
-        // observability sinks share one histogram layout.
-        let mut from_engine: LatencyHistogram = bnb_obs::LatencyHistogram::new();
-        from_engine.record(42);
-        let summary: bnb_obs::LatencySummary = LatencySummary::from_histogram(&from_engine);
-        assert_eq!(summary.min_ns, 42);
-        assert_eq!(HISTOGRAM_BUCKETS, bnb_obs::HISTOGRAM_BUCKETS);
-    }
 
     #[test]
     fn worker_metrics_serde_round_trips() {

@@ -164,17 +164,6 @@ impl Counters {
         &self.shards[shard_index()]
     }
 
-    /// The embedded latency histogram (fed by batch-drain events).
-    pub fn histogram(&self) -> &AtomicHistogram {
-        &self.histogram
-    }
-
-    /// Records one span latency directly (see [`crate::SpanTimer`]).
-    #[inline]
-    pub fn record_latency(&self, ns: u64) {
-        self.histogram.record(ns);
-    }
-
     /// Zeroes every counter, per-stage slot, and the latency histogram —
     /// the per-serving-session reset (high-water marks included). Not a
     /// point-in-time cut under concurrent writers; call it between

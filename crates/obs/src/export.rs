@@ -423,16 +423,6 @@ pub fn render_prometheus_telemetry(snapshot: &TelemetrySnapshot) -> String {
     out
 }
 
-/// Renders a snapshot as a JSON object.
-pub fn render_json(snapshot: &MetricsSnapshot) -> Result<String, serde_json::Error> {
-    serde_json::to_string(snapshot)
-}
-
-/// Renders a snapshot as pretty-printed JSON.
-pub fn render_json_pretty(snapshot: &MetricsSnapshot) -> Result<String, serde_json::Error> {
-    serde_json::to_string_pretty(snapshot)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,16 +667,5 @@ mod tests {
             "expected a populated exposition, got {samples}"
         );
         assert_eq!(helped, typed, "HELP and TYPE must cover the same families");
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let snap = sample();
-        let json = render_json(&snap).unwrap();
-        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
-        let pretty = render_json_pretty(&snap).unwrap();
-        let back: MetricsSnapshot = serde_json::from_str(&pretty).unwrap();
-        assert_eq!(back, snap);
     }
 }

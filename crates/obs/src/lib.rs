@@ -18,11 +18,8 @@
 //!   [`Observer`]: per-thread shards of relaxed atomics, aggregated on
 //!   demand into a serializable [`MetricsSnapshot`] with per-main-stage
 //!   breakdowns.
-//! - [`histogram`] — the fixed-bucket [`LatencyHistogram`] (moved here
-//!   from `bnb-engine`, which re-exports it) plus a lock-free
-//!   [`AtomicHistogram`] for concurrent recording.
-//! - [`timer`] — [`SpanTimer`], a span-style stopwatch that feeds
-//!   histograms.
+//! - [`histogram`] — the fixed-bucket [`LatencyHistogram`] plus a
+//!   lock-free [`AtomicHistogram`] for concurrent recording.
 //! - [`recorder`] — the [`FlightRecorder`], a fixed-capacity lock-free
 //!   ring of [`Span`]s with head/tail sampling ([`SamplePolicy`]) and a
 //!   drop counter, sharded into per-thread lanes merged at drain.
@@ -30,9 +27,9 @@
 //!   sink: per-stage latency histograms (decode → admission → queue wait
 //!   → route → drain → response write) that partition the wire-to-wire
 //!   latency, plus per-tenant sliding-window aggregates.
-//! - [`export`] — text, JSON, and Prometheus exposition renderings of a
-//!   [`MetricsSnapshot`], plus the labelled per-stage/per-tenant
-//!   exposition of a [`TelemetrySnapshot`].
+//! - [`export`] — text and Prometheus exposition renderings of a
+//!   [`MetricsSnapshot`] (which serializes to JSON directly), plus the
+//!   labelled per-stage/per-tenant exposition of a [`TelemetrySnapshot`].
 //! - [`chrome`] — Chrome trace-event JSON ([`render_chrome_trace`]) for
 //!   recorded spans, loadable in `chrome://tracing` or Perfetto, with
 //!   recorder lanes mapped to `tid` tracks.
@@ -73,7 +70,6 @@ pub mod histogram;
 pub mod observer;
 pub mod recorder;
 pub mod telemetry;
-pub mod timer;
 
 pub use chrome::render_chrome_trace;
 pub use counters::{Counters, MetricsSnapshot, StageMetrics};
@@ -81,9 +77,7 @@ pub use event::{
     ColumnEvent, ConflictEvent, DrainEvent, FaultEvent, HopEvent, RepairEvent, RetryEvent,
     RoundEvent, ScrubEvent, StageTotalsEvent, SubmitEvent, SweepEvent,
 };
-pub use export::{
-    render_json, render_json_pretty, render_prometheus, render_prometheus_telemetry, render_text,
-};
+pub use export::{render_prometheus, render_prometheus_telemetry, render_text};
 pub use histogram::{AtomicHistogram, LatencyHistogram, LatencySummary, HISTOGRAM_BUCKETS};
 pub use observer::{Fanout, NoopObserver, Observer};
 pub use recorder::{FlightRecorder, RecorderStats, SamplePolicy, Span, SpanKind, RECORDER_LANES};
@@ -91,4 +85,3 @@ pub use telemetry::{
     Stage, StageSnapshot, Telemetry, TelemetrySnapshot, TenantSnapshot, TenantWindow, STAGE_COUNT,
     WINDOW_SLOTS,
 };
-pub use timer::SpanTimer;

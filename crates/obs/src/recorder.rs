@@ -23,10 +23,9 @@
 //! # Sampling
 //!
 //! Head sampling ([`SamplePolicy::Rate`]) keeps one span in `n`; tail
-//! sampling ([`SamplePolicy::Errors`] or a custom
-//! [`SamplePolicy::Predicate`]) keeps only frames that hit a conflict,
-//! retry, or hardware fault. Spans rejected by the policy are tallied in
-//! [`sampled_out`](FlightRecorder::sampled_out).
+//! sampling ([`SamplePolicy::Errors`]) keeps only frames that hit a
+//! conflict, retry, or hardware fault. Spans rejected by the policy are
+//! tallied in [`sampled_out`](FlightRecorder::sampled_out).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -183,7 +182,7 @@ impl Span {
 }
 
 /// Which spans the recorder keeps (head/tail sampling).
-#[derive(Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub enum SamplePolicy {
     /// Keep every span.
     #[default]
@@ -193,20 +192,6 @@ pub enum SamplePolicy {
     /// Tail sampling: keep only error-path spans — conflicts, hardware
     /// faults, retries, and failed drains.
     Errors,
-    /// Keep spans the predicate accepts. The predicate must be cheap and
-    /// allocation-free; it runs on the recording thread.
-    Predicate(fn(&Span) -> bool),
-}
-
-impl std::fmt::Debug for SamplePolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SamplePolicy::All => write!(f, "All"),
-            SamplePolicy::Rate(n) => write!(f, "Rate({n})"),
-            SamplePolicy::Errors => write!(f, "Errors"),
-            SamplePolicy::Predicate(_) => write!(f, "Predicate(..)"),
-        }
-    }
 }
 
 impl SamplePolicy {
@@ -215,7 +200,6 @@ impl SamplePolicy {
             SamplePolicy::All => true,
             SamplePolicy::Rate(n) => tick.is_multiple_of((*n).max(1)),
             SamplePolicy::Errors => span.kind.is_error() || !span.ok,
-            SamplePolicy::Predicate(p) => p(span),
         }
     }
 }
@@ -693,18 +677,6 @@ mod tests {
         assert_eq!(rec.sampled_out(), 1);
         let kinds: Vec<SpanKind> = rec.spans().iter().map(|s| s.kind).collect();
         assert_eq!(kinds, vec![SpanKind::Fault, SpanKind::Drain]);
-    }
-
-    #[test]
-    fn predicate_sampling_filters() {
-        let rec =
-            FlightRecorder::with_capacity(16).policy(SamplePolicy::Predicate(|s| s.seq % 2 == 0));
-        for i in 0..6 {
-            rec.record(span(i));
-        }
-        let seqs: Vec<u64> = rec.spans().iter().map(|s| s.seq).collect();
-        assert_eq!(seqs, vec![0, 2, 4]);
-        assert_eq!(rec.sampled_out(), 3);
     }
 
     #[test]

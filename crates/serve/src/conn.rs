@@ -48,10 +48,11 @@ use crate::server::{build_status, SessionCtx, SessionStats};
 const WRITE_HIGH_WATER: usize = 256 * 1024;
 /// Resume reads once the backlog flushes below this.
 const WRITE_LOW_WATER: usize = 64 * 1024;
-/// Largest buffered HTTP request head, as in the threaded server.
+/// Largest buffered HTTP request head.
 const HTTP_HEAD_MAX: usize = 8192;
 /// How long a partially received frame may stall before the connection
-/// is dropped (mirrors the blocking reader's mid-frame deadline).
+/// is dropped: bounds graceful-drain time against clients that die
+/// mid-frame.
 pub(crate) const MID_FRAME_DEADLINE: Duration = Duration::from_secs(5);
 
 /// A served request's accumulated stage stamps, attached to its ROUTED

@@ -44,7 +44,7 @@ pub use loadgen::{
     run_loadgen, run_sweep, LatencyPercentiles, LoadMode, LoadgenConfig, LoadgenReport, SweepPoint,
     SweepReport, TenantLoad,
 };
-pub use protocol::{ErrorCode, FrameAssembler, Message, RecvError, RetryReason, WireError};
+pub use protocol::{ErrorCode, FrameAssembler, Message, RetryReason, WireError};
 pub use server::{
     install_signal_handlers, EngineStatus, ServeConfig, ServeError, ServeReport, Server,
     ServerControl, StatusSnapshot, WindowStatus,

@@ -37,7 +37,7 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use crate::auth::TenantKeys;
-use crate::protocol::{write_message, FrameAssembler, Message};
+use crate::protocol::{FrameAssembler, Message};
 use crate::sys::{fd_of, Poller};
 
 /// A RETRYed frame's k-th resend waits `RESUBMIT_BACKOFF · 2^(k−1)`,
@@ -675,13 +675,11 @@ pub fn run_sweep(cfg: &LoadgenConfig, connections: &[usize]) -> io::Result<Sweep
 /// Connects once and asks the server to drain gracefully.
 pub fn request_shutdown(addr: &str) -> io::Result<()> {
     let mut stream = TcpStream::connect(addr)?;
-    write_message(
-        &mut stream,
-        &Message::Shutdown {
-            tenant: 0,
-            request_id: 0,
-        },
-    )
+    let shutdown = Message::Shutdown {
+        tenant: 0,
+        request_id: 0,
+    };
+    stream.write_all(&shutdown.to_bytes())
 }
 
 /// Builds the wire submit for one frame: tagged when keys are present

@@ -11,8 +11,8 @@
 //! (the length prefix is validated against [`MAX_BODY`] *before* the body
 //! is read).
 
-use std::io::{self, Read, Write};
-use std::time::{Duration, Instant};
+use std::io::{self, Read};
+use std::time::Instant;
 
 /// Protocol version carried in every message.
 pub const VERSION: u8 = 1;
@@ -609,129 +609,6 @@ pub fn decode_body(body: &[u8]) -> Result<Message, WireError> {
     }
 }
 
-/// A framed-read failure: transport, wire format, or idle timeout.
-#[derive(Debug)]
-pub enum RecvError {
-    /// The underlying stream failed (including mid-frame stalls past the
-    /// deadline).
-    Io(io::Error),
-    /// The frame violated the wire format.
-    Wire(WireError),
-    /// The stream idled past its read timeout *between* frames — benign;
-    /// poll a shutdown flag and call again.
-    IdleTimeout,
-}
-
-impl std::fmt::Display for RecvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecvError::Io(e) => write!(f, "transport error: {e}"),
-            RecvError::Wire(e) => write!(f, "wire error: {e}"),
-            RecvError::IdleTimeout => write!(f, "idle between frames"),
-        }
-    }
-}
-
-impl std::error::Error for RecvError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RecvError::Io(e) => Some(e),
-            RecvError::Wire(e) => Some(e),
-            RecvError::IdleTimeout => None,
-        }
-    }
-}
-
-impl From<WireError> for RecvError {
-    fn from(e: WireError) -> Self {
-        RecvError::Wire(e)
-    }
-}
-
-/// How long a partially received frame may stall before the read fails.
-/// Bounds graceful-drain time against clients that die mid-frame.
-const MID_FRAME_DEADLINE: Duration = Duration::from_secs(5);
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-/// Fills `buf` from `r`. Returns `Ok(false)` on clean EOF *before the
-/// first byte*; timeouts before the first byte surface as
-/// [`RecvError::IdleTimeout`], timeouts after it retry until
-/// [`MID_FRAME_DEADLINE`].
-fn fill(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, RecvError> {
-    let mut filled = 0;
-    let mut stalled_since: Option<Instant> = None;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(false);
-                }
-                return Err(RecvError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "stream closed mid-frame",
-                )));
-            }
-            Ok(n) => {
-                filled += n;
-                stalled_since = None;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => {
-                if filled == 0 {
-                    return Err(RecvError::IdleTimeout);
-                }
-                let since = *stalled_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= MID_FRAME_DEADLINE {
-                    return Err(RecvError::Io(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "stream stalled mid-frame",
-                    )));
-                }
-            }
-            Err(e) => return Err(RecvError::Io(e)),
-        }
-    }
-    Ok(true)
-}
-
-/// Reads one framed message. `Ok(None)` on clean EOF at a frame boundary;
-/// [`RecvError::IdleTimeout`] when the stream's read timeout fires between
-/// frames (retry after checking shutdown flags). The length prefix is
-/// validated against [`MAX_BODY`] before any body allocation.
-pub fn read_message(r: &mut impl Read) -> Result<Option<Message>, RecvError> {
-    let mut len_buf = [0u8; 4];
-    if !fill(r, &mut len_buf)? {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_BODY {
-        return Err(WireError::Oversized {
-            len: len as u64,
-            max: MAX_BODY as u64,
-        }
-        .into());
-    }
-    let mut body = vec![0u8; len];
-    if !fill(r, &mut body)? {
-        return Err(RecvError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "stream closed between length and body",
-        )));
-    }
-    Ok(Some(decode_body(&body)?))
-}
-
-/// Writes one framed message.
-pub fn write_message(w: &mut impl Write, msg: &Message) -> io::Result<()> {
-    w.write_all(&msg.to_bytes())
-}
-
 /// Incremental frame decoder for nonblocking sockets.
 ///
 /// A reactor reads straight into the assembler ([`Self::read_from`]) and
@@ -794,11 +671,6 @@ impl FrameAssembler {
         if self.buf.len() - self.end < room {
             self.buf.resize(self.end + room, 0);
         }
-    }
-
-    /// Unconsumed buffered bytes.
-    pub fn buffered(&self) -> usize {
-        self.end - self.start
     }
 
     /// The unconsumed bytes, without consuming them (protocol sniffing).
@@ -876,8 +748,10 @@ mod tests {
         assert_eq!(len, bytes.len() - 4, "length prefix covers the body");
         assert_eq!(decode_body(&bytes[4..]), Ok(msg.clone()));
         // And through the framed reader.
-        let mut cursor = io::Cursor::new(&bytes);
-        assert_eq!(read_message(&mut cursor).unwrap(), Some(msg));
+        let mut asm = FrameAssembler::new();
+        asm.feed(&bytes);
+        assert_eq!(asm.next_frame().unwrap().map(|(m, _ns)| m), Some(msg));
+        assert!(asm.peek().is_empty());
     }
 
     #[test]
@@ -982,7 +856,7 @@ mod tests {
             }
         }
         assert_eq!(got, msgs);
-        assert_eq!(asm.buffered(), 0);
+        assert!(asm.peek().is_empty());
         // Coalesced: all three frames in one feed pop in order.
         let mut asm = FrameAssembler::new();
         asm.feed(&wire);
@@ -1170,21 +1044,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_length_prefix_is_rejected_before_allocation() {
-        // An HTTP "GET " read as a length prefix is ~1.2 GB — the reader
-        // must refuse it without allocating.
-        let bytes = *b"GET / HTTP/1.1\r\n";
-        let mut cursor = io::Cursor::new(&bytes[..]);
-        match read_message(&mut cursor) {
-            Err(RecvError::Wire(WireError::Oversized { len, max })) => {
-                assert_eq!(len, u32::from_be_bytes(*b"GET ") as u64);
-                assert_eq!(max, MAX_BODY as u64);
-            }
-            other => panic!("expected Oversized, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn oversized_record_count_is_rejected() {
         let mut body = vec![VERSION, OP_SUBMIT, 0, 0];
         body.extend_from_slice(&0u64.to_be_bytes());
@@ -1211,25 +1070,6 @@ mod tests {
                 got: 4
             })
         );
-    }
-
-    #[test]
-    fn clean_eof_is_none_mid_frame_eof_is_error() {
-        let mut empty = io::Cursor::new(Vec::new());
-        assert!(matches!(read_message(&mut empty), Ok(None)));
-        let bytes = Message::Shutdown {
-            tenant: 0,
-            request_id: 0,
-        }
-        .to_bytes();
-        // Cut inside the length prefix and inside the body.
-        for cut in [2usize, 4, 9] {
-            let mut cursor = io::Cursor::new(bytes[..cut].to_vec());
-            assert!(
-                matches!(read_message(&mut cursor), Err(RecvError::Io(_))),
-                "cut at {cut} must be an unexpected-EOF transport error"
-            );
-        }
     }
 
     #[test]

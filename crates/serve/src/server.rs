@@ -1,11 +1,12 @@
 //! The long-lived routing server.
 //!
 //! One [`Server::serve`] call owns a TCP listener for the lifetime of a
-//! serving session. Connections are multiplexed onto a small set of
-//! **reactor threads** (default: one per core) built on `epoll(7)` —
-//! see `sys.rs` and `reactor.rs` — instead of two threads per
-//! connection: each reactor owns its connections' nonblocking sockets
-//! with edge-triggered readiness, runs the per-connection state
+//! serving session; [`bind`] makes one whose accept queue is sized from
+//! [`ServeConfig::max_connections`]. Connections are multiplexed onto a
+//! small set of **reactor threads** (default: one per core) built on
+//! `epoll(7)` — see `sys.rs` and `reactor.rs` — instead of two threads
+//! per connection: each reactor owns its connections' nonblocking
+//! sockets with edge-triggered readiness, runs the per-connection state
 //! machines (`conn.rs`), performs admission control, and routes the
 //! frames it admitted itself:
 //!
@@ -64,7 +65,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io;
-use std::net::TcpListener;
+use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -80,7 +81,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::auth::TenantKeys;
 use crate::reactor::{run_reactor, ReactorShared};
-use crate::sys::Poller;
+use crate::sys::{set_backlog, Poller};
 
 // `FrameBatch` and `SpanKind` appear in doc links only.
 #[allow(unused_imports)]
@@ -436,6 +437,16 @@ pub(crate) fn build_status(ctx: &SessionCtx<'_>) -> StatusSnapshot {
     }
 }
 
+/// Binds the listener [`Server::serve`] takes, with an accept queue of
+/// `max(max_connections, 128)` pending connects: std binds with 128, and
+/// past that each connect of a burst the acceptor has not reached yet
+/// loses its SYN and waits out a 1 s retransmit.
+pub fn bind(addr: impl ToSocketAddrs, max_connections: usize) -> io::Result<TcpListener> {
+    let listener = TcpListener::bind(addr)?;
+    set_backlog(&listener, max_connections.max(128))?;
+    Ok(listener)
+}
+
 /// A long-lived routing server bound to a shared [`Counters`] sink.
 pub struct Server<'a> {
     config: ServeConfig,
@@ -473,27 +484,18 @@ impl<'a> Server<'a> {
         self
     }
 
-    /// A server whose reactors route through live fault state: every
-    /// route call steers by `plan`, and the plan's scrubber runs beside
-    /// the reactors ([`LiveFaultPlan::scrub_while`]), so faults can be
-    /// injected and cleared *while the session serves* — a chaos driver
-    /// holds the same `&plan` and mutates it concurrently. Detected
-    /// faults are retried onto healthy fabric shards, the scrubber
-    /// quarantines and restores shards, and clients only ever see correct
-    /// frames, explicit `RETRY`s, or explicit `ERROR`s — never a silently
-    /// misdelivered frame.
-    pub fn with_fault_plan(
-        config: ServeConfig,
-        counters: &'a Counters,
-        plan: &'a LiveFaultPlan,
-    ) -> Self {
-        Server {
-            config,
-            counters,
-            fault_plan: Some(plan),
-            recorder: None,
-            tenant_keys: None,
-        }
+    /// Routes through live fault state: every route call steers by
+    /// `plan`, and the plan's scrubber runs beside the reactors
+    /// ([`LiveFaultPlan::scrub_while`]), so faults can be injected and
+    /// cleared *while the session serves* — a chaos driver holds the same
+    /// `&plan` and mutates it concurrently. Detected faults are retried
+    /// onto healthy fabric shards, the scrubber quarantines and restores
+    /// shards, and clients only ever see correct frames, explicit
+    /// `RETRY`s, or explicit `ERROR`s — never a silently misdelivered
+    /// frame.
+    pub fn with_fault_plan(mut self, plan: &'a LiveFaultPlan) -> Self {
+        self.fault_plan = Some(plan);
+        self
     }
 
     /// Runs one serving session on `listener` until `control` requests a

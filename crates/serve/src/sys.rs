@@ -1,5 +1,6 @@
 //! Raw readiness syscalls for the reactor: `epoll(7)` on Linux, a
-//! `poll(2)` fallback on other unixes, and a self-wake pipe.
+//! `poll(2)` fallback on other unixes, and a self-wake pipe; plus the
+//! `listen(2)` call that sizes the acceptor's queue.
 //!
 //! The workspace rule is std-only — no async runtime, no libc crate —
 //! so the handful of syscalls the reactor needs are declared here as
@@ -16,13 +17,13 @@
 #![allow(dead_code)]
 
 use std::io;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 #[cfg(not(unix))]
-pub(crate) use stub::{fd_of, Poller, WakePipe};
+pub(crate) use stub::{fd_of, set_backlog, Poller, WakePipe};
 #[cfg(unix)]
-pub(crate) use unix::{fd_of, Poller, WakePipe};
+pub(crate) use unix::{fd_of, set_backlog, Poller, WakePipe};
 
 /// One readiness report from [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
@@ -39,7 +40,7 @@ pub(crate) struct PollEvent {
 
 #[cfg(unix)]
 mod unix {
-    use super::{io, Duration, PollEvent, TcpStream};
+    use super::{io, Duration, PollEvent, TcpListener, TcpStream};
     use std::os::unix::io::{AsRawFd, RawFd};
 
     extern "C" {
@@ -48,6 +49,7 @@ mod unix {
         fn write(fd: i32, buf: *const u8, count: usize) -> isize;
         fn pipe(fds: *mut i32) -> i32;
         fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
+        fn listen(fd: i32, backlog: i32) -> i32;
     }
 
     const F_GETFL: i32 = 3;
@@ -60,6 +62,18 @@ mod unix {
     /// The fd a [`Poller`] registers `stream` under.
     pub(crate) fn fd_of(stream: &TcpStream) -> RawFd {
         stream.as_raw_fd()
+    }
+
+    /// Calls `listen(2)` again on a bound listener, so its accept queue
+    /// holds `backlog` pending connects (the kernel caps it at
+    /// `somaxconn`).
+    pub(crate) fn set_backlog(listener: &TcpListener, backlog: usize) -> io::Result<()> {
+        let backlog = backlog.min(i32::MAX as usize) as i32;
+        // SAFETY: listen on the listener's own open fd; no memory is passed.
+        if unsafe { listen(listener.as_raw_fd(), backlog) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
     }
 
     /// A millisecond timeout for `epoll_wait`/`poll`, rounded up so the
@@ -454,10 +468,15 @@ mod unix {
 
 #[cfg(not(unix))]
 mod stub {
-    use super::{io, Duration, PollEvent, TcpStream};
+    use super::{io, Duration, PollEvent, TcpListener, TcpStream};
 
     pub(crate) fn fd_of(_stream: &TcpStream) -> i32 {
         -1
+    }
+
+    /// Keeps std's accept queue: the reactor cannot serve here anyway.
+    pub(crate) fn set_backlog(_listener: &TcpListener, _backlog: usize) -> io::Result<()> {
+        Ok(())
     }
 
     fn unsupported() -> io::Error {

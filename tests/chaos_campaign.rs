@@ -22,9 +22,8 @@ use bnb::core::{FaultKind, FaultSite};
 use bnb::engine::LiveFaultPlan;
 use bnb::obs::Counters;
 use bnb::serve::loadgen::{run_loadgen, LoadMode, LoadgenConfig};
-use bnb::serve::protocol::read_message;
 use bnb::serve::server::{ServeConfig, Server, ServerControl, StatusSnapshot};
-use bnb::serve::Message;
+use bnb::serve::{FrameAssembler, Message};
 use bnb::sim::chaos::{chaos_engine_campaign, ChaosAction, ChaosSchedule};
 
 /// Runs its closure on drop, also while a failed assertion unwinds: the
@@ -134,7 +133,8 @@ fn chaos_through_a_live_server_keeps_the_wire_ledger_balanced() {
             let counters_ref = &counters;
             let plan_ref = &plan;
             let server = s.spawn(move || {
-                Server::with_fault_plan(config, counters_ref, plan_ref)
+                Server::new(config, counters_ref)
+                    .with_fault_plan(plan_ref)
                     .serve(listener, &server_control)
                     .expect("serving session")
             });
@@ -310,7 +310,8 @@ fn status_reflects_shard_quarantine_and_restore() {
         let counters_ref = &counters;
         let plan_ref = &plan;
         let server = s.spawn(move || {
-            Server::with_fault_plan(config, counters_ref, plan_ref)
+            Server::new(config, counters_ref)
+                .with_fault_plan(plan_ref)
                 .serve(listener, &server_control)
                 .expect("serving session")
         });
@@ -325,6 +326,7 @@ fn status_reflects_shard_quarantine_and_restore() {
             stream
                 .set_read_timeout(Some(Duration::from_secs(2)))
                 .unwrap();
+            let mut asm = FrameAssembler::new();
             let mut req = 0u64;
             while !stop_ref.load(Ordering::Acquire) {
                 req += 1;
@@ -336,9 +338,21 @@ fn status_reflects_shard_quarantine_and_restore() {
                 if stream.write_all(&msg.to_bytes()).is_err() {
                     break;
                 }
-                match read_message(&mut stream) {
-                    Ok(Some(_)) => {}
-                    _ => break,
+                // One reply per SUBMIT, read the way the load client
+                // reads: `read_from` until `next_frame` yields. A hang-up,
+                // timeout or malformed reply ends the driver.
+                let answered = loop {
+                    match asm.next_frame() {
+                        Ok(Some(_)) => break true,
+                        Ok(None) => {}
+                        Err(_) => break false,
+                    }
+                    if !matches!(asm.read_from(&mut stream), Ok(n) if n > 0) {
+                        break false;
+                    }
+                };
+                if !answered {
+                    break;
                 }
             }
         });

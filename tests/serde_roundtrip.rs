@@ -77,7 +77,7 @@ fn table_roundtrip() {
 
 #[test]
 fn latency_histogram_roundtrip() {
-    use bnb::engine::LatencyHistogram;
+    use bnb::obs::LatencyHistogram;
     let mut h = LatencyHistogram::new();
     for ns in [0u64, 1, 2, 900, 65_536, 1_000_000_000] {
         h.record(ns);

@@ -4,18 +4,17 @@
 //! graceful drain, and a Prometheus scrape whose counters balance the
 //! frame ledger.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bnb::obs::Counters;
 use bnb::serve::loadgen::{run_loadgen, run_sweep, LoadMode, LoadgenConfig, TenantLoad};
-use bnb::serve::protocol::read_message;
-use bnb::serve::server::{ServeConfig, ServeReport, Server, ServerControl, StatusSnapshot};
-use bnb::serve::{ErrorCode, Message};
+use bnb::serve::server::{self, ServeConfig, ServeReport, Server, ServerControl, StatusSnapshot};
+use bnb::serve::{ErrorCode, FrameAssembler, Message};
 
 /// Runs its closure on drop, also while a failed assertion unwinds: the
 /// tests use it to stop the server (and any traffic driver) so that
@@ -35,7 +34,8 @@ fn serve_scope<R: Send>(
     body: impl FnOnce(&str, &Arc<ServerControl>) -> R + Send,
 ) -> (ServeReport, R) {
     let counters = Counters::new();
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let listener =
+        server::bind("127.0.0.1:0", config.max_connections).expect("bind ephemeral port");
     let addr = listener.local_addr().unwrap().to_string();
     let control = ServerControl::new();
 
@@ -55,6 +55,20 @@ fn serve_scope<R: Send>(
         let report = server.join().expect("server thread");
         (report, out)
     })
+}
+
+/// Reads the next reply the way the load client does: `read_from` into
+/// `asm` until `next_frame` yields. `Ok(None)` when the server hung up;
+/// a malformed reply panics.
+fn read_reply(stream: &mut TcpStream, asm: &mut FrameAssembler) -> io::Result<Option<Message>> {
+    loop {
+        if let Some((msg, _decode_ns)) = asm.next_frame().expect("a well-formed reply") {
+            return Ok(Some(msg));
+        }
+        if asm.read_from(stream)? == 0 {
+            return Ok(None);
+        }
+    }
 }
 
 /// Scrapes the server's /metrics endpoint over plain HTTP.
@@ -318,10 +332,9 @@ fn malformed_bytes_get_a_typed_protocol_error_not_a_crash() {
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
-        let mut reader = stream;
-        match bnb::serve::protocol::read_message(&mut reader) {
-            Ok(Some(bnb::serve::Message::Error { code, .. })) => {
-                assert_eq!(code, bnb::serve::ErrorCode::Protocol);
+        match read_reply(&mut stream, &mut FrameAssembler::new()) {
+            Ok(Some(Message::Error { code, .. })) => {
+                assert_eq!(code, ErrorCode::Protocol);
             }
             other => panic!("expected a protocol ERROR frame, got {other:?}"),
         }
@@ -534,8 +547,8 @@ fn wire_status_opcode_answers_with_the_json_snapshot() {
             request_id: 99,
         };
         stream.write_all(&ask.to_bytes()).unwrap();
-        match bnb::serve::protocol::read_message(&mut stream) {
-            Ok(Some(bnb::serve::Message::StatusReport {
+        match read_reply(&mut stream, &mut FrameAssembler::new()) {
+            Ok(Some(Message::StatusReport {
                 tenant,
                 request_id,
                 json,
@@ -747,9 +760,10 @@ fn served_route_errors_name_the_route_error_without_a_sequence_number() {
             .encode(&mut wire);
         }
         stream.write_all(&wire).unwrap();
+        let mut asm = FrameAssembler::new();
         let mut replies: Vec<Message> = (0..submits.len())
             .map(|_| {
-                read_message(&mut stream)
+                read_reply(&mut stream, &mut asm)
                     .unwrap()
                     .expect("a reply per SUBMIT")
             })
@@ -816,9 +830,10 @@ fn wrong_width_submits_are_route_errors_even_with_a_full_window() {
             .encode(&mut wire);
         }
         stream.write_all(&wire).unwrap();
+        let mut asm = FrameAssembler::new();
         let mut replies: Vec<Message> = (0..2)
             .map(|_| {
-                read_message(&mut stream)
+                read_reply(&mut stream, &mut asm)
                     .unwrap()
                     .expect("a reply per SUBMIT")
             })
@@ -845,6 +860,54 @@ fn wrong_width_submits_are_route_errors_even_with_a_full_window() {
     assert_eq!(report.retries_issued, 0, "{report:?}");
     assert_eq!(report.frames_errored, 1, "{report:?}");
     assert!(report.accounted(), "{report:?}");
+}
+
+/// A burst of sequential connects larger than std's 128-entry accept
+/// queue waits in the queue that [`server::bind`] sized from
+/// `max_connections` (the kernel caps it at `somaxconn`, 4096 by default
+/// since Linux 5.4): none loses its SYN to a 1 s retransmit. The burst
+/// lands before the session accepts anything, as a burst does that
+/// outruns the acceptor.
+#[test]
+fn a_connect_burst_is_queued_not_retransmitted() {
+    let config = ServeConfig {
+        max_connections: 256,
+        ..ServeConfig::default()
+    };
+    let counters = Counters::new();
+    let listener =
+        server::bind("127.0.0.1:0", config.max_connections).expect("bind ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let started = Instant::now();
+    let mut conns: Vec<TcpStream> = (0..160)
+        .map(|i| {
+            TcpStream::connect_timeout(&addr, Duration::from_secs(2))
+                .unwrap_or_else(|e| panic!("connect {i} failed after {:?}: {e}", started.elapsed()))
+        })
+        .collect();
+    let elapsed = started.elapsed();
+    let control = ServerControl::new();
+    let report = thread::scope(|s| {
+        let server = s.spawn(|| {
+            Server::new(config, &counters)
+                .serve(listener, &control)
+                .expect("serving session")
+        });
+        let _drain = OnDrop(|| control.trigger_shutdown());
+        // Accepts are FIFO: once the last connection is answered, every
+        // one before it was accepted too. The rest close unused, so the
+        // drain need not wait for their requests.
+        status_over(conns.pop().expect("160 connections"));
+        drop(conns);
+        control.trigger_shutdown();
+        server.join().expect("server thread")
+    });
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "160 connects took {elapsed:?}"
+    );
+    assert_eq!(report.connections_accepted, 160, "{report:?}");
+    assert!(report.accounted());
 }
 
 #[test]

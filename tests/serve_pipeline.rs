@@ -7,7 +7,7 @@
 //! refuses bad ones.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use bnb::obs::Counters;
 use bnb::serve::loadgen::{run_loadgen, LoadMode, LoadgenConfig};
-use bnb::serve::protocol::{read_message, write_message, Message, RecvError, RetryReason};
+use bnb::serve::protocol::{FrameAssembler, Message, RetryReason};
 use bnb::serve::server::{ServeConfig, ServeReport, Server, ServerControl, StatusSnapshot};
 use bnb::serve::{ErrorCode, TenantKeys};
 use proptest::prelude::*;
@@ -94,9 +94,35 @@ fn verify_rotation(n: usize, k: usize, sources: &[u32]) -> bool {
             .all(|(j, &src)| src as usize == (j + n - k % n) % n)
 }
 
+/// Reads the next reply the way the load client does: `read_from` into
+/// `asm` until `next_frame` yields. `Ok(None)` when the server hung up;
+/// a read timeout is its `io::Error`, and a malformed reply panics.
+fn read_reply(stream: &mut TcpStream, asm: &mut FrameAssembler) -> io::Result<Option<Message>> {
+    loop {
+        if let Some((msg, _decode_ns)) = asm.next_frame().expect("a well-formed reply") {
+            return Ok(Some(msg));
+        }
+        if asm.read_from(stream)? == 0 {
+            return Ok(None);
+        }
+    }
+}
+
+/// Whether a read failed only because its timeout fired.
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
 /// Reads responses until `want` distinct request ids are answered or the
 /// deadline passes; panics on a duplicate answer. Returns id → message.
-fn collect_answers(stream: &mut TcpStream, want: usize) -> HashMap<u64, Message> {
+fn collect_answers(
+    stream: &mut TcpStream,
+    asm: &mut FrameAssembler,
+    want: usize,
+) -> HashMap<u64, Message> {
     stream
         .set_read_timeout(Some(Duration::from_millis(50)))
         .unwrap();
@@ -108,15 +134,15 @@ fn collect_answers(stream: &mut TcpStream, want: usize) -> HashMap<u64, Message>
             "deadlock: {}/{want} answers after 20s: {answers:?}",
             answers.len()
         );
-        match read_message(stream) {
+        match read_reply(stream, asm) {
             Ok(Some(msg)) => {
                 let id = msg.request_id();
                 let prev = answers.insert(id, msg);
                 assert!(prev.is_none(), "request id {id} answered twice");
             }
             Ok(None) => panic!("server hung up with {}/{want} answered", answers.len()),
-            Err(RecvError::IdleTimeout) => {}
-            Err(e) => panic!("wire error mid-pipeline: {e:?}"),
+            Err(e) if timed_out(&e) => {}
+            Err(e) => panic!("transport error mid-pipeline: {e:?}"),
         }
     }
     answers
@@ -136,13 +162,14 @@ proptest! {
             let mut stream = TcpStream::connect(addr).expect("connect");
             stream.set_nodelay(true).ok();
             for id in 0..frames {
-                write_message(&mut stream, &Message::Submit {
+                let submit = Message::Submit {
                     tenant: 1,
                     request_id: id as u64,
                     dests: rotated_dests(n, id % n),
-                }).expect("submit");
+                };
+                stream.write_all(&submit.to_bytes()).expect("submit");
             }
-            let answers = collect_answers(&mut stream, frames);
+            let answers = collect_answers(&mut stream, &mut FrameAssembler::new(), frames);
             for (id, msg) in &answers {
                 match msg {
                     Message::Routed { sources, .. } => {
@@ -194,7 +221,7 @@ fn window_exhaustion_answers_retry_not_deadlock() {
             );
         }
         stream.write_all(&burst).expect("burst");
-        let answers = collect_answers(&mut stream, frames);
+        let answers = collect_answers(&mut stream, &mut FrameAssembler::new(), frames);
         let mut served = 0u64;
         let mut window_retries = 0u64;
         for (id, msg) in &answers {
@@ -246,33 +273,31 @@ fn refilling_on_every_reply_never_meets_a_held_slot() {
             .set_read_timeout(Some(Duration::from_millis(50)))
             .unwrap();
         let submit = |stream: &mut TcpStream, id: usize| {
-            write_message(
-                stream,
-                &Message::Submit {
-                    tenant: 1,
-                    request_id: id as u64,
-                    dests: rotated_dests(n, id % n),
-                },
-            )
-            .expect("submit");
+            let submit = Message::Submit {
+                tenant: 1,
+                request_id: id as u64,
+                dests: rotated_dests(n, id % n),
+            };
+            stream.write_all(&submit.to_bytes()).expect("submit");
         };
         for id in 0..window {
             submit(&mut stream, id);
         }
         let deadline = Instant::now() + Duration::from_secs(60);
+        let mut asm = FrameAssembler::new();
         let mut retries = 0u64;
         for (answered, next) in (window..frames + window).enumerate() {
             let reply = loop {
-                match read_message(&mut stream) {
+                match read_reply(&mut stream, &mut asm) {
                     Ok(Some(msg)) => break msg,
                     Ok(None) => panic!("server hung up after {answered} replies"),
-                    Err(RecvError::IdleTimeout) => {
+                    Err(e) if timed_out(&e) => {
                         assert!(
                             Instant::now() < deadline,
                             "stalled after {answered} replies"
                         )
                     }
-                    Err(e) => panic!("wire error after {answered} replies: {e:?}"),
+                    Err(e) => panic!("transport error after {answered} replies: {e:?}"),
                 }
             };
             match reply {
@@ -328,7 +353,8 @@ fn midstream_shutdown_drains_every_inflight_id_before_fin() {
         stream.write_all(&burst).expect("burst + shutdown");
         // Every in-flight id must be answered (ROUTED or an explicit
         // refusal) before the server closes the connection.
-        let answers = collect_answers(&mut stream, frames);
+        let mut asm = FrameAssembler::new();
+        let answers = collect_answers(&mut stream, &mut asm, frames);
         for (id, msg) in &answers {
             assert!(
                 matches!(
@@ -343,11 +369,11 @@ fn midstream_shutdown_drains_every_inflight_id_before_fin() {
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         loop {
-            match read_message(&mut stream) {
+            match read_reply(&mut stream, &mut asm) {
                 Ok(Some(msg)) => panic!("unexpected post-drain message {msg:?}"),
                 Ok(None) => break,
-                Err(RecvError::IdleTimeout) => {}
-                Err(e) => panic!("post-drain wire error {e:?}"),
+                Err(e) if timed_out(&e) => {}
+                Err(e) => panic!("post-drain transport error {e:?}"),
             }
         }
     });
@@ -397,52 +423,40 @@ fn keyed_server_accepts_good_tags_and_refuses_everything_else() {
         stream.set_nodelay(true).ok();
         let dests = rotated_dests(n, 3);
 
-        // 1) Correct tag: served.
         let tag = client_keys.tag(1, 10, &dests).expect("tenant 1 has a key");
-        write_message(
-            &mut stream,
-            &Message::SubmitTagged {
+        for submit in [
+            // 1) Correct tag: served.
+            Message::SubmitTagged {
                 tenant: 1,
                 request_id: 10,
                 tag,
                 dests: dests.clone(),
             },
-        )
-        .unwrap();
-        // 2) Wrong tag: refused.
-        write_message(
-            &mut stream,
-            &Message::SubmitTagged {
+            // 2) Wrong tag: refused.
+            Message::SubmitTagged {
                 tenant: 1,
                 request_id: 11,
                 tag: tag ^ 1,
                 dests: dests.clone(),
             },
-        )
-        .unwrap();
-        // 3) Untagged SUBMIT on a keyed server: refused.
-        write_message(
-            &mut stream,
-            &Message::Submit {
+            // 3) Untagged SUBMIT on a keyed server: refused.
+            Message::Submit {
                 tenant: 2,
                 request_id: 12,
                 dests: dests.clone(),
             },
-        )
-        .unwrap();
-        // 4) Unknown tenant: refused no matter the tag.
-        write_message(
-            &mut stream,
-            &Message::SubmitTagged {
+            // 4) Unknown tenant: refused no matter the tag.
+            Message::SubmitTagged {
                 tenant: 9,
                 request_id: 13,
                 tag: 0xDEAD_BEEF,
                 dests: dests.clone(),
             },
-        )
-        .unwrap();
+        ] {
+            stream.write_all(&submit.to_bytes()).unwrap();
+        }
 
-        let answers = collect_answers(&mut stream, 4);
+        let answers = collect_answers(&mut stream, &mut FrameAssembler::new(), 4);
         match &answers[&10] {
             Message::Routed { sources, .. } => {
                 assert!(verify_rotation(n, 3, sources), "misdelivered tagged frame")

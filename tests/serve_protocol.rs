@@ -1,14 +1,17 @@
-//! Property-based tests over the `bnb serve` wire protocol: every
-//! message round-trips byte-exactly, and *any* byte sequence decodes to
-//! either a message or a typed error — never a panic, never an unbounded
-//! allocation.
+//! Property-based tests over the `bnb serve` wire protocol, read
+//! through the [`FrameAssembler`] the server and the load clients run:
+//! every message round-trips byte-exactly however the stream is split,
+//! and *any* byte sequence decodes to either a message or a typed error
+//! — never a panic, never an unbounded allocation.
 
 use bnb::serve::protocol::{
-    decode_body, read_message, Message, RecvError, RetryReason, WireError, HEADER_LEN, MAX_BODY,
-    OP_ERROR, OP_RETRY, OP_ROUTED, OP_SHUTDOWN, OP_SUBMIT, VERSION,
+    decode_body, FrameAssembler, Message, RetryReason, WireError, HEADER_LEN, MAX_BODY, OP_ERROR,
+    OP_RETRY, OP_ROUTED, OP_SHUTDOWN, OP_SUBMIT, VERSION,
 };
 use bnb::serve::ErrorCode;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 /// Builds one of the five message shapes from a flat tuple of raw
 /// ingredients (the vendored proptest has no `prop_oneof!`, so the
@@ -70,8 +73,43 @@ proptest! {
         let len = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
         prop_assert_eq!(len, bytes.len() - 4, "length prefix covers the body exactly");
         prop_assert_eq!(decode_body(&bytes[4..]), Ok(msg.clone()));
-        let mut cursor = std::io::Cursor::new(&bytes);
-        prop_assert_eq!(read_message(&mut cursor).unwrap(), Some(msg));
+        let mut asm = FrameAssembler::new();
+        asm.feed(&bytes);
+        prop_assert_eq!(asm.next_frame().unwrap().map(|(m, _ns)| m), Some(msg));
+        prop_assert!(asm.peek().is_empty());
+    }
+
+    /// One to four messages sent back to back and fed in pieces cut at
+    /// random points (drawn from `seed`) decode in order: a frame pops
+    /// exactly once, when its last byte lands.
+    #[test]
+    fn split_feeds_decode_in_order(
+        msgs in proptest::collection::vec(arb_message(), 1..=4),
+        seed in any::<u64>(),
+    ) {
+        let mut wire = Vec::new();
+        for msg in &msgs {
+            msg.encode(&mut wire);
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cut_count = rng.random_range(0..=16usize);
+        let mut cuts: Vec<usize> = (0..cut_count)
+            .map(|_| rng.random_range(0..=wire.len()))
+            .collect();
+        cuts.push(wire.len());
+        cuts.sort_unstable();
+        let mut asm = FrameAssembler::new();
+        let mut got = Vec::new();
+        let mut fed = 0;
+        for cut in cuts {
+            asm.feed(&wire[fed..cut]);
+            fed = cut;
+            while let Some((msg, _ns)) = asm.next_frame().unwrap() {
+                got.push(msg);
+            }
+        }
+        prop_assert_eq!(got, msgs);
+        prop_assert!(asm.peek().is_empty());
     }
 
     /// Arbitrary garbage bodies never panic: always a Message or a typed
@@ -110,18 +148,31 @@ proptest! {
         let _ = decode_body(&body); // must return, never panic
     }
 
-    /// The framed reader survives arbitrary byte streams: every outcome
-    /// is a message, a clean EOF, or a typed error.
+    /// The framed reader survives arbitrary byte streams fed in random
+    /// chunks: every outcome is a message, "need more bytes", or a typed
+    /// error, and it never buffers more than one largest frame before
+    /// the error.
     #[test]
     fn framed_reader_never_panics_on_garbage(
-        stream in proptest::collection::vec(any::<u8>(), 0..=64),
+        stream in proptest::collection::vec(any::<u8>(), 0..=512),
+        seed in any::<u64>(),
     ) {
-        let mut cursor = std::io::Cursor::new(&stream);
-        match read_message(&mut cursor) {
-            Ok(_) | Err(RecvError::Io(_)) | Err(RecvError::Wire(_)) => {}
-            Err(RecvError::IdleTimeout) => {
-                prop_assert!(false, "a Cursor never times out");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut asm = FrameAssembler::new();
+        let mut fed = 0;
+        'feed: while fed < stream.len() {
+            let chunk = rng.random_range(1..=stream.len() - fed);
+            asm.feed(&stream[fed..fed + chunk]);
+            fed += chunk;
+            loop {
+                match asm.next_frame() {
+                    Ok(Some(_)) => {}
+                    Ok(None) => break,
+                    // Connection-fatal: a reader stops here.
+                    Err(_) => break 'feed,
+                }
             }
+            prop_assert!(asm.peek().len() <= MAX_BODY + 4);
         }
     }
 }
@@ -130,14 +181,16 @@ proptest! {
 fn oversized_length_prefixes_are_refused_without_allocation() {
     // 0xFFFF_FFFF would be a 4 GiB body; the reader must refuse from the
     // prefix alone.
-    let mut stream = std::io::Cursor::new(vec![0xFF, 0xFF, 0xFF, 0xFF]);
-    match read_message(&mut stream) {
-        Err(RecvError::Wire(WireError::Oversized { len, max })) => {
+    let mut asm = FrameAssembler::new();
+    asm.feed(&[0xFF, 0xFF, 0xFF, 0xFF]);
+    match asm.next_frame() {
+        Err(WireError::Oversized { len, max }) => {
             assert_eq!(len, u64::from(u32::MAX));
             assert_eq!(max, MAX_BODY as u64);
         }
         other => panic!("expected Oversized, got {other:?}"),
     }
+    assert_eq!(asm.peek().len(), 4, "nothing past the prefix is buffered");
 }
 
 #[test]
